@@ -174,49 +174,25 @@ class ProceduralGenerator:
             labels = tape.constant(neutral_labels())
         if weights is None:
             weights = {"maps": tape.constant(self._maps)}
-        maps = weights["maps"]
-
-        def zc(i):  # squashed latent component
-            return tc.take(z, [i])
-
-        def cf(i):  # map coefficient
-            return tc.take(maps, [i])
-
-        g_coarse = tc.take(labels, [0])
-        g_fine = tc.take(labels, [1])
-        erod = tc.take(labels, [2])
-        aggr = tc.take(labels, [3])
-        rain = tc.take(labels, [4])
-
-        ny, nx, nz = float(g.ny), float(g.nx), g.nz
-        y0 = ny * tc.sigmoid(cf(0) * zc(0) + cf(1))
-        half_width = ny * (cf(2) + cf(3) * tc.sigmoid(0.7 * zc(1)))
-        half_width = half_width * (cf(4) + cf(5) * rain)
-        amp = ny * cf(6) * tc.tanh(0.7 * zc(2)) * (1.3 - 0.6 * g_coarse)
-        wavelength = nx * (cf(7) + cf(8) * tc.tanh(0.7 * zc(3)))
-        phase = cf(9) * zc(4)
-        drift = (ny / max(nz - 1, 1)) * cf(10) * tc.tanh(0.7 * zc(5)) * (0.5 + erod)
-        sharp = (cf(11) + cf(12) * tc.sigmoid(0.7 * zc(6))) * (0.7 + 0.6 * g_fine)
-        turn = cf(13) * tc.tanh(0.7 * zc(7))
-        blend = tc.sigmoid(cf(14))
+        b = self._belt_nodes(z, labels, weights["maps"])
 
         xg = tape.constant(np.arange(g.nx, dtype=np.float64).reshape(1, 1, g.nx))
         yg = tape.constant(np.arange(g.ny, dtype=np.float64).reshape(1, g.ny, 1))
         mg = tape.constant(np.arange(g.nz, dtype=np.float64).reshape(g.nz, 1, 1))
 
-        centerline = y0 + drift * mg + amp * tc.sin(
-            (2.0 * np.pi) * xg / wavelength + phase + turn * mg)
+        centerline = b["center"] + b["drift"] * mg + b["amplitude"] * tc.sin(
+            (2.0 * np.pi) * xg / b["wavelength"] + b["phase"] + b["turn"] * mg)
         dist = tc.absolute(yg - centerline)
-        coarse = tc.sigmoid((half_width - dist) / sharp)
-        core = tc.sigmoid((0.6 * half_width - dist) / sharp)
+        coarse = tc.sigmoid((b["half_width"] - dist) / b["sharpness"])
+        core = tc.sigmoid((0.6 * b["half_width"] - dist) / b["sharpness"])
 
         # vertical stacking: layer time warped by the aggradation label and
         # pulled toward 1 (recent reworking) inside the channel core
-        q = tc.exp(np.log(2.0) * (1.0 - 2.0 * aggr))
-        t = tape.constant(np.clip(np.arange(nz, dtype=np.float64) / max(nz - 1, 1),
-                                  1e-6, 1.0).reshape(nz, 1, 1))
+        q = tc.exp(np.log(2.0) * (1.0 - 2.0 * b["aggradation"]))
+        t = tape.constant(np.clip(np.arange(g.nz, dtype=np.float64) / max(g.nz - 1, 1),
+                                  1e-6, 1.0).reshape(g.nz, 1, 1))
         t_warp = tc.exp(q * tc.log(t))
-        weight_core = blend * core
+        weight_core = b["core_blend"] * core
         depo = weight_core + (1.0 - weight_core) * t_warp
 
         return coarse, depo
@@ -234,25 +210,44 @@ class ProceduralGenerator:
                          labels=None if labels is None else np.asarray(labels, dtype=np.float64))
 
     def belt_parameters(self, z, labels=None):
-        """Interpretable belt parameters for a latent (diagnostics/tests)."""
-        z = np.asarray(z, dtype=np.float64)
+        """Interpretable belt parameters for a latent (diagnostics/tests), plus the
+        core blend and the aggradation label that shape the vertical stacking."""
+        tape = tc.GraphTape(np.float64)
         lv = neutral_labels() if labels is None else _check_labels(labels, len(LABEL_NAMES))
-        c = self._maps
+        nodes = self._belt_nodes(tape.constant(np.asarray(z, dtype=np.float64)),
+                                 tape.constant(lv), tape.constant(self._maps))
+        return {k: float(v.value[0]) for k, v in nodes.items()}
+
+    def _belt_nodes(self, z, labels, maps):
+        """Belt parameter nodes, each of shape (1,), from latent, label and
+        map-coefficient nodes."""
+        def zc(i):  # squashed latent component
+            return tc.take(z, [i])
+
+        def cf(i):  # map coefficient
+            return tc.take(maps, [i])
+
+        g_coarse = tc.take(labels, [0])
+        g_fine = tc.take(labels, [1])
+        erod = tc.take(labels, [2])
+        aggr = tc.take(labels, [3])
+        rain = tc.take(labels, [4])
+
         g = self.geometry
-
-        def sig(v):
-            return 1.0 / (1.0 + np.exp(-v))
-
-        return {
-            "center": g.ny * sig(c[0] * z[0] + c[1]),
-            "half_width": g.ny * (c[2] + c[3] * sig(0.7 * z[1])) * (c[4] + c[5] * lv[4]),
-            "amplitude": g.ny * c[6] * np.tanh(0.7 * z[2]) * (1.3 - 0.6 * lv[0]),
-            "wavelength": g.nx * (c[7] + c[8] * np.tanh(0.7 * z[3])),
-            "phase": c[9] * z[4],
-            "drift": (g.ny / max(g.nz - 1, 1)) * c[10] * np.tanh(0.7 * z[5]) * (0.5 + lv[2]),
-            "sharpness": (c[11] + c[12] * sig(0.7 * z[6])) * (0.7 + 0.6 * lv[1]),
-            "turn": c[13] * np.tanh(0.7 * z[7]),
-        }
+        ny, nx, nz = float(g.ny), float(g.nx), g.nz
+        y0 = ny * tc.sigmoid(cf(0) * zc(0) + cf(1))
+        half_width = ny * (cf(2) + cf(3) * tc.sigmoid(0.7 * zc(1)))
+        half_width = half_width * (cf(4) + cf(5) * rain)
+        amp = ny * cf(6) * tc.tanh(0.7 * zc(2)) * (1.3 - 0.6 * g_coarse)
+        wavelength = nx * (cf(7) + cf(8) * tc.tanh(0.7 * zc(3)))
+        phase = cf(9) * zc(4)
+        drift = (ny / max(nz - 1, 1)) * cf(10) * tc.tanh(0.7 * zc(5)) * (0.5 + erod)
+        sharp = (cf(11) + cf(12) * tc.sigmoid(0.7 * zc(6))) * (0.7 + 0.6 * g_fine)
+        turn = cf(13) * tc.tanh(0.7 * zc(7))
+        blend = tc.sigmoid(cf(14))
+        return {"center": y0, "half_width": half_width, "amplitude": amp,
+                "wavelength": wavelength, "phase": phase, "drift": drift,
+                "sharpness": sharp, "turn": turn, "core_blend": blend, "aggradation": aggr}
 
 
 # ---------------------------------------------------------------------------

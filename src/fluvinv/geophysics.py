@@ -76,26 +76,9 @@ class RockPhysicsParams:
             raise GeophysicsError("critical porosity must lie in (0, 1)")
 
 
-def _hertz_mindlin(k_min, g_min, params):
-    """Dry-frame moduli of the random grain pack at critical porosity."""
-    phi_c = params.critical_porosity
-    n = params.coordination
-    p = params.pressure
-    nu = (3.0 * k_min - 2.0 * g_min) / (2.0 * (3.0 * k_min + g_min))
-    k_hm = (n ** 2 * (1.0 - phi_c) ** 2 * g_min ** 2 * p
-            / (18.0 * np.pi ** 2 * (1.0 - nu) ** 2)) ** (1.0 / 3.0)
-    g_hm = ((5.0 - 4.0 * nu) / (5.0 * (2.0 - nu))) * (
-        3.0 * n ** 2 * (1.0 - phi_c) ** 2 * g_min ** 2 * p
-        / (2.0 * np.pi ** 2 * (1.0 - nu) ** 2)) ** (1.0 / 3.0)
-    return k_hm, g_hm
-
-
-def rock_physics_nodes(tape, f, params=RockPhysicsParams()):
-    """Density (g/cm3) and P-wave velocity (m/s) nodes from a coarse-fraction node.
-
-    Elementwise and smooth; the quartz/clay split, mineral mixing, porosity,
-    dry frame, saturation and velocity all ride on the tape.
-    """
+def _friable_sand(tape, f, params):
+    """Named nodes of the friable-sand chain for a coarse-fraction node:
+    mineral, dry and saturated moduli (GPa), porosity and density (g/cm3)."""
     fv = np.asarray(f.value, dtype=np.float64)
     if fv.min() < -1e-9 or fv.max() > 1.0 + 1e-9:
         raise GeophysicsError(
@@ -143,9 +126,20 @@ def rock_physics_nodes(tape, f, params=RockPhysicsParams()):
     rho = (f * (1.0 - q.porosity) * q.rho
            + one_minus * (1.0 - c.porosity) * c.rho
            + phi * params.water_rho)
+    return {"k_mineral": k_min, "g_mineral": g_min, "porosity": phi,
+            "k_dry": k_dry, "g_dry": g_dry, "k_sat": k_sat, "g_sat": g_sat, "rho": rho}
+
+
+def rock_physics_nodes(tape, f, params=RockPhysicsParams()):
+    """Density (g/cm3) and P-wave velocity (m/s) nodes from a coarse-fraction node.
+
+    Elementwise and smooth; the quartz/clay split, mineral mixing, porosity,
+    dry frame, saturation and velocity all ride on the tape.
+    """
+    m = _friable_sand(tape, f, params)
     # GPa and g/cm3 to m/s: sqrt(1e9 Pa / 1e3 kg/m3) = 1000
-    vp = 1000.0 * tc.sqrt((k_sat + (4.0 / 3.0) * g_sat) / rho)
-    return rho, vp
+    vp = 1000.0 * tc.sqrt((m["k_sat"] + (4.0 / 3.0) * m["g_sat"]) / m["rho"])
+    return m["rho"], vp
 
 
 def rock_physics(f, params=RockPhysicsParams(), dtype=np.float64):
@@ -156,27 +150,11 @@ def rock_physics(f, params=RockPhysicsParams(), dtype=np.float64):
 
 
 def rock_physics_moduli(f, params=RockPhysicsParams()):
-    """Dry and saturated moduli for a fraction array (diagnostics/tests)."""
+    """Named intermediates of :func:`rock_physics_nodes` as arrays
+    (diagnostics/tests): mineral, dry and saturated moduli, porosity, density."""
     tape = tc.GraphTape(np.float64)
-    fn = tc.clamp(tape.constant(np.asarray(f, dtype=np.float64)), 0.0, 1.0)
-    q, c = params.quartz, params.clay
-    fv = fn.value
-    k_min = 0.5 * ((fv * q.bulk + (1 - fv) * c.bulk)
-                   + 1.0 / (fv / q.bulk + (1 - fv) / c.bulk))
-    g_min = 0.5 * ((fv * q.shear + (1 - fv) * c.shear)
-                   + 1.0 / (fv / q.shear + (1 - fv) / c.shear))
-    phi = np.clip(fv * q.porosity + (1 - fv) * c.porosity, 1e-6,
-                  params.critical_porosity - 1e-6)
-    k_hm, g_hm = _hertz_mindlin(k_min, g_min, params)
-    frac = phi / params.critical_porosity
-    k_dry = 1.0 / (frac / (k_hm + 4 * g_hm / 3)
-                   + (1 - frac) / (k_min + 4 * g_hm / 3)) - 4 * g_hm / 3
-    zeta = (g_hm / 6.0) * (9 * k_hm + 8 * g_hm) / (k_hm + 2 * g_hm)
-    g_dry = 1.0 / (frac / (g_hm + zeta) + (1 - frac) / (g_min + zeta)) - zeta
-    k_sat = k_dry + (1 - k_dry / k_min) ** 2 / (
-        phi / params.water_bulk + (1 - phi) / k_min - k_dry / k_min ** 2)
-    return {"k_dry": k_dry, "g_dry": g_dry, "k_sat": k_sat, "g_sat": g_dry,
-            "k_mineral": k_min, "g_mineral": g_min, "porosity": phi}
+    chain = _friable_sand(tape, tape.constant(np.asarray(f)), params)
+    return {k: np.asarray(v.value) for k, v in chain.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ import numpy as np
 from .. import tensors as tc
 from .loss import DataLoss, DataLossConfig, InversionError
 from .networks import mlp_apply, mlp_init, mlp_sizes
-from .optimize import Adam
+from .optimize import _build_generator, descend
 
 __all__ = [
     "InferenceNetConfig",
@@ -85,24 +85,17 @@ def train_inference_network(generator, observations, config=None):
     noise_dim = cfg.noise_dim or generator.latent_dim
     net = InferenceNet(noise_dim, generator.latent_dim, cfg.hidden, rng_seed=cfg.rng_seed)
     loss_fn = DataLoss(observations, cfg.loss, geometry=generator.geometry)
-    params = {k: v.copy() for k, v in net.weights.items()}
-    opt = Adam(lr=cfg.lr)
-    dtype = np.dtype(cfg.dtype)
 
-    history = []
-    halted = False
-    for step in range(cfg.steps):
+    def objective(tape, wnodes, step):
         rng = np.random.Generator(np.random.PCG64(
             np.random.SeedSequence((int(cfg.rng_seed), 29, step))))
-        tape = tc.GraphTape(dtype)
-        wnodes = {k: tape.input(v) for k, v in params.items()}
         total = None
         latents = []
         for _ in range(cfg.batch):
             eps = rng.standard_normal(noise_dim)
             z = net.apply(tape, tape.constant(eps), wnodes)
             latents.append(z)
-            coarse, _ = generator.build(tape, z)
+            coarse, _ = _build_generator(tape, generator, z)
             part = loss_fn.build(tape, coarse, z=z)
             total = part if total is None else total + part
         total = (1.0 / cfg.batch) * total
@@ -120,16 +113,9 @@ def train_inference_network(generator, observations, config=None):
             var = (1.0 / max(cfg.batch - 1, 1)) * var
             reg = tc.mean_all(tc.square(mean)) + tc.mean_all(tc.square(tc.sqrt(var + 1e-12) - 1.0))
             total = total + cfg.collapse_reg * reg
+        return total
 
-        value = float(total.value)
-        history.append(value)
-        if not np.isfinite(value):
-            halted = True
-            break
-        grads = tape.backward(total)
-        opt.step(params, {k: grads.wrt(n) for k, n in wnodes.items()})
-
-    net.weights = params
+    history, halted = descend(objective, net.weights, np.dtype(cfg.dtype), cfg.steps, cfg.lr)
     return AmortizedResult(net=net, loss_history=np.asarray(history),
                            wall_clock_s=time.perf_counter() - t0, halted=halted)
 

@@ -83,13 +83,14 @@ class DataLoss:
             return tc.mean_all(tc.square(residual))
         return tc.mean_all(tc.absolute(residual))
 
-    def build(self, tape, coarse, z=None):
-        """Scalar loss node from a coarse-fraction node (and optional latent)."""
+    def residuals(self, tape, coarse):
+        """Residual nodes (prediction - observation) of the active terms,
+        keyed "well" and "seismic", from a coarse-fraction node."""
         terms = {}
         if self.config.use_wells:
             picked = tc.take(coarse, self._well_idx)
             obs = tape.constant(self._well_vals)
-            terms["well"] = self._metric_mean(picked - obs)
+            terms["well"] = picked - obs
         if self.config.use_seismic:
             pred = self.obs.seismic_model.build(tape, coarse, self.geometry)
             obs = tape.constant(self.obs.seismic.amplitudes)
@@ -97,7 +98,13 @@ class DataLoss:
                 raise InversionError(
                     f"seismic prediction {pred.value.shape} does not match "
                     f"observations {obs.value.shape}")
-            terms["seismic"] = self._metric_mean(pred - obs)
+            terms["seismic"] = pred - obs
+        return terms
+
+    def build(self, tape, coarse, z=None):
+        """Scalar loss node from a coarse-fraction node (and optional latent)."""
+        terms = {name: self._metric_mean(r)
+                 for name, r in self.residuals(tape, coarse).items()}
 
         if self._frozen is None:
             self._frozen = self._freeze_weights(terms)
@@ -125,11 +132,6 @@ class DataLoss:
             w_well = 1.0 if w_well is None else w_well
             w_seis = 1.0 if w_seis is None else w_seis
         return (w_well, w_seis)
-
-    # -- numpy-side conveniences -------------------------------------------
-    def well_residuals(self, grid):
-        picked = grid.coarse_fraction.reshape(-1)[self._well_idx]
-        return picked - self._well_vals
 
 
 def well_mae(grid, wells):

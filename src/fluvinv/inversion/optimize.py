@@ -15,6 +15,7 @@ from .loss import DataLoss, DataLossConfig, InversionError, well_mae
 
 __all__ = [
     "Adam",
+    "descend",
     "LatentOptimizeConfig",
     "RestartRecord",
     "InversionResult",
@@ -56,6 +57,52 @@ class Adam:
         return params
 
 
+def check_schedule(name):
+    """Reject a learning-rate schedule :func:`descend` does not know."""
+    if name not in ("constant", "cosine"):
+        raise InversionError(f"unknown lr schedule {name!r}")
+
+
+def descend(objective, params, dtype, steps, lr, schedule="constant",
+            beta1=0.9, beta2=0.999, constrain=None):
+    """Minimize ``objective`` by Adam over the named arrays in ``params``.
+
+    Each step records a fresh tape with one input node per entry of
+    ``params`` and calls ``objective(tape, nodes, step)`` for the scalar loss
+    node. ``params`` is updated in place; ``constrain(params)``, if given,
+    runs after every update. The "cosine" schedule decays the rate from
+    ``lr`` to 1% of it over ``steps``.
+
+    Non-finite policy: the descent stops at the first non-finite loss,
+    before updating, so ``params`` keeps the last finite iterate and the
+    history ends with the non-finite value. Returns ``(history, halted)``.
+    """
+    opt = Adam(lr=lr, beta1=beta1, beta2=beta2)
+    history = []
+    for step in range(steps):
+        if schedule == "cosine":
+            opt.lr = lr * (0.01 + 0.99 * 0.5 * (1.0 + math.cos(math.pi * step / steps)))
+        tape = tc.GraphTape(dtype)
+        nodes = {k: tape.input(v) for k, v in params.items()}
+        loss = objective(tape, nodes, step)
+        value = float(loss.value)
+        history.append(value)
+        if not math.isfinite(value):
+            return history, True
+        grads = tape.backward(loss)
+        opt.step(params, {k: grads.wrt(n) for k, n in nodes.items()})
+        if constrain is not None:
+            constrain(params)
+    return history, False
+
+
+def _build_generator(tape, generator, z, labels=None, weights=None):
+    """Generator nodes for z; a conditioned generator given no labels gets neutral ones."""
+    if labels is None and generator.label_dim:
+        labels = tape.constant(neutral_labels(generator.label_dim))
+    return generator.build(tape, z, labels, weights=weights)
+
+
 @dataclass
 class LatentOptimizeConfig:
     n_restarts: int = 30
@@ -72,8 +119,7 @@ class LatentOptimizeConfig:
     threads: int = 1
 
     def __post_init__(self):
-        if self.lr_schedule not in ("constant", "cosine"):
-            raise InversionError(f"unknown lr schedule {self.lr_schedule!r}")
+        check_schedule(self.lr_schedule)
 
 
 @dataclass
@@ -145,64 +191,35 @@ def _project_ball(z, radius):
 def _run_restart(args):
     generator, observations, config, index = args
     dtype = np.dtype(config.dtype)
-    z = sample_prior(index + 1, generator.latent_dim, config.rng_seed)[index]
-    labels = None
+    params = {"z": sample_prior(index + 1, generator.latent_dim, config.rng_seed)[index]}
     if config.optimize_labels:
         if generator.label_dim == 0:
             raise InversionError("generator has no labels to co-optimize")
-        labels = neutral_labels(generator.label_dim)
-
+        params["labels"] = neutral_labels(generator.label_dim)
     loss_fn = DataLoss(observations, config.loss, geometry=generator.geometry)
-    opt = Adam(lr=config.lr, beta1=config.beta1, beta2=config.beta2)
-    params = {"z": z.copy()}
-    if labels is not None:
-        params["labels"] = labels.copy()
 
-    history = []
-    aborted = False
-    note = ""
-    for it in range(config.iterations):
-        if config.lr_schedule == "cosine":
-            opt.lr = config.lr * (0.01 + 0.99 * 0.5 *
-                                  (1.0 + math.cos(math.pi * it / config.iterations)))
-        tape = tc.GraphTape(dtype)
-        zn = tape.input(params["z"])
-        ln = None
-        if generator.label_dim:
-            ln = tape.input(params["labels"]) if labels is not None \
-                else tape.constant(neutral_labels(generator.label_dim))
-        coarse, _depo = generator.build(tape, zn, ln)
-        loss = loss_fn.build(tape, coarse, z=zn)
-        value = float(loss.value)
-        history.append(value)
-        if not np.isfinite(value):
-            aborted = True
-            note = f"non-finite loss at iteration {len(history) - 1}"
-            break
-        grads = tape.backward(loss)
-        gdict = {"z": grads.wrt(zn)}
-        if labels is not None:
-            gdict["labels"] = grads.wrt(ln)
-        opt.step(params, gdict)
+    def objective(tape, nodes, step):
+        coarse, _ = _build_generator(tape, generator, nodes["z"], nodes.get("labels"))
+        return loss_fn.build(tape, coarse, z=nodes["z"])
+
+    def constrain(p):
         if config.ball_radius is not None:
-            params["z"] = _project_ball(params["z"], config.ball_radius)
-        if labels is not None:
-            params["labels"] = np.clip(params["labels"], 0.0, 1.0)
+            p["z"] = _project_ball(p["z"], config.ball_radius)
+        if "labels" in p:
+            p["labels"] = np.clip(p["labels"], 0.0, 1.0)
 
-    if not aborted:
+    history, aborted = descend(objective, params, dtype, config.iterations, config.lr,
+                               config.lr_schedule, config.beta1, config.beta2,
+                               constrain=constrain)
+    note = ""
+    if aborted:
+        note = f"non-finite loss at iteration {len(history) - 1}"
+    else:
         tape = tc.GraphTape(dtype)
-        ln = None
-        if generator.label_dim:
-            ln = tape.constant(params["labels"] if labels is not None
-                               else neutral_labels(generator.label_dim))
-        coarse, _ = generator.build(tape, tape.constant(params["z"]), ln)
-        final_loss = loss_fn.build(tape, coarse,
-                                   z=tape.constant(params["z"]))
-        history.append(float(final_loss.value))
+        final = objective(tape, {k: tape.constant(v) for k, v in params.items()}, None)
+        history.append(float(final.value))
 
-    grid = generator.generate(params["z"],
-                              params.get("labels") if labels is not None else None,
-                              dtype=dtype)
+    grid = generator.generate(params["z"], params.get("labels"), dtype=dtype)
     mae = well_mae(grid, observations.wells) if observations.wells is not None else math.nan
     return RestartRecord(index=index, z=params["z"],
                          labels=params.get("labels"),
@@ -283,8 +300,6 @@ def _tune_one(generator, pivots, observations, config):
     dtype = np.dtype(config.dtype)
     loss_fn = DataLoss(observations, config.loss, geometry=generator.geometry)
     params = {k: v.astype(np.float64) for k, v in generator.weights().items()}
-    base = generator  # frozen reference for the locality anchors
-    opt = Adam(lr=config.lr, beta1=config.beta1, beta2=config.beta2)
     if math.isinf(config.locality_weight):
         data_term_on, lam = False, 1.0  # anchor-only objective
     else:
@@ -293,21 +308,16 @@ def _tune_one(generator, pivots, observations, config):
     batch = config.pivots_per_step or n_pivots
     batch = min(batch, n_pivots)
 
-    history = []
-    for step in range(config.steps):
+    def objective(tape, wnodes, step):
         rng = np.random.Generator(np.random.PCG64(
             np.random.SeedSequence((int(config.rng_seed), 7, step))))
-
-        tape = tc.GraphTape(dtype)
-        wnodes = {k: tape.input(v) for k, v in params.items()}
         total = None
 
         if data_term_on:
             chosen = rng.permutation(n_pivots)[:batch]
             for i in chosen:
-                coarse, _ = generator.build(tape, tape.constant(pivots[i]),
-                                            _neutral_node(tape, generator),
-                                            weights=wnodes)
+                coarse, _ = _build_generator(tape, generator, tape.constant(pivots[i]),
+                                             weights=wnodes)
                 part = loss_fn.build(tape, coarse)
                 total = part if total is None else total + part
             total = (1.0 / batch) * total
@@ -319,32 +329,23 @@ def _tune_one(generator, pivots, observations, config):
                 alpha = rng.uniform()
                 fresh = rng.standard_normal(generator.latent_dim)
                 z_tilde = alpha * pivots[which] + (1.0 - alpha) * fresh
-                ref = base.generate(z_tilde, dtype=dtype)
-                coarse, depo = generator.build(tape, tape.constant(z_tilde),
-                                               _neutral_node(tape, generator),
-                                               weights=wnodes)
+                ref = generator.generate(z_tilde, dtype=dtype)  # untuned weights
+                coarse, depo = _build_generator(tape, generator, tape.constant(z_tilde),
+                                                weights=wnodes)
                 d = (tc.mean_all(tc.square(coarse - tape.constant(ref.coarse_fraction)))
                      + tc.mean_all(tc.square(depo - tape.constant(ref.depo_time))))
                 anchor = d if anchor is None else anchor + d
             anchor = (lam / config.anchors_per_step) * anchor
             total = anchor if total is None else total + anchor
+        return total
 
-        value = float(total.value)
-        history.append(value)
-        if not np.isfinite(value):
-            raise InversionError(f"pivotal tuning diverged at step {step}")
-        grads = tape.backward(total)
-        opt.step(params, {k: grads.wrt(n) for k, n in wnodes.items()})
-
+    history, diverged = descend(objective, params, dtype, config.steps, config.lr,
+                                beta1=config.beta1, beta2=config.beta2)
+    if diverged:
+        raise InversionError(f"pivotal tuning diverged at step {len(history) - 1}")
     tuned = generator.with_weights(
         {k: v.astype(generator.weights()[k].dtype) for k, v in params.items()})
     return tuned, history
-
-
-def _neutral_node(tape, generator):
-    if generator.label_dim == 0:
-        return None
-    return tape.constant(neutral_labels(generator.label_dim))
 
 
 def pivotal_tune(generator, pivots, observations, config=None):
@@ -367,22 +368,19 @@ def pivotal_tune(generator, pivots, observations, config=None):
     mae_before = np.array([well_mae(generator.generate(z), observations.wells)
                            for z in pivots])
     if config.mode == "shared":
-        tuned, history = _tune_one(generator, pivots, observations, config)
-        generators = [tuned]
-        histories = [history]
+        jobs = [(pivots, config)]
     else:
-        generators, histories = [], []
-        for i, z in enumerate(pivots):
-            sub = replace(config, rng_seed=config.rng_seed + i)
-            tuned, history = _tune_one(generator, z[None, :], observations, sub)
-            generators.append(tuned)
-            histories.append(history)
-
-    mae_after = np.array([
-        well_mae((generators[0] if config.mode == "shared" else generators[i]).generate(z),
-                 observations.wells)
-        for i, z in enumerate(pivots)])
-    return TuneResult(mode=config.mode, generators=generators, pivots=pivots,
-                      mae_before=mae_before, mae_after=mae_after,
-                      loss_history=histories,
-                      wall_clock_s=time.perf_counter() - t0)
+        jobs = [(z[None, :], replace(config, rng_seed=config.rng_seed + i))
+                for i, z in enumerate(pivots)]
+    generators, histories = [], []
+    for job_pivots, job_config in jobs:
+        tuned, history = _tune_one(generator, job_pivots, observations, job_config)
+        generators.append(tuned)
+        histories.append(history)
+    result = TuneResult(mode=config.mode, generators=generators, pivots=pivots,
+                        mae_before=mae_before, mae_after=None, loss_history=histories)
+    result.mae_after = np.array([well_mae(result.generator_for(i).generate(z),
+                                          observations.wells)
+                                 for i, z in enumerate(pivots)])
+    result.wall_clock_s = time.perf_counter() - t0
+    return result

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import tensors as tc
-from .loss import InversionError
+from .loss import DataLoss, DataLossConfig, InversionError
 from .networks import mlp_apply, mlp_init, mlp_sizes
-from .optimize import Adam
+from .optimize import _build_generator, check_schedule, descend
 
 __all__ = ["FlowConfig", "FlowModel", "VariationalResult",
            "gaussian_data_loglik", "variational_infer"]
@@ -36,6 +36,9 @@ class FlowConfig:
     n_posterior: int = 300
     rng_seed: int = 0
     dtype: str = "float64"
+
+    def __post_init__(self):
+        check_schedule(self.lr_schedule)
 
 
 class FlowModel:
@@ -121,20 +124,15 @@ class FlowModel:
 
 def gaussian_data_loglik(generator, observations, sigma):
     """Builder for log p(data|z): Gaussian residuals over the active terms."""
-    wells = observations.wells
-    idx = wells.flat_cell_indices() if wells is not None else None
-    vals = wells.values() if wells is not None else None
-    seismic = observations.seismic
+    terms = DataLoss(observations,
+                     DataLossConfig(use_wells=observations.wells is not None,
+                                    use_seismic=observations.seismic is not None),
+                     geometry=generator.geometry)
 
     def build(tape, z):
+        coarse, _ = _build_generator(tape, generator, z)
         total = None
-        coarse, _ = generator.build(tape, z)
-        if wells is not None:
-            resid = tc.take(coarse, idx) - tape.constant(vals)
-            total = tc.sum_all(tc.square(resid))
-        if seismic is not None:
-            pred = observations.seismic_model.build(tape, coarse, generator.geometry)
-            resid = pred - tape.constant(seismic.amplitudes)
+        for resid in terms.residuals(tape, coarse).values():
             part = tc.sum_all(tc.square(resid))
             total = part if total is None else total + part
         return (-0.5 / sigma ** 2) * total
@@ -160,20 +158,10 @@ def variational_infer(loglik_builder, dim, config=None):
     cfg = config or FlowConfig()
     t0 = time.perf_counter()
     flow = FlowModel(dim, cfg)
-    params = {k: v.copy() for k, v in flow.weights.items()}
-    opt = Adam(lr=cfg.lr)
-    dtype = np.dtype(cfg.dtype)
 
-    history = []
-    halted = False
-    for step in range(cfg.steps):
-        if cfg.lr_schedule == "cosine":
-            opt.lr = cfg.lr * (0.01 + 0.99 * 0.5
-                               * (1.0 + np.cos(np.pi * step / cfg.steps)))
+    def neg_elbo(tape, wnodes, step):
         rng = np.random.Generator(np.random.PCG64(
             np.random.SeedSequence((int(cfg.rng_seed), 17, step))))
-        tape = tc.GraphTape(dtype)
-        wnodes = {k: tape.input(v) for k, v in params.items()}
         elbo = None
         for _ in range(cfg.batch):
             u = rng.standard_normal(dim)
@@ -185,19 +173,13 @@ def variational_infer(loglik_builder, dim, config=None):
             if loglik_builder is not None:
                 part = part + loglik_builder(tape, z)
             elbo = part if elbo is None else elbo + part
-        elbo = (1.0 / cfg.batch) * elbo
-        value = float(elbo.value)
-        history.append(value)
-        if not np.isfinite(value):
-            halted = True
-            break
-        grads = tape.backward(elbo)
-        # ascend the ELBO
-        opt.step(params, {k: -grads.wrt(n) for k, n in wnodes.items()})
+        # negation is exact, so descending -ELBO gives the ascent's weights
+        return -((1.0 / cfg.batch) * elbo)
 
-    flow.weights = params
+    history, halted = descend(neg_elbo, flow.weights, np.dtype(cfg.dtype), cfg.steps,
+                              cfg.lr, cfg.lr_schedule)
     posterior = flow.sample(cfg.n_posterior, rng_seed=cfg.rng_seed)
     return VariationalResult(flow=flow, posterior=posterior,
-                             elbo_history=np.asarray(history),
+                             elbo_history=-np.asarray(history),
                              wall_clock_s=time.perf_counter() - t0,
                              halted=halted)

@@ -23,7 +23,7 @@ __all__ = [
     "TapeError",
     "add", "sub", "mul", "div", "neg", "absolute", "exp", "log", "sqrt",
     "square", "power", "sin", "tanh", "sigmoid", "leaky_relu", "clamp",
-    "affine", "dense", "conv3d", "conv_transpose3d", "upsample2",
+    "affine", "dense", "conv3d", "upsample2",
     "crop", "pad_zero", "concat", "reshape", "take",
     "sum_all", "mean_all", "gradient_check",
 ]
@@ -522,12 +522,9 @@ def dense(w, x, bias=None):
     return out
 
 
-def _windows(padded, kshape, stride=1):
+def _windows(padded, kshape):
     # (C, oz, oy, ox, kz, ky, kx) view over a padded (C, Z, Y, X) array
-    v = sliding_window_view(padded, kshape, axis=(1, 2, 3))
-    if stride != 1:
-        v = v[:, ::stride, ::stride, ::stride]
-    return v
+    return sliding_window_view(padded, kshape, axis=(1, 2, 3))
 
 
 def conv3d(x, w, bias=None):
@@ -573,67 +570,6 @@ def conv3d(x, w, bias=None):
             gw = None
             if w.requires_grad:
                 gw = np.einsum("czyxijk,ozyx->ocijk", win, g, dtype=_ACC, optimize=True)
-            parts = [gx, gw]
-            if bias is not None:
-                parts.append(g.sum(axis=(1, 2, 3), dtype=_ACC) if bias.requires_grad else None)
-            return tuple(parts)
-
-        tape._record(out, tuple(inputs), backward)
-    return out
-
-
-def conv_transpose3d(x, w, bias=None):
-    """Stride-2 3D transposed convolution; doubles every spatial extent.
-
-    x: (C, Z, Y, X); w: (C, O, k, k, k) with even k (implicit padding
-    (k-2)/2). Defined as the exact adjoint of the stride-2 "same"
-    correlation with the same kernel.
-    """
-    tape = _tape_of(x, w)
-    x = _coerce(tape, x)
-    w = _coerce(tape, w)
-    if x.value.ndim != 4 or w.value.ndim != 5:
-        raise ShapeError(f"conv_transpose3d: expected rank-4 input and rank-5 kernel, "
-                         f"got {x.shape} and {w.shape}")
-    if w.value.shape[0] != x.value.shape[0]:
-        raise ShapeError(
-            f"conv_transpose3d: kernel channels {w.shape} do not match input {x.shape}")
-    kshape = w.value.shape[2:]
-    if any(k % 2 != 0 or k < 2 for k in kshape):
-        raise ShapeError(f"conv_transpose3d: kernel extents must be even >= 2, got {kshape}")
-    pads = tuple((k - 2) // 2 for k in kshape)
-    c, z, y, xx = x.value.shape
-
-    # zero-stuff by stride 2, pad k/2, then correlate with the flipped kernel
-    xd = np.zeros((c, 2 * z - 1, 2 * y - 1, 2 * xx - 1), dtype=x.value.dtype)
-    xd[:, ::2, ::2, ::2] = x.value
-    xq = np.pad(xd, ((0, 0),) + tuple((k // 2, k // 2) for k in kshape))
-    wflip = w.value[:, :, ::-1, ::-1, ::-1]
-    value = np.einsum("czyxijk,coijk->ozyx", _windows(xq, kshape), wflip,
-                      dtype=_ACC, optimize=True)
-    inputs = [x, w]
-    if bias is not None:
-        bias = _coerce(tape, bias)
-        if bias.value.shape != (w.value.shape[1],):
-            raise ShapeError(
-                f"conv_transpose3d: bias {bias.shape} incompatible with kernel {w.shape}")
-        value = value + bias.value[:, None, None, None]
-        inputs.append(bias)
-    value = np.asarray(value, dtype=tape.dtype)
-    out = tape._new_node(value, any(n.requires_grad for n in inputs))
-    if out.requires_grad:
-        wv = w.value
-        xv = x.value
-
-        def backward(g):
-            gp = np.pad(g, ((0, 0),) + tuple((p, p) for p in pads))
-            wing = _windows(gp, kshape, stride=2)
-            gx = None
-            if x.requires_grad:
-                gx = np.einsum("ozyxijk,coijk->czyx", wing, wv, dtype=_ACC, optimize=True)
-            gw = None
-            if w.requires_grad:
-                gw = np.einsum("ozyxijk,czyx->coijk", wing, xv, dtype=_ACC, optimize=True)
             parts = [gx, gw]
             if bias is not None:
                 parts.append(g.sum(axis=(1, 2, 3), dtype=_ACC) if bias.requires_grad else None)

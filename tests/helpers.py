@@ -38,3 +38,29 @@ class LinearGenerator:
         cov = np.linalg.inv(prec)
         mean = cov @ self.A.T @ (np.asarray(y) - self.offset) / sigma ** 2
         return mean, cov
+
+
+class NonFiniteGenerator(LinearGenerator):
+    """LinearGenerator with its matrix as the tunable weight "A", whose output
+    turns NaN from the ``nan_step``-th tape it builds on (counted from 0).
+
+    Every descent step records a fresh tape, so that tape is step ``nan_step``.
+    """
+
+    def __init__(self, A, nan_step, offset=0.5):
+        super().__init__(A, offset)
+        self.nan_step = nan_step
+        self._tapes = []
+
+    def weights(self):
+        return {"A": self.A.copy()}
+
+    def build(self, tape, z, labels=None, weights=None):
+        if not any(t is tape for t in self._tapes):
+            self._tapes.append(tape)
+        A = weights["A"] if weights else tape.constant(self.A)
+        v = tc.dense(A, z) + self.offset
+        if len(self._tapes) > self.nan_step:
+            v = v * np.nan
+        coarse = tc.reshape(v, (1, 1, self.A.shape[0]))
+        return coarse, coarse

@@ -51,6 +51,15 @@ def test_gassmann_invariants_over_fractions():
     assert np.all(mod["k_sat"] >= mod["k_dry"])
 
 
+def test_vp_follows_from_saturated_moduli():
+    f = np.linspace(0, 1, 101)
+    mod = rock_physics_moduli(f, PARAMS)
+    _, vp = rock_physics(f, PARAMS)
+    # GPa over g/cm3 to m/s
+    from_moduli = 1000.0 * np.sqrt((mod["k_sat"] + 4.0 / 3.0 * mod["g_sat"]) / mod["rho"])
+    np.testing.assert_allclose(from_moduli, vp, rtol=1e-12, atol=0)
+
+
 def test_gassmann_zero_porosity_limit():
     # K_dry -> K_mineral makes the Gassmann correction vanish
     k_min, k_dry, phi, k_fl = 37.0, 37.0, 0.2, 2.29

@@ -174,49 +174,6 @@ def test_conv3d_gradients(seed):
     assert gradient_check(wrt_kernel, rng.normal(size=54) * 0.4) < 1e-6
 
 
-@pytest.mark.parametrize("seed", range(20))
-def test_conv_transpose3d_gradients(seed):
-    rng = np.random.default_rng(200 + seed)
-    w = rng.normal(size=(1, 2, 4, 4, 4)) * 0.3
-
-    x_fixed = rng.normal(size=(1, 2, 3, 2))
-    probe = rng.normal(size=(1, 4, 6, 4))  # keeps per-tap gradients away from 0
-
-    def wrt_input(t, x):
-        return tc.mean_all(tc.square(tc.conv_transpose3d(
-            tc.reshape(x, (1, 2, 3, 2)), t.constant(w))))
-
-    def wrt_kernel(t, k):
-        out = tc.conv_transpose3d(t.constant(x_fixed), tc.reshape(k, (1, 2, 4, 4, 4)))
-        return tc.mean_all(tc.square(out)) + tc.mean_all(out * t.constant(probe))
-
-    assert gradient_check(wrt_input, rng.normal(size=12)) < 1e-6
-    assert gradient_check(wrt_kernel, rng.normal(size=128) * 0.3) < 1e-6
-
-
-def test_conv_transpose_doubles_extents():
-    tape = GraphTape(np.float64)
-    x = tape.input(np.random.default_rng(0).normal(size=(3, 2, 4, 5)))
-    w = tape.constant(np.random.default_rng(1).normal(size=(3, 2, 4, 4, 4)))
-    assert tc.conv_transpose3d(x, w).shape == (2, 4, 8, 10)
-
-
-@pytest.mark.parametrize("seed", range(10))
-def test_conv_transpose_adjoint_identity(seed):
-    # <Ax, y> == <x, A^T y> where A^T is the backward pass w.r.t. the input
-    rng = np.random.default_rng(300 + seed)
-    x = rng.normal(size=(2, 3, 2, 4))
-    w = rng.normal(size=(2, 1, 4, 4, 4))
-    y = rng.normal(size=(1, 6, 4, 8))
-    tape = GraphTape(np.float64)
-    xn = tape.input(x)
-    out = tc.conv_transpose3d(xn, tape.constant(w))
-    lhs = float(np.sum(out.value * y))
-    gx = tape.backward(out, seed=y).wrt(xn)
-    rhs = float(np.sum(x * gx))
-    assert abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300) < 1e-10
-
-
 def test_forward_is_pure():
     rng = np.random.default_rng(5)
     x = rng.normal(size=(2, 4, 4, 4)).astype(np.float32)
