@@ -66,6 +66,11 @@ def neutral_labels(k=len(LABEL_NAMES)):
     return np.full(k, 0.5)
 
 
+def _label_node(tape, labels, k):
+    """Constant node of k labels; neutral ones when ``labels`` is None."""
+    return tape.constant(neutral_labels(k) if labels is None else _check_labels(labels, k))
+
+
 def _check_labels(labels, k):
     labels = np.asarray(labels, dtype=np.float64)
     if labels.shape != (k,):
@@ -171,7 +176,7 @@ class ProceduralGenerator:
         if z.value.shape != (self.latent_dim,):
             raise GeneratorError(f"latent shape {z.value.shape} != ({self.latent_dim},)")
         if labels is None:
-            labels = tape.constant(neutral_labels())
+            labels = _label_node(tape, None, len(LABEL_NAMES))
         if weights is None:
             weights = {"maps": tape.constant(self._maps)}
         b = self._belt_nodes(z, labels, weights["maps"])
@@ -200,10 +205,7 @@ class ProceduralGenerator:
     def generate(self, z, labels=None, dtype=np.float32):
         tape = tc.GraphTape(dtype)
         zn = tape.constant(np.asarray(z, dtype=np.float64))
-        ln = None
-        if self.label_dim:
-            lv = neutral_labels() if labels is None else _check_labels(labels, self.label_dim)
-            ln = tape.constant(lv)
+        ln = _label_node(tape, labels, self.label_dim) if self.label_dim else None
         coarse, depo = self.build(tape, zn, ln)
         return ModelGrid(self.geometry,
                          np.asarray(coarse.value), np.asarray(depo.value),
@@ -213,9 +215,9 @@ class ProceduralGenerator:
         """Interpretable belt parameters for a latent (diagnostics/tests), plus the
         core blend and the aggradation label that shape the vertical stacking."""
         tape = tc.GraphTape(np.float64)
-        lv = neutral_labels() if labels is None else _check_labels(labels, len(LABEL_NAMES))
         nodes = self._belt_nodes(tape.constant(np.asarray(z, dtype=np.float64)),
-                                 tape.constant(lv), tape.constant(self._maps))
+                                 _label_node(tape, labels, len(LABEL_NAMES)),
+                                 tape.constant(self._maps))
         return {k: float(v.value[0]) for k, v in nodes.items()}
 
     def _belt_nodes(self, z, labels, maps):
@@ -420,11 +422,7 @@ class NeuralGenerator:
     def generate(self, z, labels=None, dtype=np.float32):
         tape = tc.GraphTape(dtype)
         zn = tape.constant(np.asarray(z, dtype=np.float64))
-        ln = None
-        if self.descriptor.label_dim:
-            lv = (neutral_labels(self.descriptor.label_dim) if labels is None
-                  else _check_labels(labels, self.descriptor.label_dim))
-            ln = tape.constant(lv)
+        ln = _label_node(tape, labels, self.label_dim) if self.label_dim else None
         coarse, depo = self.build(tape, zn, ln)
         return ModelGrid(self.geometry, np.asarray(coarse.value), np.asarray(depo.value),
                          labels=None if labels is None else np.asarray(labels, dtype=np.float64))

@@ -14,6 +14,7 @@ Dvorkin, "The Rock Physics Handbook".
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass, field
 
@@ -157,6 +158,14 @@ def rock_physics_moduli(f, params=RockPhysicsParams()):
     return {k: np.asarray(v.value) for k, v in chain.items()}
 
 
+@functools.lru_cache(maxsize=64)
+def _uniform_rock(fraction, params):
+    """(rho, vp) floats of a single coarse fraction, computed once per
+    (fraction, params): the burden has only its two lithologies."""
+    rho, vp = rock_physics(np.float64(fraction), params)
+    return float(rho), float(vp)
+
+
 # ---------------------------------------------------------------------------
 # reflectivity with over-/underburden
 
@@ -195,11 +204,10 @@ def reflectivity_nodes(tape, rho, vp, geometry, burden=BurdenConfig(),
     Output shape (nz + 2*pad - 1, ny, nx): one sample per interface.
     """
     pad = burden.cells_per_side(geometry.dz)
-    f_top, f_bot = burden.fractions
     imp_caps = []
-    for f_side in (f_top, f_bot):
-        rho_b, vp_b = rock_physics(np.float64(f_side), params)
-        imp_caps.append(float(rho_b * vp_b))
+    for f_side in burden.fractions:
+        rho_b, vp_b = _uniform_rock(f_side, params)
+        imp_caps.append(rho_b * vp_b)
 
     imp = rho * vp
     nzp = geometry.nz + 2 * pad
@@ -328,41 +336,58 @@ class SeismicCube:
 
 
 def _conv_axis(tape, x, taps, axis):
-    # separable "same" zero-padded convolution along one spatial axis of (1,Z,Y,X)
+    # separable "same" zero-padded correlation along one spatial axis of
+    # (1,Z,Y,X), as the banded Toeplitz matrix M[i, j] = taps[j - i + h] over
+    # the axis; taps that would reach past either end meet only zero padding
     if taps.shape[0] == 1:
         return x * float(taps[0])
-    shape = [1, 1, 1, 1, 1]
-    shape[2 + axis] = taps.shape[0]
-    kern = tape.constant(taps.reshape(shape))
-    return tc.conv3d(x, kern)
+    n, h = x.value.shape[1 + axis], taps.shape[0] // 2
+    offset = np.arange(n)[None, :] - np.arange(n)[:, None] + h
+    inside = (offset >= 0) & (offset < taps.shape[0])
+    matrix = np.where(inside, taps[np.clip(offset, 0, taps.shape[0] - 1)], 0.0)
+    return tc.linear_axis(x, matrix, 1 + axis)
 
 
 @dataclass
 class SeismicModel:
-    """Bundle of physics + imaging settings with forward operators."""
+    """Bundle of physics + imaging settings with forward operators.
+
+    Unless ``psf.velocity_mps`` fixes it, the PSF velocity is the mean Vp of
+    the burden-padded cube of the model being built: it is evaluated on every
+    build, read from the Vp values already on the tape, and excluded from
+    differentiation. It is not frozen at a first evaluation or at the
+    observed cube, since either would change the objective being minimized.
+    """
 
     params: RockPhysicsParams = field(default_factory=RockPhysicsParams)
     psf: PsfConfig = field(default_factory=PsfConfig)
     burden: BurdenConfig = field(default_factory=BurdenConfig)
 
     def average_velocity(self, coarse_values, geometry):
-        """Mean Vp of the burden-padded cube; frozen w.r.t. differentiation."""
+        """PSF velocity for coarse-fraction values: the fixed one, or the mean
+        Vp of the burden-padded cube."""
         if self.psf.velocity_mps is not None:
             return float(self.psf.velocity_mps)
         _, vp = rock_physics(np.asarray(coarse_values, dtype=np.float64), self.params)
-        pad = self.burden.cells_per_side(geometry.dz)
-        n_side = pad * geometry.ny * geometry.nx
+        return self._padded_mean_vp(vp, geometry)
+
+    def _padded_mean_vp(self, vp, geometry):
+        n_side = self.burden.cells_per_side(geometry.dz) * geometry.ny * geometry.nx
         total = vp.sum(dtype=np.float64)
         for f_side in self.burden.fractions:
-            _, vp_b = rock_physics(np.float64(f_side), self.params)
-            total += n_side * float(vp_b)
+            total += n_side * _uniform_rock(f_side, self.params)[1]
         return float(total / (vp.size + 2 * n_side))
 
     def build(self, tape, coarse, geometry):
         """Seismic amplitude node (nz_seis, ny, nx) from a coarse-fraction node."""
+        return self._build(tape, coarse, geometry)[0]
+
+    def _build(self, tape, coarse, geometry):
+        # (amplitude node, PSF kernel)
         rho, vp = rock_physics_nodes(tape, coarse, self.params)
         refl = reflectivity_nodes(tape, rho, vp, geometry, self.burden, self.params)
-        v_avg = self.average_velocity(coarse.value, geometry)
+        v_avg = (self._padded_mean_vp(vp.value, geometry)
+                 if self.psf.velocity_mps is None else None)
         kernel = build_psf(self.psf, geometry.dz, geometry.dy, geometry.dx, v_avg)
 
         nzs = refl.value.shape[0]
@@ -370,15 +395,14 @@ class SeismicModel:
         x = _conv_axis(tape, x, kernel.vertical, axis=0)
         x = _conv_axis(tape, x, kernel.lateral_y, axis=1)
         x = _conv_axis(tape, x, kernel.lateral_x, axis=2)
-        return tc.reshape(x, (nzs, geometry.ny, geometry.nx))
+        return tc.reshape(x, (nzs, geometry.ny, geometry.nx)), kernel
 
     def forward(self, grid, dtype=np.float64):
         """SeismicCube for a model grid."""
         tape = tc.GraphTape(dtype)
-        coarse = tape.constant(grid.coarse_fraction)
-        out = self.build(tape, coarse, grid.geometry)
-        v_avg = self.average_velocity(grid.coarse_fraction, grid.geometry)
-        return SeismicCube(np.asarray(out.value), grid.geometry, velocity_mps=v_avg)
+        out, kernel = self._build(tape, tape.constant(grid.coarse_fraction), grid.geometry)
+        return SeismicCube(np.asarray(out.value), grid.geometry,
+                           velocity_mps=kernel.velocity_mps)
 
 
 def seismic_forward(grid, params=None, psf=None, burden=None, dtype=np.float64):

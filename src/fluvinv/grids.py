@@ -58,7 +58,8 @@ class ModelGrid:
             raise GridError(
                 f"channel shapes {self.coarse_fraction.shape}/{self.depo_time.shape} "
                 f"do not match geometry {shape}")
-        assert self.in_range(), "model grid channels must lie in [0, 1]"
+        if not self.in_range():
+            raise GridError("model grid channels must lie in [0, 1]")
 
     def in_range(self, tol=1e-6):
         return (self.coarse_fraction.min() >= -tol and self.coarse_fraction.max() <= 1 + tol

@@ -75,9 +75,6 @@ class DataLoss:
             self._well_vals = observations.wells.values()
         self._frozen = None  # (w_well, w_seis) once equal-contribution is set
 
-    def reset_weights(self):
-        self._frozen = None
-
     def _metric_mean(self, residual):
         if self.config.metric == "squared":
             return tc.mean_all(tc.square(residual))

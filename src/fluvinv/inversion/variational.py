@@ -114,13 +114,6 @@ class FlowModel:
             out[i] = self.push(rng.standard_normal(self.dim))
         return out
 
-    def log_q(self, u):
-        """log q(z(u)) up to the Gaussian constant: -|u|^2/2 - logdet."""
-        tape = tc.GraphTape(np.dtype(self.config.dtype))
-        un = tape.constant(np.asarray(u, dtype=np.float64))
-        _, logdet = self.transform(tape, un)
-        return float(-0.5 * np.sum(np.square(u)) - float(logdet.value))
-
 
 def gaussian_data_loglik(generator, observations, sigma):
     """Builder for log p(data|z): Gaussian residuals over the active terms."""

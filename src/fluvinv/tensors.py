@@ -23,7 +23,7 @@ __all__ = [
     "TapeError",
     "add", "sub", "mul", "div", "neg", "absolute", "exp", "log", "sqrt",
     "square", "power", "sin", "tanh", "sigmoid", "leaky_relu", "clamp",
-    "affine", "dense", "conv3d", "upsample2",
+    "affine", "dense", "linear_axis", "conv3d", "upsample2",
     "crop", "pad_zero", "concat", "reshape", "take",
     "sum_all", "mean_all", "gradient_check",
 ]
@@ -519,6 +519,43 @@ def dense(w, x, bias=None):
             return tuple(parts)
 
         tape._record(out, tuple(inputs), backward)
+    return out
+
+
+def _along_axis(v, m, axis):
+    # m @ v along one axis of v, as one (batched) float64 matmul
+    shape = v.shape
+    v = np.asarray(v, dtype=_ACC)
+    if axis == v.ndim - 1:
+        out = v.reshape(-1, shape[axis]) @ m.T
+    else:
+        out = m @ v.reshape(int(np.prod(shape[:axis])), shape[axis], -1)
+    return out.reshape(shape)
+
+
+def linear_axis(x, matrix, axis):
+    """Apply a constant (n, n) matrix along one axis: out[..i..] = sum_j M[i, j] x[..j..].
+
+    The matrix is a numpy array, not a node: there is no gradient with
+    respect to it, and the backward pass applies its transpose.
+    """
+    tape = _tape_of(x)
+    m = np.asarray(matrix, dtype=_ACC)
+    if not 0 <= axis < x.value.ndim:
+        raise ShapeError(f"linear_axis: axis {axis} out of range for shape {x.shape}")
+    n = x.value.shape[axis]
+    if m.shape != (n, n):
+        raise ShapeError(f"linear_axis: matrix {m.shape} does not match axis {axis} "
+                         f"of {x.shape}")
+    value = np.asarray(_along_axis(x.value, m, axis), dtype=tape.dtype)
+    out = tape._new_node(value, x.requires_grad)
+    if out.requires_grad:
+        mt = m.T
+
+        def backward(g):
+            return (_along_axis(g, mt, axis),)
+
+        tape._record(out, (x,), backward)
     return out
 
 

@@ -224,3 +224,41 @@ def test_reductions_accumulate_in_float64():
     tape = GraphTape(np.float32)
     s = tc.sum_all(tape.input(x))
     assert abs(float(s.value) - 1.0) < 1e-6
+
+
+@pytest.mark.parametrize("axis", [0, 1, 2, 3])
+def test_linear_axis_adjoint_identity(axis):
+    # <A x, y> == <x, A^T y>, with A^T y taken by the backward pass
+    rng = np.random.default_rng(7)
+    shape = (2, 5, 4, 3)
+    n = shape[axis]
+    m = rng.normal(size=(n, n))
+    xv = rng.normal(size=shape)
+    yv = rng.normal(size=shape)
+    tape = GraphTape(np.float64)
+    x = tape.input(xv)
+    ax = tc.linear_axis(x, m, axis)
+    aty = tape.backward(ax, seed=yv).wrt(x)
+    lhs = float(np.sum(ax.value * yv))
+    rhs = float(np.sum(xv * aty))
+    assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), 1.0)
+    np.testing.assert_allclose(ax.value, np.moveaxis(
+        np.tensordot(m, xv, axes=([1], [axis])), 0, axis), rtol=1e-12, atol=1e-12)
+
+
+def test_linear_axis_one_record_and_no_matrix_gradient():
+    tape = GraphTape(np.float64)
+    x = tape.input(np.ones((3, 2)))
+    before = len(tape._records)
+    tc.linear_axis(x, np.eye(3), 0)
+    assert len(tape._records) == before + 1
+    assert tape._records[-1][1] == (x.idx,)  # x is the record's only input
+
+
+def test_linear_axis_rejects_mismatched_matrix():
+    tape = GraphTape(np.float64)
+    x = tape.input(np.ones((3, 2)))
+    with pytest.raises(ShapeError, match="linear_axis"):
+        tc.linear_axis(x, np.eye(2), 0)
+    with pytest.raises(ShapeError, match="linear_axis"):
+        tc.linear_axis(x, np.eye(3), 2)
