@@ -19,7 +19,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from . import tensors as tc
-from .grids import GridGeometry, ModelGrid
+from .grids import ModelGrid
 
 __all__ = [
     "GeneratorError",

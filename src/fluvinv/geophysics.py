@@ -14,14 +14,13 @@ Dvorkin, "The Rock Physics Handbook".
 
 from __future__ import annotations
 
-import functools
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import tensors as tc
-from .grids import GridGeometry, ModelGrid
+from .grids import GridGeometry
 
 __all__ = [
     "GeophysicsError",
@@ -158,14 +157,6 @@ def rock_physics_moduli(f, params=RockPhysicsParams()):
     return {k: np.asarray(v.value) for k, v in chain.items()}
 
 
-@functools.lru_cache(maxsize=64)
-def _uniform_rock(fraction, params):
-    """(rho, vp) floats of a single coarse fraction, computed once per
-    (fraction, params): the burden has only its two lithologies."""
-    rho, vp = rock_physics(np.float64(fraction), params)
-    return float(rho), float(vp)
-
-
 # ---------------------------------------------------------------------------
 # reflectivity with over-/underburden
 
@@ -206,8 +197,8 @@ def reflectivity_nodes(tape, rho, vp, geometry, burden=BurdenConfig(),
     pad = burden.cells_per_side(geometry.dz)
     imp_caps = []
     for f_side in burden.fractions:
-        rho_b, vp_b = _uniform_rock(f_side, params)
-        imp_caps.append(rho_b * vp_b)
+        rho_b, vp_b = rock_physics(np.float64(f_side), params)
+        imp_caps.append(float(rho_b * vp_b))
 
     imp = rho * vp
     nzp = geometry.nz + 2 * pad
@@ -336,16 +327,13 @@ class SeismicCube:
 
 
 def _conv_axis(tape, x, taps, axis):
-    # separable "same" zero-padded correlation along one spatial axis of
-    # (1,Z,Y,X), as the banded Toeplitz matrix M[i, j] = taps[j - i + h] over
-    # the axis; taps that would reach past either end meet only zero padding
+    # separable "same" zero-padded convolution along one spatial axis of (1,Z,Y,X)
     if taps.shape[0] == 1:
         return x * float(taps[0])
-    n, h = x.value.shape[1 + axis], taps.shape[0] // 2
-    offset = np.arange(n)[None, :] - np.arange(n)[:, None] + h
-    inside = (offset >= 0) & (offset < taps.shape[0])
-    matrix = np.where(inside, taps[np.clip(offset, 0, taps.shape[0] - 1)], 0.0)
-    return tc.linear_axis(x, matrix, 1 + axis)
+    shape = [1, 1, 1, 1, 1]
+    shape[2 + axis] = taps.shape[0]
+    kern = tape.constant(taps.reshape(shape))
+    return tc.conv3d(x, kern)
 
 
 @dataclass
@@ -375,7 +363,8 @@ class SeismicModel:
         n_side = self.burden.cells_per_side(geometry.dz) * geometry.ny * geometry.nx
         total = vp.sum(dtype=np.float64)
         for f_side in self.burden.fractions:
-            total += n_side * _uniform_rock(f_side, self.params)[1]
+            _, vp_b = rock_physics(np.float64(f_side), self.params)
+            total += n_side * float(vp_b)
         return float(total / (vp.size + 2 * n_side))
 
     def build(self, tape, coarse, geometry):

@@ -23,7 +23,7 @@ __all__ = [
     "TapeError",
     "add", "sub", "mul", "div", "neg", "absolute", "exp", "log", "sqrt",
     "square", "power", "sin", "tanh", "sigmoid", "leaky_relu", "clamp",
-    "affine", "dense", "linear_axis", "conv3d", "upsample2",
+    "affine", "dense", "conv3d", "upsample2",
     "crop", "pad_zero", "concat", "reshape", "take",
     "sum_all", "mean_all", "gradient_check",
 ]
@@ -533,20 +533,20 @@ def _along_axis(v, m, axis):
     return out.reshape(shape)
 
 
-def linear_axis(x, matrix, axis):
-    """Apply a constant (n, n) matrix along one axis: out[..i..] = sum_j M[i, j] x[..j..].
+def _banded(taps, n):
+    # (n, n) matrix of a "same" zero-padded correlation with odd taps along
+    # an axis of length n, M[i, j] = taps[j - i + h]: taps that would reach
+    # past either end meet only zero padding and are dropped
+    h = taps.shape[0] // 2
+    offset = np.arange(n)[None, :] - np.arange(n)[:, None] + h
+    inside = (offset >= 0) & (offset < taps.shape[0])
+    return np.where(inside, taps[np.clip(offset, 0, taps.shape[0] - 1)], 0.0)
 
-    The matrix is a numpy array, not a node: there is no gradient with
-    respect to it, and the backward pass applies its transpose.
-    """
-    tape = _tape_of(x)
-    m = np.asarray(matrix, dtype=_ACC)
-    if not 0 <= axis < x.value.ndim:
-        raise ShapeError(f"linear_axis: axis {axis} out of range for shape {x.shape}")
-    n = x.value.shape[axis]
-    if m.shape != (n, n):
-        raise ShapeError(f"linear_axis: matrix {m.shape} does not match axis {axis} "
-                         f"of {x.shape}")
+
+def _conv_one_axis(tape, x, taps, axis):
+    # conv3d of x with a constant kernel that extends along one axis only:
+    # one banded matmul forward, its transpose backward
+    m = _banded(np.asarray(taps, dtype=_ACC), x.value.shape[axis])
     value = np.asarray(_along_axis(x.value, m, axis), dtype=tape.dtype)
     out = tape._new_node(value, x.requires_grad)
     if out.requires_grad:
@@ -567,7 +567,10 @@ def _windows(padded, kshape):
 def conv3d(x, w, bias=None):
     """3D cross-correlation, stride 1, "same" zero padding, odd kernels.
 
-    x: (C, Z, Y, X); w: (O, C, kz, ky, kx); bias: (O,) optional.
+    x: (C, Z, Y, X); w: (O, C, kz, ky, kx); bias: (O,) optional. A constant
+    single-channel kernel without bias that extends along one axis only is
+    applied as a banded matrix along that axis; every other kernel slides a
+    window.
     """
     tape = _tape_of(x, w)
     x = _coerce(tape, x)
@@ -580,6 +583,13 @@ def conv3d(x, w, bias=None):
     kshape = w.value.shape[2:]
     if any(k % 2 == 0 for k in kshape):
         raise ShapeError(f"conv3d: kernel extents must be odd, got {kshape}")
+    long_axes = [a for a, k in enumerate(kshape) if k > 1]
+    if (w.value.shape[:2] == (1, 1) and len(long_axes) == 1 and not w.requires_grad
+            and bias is None):
+        # a single-channel constant kernel along one axis (a separable PSF
+        # factor): the sliding window would mostly multiply padding once the
+        # kernel outgrows the axis, the banded matrix never does
+        return _conv_one_axis(tape, x, w.value.reshape(-1), 1 + long_axes[0])
     pads = tuple(k // 2 for k in kshape)
     xp = np.pad(x.value, ((0, 0),) + tuple((p, p) for p in pads))
     win = _windows(xp, kshape)

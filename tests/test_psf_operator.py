@@ -1,9 +1,10 @@
-"""The seismic PSF as banded matrix products, against the per-axis conv3d path.
+"""The seismic PSF on conv3d's banded path, against the sliding-window path.
 
-``reference_build`` is the seismic forward as it was written with one
-``tc.conv3d`` per PSF axis and the PSF velocity from a separate float64
-rock-physics pass over the whole cube; ``SeismicModel.build`` must reproduce
-it, values and input gradient, to float64 round-off.
+``reference_build`` is the seismic forward as it was written before the
+banded path: one sliding-window ``tc.conv3d`` per PSF axis, and the PSF
+velocity from a separate float64 rock-physics pass over the whole cube.
+``SeismicModel.build`` must reproduce it, values and input gradient, to
+float64 round-off.
 """
 
 import numpy as np
@@ -36,7 +37,8 @@ def reference_build(model, tape, coarse, geometry):
             continue
         shape = [1, 1, 1, 1, 1]
         shape[2 + axis] = taps.shape[0]
-        x = tc.conv3d(x, tape.constant(taps.reshape(shape)))
+        # a kernel that needs its own gradient keeps conv3d on the sliding window
+        x = tc.conv3d(x, tape.input(taps.reshape(shape)))
     return tc.reshape(x, (nzs, geometry.ny, geometry.nx)), kernel
 
 
@@ -61,42 +63,43 @@ def coarse_cube(geometry, seed=0):
     return np.random.default_rng(seed).uniform(0.05, 0.95, size=geometry.shape)
 
 
+# (geometry, PSF, what the case is there for, checked on its kernel and the
+# (1, Z, Y, X) shape the PSF is applied to)
 CASES = {
-    "default-128x128x16": (GridGeometry(), PsfConfig()),
-    "extents-9x3x3": (GridGeometry(nx=12, ny=10, nz=8), PsfConfig(kernel_extents=(9, 3, 3))),
-    "illumination-90": (GridGeometry(nx=8, ny=8, nz=8), PsfConfig(illumination_angle_deg=90.0)),
+    # the vertical kernel is taller than the burden-padded column
+    "default-128x128x16": (GridGeometry(), PsfConfig(),
+                           lambda k, shape: k.vertical.size > shape[1] == 51),
+    "extents-9x3x3": (GridGeometry(nx=12, ny=10, nz=8), PsfConfig(kernel_extents=(9, 3, 3)),
+                      lambda k, shape: (k.vertical.size, k.lateral_y.size,
+                                        k.lateral_x.size) == (9, 3, 3)),
+    # single-tap lateral factors: a scalar multiply each
+    "illumination-90": (GridGeometry(nx=8, ny=8, nz=8), PsfConfig(illumination_angle_deg=90.0),
+                        lambda k, shape: k.lateral_y.size == k.lateral_x.size == 1),
     # lateral factors of 7 (x) and 5 (y) taps; the 7-tap one is longer than nx
-    "non-square": (GridGeometry(nx=5, ny=12, nz=8, dx=20.0, dy=30.0), PsfConfig()),
+    "non-square": (GridGeometry(nx=5, ny=12, nz=8, dx=20.0, dy=30.0), PsfConfig(),
+                   lambda k, shape: (k.lateral_y.size, k.lateral_x.size) == (5, 7)
+                   and k.lateral_x.size > shape[3]),
 }
 
 
 @pytest.mark.filterwarnings("ignore:lateral PSF width")
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_banded_psf_matches_conv3d_reference(name):
-    geometry, psf = CASES[name]
+    geometry, psf, covers = CASES[name]
     model = SeismicModel(psf=psf)
     coarse = coarse_cube(geometry)
-    want, want_g, seed = value_and_gradient(
-        lambda t, c: reference_build(model, t, c, geometry)[0], coarse)
+    kernels = []
+
+    def reference(tape, node):
+        out, kernel = reference_build(model, tape, node, geometry)
+        kernels.append(kernel)
+        return out
+
+    want, want_g, seed = value_and_gradient(reference, coarse)
+    assert covers(kernels[0], (1,) + want.shape)
     got, got_g, _ = value_and_gradient(lambda t, c: model.build(t, c, geometry), coarse, seed)
     assert_close(got, want, RTOL)
     assert_close(got_g, want_g, RTOL)
-
-
-def test_default_vertical_kernel_taller_than_column():
-    geometry = GridGeometry()
-    model = SeismicModel()
-    v_avg = model.average_velocity(coarse_cube(geometry), geometry)
-    kernel = build_psf(model.psf, geometry.dz, geometry.dy, geometry.dx, v_avg)
-    column = geometry.nz + 2 * model.burden.cells_per_side(geometry.dz) - 1
-    assert kernel.vertical.size > column == 51
-
-
-@pytest.mark.filterwarnings("ignore:lateral PSF width")
-def test_single_tap_lateral_factors_at_90_degrees():
-    geometry, psf = CASES["illumination-90"]
-    kernel = build_psf(psf, geometry.dz, geometry.dy, geometry.dx, velocity_mps=2400.0)
-    assert kernel.lateral_x.size == kernel.lateral_y.size == 1
 
 
 def test_forward_reports_the_build_velocity():
@@ -122,9 +125,9 @@ def test_float32_tape_matches_float64():
     assert_close(got_g, want_g, 1e-5)
 
 
-def test_build_calls_no_conv3d_and_no_whole_cube_rock_physics(monkeypatch):
-    def no_conv3d(*args, **kwargs):
-        raise AssertionError("SeismicModel.build called tc.conv3d")
+def test_build_slides_no_window_and_runs_no_whole_cube_rock_physics(monkeypatch):
+    def no_windows(*args, **kwargs):
+        raise AssertionError("SeismicModel.build took conv3d's sliding-window path")
 
     rock_sizes = []
     original = geophysics.rock_physics
@@ -133,7 +136,7 @@ def test_build_calls_no_conv3d_and_no_whole_cube_rock_physics(monkeypatch):
         rock_sizes.append(np.size(f))
         return original(f, *args, **kwargs)
 
-    monkeypatch.setattr(tc, "conv3d", no_conv3d)
+    monkeypatch.setattr(tc, "_windows", no_windows)
     monkeypatch.setattr(geophysics, "rock_physics", counted)
     geometry = GridGeometry(nx=8, ny=6, nz=4)
     tape = tc.GraphTape(np.float64)
@@ -141,4 +144,4 @@ def test_build_calls_no_conv3d_and_no_whole_cube_rock_physics(monkeypatch):
     out = SeismicModel(burden=geophysics.BurdenConfig(fraction=0.123)).build(
         tape, coarse, geometry)
     tape.backward(out)
-    assert all(size == 1 for size in rock_sizes)
+    assert rock_sizes and all(size == 1 for size in rock_sizes)

@@ -226,39 +226,25 @@ def test_reductions_accumulate_in_float64():
     assert abs(float(s.value) - 1.0) < 1e-6
 
 
-@pytest.mark.parametrize("axis", [0, 1, 2, 3])
-def test_linear_axis_adjoint_identity(axis):
-    # <A x, y> == <x, A^T y>, with A^T y taken by the backward pass
+@pytest.mark.parametrize("axis, taps", [(0, 3), (1, 5), (2, 9)])
+def test_conv3d_one_axis_kernel_adjoint_identity(axis, taps):
+    # a constant single-channel kernel along one axis takes the banded path;
+    # 9 taps on a 5-sample axis reach past both ends
     rng = np.random.default_rng(7)
-    shape = (2, 5, 4, 3)
-    n = shape[axis]
-    m = rng.normal(size=(n, n))
-    xv = rng.normal(size=shape)
-    yv = rng.normal(size=shape)
+    shape = [1, 1, 1, 1, 1]
+    shape[2 + axis] = taps
+    w = rng.normal(size=shape)
+    xv = rng.normal(size=(1, 4, 6, 5))
+    yv = rng.normal(size=xv.shape)
     tape = GraphTape(np.float64)
     x = tape.input(xv)
-    ax = tc.linear_axis(x, m, axis)
+    before = len(tape._records)
+    ax = tc.conv3d(x, tape.constant(w))
+    assert len(tape._records) == before + 1
+    assert tape._records[-1][1] == (x.idx,)  # no gradient for the kernel
+    np.testing.assert_allclose(ax.value, conv3d_reference(xv, w), rtol=1e-12, atol=1e-14)
+    # <A x, y> == <x, A^T y>, with A^T y taken by the backward pass
     aty = tape.backward(ax, seed=yv).wrt(x)
     lhs = float(np.sum(ax.value * yv))
     rhs = float(np.sum(xv * aty))
     assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), 1.0)
-    np.testing.assert_allclose(ax.value, np.moveaxis(
-        np.tensordot(m, xv, axes=([1], [axis])), 0, axis), rtol=1e-12, atol=1e-12)
-
-
-def test_linear_axis_one_record_and_no_matrix_gradient():
-    tape = GraphTape(np.float64)
-    x = tape.input(np.ones((3, 2)))
-    before = len(tape._records)
-    tc.linear_axis(x, np.eye(3), 0)
-    assert len(tape._records) == before + 1
-    assert tape._records[-1][1] == (x.idx,)  # x is the record's only input
-
-
-def test_linear_axis_rejects_mismatched_matrix():
-    tape = GraphTape(np.float64)
-    x = tape.input(np.ones((3, 2)))
-    with pytest.raises(ShapeError, match="linear_axis"):
-        tc.linear_axis(x, np.eye(2), 0)
-    with pytest.raises(ShapeError, match="linear_axis"):
-        tc.linear_axis(x, np.eye(3), 2)
