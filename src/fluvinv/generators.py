@@ -80,6 +80,17 @@ def _check_labels(labels, k):
     return labels
 
 
+def _check_cells(cells, geometry):
+    """``cells`` as an intp array of flat, layer-major cell indices of ``geometry``."""
+    arr = np.asarray(cells)
+    if arr.ndim != 1 or not np.issubdtype(arr.dtype, np.integer):
+        raise GeneratorError(
+            f"cells must be a 1-D integer array, got dtype {arr.dtype} shape {arr.shape}")
+    if arr.size and (arr.min() < 0 or arr.max() >= geometry.n_cells):
+        raise GeneratorError(f"cell index outside [0, {geometry.n_cells})")
+    return arr.astype(np.intp, copy=False)
+
+
 def weights_fingerprint(weights):
     """Order-independent digest of a named tensor set."""
     import hashlib
@@ -170,8 +181,15 @@ class ProceduralGenerator:
                                    weights["maps"])
 
     # -- differentiable core ------------------------------------------------
-    def build(self, tape, z, labels=None, weights=None):
-        """Emit (coarse_fraction, depo_time) nodes of shape (nz, ny, nx)."""
+    def build(self, tape, z, labels=None, weights=None, cells=None):
+        """Emit (coarse_fraction, depo_time) nodes of shape (nz, ny, nx).
+
+        With ``cells`` (flat, layer-major indices, as
+        ``WellDataset.flat_cell_indices`` returns), both nodes have shape
+        ``(len(cells),)`` and hold exactly the values of the full grid at
+        those cells: the construction is pointwise in (layer, y, x), so only
+        those cells are evaluated.
+        """
         g = self.geometry
         if z.value.shape != (self.latent_dim,):
             raise GeneratorError(f"latent shape {z.value.shape} != ({self.latent_dim},)")
@@ -181,9 +199,16 @@ class ProceduralGenerator:
             weights = {"maps": tape.constant(self._maps)}
         b = self._belt_nodes(z, labels, weights["maps"])
 
-        xg = tape.constant(np.arange(g.nx, dtype=np.float64).reshape(1, 1, g.nx))
-        yg = tape.constant(np.arange(g.ny, dtype=np.float64).reshape(1, g.ny, 1))
-        mg = tape.constant(np.arange(g.nz, dtype=np.float64).reshape(g.nz, 1, 1))
+        if cells is None:
+            x = np.arange(g.nx, dtype=np.float64).reshape(1, 1, g.nx)
+            y = np.arange(g.ny, dtype=np.float64).reshape(1, g.ny, 1)
+            layer = np.arange(g.nz, dtype=np.float64).reshape(g.nz, 1, 1)
+        else:
+            cells = _check_cells(cells, g)
+            x = (cells % g.nx).astype(np.float64)
+            y = ((cells // g.nx) % g.ny).astype(np.float64)
+            layer = (cells // (g.ny * g.nx)).astype(np.float64)
+        xg, yg, mg = tape.constant(x), tape.constant(y), tape.constant(layer)
 
         centerline = b["center"] + b["drift"] * mg + b["amplitude"] * tc.sin(
             (2.0 * np.pi) * xg / b["wavelength"] + b["phase"] + b["turn"] * mg)
@@ -194,8 +219,7 @@ class ProceduralGenerator:
         # vertical stacking: layer time warped by the aggradation label and
         # pulled toward 1 (recent reworking) inside the channel core
         q = tc.exp(np.log(2.0) * (1.0 - 2.0 * b["aggradation"]))
-        t = tape.constant(np.clip(np.arange(g.nz, dtype=np.float64) / max(g.nz - 1, 1),
-                                  1e-6, 1.0).reshape(g.nz, 1, 1))
+        t = tape.constant(np.clip(layer / max(g.nz - 1, 1), 1e-6, 1.0))
         t_warp = tc.exp(q * tc.log(t))
         weight_core = b["core_blend"] * core
         depo = weight_core + (1.0 - weight_core) * t_warp
@@ -380,9 +404,16 @@ class NeuralGenerator:
     def with_weights(self, weights):
         return NeuralGenerator(self.geometry, self.descriptor, weights)
 
-    def build(self, tape, z, labels=None, weights=None):
-        """Emit (coarse_fraction, depo_time) nodes of shape (nz, ny, nx)."""
+    def build(self, tape, z, labels=None, weights=None, cells=None):
+        """Emit (coarse_fraction, depo_time) nodes of shape (nz, ny, nx).
+
+        With ``cells`` (flat, layer-major indices) both nodes have shape
+        ``(len(cells),)``. The network is not pointwise, so the full grid is
+        built and then gathered at those cells.
+        """
         d = self.descriptor
+        if cells is not None:
+            cells = _check_cells(cells, self.geometry)
         if z.value.shape != (d.latent_dim,):
             raise GeneratorError(f"latent shape {z.value.shape} != ({d.latent_dim},)")
         if weights is None:
@@ -417,6 +448,8 @@ class NeuralGenerator:
         nz, ny, nx = self.geometry.shape
         coarse = tc.reshape(tc.crop(out, (slice(0, 1),) + (slice(None),) * 3), (nz, ny, nx))
         depo = tc.reshape(tc.crop(out, (slice(1, 2),) + (slice(None),) * 3), (nz, ny, nx))
+        if cells is not None:
+            return tc.take(coarse, cells), tc.take(depo, cells)
         return coarse, depo
 
     def generate(self, z, labels=None, dtype=np.float32):

@@ -95,7 +95,7 @@ def train_inference_network(generator, observations, config=None):
             eps = rng.standard_normal(noise_dim)
             z = net.apply(tape, tape.constant(eps), wnodes)
             latents.append(z)
-            coarse, _ = _build_generator(tape, generator, z)
+            coarse, _ = _build_generator(tape, generator, z, cells=loss_fn.cells)
             part = loss_fn.build(tape, coarse, z=z)
             total = part if total is None else total + part
         total = (1.0 / cfg.batch) * total

@@ -34,7 +34,9 @@ class DataLossConfig:
 
     ``None`` weights mean: each active term is scaled by the inverse of its
     value at the first evaluation, frozen afterwards, so both terms start
-    contributing equally. A single active term gets weight 1.
+    contributing equally. A term that is exactly 0 at the first evaluation
+    (a start at the data) has no scale to invert and gets weight 1. A single
+    active term gets weight 1.
     """
 
     use_wells: bool = True
@@ -75,6 +77,15 @@ class DataLoss:
             self._well_vals = observations.wells.values()
         self._frozen = None  # (w_well, w_seis) once equal-contribution is set
 
+    @property
+    def cells(self):
+        """Flat grid cells the loss reads: the well cells when the seismic term
+        is off, else None (the seismic forward model reads the whole grid).
+        A generator built at these cells is a valid ``coarse`` argument."""
+        if self.config.use_seismic:
+            return None
+        return self._well_idx
+
     def _metric_mean(self, residual):
         if self.config.metric == "squared":
             return tc.mean_all(tc.square(residual))
@@ -82,10 +93,23 @@ class DataLoss:
 
     def residuals(self, tape, coarse):
         """Residual nodes (prediction - observation) of the active terms,
-        keyed "well" and "seismic", from a coarse-fraction node."""
+        keyed "well" and "seismic", from a coarse-fraction node.
+
+        ``coarse`` is either the full grid, shape (nz, ny, nx), or, when
+        :attr:`cells` is not None, the grid at those cells, shape
+        ``(len(cells),)``, which is used as is.
+        """
+        shape = coarse.value.shape
+        cells = self.cells
+        at_cells = cells is not None and shape == (len(cells),)
+        if not at_cells and shape != self.geometry.shape:
+            expected = f"{self.geometry.shape}"
+            if cells is not None:
+                expected += f" or ({len(cells)},)"
+            raise InversionError(f"coarse node has shape {shape}, expected {expected}")
         terms = {}
         if self.config.use_wells:
-            picked = tc.take(coarse, self._well_idx)
+            picked = coarse if at_cells else tc.take(coarse, self._well_idx)
             obs = tape.constant(self._well_vals)
             terms["well"] = picked - obs
         if self.config.use_seismic:
@@ -99,7 +123,8 @@ class DataLoss:
         return terms
 
     def build(self, tape, coarse, z=None):
-        """Scalar loss node from a coarse-fraction node (and optional latent)."""
+        """Scalar loss node from a coarse-fraction node (either form that
+        :meth:`residuals` takes) and an optional latent node."""
         terms = {name: self._metric_mean(r)
                  for name, r in self.residuals(tape, coarse).items()}
 
@@ -123,12 +148,17 @@ class DataLoss:
         w_seis = self.config.seismic_weight
         both_auto = len(terms) == 2 and w_well is None and w_seis is None
         if both_auto:
-            w_well = 1.0 / max(float(terms["well"].value), 1e-12)
-            w_seis = 1.0 / max(float(terms["seismic"].value), 1e-12)
+            w_well = _inverse_or_one(float(terms["well"].value))
+            w_seis = _inverse_or_one(float(terms["seismic"].value))
         else:
             w_well = 1.0 if w_well is None else w_well
             w_seis = 1.0 if w_seis is None else w_seis
         return (w_well, w_seis)
+
+
+def _inverse_or_one(value):
+    """Automatic weight of a term worth ``value`` at its first evaluation."""
+    return 1.0 if value == 0.0 else 1.0 / max(value, 1e-12)
 
 
 def well_mae(grid, wells):

@@ -11,7 +11,7 @@ import numpy as np
 
 from .. import tensors as tc
 from ..generators import neutral_labels, sample_prior
-from .loss import DataLoss, DataLossConfig, InversionError, well_mae
+from .loss import DataLoss, DataLossConfig, InversionError
 
 __all__ = [
     "Adam",
@@ -96,11 +96,22 @@ def descend(objective, params, dtype, steps, lr, schedule="constant",
     return history, False
 
 
-def _build_generator(tape, generator, z, labels=None, weights=None):
-    """Generator nodes for z; a conditioned generator given no labels gets neutral ones."""
+def _build_generator(tape, generator, z, labels=None, weights=None, cells=None):
+    """Generator nodes for z, over the full grid or at ``cells``; a conditioned
+    generator given no labels gets neutral ones."""
     if labels is None and generator.label_dim:
         labels = tape.constant(neutral_labels(generator.label_dim))
-    return generator.build(tape, z, labels, weights=weights)
+    return generator.build(tape, z, labels, weights=weights, cells=cells)
+
+
+def _generator_well_mae(generator, z, wells, labels=None, dtype=np.float32):
+    """``well_mae(generator.generate(z, labels, dtype), wells)``, with the
+    generator built only at the well cells."""
+    tape = tc.GraphTape(dtype)
+    labels = None if labels is None else tape.constant(labels)
+    coarse, _ = _build_generator(tape, generator, tape.constant(z), labels,
+                                 cells=wells.flat_cell_indices())
+    return float(np.mean(np.abs(coarse.value - wells.values())))
 
 
 @dataclass
@@ -199,7 +210,8 @@ def _run_restart(args):
     loss_fn = DataLoss(observations, config.loss, geometry=generator.geometry)
 
     def objective(tape, nodes, step):
-        coarse, _ = _build_generator(tape, generator, nodes["z"], nodes.get("labels"))
+        coarse, _ = _build_generator(tape, generator, nodes["z"], nodes.get("labels"),
+                                     cells=loss_fn.cells)
         return loss_fn.build(tape, coarse, z=nodes["z"])
 
     def constrain(p):
@@ -219,8 +231,9 @@ def _run_restart(args):
         final = objective(tape, {k: tape.constant(v) for k, v in params.items()}, None)
         history.append(float(final.value))
 
-    grid = generator.generate(params["z"], params.get("labels"), dtype=dtype)
-    mae = well_mae(grid, observations.wells) if observations.wells is not None else math.nan
+    mae = (_generator_well_mae(generator, params["z"], observations.wells,
+                               params.get("labels"), dtype)
+           if observations.wells is not None else math.nan)
     return RestartRecord(index=index, z=params["z"],
                          labels=params.get("labels"),
                          loss_history=np.asarray(history),
@@ -317,7 +330,7 @@ def _tune_one(generator, pivots, observations, config):
             chosen = rng.permutation(n_pivots)[:batch]
             for i in chosen:
                 coarse, _ = _build_generator(tape, generator, tape.constant(pivots[i]),
-                                             weights=wnodes)
+                                             weights=wnodes, cells=loss_fn.cells)
                 part = loss_fn.build(tape, coarse)
                 total = part if total is None else total + part
             total = (1.0 / batch) * total
@@ -365,7 +378,7 @@ def pivotal_tune(generator, pivots, observations, config=None):
         raise InversionError("pivotal tuning needs well observations to score pivots")
 
     t0 = time.perf_counter()
-    mae_before = np.array([well_mae(generator.generate(z), observations.wells)
+    mae_before = np.array([_generator_well_mae(generator, z, observations.wells)
                            for z in pivots])
     if config.mode == "shared":
         jobs = [(pivots, config)]
@@ -379,8 +392,8 @@ def pivotal_tune(generator, pivots, observations, config=None):
         histories.append(history)
     result = TuneResult(mode=config.mode, generators=generators, pivots=pivots,
                         mae_before=mae_before, mae_after=None, loss_history=histories)
-    result.mae_after = np.array([well_mae(result.generator_for(i).generate(z),
-                                          observations.wells)
+    result.mae_after = np.array([_generator_well_mae(result.generator_for(i), z,
+                                                     observations.wells)
                                  for i, z in enumerate(pivots)])
     result.wall_clock_s = time.perf_counter() - t0
     return result

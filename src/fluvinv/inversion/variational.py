@@ -123,7 +123,7 @@ def gaussian_data_loglik(generator, observations, sigma):
                      geometry=generator.geometry)
 
     def build(tape, z):
-        coarse, _ = _build_generator(tape, generator, z)
+        coarse, _ = _build_generator(tape, generator, z, cells=terms.cells)
         total = None
         for resid in terms.residuals(tape, coarse).values():
             part = tc.sum_all(tc.square(resid))

@@ -22,10 +22,9 @@ class LinearGenerator:
     def weights(self):
         return {}
 
-    def build(self, tape, z, labels=None, weights=None):
+    def build(self, tape, z, labels=None, weights=None, cells=None):
         v = tc.dense(tape.constant(self.A), z) + self.offset
-        coarse = tc.reshape(v, (1, 1, self.A.shape[0]))
-        return coarse, coarse
+        return _at_cells(tc.reshape(v, (1, 1, self.A.shape[0])), cells)
 
     def generate(self, z, labels=None, dtype=np.float64):
         vals = np.clip(self.A @ np.asarray(z, dtype=np.float64) + self.offset,
@@ -42,9 +41,12 @@ class LinearGenerator:
 
 class NonFiniteGenerator(LinearGenerator):
     """LinearGenerator with its matrix as the tunable weight "A", whose output
-    turns NaN from the ``nan_step``-th tape it builds on (counted from 0).
+    turns NaN from the ``nan_step``-th tape with a differentiable input that it
+    builds on (counted from 0).
 
-    Every descent step records a fresh tape, so that tape is step ``nan_step``.
+    Every descent step records a fresh tape with its parameters as input
+    nodes, so that tape is step ``nan_step``; builds on constant tapes (a
+    well-MAE evaluation, say) do not count.
     """
 
     def __init__(self, A, nan_step, offset=0.5):
@@ -55,12 +57,18 @@ class NonFiniteGenerator(LinearGenerator):
     def weights(self):
         return {"A": self.A.copy()}
 
-    def build(self, tape, z, labels=None, weights=None):
-        if not any(t is tape for t in self._tapes):
-            self._tapes.append(tape)
+    def build(self, tape, z, labels=None, weights=None, cells=None):
         A = weights["A"] if weights else tape.constant(self.A)
+        if (z.requires_grad or A.requires_grad) and not any(t is tape for t in self._tapes):
+            self._tapes.append(tape)
         v = tc.dense(A, z) + self.offset
         if len(self._tapes) > self.nan_step:
             v = v * np.nan
-        coarse = tc.reshape(v, (1, 1, self.A.shape[0]))
-        return coarse, coarse
+        return _at_cells(tc.reshape(v, (1, 1, self.A.shape[0])), cells)
+
+
+def _at_cells(coarse, cells):
+    """(coarse, depo) of a test generator: the full grid, or gathered at cells."""
+    if cells is not None:
+        coarse = tc.take(coarse, cells)
+    return coarse, coarse

@@ -1,0 +1,209 @@
+"""Generators evaluated at a list of cells against the full grid gathered there.
+
+``build(..., cells=c)`` must give exactly ``take(build(...), c)``, and the
+likelihoods that use it must agree with the full-grid path, for unsorted cell
+lists with repeats.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import fluvinv.tensors as tc
+from fluvinv.generators import (
+    GeneratorDescriptor,
+    GeneratorError,
+    NeuralGenerator,
+    ProceduralGenerator,
+    neutral_labels,
+    sample_prior,
+)
+from fluvinv.geophysics import PsfConfig, SeismicModel
+from fluvinv.grids import GridGeometry
+from fluvinv.inversion import (
+    DataLoss,
+    DataLossConfig,
+    InversionError,
+    Observations,
+    gaussian_data_loglik,
+)
+from fluvinv.inversion.loss import well_mae
+from fluvinv.inversion.optimize import _generator_well_mae
+from fluvinv.survey import extract_well_data
+
+GEO = GridGeometry(nx=12, ny=9, nz=4)
+PROC = ProceduralGenerator(GEO, latent_dim=8)
+NEURAL_GEO = GridGeometry(nx=8, ny=8, nz=4)
+NEURAL = NeuralGenerator.random_init(
+    NEURAL_GEO, GeneratorDescriptor(latent_dim=6, base_channels=4, out_extents=(8, 8, 4)),
+    rng_seed=3)
+TRUTH = PROC.generate(sample_prior(1, 8, rng_seed=0)[0], dtype=np.float64)
+WELLS = extract_well_data(TRUTH, [(2, 3), (7, 1), (10, 8)])
+
+SETTINGS = settings(max_examples=25, deadline=None)
+
+
+def cell_lists(geometry):
+    """Unsorted flat cell indices with repeats allowed."""
+    return st.lists(st.integers(0, geometry.n_cells - 1), min_size=1, max_size=60)
+
+
+def _weighted_sum(tape, coarse, depo, seed):
+    """A scalar that reads every gathered value of both channels."""
+    rng = np.random.default_rng(seed)
+    n = coarse.value.size
+    return (tc.sum_all(tape.constant(rng.standard_normal(n)) * coarse)
+            + tc.sum_all(tape.constant(rng.standard_normal(n)) * tc.square(depo)))
+
+
+def _procedural(dtype, z, labels, cells):
+    """(coarse, depo, tape, input nodes) of a build at ``cells`` (None: full grid)."""
+    tape = tc.GraphTape(dtype)
+    nodes = {"z": tape.input(z), "labels": tape.input(labels),
+             "maps": tape.input(PROC.weights()["maps"])}
+    coarse, depo = PROC.build(tape, nodes["z"], nodes["labels"],
+                              weights={"maps": nodes["maps"]}, cells=cells)
+    return coarse, depo, tape, nodes
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@SETTINGS
+@given(cells=cell_lists(GEO), seed=st.integers(0, 2 ** 16),
+       labels=st.lists(st.floats(0.0, 1.0), min_size=5, max_size=5))
+def test_procedural_cells_equal_gathered_full_grid(dtype, cells, seed, labels):
+    z = sample_prior(1, 8, rng_seed=seed)[0]
+    labels = np.asarray(labels)
+    at_c, at_d, at_tape, at_nodes = _procedural(dtype, z, labels, np.asarray(cells))
+    full_c, full_d, full_tape, full_nodes = _procedural(dtype, z, labels, None)
+    full_c, full_d = tc.take(full_c, cells), tc.take(full_d, cells)
+
+    assert at_c.value.shape == at_d.value.shape == (len(cells),)
+    assert at_c.value.dtype == dtype
+    np.testing.assert_array_equal(at_c.value, full_c.value)
+    np.testing.assert_array_equal(at_d.value, full_d.value)
+
+    if dtype == np.float64:
+        g_at = at_tape.backward(_weighted_sum(at_tape, at_c, at_d, seed))
+        g_full = full_tape.backward(_weighted_sum(full_tape, full_c, full_d, seed))
+        for name in ("z", "labels", "maps"):
+            np.testing.assert_allclose(g_at.wrt(at_nodes[name]),
+                                       g_full.wrt(full_nodes[name]), rtol=1e-12)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@SETTINGS
+@given(cells=cell_lists(NEURAL_GEO), seed=st.integers(0, 2 ** 16))
+def test_neural_cells_equal_gathered_full_grid(dtype, cells, seed):
+    z = sample_prior(1, 6, rng_seed=seed)[0]
+    out = []
+    for c in (np.asarray(cells), None):
+        tape = tc.GraphTape(dtype)
+        zn = tape.input(z)
+        wn = {k: tape.input(v) for k, v in NEURAL.weights().items()}
+        if c is None:
+            coarse, depo = NEURAL.build(tape, zn, weights=wn)
+            coarse, depo = tc.take(coarse, cells), tc.take(depo, cells)
+        else:
+            coarse, depo = NEURAL.build(tape, zn, weights=wn, cells=c)
+        grads = tape.backward(_weighted_sum(tape, coarse, depo, seed))
+        out.append((coarse.value, depo.value, grads.wrt(zn), grads.wrt(wn["head.w"])))
+    (c1, d1, gz1, gw1), (c2, d2, gz2, gw2) = out
+    assert c1.shape == (len(cells),)
+    np.testing.assert_array_equal(c1, c2)
+    np.testing.assert_array_equal(d1, d2)
+    np.testing.assert_allclose(gz1, gz2, rtol=1e-12)
+    np.testing.assert_allclose(gw1, gw2, rtol=1e-12)
+
+
+@pytest.mark.parametrize("gen", [PROC, NEURAL], ids=["procedural", "neural"])
+@pytest.mark.parametrize("cells", [
+    np.zeros((2, 2), dtype=np.intp),
+    np.array([0.0, 1.0]),
+    np.array([True, False]),
+    np.array([-1, 0]),
+    "n_cells",
+], ids=["2d", "float", "bool", "negative", "past_end"])
+def test_invalid_cells_rejected(gen, cells):
+    if isinstance(cells, str):
+        cells = np.array([0, gen.geometry.n_cells])
+    tape = tc.GraphTape(np.float64)
+    with pytest.raises(GeneratorError, match="cell"):
+        gen.build(tape, tape.constant(np.zeros(gen.latent_dim)), cells=cells)
+
+
+def _well_loss(z, at_cells, config):
+    loss = DataLoss(Observations(wells=WELLS), config, geometry=GEO)
+    tape = tc.GraphTape(np.float64)
+    zn = tape.input(z)
+    coarse, _ = PROC.build(tape, zn, cells=loss.cells if at_cells else None)
+    value = loss.build(tape, coarse, z=zn)
+    return float(value.value), tape.backward(value).wrt(zn)
+
+
+@pytest.mark.parametrize("metric", ["squared", "absolute"])
+@SETTINGS
+@given(seed=st.integers(0, 2 ** 16))
+def test_data_loss_at_cells_equals_full_grid(metric, seed):
+    z = sample_prior(1, 8, rng_seed=seed)[0]
+    config = DataLossConfig(metric=metric, lambda_z=1e-3)
+    v_cells, g_cells = _well_loss(z, True, config)
+    v_full, g_full = _well_loss(z, False, config)
+    assert v_cells == v_full
+    np.testing.assert_allclose(g_cells, g_full, rtol=1e-12)
+
+
+@SETTINGS
+@given(seed=st.integers(0, 2 ** 16))
+def test_gaussian_loglik_at_cells_equals_full_grid(seed):
+    z = sample_prior(1, 8, rng_seed=seed)[0]
+    sigma = 0.05
+    loglik = gaussian_data_loglik(PROC, Observations(wells=WELLS), sigma)
+    tape = tc.GraphTape(np.float64)
+    zn = tape.input(z)
+    value = loglik(tape, zn)
+    g_cells = tape.backward(value).wrt(zn)
+
+    tape = tc.GraphTape(np.float64)
+    zn = tape.input(z)
+    coarse, _ = PROC.build(tape, zn, labels=tape.constant(neutral_labels()))
+    resid = tc.take(coarse, WELLS.flat_cell_indices()) - tape.constant(WELLS.values())
+    ref = (-0.5 / sigma ** 2) * tc.sum_all(tc.square(resid))
+    g_full = tape.backward(ref).wrt(zn)
+    assert float(value.value) == float(ref.value)
+    np.testing.assert_allclose(g_cells, g_full, rtol=1e-12)
+
+
+def test_cells_follow_the_seismic_term():
+    model = SeismicModel(psf=PsfConfig(velocity_mps=2400.0, kernel_extents=(9, 1, 1)))
+    obs = Observations(wells=WELLS, seismic=model.forward(TRUTH), seismic_model=model)
+    wells_only = DataLoss(obs, DataLossConfig())
+    np.testing.assert_array_equal(wells_only.cells, WELLS.flat_cell_indices())
+    assert DataLoss(obs, DataLossConfig(use_seismic=True)).cells is None
+    assert DataLoss(obs, DataLossConfig(use_wells=False, use_seismic=True)).cells is None
+
+
+def test_residuals_reject_other_shapes():
+    model = SeismicModel(psf=PsfConfig(velocity_mps=2400.0, kernel_extents=(9, 1, 1)))
+    obs = Observations(wells=WELLS, seismic=model.forward(TRUTH), seismic_model=model)
+    n = len(WELLS.flat_cell_indices())
+    tape = tc.GraphTape(np.float64)
+    with pytest.raises(InversionError, match="shape"):
+        DataLoss(obs, DataLossConfig()).residuals(tape, tape.constant(np.zeros(n + 1)))
+    with pytest.raises(InversionError, match="shape"):
+        DataLoss(obs, DataLossConfig()).residuals(tape, tape.constant(np.zeros((4, 9, 11))))
+    # with the seismic term on the loss reads the whole grid
+    with pytest.raises(InversionError, match="shape"):
+        DataLoss(obs, DataLossConfig(use_seismic=True)).residuals(
+            tape, tape.constant(np.zeros(n)))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("labels", [None, np.array([0.1, 0.9, 0.3, 0.7, 0.5])])
+def test_generator_well_mae_equals_full_grid(dtype, labels):
+    z = sample_prior(1, 8, rng_seed=4)[0]
+    expected = well_mae(PROC.generate(z, labels, dtype=dtype), WELLS)
+    assert _generator_well_mae(PROC, z, WELLS, labels, dtype) == expected
+    wells = extract_well_data(NEURAL.generate(np.zeros(6)), [(1, 2), (6, 5)])
+    z = sample_prior(1, 6, rng_seed=4)[0]
+    expected = well_mae(NEURAL.generate(z, dtype=dtype), wells)
+    assert _generator_well_mae(NEURAL, z, wells, dtype=dtype) == expected

@@ -94,3 +94,22 @@ def test_absolute_metric():
     z0 = sample_prior(1, 8, rng_seed=8)[0]
     value = build_loss(z0, cfg)
     assert abs(value - well_mae(GEN.generate(z0, dtype=np.float64), WELLS)) < 1e-9
+
+
+def test_zero_first_term_gets_unit_weight():
+    # started at the truth, both terms are exactly 0 at the first evaluation;
+    # each then gets weight 1 rather than a 1e12 clamp
+    model = SeismicModel(psf=PsfConfig(velocity_mps=2400.0, kernel_extents=(9, 1, 1)))
+    obs = Observations(wells=WELLS, seismic=model.forward(TRUTH), seismic_model=model)
+    auto = DataLoss(obs, DataLossConfig(use_seismic=True, lambda_z=0.0))
+    unit = DataLoss(obs, DataLossConfig(use_seismic=True, lambda_z=0.0,
+                                        well_weight=1.0, seismic_weight=1.0))
+
+    def value(loss, z):
+        tape = tc.GraphTape(np.float64)
+        coarse, _ = GEN.build(tape, tape.constant(z))
+        return float(loss.build(tape, coarse).value)
+
+    assert value(auto, Z_TRUE) == 0.0
+    z1 = sample_prior(1, 8, rng_seed=6)[0]
+    assert value(auto, z1) == value(unit, z1) > 0.0
