@@ -13,6 +13,7 @@ the tensor engine w.r.t. latent, labels, and their own parameters:
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass, asdict
 
@@ -89,6 +90,17 @@ def _check_cells(cells, geometry):
     if arr.size and (arr.min() < 0 or arr.max() >= geometry.n_cells):
         raise GeneratorError(f"cell index outside [0, {geometry.n_cells})")
     return arr.astype(np.intp, copy=False)
+
+
+def _is_batch(z, latent_dim):
+    """Whether latent node ``z`` is a batch (B, d) rather than one latent (d,)."""
+    shape = z.value.shape
+    if shape == (latent_dim,):
+        return False
+    if len(shape) == 2 and shape[0] >= 1 and shape[1] == latent_dim:
+        return True
+    raise GeneratorError(f"latent shape {shape} is neither ({latent_dim},) "
+                         f"nor (B, {latent_dim})")
 
 
 def weights_fingerprint(weights):
@@ -189,25 +201,31 @@ class ProceduralGenerator:
         ``(len(cells),)`` and hold exactly the values of the full grid at
         those cells: the construction is pointwise in (layer, y, x), so only
         those cells are evaluated.
+
+        ``z`` is one latent, shape (d,), or a batch of B latents, shape
+        (B, d); a batch gives both nodes a leading batch axis, (B, nz, ny, nx)
+        or (B, len(cells)), and row i equals the build of ``z[i]`` exactly.
         """
         g = self.geometry
-        if z.value.shape != (self.latent_dim,):
-            raise GeneratorError(f"latent shape {z.value.shape} != ({self.latent_dim},)")
+        batch = _is_batch(z, self.latent_dim)
         if labels is None:
             labels = _label_node(tape, None, len(LABEL_NAMES))
         if weights is None:
             weights = {"maps": tape.constant(self._maps)}
-        b = self._belt_nodes(z, labels, weights["maps"])
 
         if cells is None:
             x = np.arange(g.nx, dtype=np.float64).reshape(1, 1, g.nx)
             y = np.arange(g.ny, dtype=np.float64).reshape(1, g.ny, 1)
             layer = np.arange(g.nz, dtype=np.float64).reshape(g.nz, 1, 1)
+            if batch:
+                # latent columns of shape (B, 1, 1, 1) broadcast over the grid
+                z = tc.reshape(z, (z.value.shape[0], 1, 1, self.latent_dim))
         else:
             cells = _check_cells(cells, g)
             x = (cells % g.nx).astype(np.float64)
             y = ((cells // g.nx) % g.ny).astype(np.float64)
             layer = (cells // (g.ny * g.nx)).astype(np.float64)
+        b = self._belt_nodes(z, labels, weights["maps"])
         xg, yg, mg = tape.constant(x), tape.constant(y), tape.constant(layer)
 
         centerline = b["center"] + b["drift"] * mg + b["amplitude"] * tc.sin(
@@ -245,10 +263,13 @@ class ProceduralGenerator:
         return {k: float(v.value[0]) for k, v in nodes.items()}
 
     def _belt_nodes(self, z, labels, maps):
-        """Belt parameter nodes, each of shape (1,), from latent, label and
-        map-coefficient nodes."""
-        def zc(i):  # squashed latent component
-            return tc.take(z, [i])
+        """Belt parameter nodes from latent, label and map-coefficient nodes:
+        shape (1,) for a latent of shape (d,); the latent-driven ones keep a
+        batch latent's leading axes, with the last axis of size 1."""
+        lead = (slice(None),) * (z.value.ndim - 1)
+
+        def zc(i):  # latent component
+            return tc.crop(z, lead + (slice(i, i + 1),))
 
         def cf(i):  # map coefficient
             return tc.take(maps, [i])
@@ -410,14 +431,23 @@ class NeuralGenerator:
         With ``cells`` (flat, layer-major indices) both nodes have shape
         ``(len(cells),)``. The network is not pointwise, so the full grid is
         built and then gathered at those cells.
+
+        ``z`` is one latent, shape (d,), or a batch, shape (B, d). A batch is
+        built row by row (``conv3d`` has no batch axis) and stacked, so both
+        nodes gain a leading batch axis and row i equals the build of ``z[i]``.
         """
         d = self.descriptor
         if cells is not None:
             cells = _check_cells(cells, self.geometry)
-        if z.value.shape != (d.latent_dim,):
-            raise GeneratorError(f"latent shape {z.value.shape} != ({d.latent_dim},)")
+        batch = _is_batch(z, d.latent_dim)
         if weights is None:
             weights = {k: tape.constant(v) for k, v in self._weights.items()}
+        if batch:
+            rows = [self.build(tape, tc.reshape(tc.crop(z, (slice(i, i + 1), slice(None))),
+                                                (d.latent_dim,)),
+                               labels, weights, cells)
+                    for i in range(z.value.shape[0])]
+            return tc.stack([r[0] for r in rows]), tc.stack([r[1] for r in rows])
 
         def wn(name):
             if name not in weights:
@@ -495,35 +525,63 @@ def save_weights(path, weights, descriptor=None):
 
 
 def load_weights(path):
-    """Read a weights file; returns (weights dict, descriptor or None)."""
+    """Read a weights file; returns (weights dict, descriptor or None).
+
+    Any file that is not a complete weights file of this format raises
+    :class:`GeneratorError`.
+    """
     with open(path, "rb") as f:
         blob = f.read()
     if blob[:8] != _WEIGHTS_MAGIC:
         raise GeneratorError(f"{path}: bad magic, not a weights file")
+    if len(blob) < 12:
+        raise GeneratorError(f"{path}: truncated header length")
     (hlen,) = struct.unpack("<I", blob[8:12])
     if len(blob) < 12 + hlen:
         raise GeneratorError(f"{path}: truncated header")
-    manifest = json.loads(blob[12:12 + hlen].decode())
+    try:
+        manifest = json.loads(blob[12:12 + hlen].decode())
+    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError
+        raise GeneratorError(f"{path}: header is not a UTF-8 JSON manifest ({exc})") from None
+    if not isinstance(manifest, dict):
+        raise GeneratorError(f"{path}: manifest is not a JSON object")
     if manifest.get("format_version") != _FORMAT_VERSION:
         raise GeneratorError(f"{path}: unsupported format version "
                              f"{manifest.get('format_version')}")
+    tensors = _check_tensor_entries(path, manifest.get("tensors"))
     payload = blob[12 + hlen:]
-    weights = {}
-    expected = 0
-    for t in manifest["tensors"]:
-        size = int(np.prod(t["shape"])) if t["shape"] else 1
-        expected = max(expected, t["offset"] + 4 * size)
+    expected = max((t["offset"] + 4 * math.prod(t["shape"]) for t in tensors), default=0)
     if len(payload) < expected:
         raise GeneratorError(f"{path}: truncated payload "
                              f"({len(payload)} bytes, manifest needs {expected})")
-    for t in manifest["tensors"]:
-        size = int(np.prod(t["shape"])) if t["shape"] else 1
-        raw = payload[t["offset"]:t["offset"] + 4 * size]
-        if len(raw) != 4 * size:
-            raise GeneratorError(f"{path}: tensor {t['name']!r} payload does not match "
-                                 f"manifest shape {t['shape']}")
+    weights = {}
+    for t in tensors:
+        raw = payload[t["offset"]:t["offset"] + 4 * math.prod(t["shape"])]
         weights[t["name"]] = np.frombuffer(raw, dtype="<f4").reshape(t["shape"]).copy()
     descriptor = manifest.get("descriptor")
     if descriptor is not None:
-        descriptor = GeneratorDescriptor.from_json_dict(descriptor)
+        try:
+            descriptor = GeneratorDescriptor.from_json_dict(descriptor)
+        except (TypeError, ValueError, KeyError, ArithmeticError) as exc:
+            raise GeneratorError(f"{path}: bad descriptor ({exc!r})") from None
     return weights, descriptor
+
+
+def _check_tensor_entries(path, tensors):
+    """The manifest's tensor list, each entry a name, a shape of non-negative
+    ints and a non-negative byte offset; names unique."""
+    def count(v):
+        return isinstance(v, int) and not isinstance(v, bool) and v >= 0
+
+    if not isinstance(tensors, list):
+        raise GeneratorError(f"{path}: manifest has no tensor list")
+    names = set()
+    for t in tensors:
+        if not (isinstance(t, dict) and isinstance(t.get("name"), str)
+                and isinstance(t.get("shape"), list) and all(map(count, t["shape"]))
+                and count(t.get("offset"))):
+            raise GeneratorError(f"{path}: malformed tensor entry {t!r}")
+        if t["name"] in names:
+            raise GeneratorError(f"{path}: tensor {t['name']!r} listed twice")
+        names.add(t["name"])
+    return tensors

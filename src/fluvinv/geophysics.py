@@ -368,7 +368,16 @@ class SeismicModel:
         return float(total / (vp.size + 2 * n_side))
 
     def build(self, tape, coarse, geometry):
-        """Seismic amplitude node (nz_seis, ny, nx) from a coarse-fraction node."""
+        """Seismic amplitude node (nz_seis, ny, nx) from a coarse-fraction node
+        (nz, ny, nx). A batch (B, nz, ny, nx) gives (B, nz_seis, ny, nx); each
+        row is built on its own, with the PSF velocity of that model."""
+        if coarse.value.ndim == 4:
+            shape = coarse.value.shape[1:]
+            return tc.stack([
+                self._build(tape, tc.reshape(tc.crop(coarse, (slice(i, i + 1),)
+                                                     + (slice(None),) * 3), shape),
+                            geometry)[0]
+                for i in range(coarse.value.shape[0])])
         return self._build(tape, coarse, geometry)[0]
 
     def _build(self, tape, coarse, geometry):

@@ -11,7 +11,7 @@ import numpy as np
 
 from .. import tensors as tc
 from .loss import DataLoss, DataLossConfig, InversionError
-from .networks import mlp_apply, mlp_init, mlp_sizes
+from .networks import mlp_apply, mlp_init, mlp_sizes, noise_rows
 from .optimize import _build_generator, descend
 
 __all__ = [
@@ -52,22 +52,20 @@ class InferenceNet:
         self.weights = weights
 
     def apply(self, tape, eps, weight_nodes=None):
+        """Latent node for a noise node, one draw (noise_dim,) or a batch
+        (B, noise_dim) giving (B, latent_dim)."""
         if weight_nodes is None:
             weight_nodes = {k: tape.constant(v) for k, v in self.weights.items()}
         return mlp_apply(tape, weight_nodes, eps, self.n_layers)
 
     def push(self, eps):
+        """Numpy latents for noise eps, one draw (noise_dim,) or a batch (n, noise_dim)."""
         tape = tc.GraphTape(np.float64)
         return np.asarray(self.apply(tape, tape.constant(np.asarray(eps))).value)
 
     def sample(self, n, rng_seed=0):
-        """n latents from counter-based noise draws."""
-        out = np.empty((n, self.latent_dim))
-        for i in range(n):
-            rng = np.random.Generator(np.random.PCG64(
-                np.random.SeedSequence((int(rng_seed), 23, i))))
-            out[i] = self.push(rng.standard_normal(self.noise_dim))
-        return out
+        """(n, latent_dim) latents from counter-based noise draws, pushed as one batch."""
+        return self.push(noise_rows(n, self.noise_dim, rng_seed, 23))
 
 
 @dataclass
@@ -89,28 +87,14 @@ def train_inference_network(generator, observations, config=None):
     def objective(tape, wnodes, step):
         rng = np.random.Generator(np.random.PCG64(
             np.random.SeedSequence((int(cfg.rng_seed), 29, step))))
-        total = None
-        latents = []
-        for _ in range(cfg.batch):
-            eps = rng.standard_normal(noise_dim)
-            z = net.apply(tape, tape.constant(eps), wnodes)
-            latents.append(z)
-            coarse, _ = _build_generator(tape, generator, z, cells=loss_fn.cells)
-            part = loss_fn.build(tape, coarse, z=z)
-            total = part if total is None else total + part
-        total = (1.0 / cfg.batch) * total
+        eps = rng.standard_normal((cfg.batch, noise_dim))
+        z = net.apply(tape, tape.constant(eps), wnodes)
+        coarse, _ = _build_generator(tape, generator, z, cells=loss_fn.cells)
+        total = loss_fn.build(tape, coarse, z=z)  # the batch mean
 
         if cfg.collapse_reg > 0:
-            mean = latents[0]
-            for z in latents[1:]:
-                mean = mean + z
-            mean = (1.0 / cfg.batch) * mean
-            var = None
-            for z in latents:
-                dev = z - mean
-                part = tc.square(dev)
-                var = part if var is None else var + part
-            var = (1.0 / max(cfg.batch - 1, 1)) * var
+            mean = (1.0 / cfg.batch) * tc.sum_axis(z, 0)
+            var = (1.0 / max(cfg.batch - 1, 1)) * tc.sum_axis(tc.square(z - mean), 0)
             reg = tc.mean_all(tc.square(mean)) + tc.mean_all(tc.square(tc.sqrt(var + 1e-12) - 1.0))
             total = total + cfg.collapse_reg * reg
         return total

@@ -86,10 +86,23 @@ class DataLoss:
             return None
         return self._well_idx
 
-    def _metric_mean(self, residual):
+    def _metric(self, residual):
         if self.config.metric == "squared":
-            return tc.mean_all(tc.square(residual))
-        return tc.mean_all(tc.absolute(residual))
+            return tc.square(residual)
+        return tc.absolute(residual)
+
+    def _batch_shape(self, shape):
+        """(leading batch shape, whether at :attr:`cells`) of a coarse node's
+        shape: () or (B,) before the grid shape or ``(len(cells),)``."""
+        forms = [(self.geometry.shape, False)]
+        if self.cells is not None:
+            forms.append(((len(self.cells),), True))
+        for base, at_cells in forms:
+            n = len(shape) - len(base)
+            if n in (0, 1) and shape[n:] == base:
+                return shape[:n], at_cells
+        expected = " or ".join(f"{base} (optionally after a batch axis)" for base, _ in forms)
+        raise InversionError(f"coarse node has shape {shape}, expected {expected}")
 
     def residuals(self, tape, coarse):
         """Residual nodes (prediction - observation) of the active terms,
@@ -97,25 +110,25 @@ class DataLoss:
 
         ``coarse`` is either the full grid, shape (nz, ny, nx), or, when
         :attr:`cells` is not None, the grid at those cells, shape
-        ``(len(cells),)``, which is used as is.
+        ``(len(cells),)``, which is used as is. Either may carry a leading
+        batch axis of B models, which the residuals keep.
         """
-        shape = coarse.value.shape
-        cells = self.cells
-        at_cells = cells is not None and shape == (len(cells),)
-        if not at_cells and shape != self.geometry.shape:
-            expected = f"{self.geometry.shape}"
-            if cells is not None:
-                expected += f" or ({len(cells)},)"
-            raise InversionError(f"coarse node has shape {shape}, expected {expected}")
+        batch, at_cells = self._batch_shape(coarse.value.shape)
         terms = {}
         if self.config.use_wells:
-            picked = coarse if at_cells else tc.take(coarse, self._well_idx)
+            if at_cells:
+                picked = coarse
+            else:
+                idx = self._well_idx
+                if batch:
+                    idx = np.arange(batch[0])[:, None] * self.geometry.n_cells + idx
+                picked = tc.take(coarse, idx)
             obs = tape.constant(self._well_vals)
             terms["well"] = picked - obs
         if self.config.use_seismic:
             pred = self.obs.seismic_model.build(tape, coarse, self.geometry)
             obs = tape.constant(self.obs.seismic.amplitudes)
-            if pred.value.shape != obs.value.shape:
+            if pred.value.shape[len(batch):] != obs.value.shape:
                 raise InversionError(
                     f"seismic prediction {pred.value.shape} does not match "
                     f"observations {obs.value.shape}")
@@ -123,13 +136,24 @@ class DataLoss:
         return terms
 
     def build(self, tape, coarse, z=None):
-        """Scalar loss node from a coarse-fraction node (either form that
-        :meth:`residuals` takes) and an optional latent node."""
-        terms = {name: self._metric_mean(r)
-                 for name, r in self.residuals(tape, coarse).items()}
+        """Scalar loss node from a coarse-fraction node (any form that
+        :meth:`residuals` takes) and an optional latent node.
+
+        For a batch (``coarse`` with a leading batch axis, ``z`` of shape
+        (B, d)) the loss is the batch mean of the per-sample losses: every
+        term is a mean over the batch too. Automatic weights freeze from the
+        first sample of the first evaluation.
+        """
+        metrics, terms = {}, {}
+        for name, r in self.residuals(tape, coarse).items():
+            metrics[name] = self._metric(r)
+            terms[name] = tc.mean_all(metrics[name])
 
         if self._frozen is None:
-            self._frozen = self._freeze_weights(terms)
+            batched = bool(self._batch_shape(coarse.value.shape)[0])
+            self._frozen = self._freeze_weights(
+                {name: _mean_value(m.value[0] if batched else m.value)
+                 for name, m in metrics.items()})
         w_well, w_seis = self._frozen
 
         total = None
@@ -143,17 +167,24 @@ class DataLoss:
             total = total + (self.config.lambda_z / d) * tc.sum_all(tc.square(z))
         return total
 
-    def _freeze_weights(self, terms):
+    def _freeze_weights(self, first):
+        """(w_well, w_seis) from the first sample's term values ``first``."""
         w_well = self.config.well_weight
         w_seis = self.config.seismic_weight
-        both_auto = len(terms) == 2 and w_well is None and w_seis is None
+        both_auto = len(first) == 2 and w_well is None and w_seis is None
         if both_auto:
-            w_well = _inverse_or_one(float(terms["well"].value))
-            w_seis = _inverse_or_one(float(terms["seismic"].value))
+            w_well = _inverse_or_one(first["well"])
+            w_seis = _inverse_or_one(first["seismic"])
         else:
             w_well = 1.0 if w_well is None else w_well
             w_seis = 1.0 if w_seis is None else w_seis
         return (w_well, w_seis)
+
+
+def _mean_value(a):
+    """``float(tc.mean_all(node).value)`` for a node holding array ``a``:
+    the same float64 sum, rounded to the array's dtype."""
+    return float(np.asarray(a.sum(dtype=np.float64) / a.size, dtype=a.dtype))
 
 
 def _inverse_or_one(value):

@@ -16,7 +16,7 @@ import numpy as np
 
 from .. import tensors as tc
 from .loss import DataLoss, DataLossConfig, InversionError
-from .networks import mlp_apply, mlp_init, mlp_sizes
+from .networks import mlp_apply, mlp_init, mlp_sizes, noise_rows
 from .optimize import _build_generator, check_schedule, descend
 
 __all__ = ["FlowConfig", "FlowModel", "VariationalResult",
@@ -68,55 +68,65 @@ class FlowModel:
         return d_a, self.dim - d_a
 
     def transform(self, tape, u, weight_nodes=None):
-        """(z node, log-determinant node) for a base-noise node u."""
+        """(z node, log-determinant node) for a base-noise node u.
+
+        ``u`` is one draw, shape (dim,), or a batch, shape (B, dim); z has
+        the shape of u, and the log-determinant is a scalar summed over the
+        rows. Row i of a batch's z equals the transform of ``u[i]`` exactly.
+        """
         if weight_nodes is None:
             weight_nodes = {k: tape.constant(v) for k, v in self.weights.items()}
         cfg = self.config
+        lead = (slice(None),) * (u.value.ndim - 1)
+
+        def cols(x, lo, hi):
+            return tc.crop(x, lead + (slice(lo, hi),))
+
         z = u
         logdet = None
         for layer in range(cfg.n_layers):
             d_a, _ = self._split_dims(layer)
             if layer % 2 == 0:
-                a = tc.crop(z, (slice(0, d_a),))
-                b = tc.crop(z, (slice(d_a, self.dim),))
+                a = cols(z, 0, d_a)
+                b = cols(z, d_a, self.dim)
             else:
-                a = tc.crop(z, (slice(self.dim - d_a, self.dim),))
-                b = tc.crop(z, (slice(0, self.dim - d_a),))
+                a = cols(z, self.dim - d_a, self.dim)
+                b = cols(z, 0, self.dim - d_a)
             sub = {k.split(".", 1)[1]: weight_nodes[k] for k in weight_nodes
                    if k.startswith(f"layer{layer}.")}
             raw = mlp_apply(tape, sub, a, self._n_mlp)
-            d_b = b.value.shape[0]
-            s_raw = tc.crop(raw, (slice(0, d_b),))
-            t = tc.crop(raw, (slice(d_b, 2 * d_b),))
+            d_b = b.value.shape[-1]
+            s_raw = cols(raw, 0, d_b)
+            t = cols(raw, d_b, 2 * d_b)
             if np.any(np.abs(s_raw.value) > cfg.scale_clip):
                 warnings.warn("coupling scale clamped to keep the flow invertible",
                               stacklevel=2)
             s = tc.clamp(s_raw, -cfg.scale_clip, cfg.scale_clip)
             b_new = b * tc.exp(s) + t
-            z = (tc.concat([a, b_new], axis=0) if layer % 2 == 0
-                 else tc.concat([b_new, a], axis=0))
+            z = (tc.concat([a, b_new], axis=-1) if layer % 2 == 0
+                 else tc.concat([b_new, a], axis=-1))
             part = tc.sum_all(s)
             logdet = part if logdet is None else logdet + part
         return z, logdet
 
     def push(self, u):
-        """Numpy z for base noise u."""
+        """Numpy z for base noise u, one draw (dim,) or a batch (n, dim)."""
         tape = tc.GraphTape(np.dtype(self.config.dtype))
         z, _ = self.transform(tape, tape.constant(np.asarray(u, dtype=np.float64)))
         return np.asarray(z.value)
 
     def sample(self, n, rng_seed=0):
-        """n posterior draws, counter-based per index."""
-        out = np.empty((n, self.dim))
-        for i in range(n):
-            rng = np.random.Generator(np.random.PCG64(
-                np.random.SeedSequence((int(rng_seed), 13, i))))
-            out[i] = self.push(rng.standard_normal(self.dim))
-        return out
+        """(n, dim) posterior draws, counter-based per index, pushed as one batch."""
+        return np.asarray(self.push(noise_rows(n, self.dim, rng_seed, 13)), dtype=np.float64)
 
 
 def gaussian_data_loglik(generator, observations, sigma):
-    """Builder for log p(data|z): Gaussian residuals over the active terms."""
+    """Builder for log p(data|z): Gaussian residuals over the active terms.
+
+    The builder follows the contract of :func:`variational_infer`: for a
+    latent node of shape (d,) it returns log p(data|z); for a batch (B, d),
+    the sum of the B rows' log-likelihoods.
+    """
     terms = DataLoss(observations,
                      DataLossConfig(use_wells=observations.wells is not None,
                                     use_seismic=observations.seismic is not None),
@@ -145,8 +155,12 @@ class VariationalResult:
 def variational_infer(loglik_builder, dim, config=None):
     """Fit the flow posterior; returns the flow, draws, and the ELBO trace.
 
-    ``loglik_builder(tape, z_node) -> scalar node`` evaluates log p(data|z);
-    pass None for a prior-only fit (the ELBO then reduces to -KL(q || prior)).
+    ``loglik_builder(tape, z_node) -> scalar node`` evaluates the
+    log-likelihood log p(data|z). It is called once per step with the whole
+    batch, a node of shape (batch, dim), and must return the sum of the
+    rows' log-likelihoods (for a node of shape (dim,), that of the one
+    latent). Pass None for a prior-only fit (the ELBO then reduces to
+    -KL(q || prior)).
     """
     cfg = config or FlowConfig()
     t0 = time.perf_counter()
@@ -155,17 +169,13 @@ def variational_infer(loglik_builder, dim, config=None):
     def neg_elbo(tape, wnodes, step):
         rng = np.random.Generator(np.random.PCG64(
             np.random.SeedSequence((int(cfg.rng_seed), 17, step))))
-        elbo = None
-        for _ in range(cfg.batch):
-            u = rng.standard_normal(dim)
-            un = tape.constant(u)
-            z, logdet = flow.transform(tape, un, wnodes)
-            # log p(z) - log q(z) = -|z|^2/2 + |u|^2/2 + logdet (constants cancel)
-            part = -0.5 * tc.sum_all(tc.square(z)) + logdet \
-                + tape.constant(0.5 * np.sum(u * u))
-            if loglik_builder is not None:
-                part = part + loglik_builder(tape, z)
-            elbo = part if elbo is None else elbo + part
+        u = rng.standard_normal((cfg.batch, dim))
+        z, logdet = flow.transform(tape, tape.constant(u), wnodes)
+        # log p(z) - log q(z) = -|z|^2/2 + |u|^2/2 + logdet (constants cancel),
+        # summed over the batch
+        elbo = -0.5 * tc.sum_all(tc.square(z)) + logdet + tape.constant(0.5 * np.sum(u * u))
+        if loglik_builder is not None:
+            elbo = elbo + loglik_builder(tape, z)
         # negation is exact, so descending -ELBO gives the ascent's weights
         return -((1.0 / cfg.batch) * elbo)
 

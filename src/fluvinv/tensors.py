@@ -24,8 +24,8 @@ __all__ = [
     "add", "sub", "mul", "div", "neg", "absolute", "exp", "log", "sqrt",
     "square", "power", "sin", "tanh", "sigmoid", "leaky_relu", "clamp",
     "affine", "dense", "conv3d", "upsample2",
-    "crop", "pad_zero", "concat", "reshape", "take",
-    "sum_all", "mean_all", "gradient_check",
+    "crop", "pad_zero", "concat", "stack", "reshape", "take",
+    "sum_all", "sum_axis", "mean_all", "gradient_check",
 ]
 
 _ACC = np.float64  # accumulation dtype for reductions/contractions
@@ -92,7 +92,9 @@ class Node:
 
 
 class Gradients:
-    """Result of a backward pass; zero arrays for unused inputs."""
+    """Result of a backward pass: gradients of the leaf nodes (inputs and
+    constants), zero arrays for unused inputs. Gradients of op outputs are
+    freed during the pass and cannot be requested."""
 
     def __init__(self, grads, tape):
         self._grads = grads
@@ -103,6 +105,9 @@ class Gradients:
             raise TapeError("gradient requested for a node from another tape")
         g = self._grads[node.idx]
         if g is None:
+            if any(rec[0] == node.idx for rec in self._tape._records):
+                raise TapeError("gradient requested for an op output; only the "
+                                "gradients of tape inputs and constants are kept")
             return np.zeros_like(node.value)
         return g
 
@@ -174,7 +179,10 @@ class GraphTape:
         grads = [None] * self._n_nodes
         grads[output.idx] = seed
         for out_idx, in_idxs, in_reqs, backward in reversed(self._records):
-            g = grads[out_idx]
+            # every contribution to an op output's gradient comes from a later
+            # record, so it is complete here and is freed once propagated:
+            # a pass holds the gradients of its frontier, not of the whole tape
+            g, grads[out_idx] = grads[out_idx], None
             if g is None:
                 continue
             parts = backward(g)
@@ -218,7 +226,12 @@ def _unbroadcast(grad, shape):
     return grad.reshape(shape)
 
 
-def _binary(name, a, b, forward, back_a, back_b):
+def _binary(name, a, b, forward, back_a, back_b, keep):
+    """Elementwise op of two operands. ``back_a(g, x, y, o)`` and ``back_b``
+    give the operand gradients; ``keep`` names the values they read (x, y:
+    operands, o: output). The others reach them as None, and the record
+    captures ``requires_grad`` flags rather than the operand nodes, so a tape
+    holds no array that its backward never reads."""
     tape = _tape_of(a, b)
     a = _coerce(tape, a)
     b = _coerce(tape, b)
@@ -229,23 +242,30 @@ def _binary(name, a, b, forward, back_a, back_b):
     value = np.asarray(value, dtype=tape.dtype)
     out = tape._new_node(value, a.requires_grad or b.requires_grad)
     if out.requires_grad:
-        av, bv, ov = a.value, b.value, value
+        a_req, b_req = a.requires_grad, b.requires_grad
+        a_shape, b_shape = a.value.shape, b.value.shape
+        av = a.value if "x" in keep else None
+        bv = b.value if "y" in keep else None
+        ov = value if "o" in keep else None
 
         def backward(g):
-            ga = _unbroadcast(back_a(g, av, bv, ov), av.shape) if a.requires_grad else None
-            gb = _unbroadcast(back_b(g, av, bv, ov), bv.shape) if b.requires_grad else None
+            ga = _unbroadcast(back_a(g, av, bv, ov), a_shape) if a_req else None
+            gb = _unbroadcast(back_b(g, av, bv, ov), b_shape) if b_req else None
             return (ga, gb)
 
         tape._record(out, (a, b), backward)
     return out
 
 
-def _unary(name, x, forward, back):
+def _unary(name, x, forward, back, keep):
+    """Elementwise op of one operand; ``back(g, v, o)`` reads the values that
+    ``keep`` names (v: operand, o: output), and the others are None."""
     tape = _tape_of(x)
     value = np.asarray(forward(x.value), dtype=tape.dtype)
     out = tape._new_node(value, x.requires_grad)
     if out.requires_grad:
-        xv, ov = x.value, value
+        xv = x.value if "v" in keep else None
+        ov = value if "o" in keep else None
 
         def backward(g):
             return (back(g, xv, ov),)
@@ -259,95 +279,93 @@ def _unary(name, x, forward, back):
 
 def add(a, b):
     return _binary("add", a, b, lambda x, y: x + y,
-                   lambda g, x, y, o: g, lambda g, x, y, o: g)
+                   lambda g, x, y, o: g, lambda g, x, y, o: g, keep="")
 
 
 def sub(a, b):
     return _binary("sub", a, b, lambda x, y: x - y,
-                   lambda g, x, y, o: g, lambda g, x, y, o: -g)
+                   lambda g, x, y, o: g, lambda g, x, y, o: -g, keep="")
 
 
 def mul(a, b):
     return _binary("mul", a, b, lambda x, y: x * y,
-                   lambda g, x, y, o: g * y, lambda g, x, y, o: g * x)
+                   lambda g, x, y, o: g * y, lambda g, x, y, o: g * x, keep="xy")
 
 
 def div(a, b):
     return _binary("div", a, b, lambda x, y: x / y,
                    lambda g, x, y, o: g / y,
-                   lambda g, x, y, o: -g * x / (y * y))
+                   lambda g, x, y, o: -g * x / (y * y), keep="xy")
 
 
 def neg(x):
-    return _unary("neg", x, lambda v: -v, lambda g, v, o: -g)
+    return _unary("neg", x, lambda v: -v, lambda g, v, o: -g, keep="")
 
 
 def absolute(x):
-    return _unary("abs", x, np.abs, lambda g, v, o: g * np.sign(v))
+    return _unary("abs", x, np.abs, lambda g, v, o: g * np.sign(v), keep="v")
 
 
 def exp(x):
-    return _unary("exp", x, np.exp, lambda g, v, o: g * o)
+    return _unary("exp", x, np.exp, lambda g, v, o: g * o, keep="o")
 
 
 def log(x):
-    return _unary("log", x, np.log, lambda g, v, o: g / v)
+    return _unary("log", x, np.log, lambda g, v, o: g / v, keep="v")
 
 
 def sqrt(x):
-    return _unary("sqrt", x, np.sqrt, lambda g, v, o: g * 0.5 / o)
+    return _unary("sqrt", x, np.sqrt, lambda g, v, o: g * 0.5 / o, keep="o")
 
 
 def square(x):
-    return _unary("square", x, np.square, lambda g, v, o: g * 2.0 * v)
+    return _unary("square", x, np.square, lambda g, v, o: g * 2.0 * v, keep="v")
 
 
 def power(x, p):
     p = float(p)
     return _unary("power", x, lambda v: np.power(v, p),
-                  lambda g, v, o: g * p * np.power(v, p - 1.0))
+                  lambda g, v, o: g * p * np.power(v, p - 1.0), keep="v")
 
 
 def sin(x):
-    return _unary("sin", x, np.sin, lambda g, v, o: g * np.cos(v))
+    return _unary("sin", x, np.sin, lambda g, v, o: g * np.cos(v), keep="v")
 
 
 def tanh(x):
-    return _unary("tanh", x, np.tanh, lambda g, v, o: g * (1.0 - o * o))
+    return _unary("tanh", x, np.tanh, lambda g, v, o: g * (1.0 - o * o), keep="o")
 
 
 def _stable_sigmoid(v):
-    out = np.empty_like(v)
-    pos = v >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
-    ev = np.exp(v[~pos])
-    out[~pos] = ev / (1.0 + ev)
-    return out
+    # exp never overflows: 1/(1+e^-v) for v >= 0, e^v/(1+e^v) below
+    e = np.exp(-np.abs(v))
+    return np.where(v >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def sigmoid(x):
-    return _unary("sigmoid", x, _stable_sigmoid, lambda g, v, o: g * o * (1.0 - o))
+    return _unary("sigmoid", x, _stable_sigmoid, lambda g, v, o: g * o * (1.0 - o),
+                  keep="o")
 
 
 def leaky_relu(x, slope=0.2):
     slope = float(slope)
     return _unary("leaky_relu", x,
                   lambda v: np.where(v > 0, v, slope * v),
-                  lambda g, v, o: g * np.where(v > 0, 1.0, slope))
+                  lambda g, v, o: g * np.where(v > 0, 1.0, slope), keep="v")
 
 
 def clamp(x, lo, hi):
     lo, hi = float(lo), float(hi)
     return _unary("clamp", x,
                   lambda v: np.clip(v, lo, hi),
-                  lambda g, v, o: g * ((v > lo) & (v < hi)))
+                  lambda g, v, o: g * ((v > lo) & (v < hi)), keep="v")
 
 
 def affine(x, scale, offset):
     """scale * x + offset with float coefficients."""
     scale, offset = float(scale), float(offset)
     return _unary("affine", x, lambda v: scale * v + offset,
-                  lambda g, v, o: g * scale)
+                  lambda g, v, o: g * scale, keep="")
 
 
 # ---------------------------------------------------------------------------
@@ -418,6 +436,25 @@ def concat(nodes, axis=0):
     return out
 
 
+def stack(nodes):
+    """Stack same-shape nodes along a new leading axis."""
+    nodes = list(nodes)
+    tape = _tape_of(*nodes)
+    nodes = [_coerce(tape, n) for n in nodes]
+    try:
+        value = np.stack([n.value for n in nodes])
+    except ValueError:
+        raise ShapeError(f"stack: unequal shapes {[n.shape for n in nodes]}") from None
+    out = tape._new_node(value, any(n.requires_grad for n in nodes))
+    if out.requires_grad:
+
+        def backward(g):
+            return tuple(g[i] for i in range(len(nodes)))
+
+        tape._record(out, tuple(nodes), backward)
+    return out
+
+
 def reshape(x, shape):
     tape = _tape_of(x)
     try:
@@ -472,6 +509,23 @@ def sum_all(x):
     return out
 
 
+def sum_axis(x, axis):
+    """Sum along one axis, which is dropped."""
+    tape = _tape_of(x)
+    shape = x.value.shape
+    if not -len(shape) <= axis < len(shape):
+        raise ShapeError(f"sum_axis: axis {axis} out of range for shape {shape}")
+    value = np.asarray(x.value.sum(axis=axis, dtype=_ACC), dtype=tape.dtype)
+    out = tape._new_node(value, x.requires_grad)
+    if out.requires_grad:
+
+        def backward(g):
+            return (np.broadcast_to(np.expand_dims(g, axis), shape),)
+
+        tape._record(out, (x,), backward)
+    return out
+
+
 def mean_all(x):
     tape = _tape_of(x)
     n = x.value.size
@@ -491,14 +545,21 @@ def mean_all(x):
 # dense / convolution / resampling
 
 def dense(w, x, bias=None):
-    """Matrix-vector product: w @ x + bias. w: (m, n), x: (n,)."""
+    """Matrix-vector product w @ x + bias, row by row for a batch.
+
+    w: (m, n); x: (n,) or a batch (B, n); bias: (m,) optional. Returns (m,)
+    or (B, m). Every row of a batch is bit-identical to the product with
+    that row alone.
+    """
     tape = _tape_of(w, x)
     w = _coerce(tape, w)
     x = _coerce(tape, x)
-    if w.value.ndim != 2 or x.value.ndim != 1 or w.value.shape[1] != x.value.shape[0]:
+    if (w.value.ndim != 2 or x.value.ndim not in (1, 2)
+            or w.value.shape[1] != x.value.shape[-1]):
         raise ShapeError(f"dense: weight {w.shape} incompatible with input {x.shape}")
+    xs, ys = ("bn", "bm") if x.value.ndim == 2 else ("n", "m")  # einsum subscripts
     inputs = [w, x]
-    value = np.einsum("mn,n->m", w.value, x.value, dtype=_ACC)
+    value = np.einsum(f"mn,{xs}->{ys}", w.value, x.value, dtype=_ACC)
     if bias is not None:
         bias = _coerce(tape, bias)
         if bias.value.shape != (w.value.shape[0],):
@@ -511,11 +572,11 @@ def dense(w, x, bias=None):
         wv, xv = w.value, x.value
 
         def backward(g):
-            gw = np.outer(g, xv) if w.requires_grad else None
-            gx = np.einsum("mn,m->n", wv, g, dtype=_ACC) if x.requires_grad else None
+            gw = np.einsum(f"{ys},{xs}->mn", g, xv, dtype=_ACC) if w.requires_grad else None
+            gx = np.einsum(f"mn,{ys}->{xs}", wv, g, dtype=_ACC) if x.requires_grad else None
             parts = [gw, gx]
             if bias is not None:
-                parts.append(g if bias.requires_grad else None)
+                parts.append(_unbroadcast(g, bias.value.shape) if bias.requires_grad else None)
             return tuple(parts)
 
         tape._record(out, tuple(inputs), backward)

@@ -23,8 +23,9 @@ class LinearGenerator:
         return {}
 
     def build(self, tape, z, labels=None, weights=None, cells=None):
+        """(coarse, depo) nodes for a latent (d,) or a batch of latents (B, d)."""
         v = tc.dense(tape.constant(self.A), z) + self.offset
-        return _at_cells(tc.reshape(v, (1, 1, self.A.shape[0])), cells)
+        return _at_cells(v, cells)
 
     def generate(self, z, labels=None, dtype=np.float64):
         vals = np.clip(self.A @ np.asarray(z, dtype=np.float64) + self.offset,
@@ -64,11 +65,18 @@ class NonFiniteGenerator(LinearGenerator):
         v = tc.dense(A, z) + self.offset
         if len(self._tapes) > self.nan_step:
             v = v * np.nan
-        return _at_cells(tc.reshape(v, (1, 1, self.A.shape[0])), cells)
+        return _at_cells(v, cells)
 
 
-def _at_cells(coarse, cells):
-    """(coarse, depo) of a test generator: the full grid, or gathered at cells."""
+def _at_cells(v, cells):
+    """(coarse, depo) of a test generator from its output node v, (m,) or a
+    batch (B, m): the 1 x 1 x m grid, or v gathered at cells, per row."""
+    batch = v.value.shape[:-1]
     if cells is not None:
-        coarse = tc.take(coarse, cells)
+        cells = np.asarray(cells)
+        if batch:
+            cells = np.arange(batch[0])[:, None] * v.value.shape[-1] + cells
+        coarse = tc.take(v, cells)
+    else:
+        coarse = tc.reshape(v, batch + (1, 1, v.value.shape[-1]))
     return coarse, coarse

@@ -1,7 +1,10 @@
 """Generators: prior sampling, procedural construction, neural pass, weights IO."""
 
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import fluvinv.tensors as tc
 from fluvinv.generators import (
@@ -193,3 +196,59 @@ def test_weights_truncated_payload_rejected(tmp_path):
     path.write_bytes(blob[:-4])
     with pytest.raises(GeneratorError, match="truncated"):
         load_weights(path)
+
+
+def _saved_blob(tmp_path_factory):
+    path = tmp_path_factory.mktemp("w") / "w.flvwts"
+    save_weights(path, {"a": np.arange(6, dtype=np.float32).reshape(2, 3),
+                        "b": np.ones(1, dtype=np.float32)}, DESC)
+    return path.read_bytes()
+
+
+def _load_blob(tmp_path_factory, blob):
+    """load_weights on ``blob``; None or the GeneratorError it raised."""
+    path = tmp_path_factory.mktemp("c") / "w.flvwts"
+    path.write_bytes(blob)
+    try:
+        load_weights(path)
+    except GeneratorError as exc:
+        return exc
+    return None
+
+
+def test_weights_cut_at_every_length_rejected(tmp_path_factory):
+    blob = _saved_blob(tmp_path_factory)
+    for n in range(len(blob)):
+        assert isinstance(_load_blob(tmp_path_factory, blob[:n]), GeneratorError), n
+    assert _load_blob(tmp_path_factory, blob) is None
+
+
+@pytest.mark.parametrize("header, match", [
+    (b"\xff\xfe{}", "UTF-8 JSON"),
+    (b"not json", "UTF-8 JSON"),
+    (b"[1, 2]", "JSON object"),
+    (b'{"format_version": 1}', "tensor list"),
+    (b'{"format_version": 1, "tensors": [{"name": "a", "shape": [-1], "offset": 0}]}',
+     "malformed"),
+    (b'{"format_version": 1, "tensors": [{"name": "a", "shape": [1], "offset": 0}, '
+     b'{"name": "a", "shape": [1], "offset": 4}]}', "twice"),
+    (b'{"format_version": 1, "tensors": [], "descriptor": {"latent_dim": 8}}', "descriptor"),
+])
+def test_weights_bad_manifest_rejected(tmp_path, header, match):
+    path = tmp_path / "w.flvwts"
+    path.write_bytes(b"FLVWTS\x00\x00" + struct.pack("<I", len(header)) + header
+                     + bytes(16))
+    with pytest.raises(GeneratorError, match=match):
+        load_weights(path)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_weights_corrupted_header_loads_or_raises_generator_error(tmp_path_factory, data):
+    blob = bytearray(_saved_blob(tmp_path_factory))
+    header_end = 12 + struct.unpack("<I", blob[8:12])[0]
+    for _ in range(data.draw(st.integers(1, 3))):
+        at = data.draw(st.integers(8, header_end - 1))
+        blob[at] = data.draw(st.integers(0, 255))
+    _load_blob(tmp_path_factory, bytes(blob))  # anything else propagates

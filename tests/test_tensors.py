@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 import fluvinv.tensors as tc
 from fluvinv.tensors import GraphTape, ShapeError, TapeError, gradient_check
@@ -248,3 +250,97 @@ def test_conv3d_one_axis_kernel_adjoint_identity(axis, taps):
     lhs = float(np.sum(ax.value * yv))
     rhs = float(np.sum(xv * aty))
     assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), 1.0)
+
+
+# ---------------------------------------------------------------------------
+# property tests (hypothesis)
+
+def masked_sigmoid(v):
+    """Reference for ``tc._stable_sigmoid``: the boolean-mask form it replaced."""
+    out = np.empty_like(v)
+    pos = v >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
+    ev = np.exp(v[~pos])
+    out[~pos] = ev / (1.0 + ev)
+    return out
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_sigmoid_equals_masked_reference(dtype, data):
+    special = st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan, 88.7, -88.7, 745.0, -745.0])
+    elements = st.one_of(st.floats(width=np.dtype(dtype).itemsize * 8), special)
+    v = data.draw(hnp.arrays(dtype, hnp.array_shapes(min_dims=0, max_dims=3, max_side=6),
+                             elements=elements))
+    got = tc._stable_sigmoid(v)
+    assert got.dtype == dtype and got.shape == v.shape
+    np.testing.assert_array_equal(got, masked_sigmoid(v))
+
+
+BINARY_OPS = {
+    "add": (tc.add, lambda a, b: (np.ones_like(a), np.ones_like(b))),
+    "sub": (tc.sub, lambda a, b: (np.ones_like(a), -np.ones_like(b))),
+    "mul": (tc.mul, lambda a, b: (b, a)),
+    "div": (tc.div, lambda a, b: (1.0 / b, -a / (b * b))),
+}
+
+
+def _summed_to(full, shape):
+    """Oracle for ``_unbroadcast``: every entry of the full-shape gradient
+    added, one at a time, to the operand entry it was broadcast from."""
+    out = np.zeros(shape)
+    pad = full.ndim - len(shape)
+    for idx in np.ndindex(full.shape):
+        src = tuple(0 if s == 1 else i for i, s in zip(idx[pad:], shape))
+        out[src] += full[idx]
+    return out
+
+
+def _batch_pair(b, sample):
+    """A leading batch axis of b against one sample's shape, with every
+    other axis of the sample cut to size 1."""
+    return (b,) + sample, tuple(1 if i % 2 else s for i, s in enumerate(sample))
+
+
+def _broadcast_pairs():
+    general = hnp.mutually_broadcastable_shapes(num_shapes=2, min_dims=0, max_dims=4,
+                                                max_side=3).map(lambda b: b.input_shapes)
+    batched = st.builds(_batch_pair, st.integers(1, 4),
+                        hnp.array_shapes(min_dims=1, max_dims=3, max_side=3))
+    return st.one_of(general, batched, batched.map(lambda p: (p[1], p[0])))
+
+
+@pytest.mark.parametrize("name", sorted(BINARY_OPS))
+@settings(max_examples=60, deadline=None)
+@given(shapes=_broadcast_pairs(), seed=st.integers(0, 2 ** 16))
+def test_broadcast_gradients_sum_over_broadcast_axes(name, shapes, seed):
+    op, partials = BINARY_OPS[name]
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal(shapes[0])
+    b = rng.uniform(0.5, 2.0, shapes[1]) * rng.choice([-1.0, 1.0], shapes[1])
+    tape = GraphTape(np.float64)
+    an, bn = tape.input(a), tape.input(b)
+    out = op(an, bn)
+    full_shape = np.broadcast_shapes(a.shape, b.shape)
+    assert out.value.shape == full_shape
+    g = rng.standard_normal(full_shape)
+    grads = tape.backward(out, seed=g)
+    da, db = partials(*np.broadcast_arrays(a, b))
+    for node, partial in ((an, da), (bn, db)):
+        got = grads.wrt(node)
+        assert got.shape == node.value.shape
+        np.testing.assert_allclose(got, _summed_to(g * partial, node.value.shape),
+                                   rtol=1e-12, atol=1e-15)
+
+
+def test_backward_keeps_only_leaf_gradients():
+    tape = GraphTape(np.float64)
+    x = tape.input(np.array([1.0, 2.0]))
+    c = tape.constant(np.array([3.0, 4.0]))
+    h = x * c
+    grads = tape.backward(tc.sum_all(tc.square(h)))
+    np.testing.assert_array_equal(grads.wrt(x), 2.0 * np.array([3.0, 8.0]) * np.array([3.0, 4.0]))
+    np.testing.assert_array_equal(grads.wrt(c), np.zeros(2))
+    with pytest.raises(TapeError, match="op output"):
+        grads.wrt(h)
