@@ -67,18 +67,35 @@ def neutral_labels(k=len(LABEL_NAMES)):
     return np.full(k, 0.5)
 
 
-def _label_node(tape, labels, k):
-    """Constant node of k labels; neutral ones when ``labels`` is None."""
-    return tape.constant(neutral_labels(k) if labels is None else _check_labels(labels, k))
+def _label_node(tape, labels, label_dim, n_neutral):
+    """The label node a build uses: ``labels``, or ``n_neutral`` neutral
+    labels (none if 0) when ``labels`` is None. A generator without labels
+    (``label_dim`` 0) rejects any."""
+    if labels is None:
+        return tape.constant(neutral_labels(n_neutral)) if n_neutral else None
+    if not label_dim:
+        raise GeneratorError("generator is unconditional, labels given")
+    if labels.value.shape != (label_dim,):
+        raise GeneratorError(f"expected {label_dim} labels, got shape {labels.value.shape}")
+    return labels
 
 
-def _check_labels(labels, k):
+def _check_labels(labels):
     labels = np.asarray(labels, dtype=np.float64)
-    if labels.shape != (k,):
-        raise GeneratorError(f"expected {k} labels, got shape {labels.shape}")
-    if labels.min() < 0.0 or labels.max() > 1.0:
+    if np.any((labels < 0.0) | (labels > 1.0)):
         raise GeneratorError("labels must be normalized to [0, 1]")
     return labels
+
+
+def _generate(self, z, labels=None, dtype=np.float32):
+    """The model grid of one latent ``z``: :meth:`build` on a constant tape."""
+    tape = tc.GraphTape(dtype)
+    if labels is not None:
+        labels = _check_labels(labels)
+    coarse, depo = self.build(tape, tape.constant(np.asarray(z, dtype=np.float64)),
+                              None if labels is None else tape.constant(labels))
+    return ModelGrid(self.geometry, np.asarray(coarse.value), np.asarray(depo.value),
+                     labels=labels)
 
 
 def _check_cells(cells, geometry):
@@ -205,11 +222,13 @@ class ProceduralGenerator:
         ``z`` is one latent, shape (d,), or a batch of B latents, shape
         (B, d); a batch gives both nodes a leading batch axis, (B, nz, ny, nx)
         or (B, len(cells)), and row i equals the build of ``z[i]`` exactly.
+
+        ``labels`` is a node of ``label_dim`` labels shared by every row, or
+        None for neutral labels; an unconditional generator takes none.
         """
         g = self.geometry
         batch = _is_batch(z, self.latent_dim)
-        if labels is None:
-            labels = _label_node(tape, None, len(LABEL_NAMES))
+        labels = _label_node(tape, labels, self.label_dim, len(LABEL_NAMES))
         if weights is None:
             weights = {"maps": tape.constant(self._maps)}
 
@@ -244,21 +263,16 @@ class ProceduralGenerator:
 
         return coarse, depo
 
-    def generate(self, z, labels=None, dtype=np.float32):
-        tape = tc.GraphTape(dtype)
-        zn = tape.constant(np.asarray(z, dtype=np.float64))
-        ln = _label_node(tape, labels, self.label_dim) if self.label_dim else None
-        coarse, depo = self.build(tape, zn, ln)
-        return ModelGrid(self.geometry,
-                         np.asarray(coarse.value), np.asarray(depo.value),
-                         labels=None if labels is None else np.asarray(labels, dtype=np.float64))
+    generate = _generate
 
     def belt_parameters(self, z, labels=None):
         """Interpretable belt parameters for a latent (diagnostics/tests), plus the
         core blend and the aggradation label that shape the vertical stacking."""
         tape = tc.GraphTape(np.float64)
+        if labels is not None:
+            labels = tape.constant(_check_labels(labels))
         nodes = self._belt_nodes(tape.constant(np.asarray(z, dtype=np.float64)),
-                                 _label_node(tape, labels, len(LABEL_NAMES)),
+                                 _label_node(tape, labels, self.label_dim, len(LABEL_NAMES)),
                                  tape.constant(self._maps))
         return {k: float(v.value[0]) for k, v in nodes.items()}
 
@@ -435,11 +449,14 @@ class NeuralGenerator:
         ``z`` is one latent, shape (d,), or a batch, shape (B, d). A batch is
         built row by row (``conv3d`` has no batch axis) and stacked, so both
         nodes gain a leading batch axis and row i equals the build of ``z[i]``.
+
+        ``labels`` follows the rule of :meth:`ProceduralGenerator.build`.
         """
         d = self.descriptor
         if cells is not None:
             cells = _check_cells(cells, self.geometry)
         batch = _is_batch(z, d.latent_dim)
+        labels = _label_node(tape, labels, d.label_dim, d.label_dim)
         if weights is None:
             weights = {k: tape.constant(v) for k, v in self._weights.items()}
         if batch:
@@ -454,14 +471,7 @@ class NeuralGenerator:
                 raise GeneratorError(f"missing weight tensor {name!r}")
             return weights[name]
 
-        x = z
-        if d.label_dim:
-            if labels is None:
-                raise GeneratorError(f"generator conditioned on {d.label_dim} labels, none given")
-            x = tc.concat([z, labels], axis=0)
-        elif labels is not None:
-            raise GeneratorError("generator is unconditional, labels given")
-
+        x = z if labels is None else tc.concat([z, labels], axis=0)
         sx, sy, sz = d.seed_extents
         ch = d.channels
         h = tc.dense(wn("dense.w"), x, wn("dense.b"))
@@ -482,13 +492,7 @@ class NeuralGenerator:
             return tc.take(coarse, cells), tc.take(depo, cells)
         return coarse, depo
 
-    def generate(self, z, labels=None, dtype=np.float32):
-        tape = tc.GraphTape(dtype)
-        zn = tape.constant(np.asarray(z, dtype=np.float64))
-        ln = _label_node(tape, labels, self.label_dim) if self.label_dim else None
-        coarse, depo = self.build(tape, zn, ln)
-        return ModelGrid(self.geometry, np.asarray(coarse.value), np.asarray(depo.value),
-                         labels=None if labels is None else np.asarray(labels, dtype=np.float64))
+    generate = _generate
 
 
 # ---------------------------------------------------------------------------

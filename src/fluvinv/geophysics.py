@@ -230,7 +230,6 @@ class PsfConfig:
     laterally with width set by the illumination aperture."""
 
     peak_frequency_hz: float = 60.0
-    incident_angle_deg: float = 0.0
     illumination_angle_deg: float = 45.0
     velocity_mps: float | None = None    # None: mean Vp of the padded cube
     kernel_extents: tuple | None = None  # (kz, ky, kx), odd; None: auto

@@ -65,13 +65,6 @@ class ModelGrid:
         return (self.coarse_fraction.min() >= -tol and self.coarse_fraction.max() <= 1 + tol
                 and self.depo_time.min() >= -tol and self.depo_time.max() <= 1 + tol)
 
-    def channel(self, name):
-        if name == "coarse_fraction":
-            return self.coarse_fraction
-        if name == "depo_time":
-            return self.depo_time
-        raise GridError(f"unknown channel {name!r}")
-
     def copy(self):
         return ModelGrid(self.geometry, self.coarse_fraction.copy(), self.depo_time.copy(),
                          None if self.labels is None else self.labels.copy())

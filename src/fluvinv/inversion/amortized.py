@@ -12,7 +12,7 @@ import numpy as np
 from .. import tensors as tc
 from .loss import DataLoss, DataLossConfig, InversionError
 from .networks import mlp_apply, mlp_init, mlp_sizes, noise_rows
-from .optimize import _build_generator, descend
+from .optimize import descend
 
 __all__ = [
     "InferenceNetConfig",
@@ -89,7 +89,7 @@ def train_inference_network(generator, observations, config=None):
             np.random.SeedSequence((int(cfg.rng_seed), 29, step))))
         eps = rng.standard_normal((cfg.batch, noise_dim))
         z = net.apply(tape, tape.constant(eps), wnodes)
-        coarse, _ = _build_generator(tape, generator, z, cells=loss_fn.cells)
+        coarse, _ = generator.build(tape, z, cells=loss_fn.cells)
         total = loss_fn.build(tape, coarse, z=z)  # the batch mean
 
         if cfg.collapse_reg > 0:

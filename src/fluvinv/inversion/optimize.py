@@ -96,22 +96,14 @@ def descend(objective, params, dtype, steps, lr, schedule="constant",
     return history, False
 
 
-def _build_generator(tape, generator, z, labels=None, weights=None, cells=None):
-    """Generator nodes for z, over the full grid or at ``cells``; a conditioned
-    generator given no labels gets neutral ones."""
-    if labels is None and generator.label_dim:
-        labels = tape.constant(neutral_labels(generator.label_dim))
-    return generator.build(tape, z, labels, weights=weights, cells=cells)
-
-
-def _generator_well_mae(generator, z, wells, labels=None, dtype=np.float32):
-    """``well_mae(generator.generate(z, labels, dtype), wells)``, with the
-    generator built only at the well cells."""
+def _generator_well_mae(generator, zs, wells, labels=None, dtype=np.float32):
+    """Well MAE (:func:`.loss.well_mae`) of the grid of each row of ``zs``
+    (n, d) at ``dtype``, shape (n,), from one build at the well cells."""
     tape = tc.GraphTape(dtype)
     labels = None if labels is None else tape.constant(labels)
-    coarse, _ = _build_generator(tape, generator, tape.constant(z), labels,
-                                 cells=wells.flat_cell_indices())
-    return float(np.mean(np.abs(coarse.value - wells.values())))
+    coarse, _ = generator.build(tape, tape.constant(zs), labels,
+                                cells=wells.flat_cell_indices())
+    return np.mean(np.abs(coarse.value - wells.values()), axis=1)
 
 
 @dataclass
@@ -210,8 +202,8 @@ def _run_restart(args):
     loss_fn = DataLoss(observations, config.loss, geometry=generator.geometry)
 
     def objective(tape, nodes, step):
-        coarse, _ = _build_generator(tape, generator, nodes["z"], nodes.get("labels"),
-                                     cells=loss_fn.cells)
+        coarse, _ = generator.build(tape, nodes["z"], nodes.get("labels"),
+                                    cells=loss_fn.cells)
         return loss_fn.build(tape, coarse, z=nodes["z"])
 
     def constrain(p):
@@ -231,8 +223,8 @@ def _run_restart(args):
         final = objective(tape, {k: tape.constant(v) for k, v in params.items()}, None)
         history.append(float(final.value))
 
-    mae = (_generator_well_mae(generator, params["z"], observations.wells,
-                               params.get("labels"), dtype)
+    mae = (float(_generator_well_mae(generator, params["z"][None], observations.wells,
+                                     params.get("labels"), dtype)[0])
            if observations.wells is not None else math.nan)
     return RestartRecord(index=index, z=params["z"],
                          labels=params.get("labels"),
@@ -328,27 +320,22 @@ def _tune_one(generator, pivots, observations, config):
 
         if data_term_on:
             chosen = rng.permutation(n_pivots)[:batch]
-            for i in chosen:
-                coarse, _ = _build_generator(tape, generator, tape.constant(pivots[i]),
-                                             weights=wnodes, cells=loss_fn.cells)
-                part = loss_fn.build(tape, coarse)
-                total = part if total is None else total + part
-            total = (1.0 / batch) * total
+            coarse, _ = generator.build(tape, tape.constant(pivots[chosen]), weights=wnodes,
+                                        cells=loss_fn.cells)
+            total = loss_fn.build(tape, coarse)  # the batch mean
 
         if lam > 0 and config.anchors_per_step > 0:
-            anchor = None
-            for j in range(config.anchors_per_step):
+            z_tilde = np.empty((config.anchors_per_step, generator.latent_dim))
+            for row in z_tilde:
                 which = rng.integers(n_pivots)
                 alpha = rng.uniform()
                 fresh = rng.standard_normal(generator.latent_dim)
-                z_tilde = alpha * pivots[which] + (1.0 - alpha) * fresh
-                ref = generator.generate(z_tilde, dtype=dtype)  # untuned weights
-                coarse, depo = _build_generator(tape, generator, tape.constant(z_tilde),
-                                                weights=wnodes)
-                d = (tc.mean_all(tc.square(coarse - tape.constant(ref.coarse_fraction)))
-                     + tc.mean_all(tc.square(depo - tape.constant(ref.depo_time))))
-                anchor = d if anchor is None else anchor + d
-            anchor = (lam / config.anchors_per_step) * anchor
+                row[:] = alpha * pivots[which] + (1.0 - alpha) * fresh
+            ref_tape = tc.GraphTape(dtype)  # untuned weights
+            ref_coarse, ref_depo = generator.build(ref_tape, ref_tape.constant(z_tilde))
+            coarse, depo = generator.build(tape, tape.constant(z_tilde), weights=wnodes)
+            anchor = lam * (tc.mean_all(tc.square(coarse - tape.constant(ref_coarse.value)))
+                            + tc.mean_all(tc.square(depo - tape.constant(ref_depo.value))))
             total = anchor if total is None else total + anchor
         return total
 
@@ -378,8 +365,7 @@ def pivotal_tune(generator, pivots, observations, config=None):
         raise InversionError("pivotal tuning needs well observations to score pivots")
 
     t0 = time.perf_counter()
-    mae_before = np.array([_generator_well_mae(generator, z, observations.wells)
-                           for z in pivots])
+    mae_before = _generator_well_mae(generator, pivots, observations.wells)
     if config.mode == "shared":
         jobs = [(pivots, config)]
     else:
@@ -390,10 +376,8 @@ def pivotal_tune(generator, pivots, observations, config=None):
         tuned, history = _tune_one(generator, job_pivots, observations, job_config)
         generators.append(tuned)
         histories.append(history)
-    result = TuneResult(mode=config.mode, generators=generators, pivots=pivots,
-                        mae_before=mae_before, mae_after=None, loss_history=histories)
-    result.mae_after = np.array([_generator_well_mae(result.generator_for(i), z,
-                                                     observations.wells)
-                                 for i, z in enumerate(pivots)])
-    result.wall_clock_s = time.perf_counter() - t0
-    return result
+    mae_after = np.concatenate([_generator_well_mae(tuned, job_pivots, observations.wells)
+                                for tuned, (job_pivots, _) in zip(generators, jobs)])
+    return TuneResult(mode=config.mode, generators=generators, pivots=pivots,
+                      mae_before=mae_before, mae_after=mae_after, loss_history=histories,
+                      wall_clock_s=time.perf_counter() - t0)

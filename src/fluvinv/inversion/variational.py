@@ -17,7 +17,7 @@ import numpy as np
 from .. import tensors as tc
 from .loss import DataLoss, DataLossConfig, InversionError
 from .networks import mlp_apply, mlp_init, mlp_sizes, noise_rows
-from .optimize import _build_generator, check_schedule, descend
+from .optimize import check_schedule, descend
 
 __all__ = ["FlowConfig", "FlowModel", "VariationalResult",
            "gaussian_data_loglik", "variational_infer"]
@@ -133,7 +133,7 @@ def gaussian_data_loglik(generator, observations, sigma):
                      geometry=generator.geometry)
 
     def build(tape, z):
-        coarse, _ = _build_generator(tape, generator, z, cells=terms.cells)
+        coarse, _ = generator.build(tape, z, cells=terms.cells)
         total = None
         for resid in terms.residuals(tape, coarse).values():
             part = tc.sum_all(tc.square(resid))

@@ -114,10 +114,14 @@ def _ramp_mask(geometry, ix, iy, exclusion_m, ramp_m):
     return np.clip((dist - exclusion_m) / (ramp_m - exclusion_m), 0.0, 1.0)
 
 
-def _draw(rng, weight, stage, index):
+def _draw(rng, weight, geometry, stage, policy, index):
     total = weight.sum(dtype=np.float64)
     if not np.isfinite(total) or total <= 0.0:
-        raise SurveyError(f"stage {stage}: no feasible cell left for well {index}")
+        raise SurveyError(
+            f"stage {stage}: no feasible cell left for well {index} of {policy.count} "
+            f"(exclusion {policy.exclusion_m:g} m, ramp {policy.ramp_m:g} m) on a "
+            f"{geometry.nx}x{geometry.ny} grid of {geometry.dx:g} m cells "
+            f"({geometry.nx * geometry.dx:g} m x {geometry.ny * geometry.dy:g} m)")
     flat = rng.choice(weight.size, p=(weight / total).reshape(-1))
     iy, ix = np.unravel_index(flat, weight.shape)
     return int(ix), int(iy)
@@ -149,7 +153,7 @@ def place_wells(weight_maps, policy, rng_seed):
     legacy = []
     mask = np.ones(shape)
     for i in range(policy.legacy.count):
-        ix, iy = _draw(rng, joint * mask, stage=1, index=i)
+        ix, iy = _draw(rng, joint * mask, geometry, 1, policy.legacy, i)
         legacy.append((ix, iy))
         mask = mask * _ramp_mask(geometry, ix, iy,
                                  policy.legacy.exclusion_m, policy.legacy.ramp_m)
@@ -163,7 +167,7 @@ def place_wells(weight_maps, policy, rng_seed):
                                      policy.legacy_in_stage2.ramp_m)
         placed = []
         for i in range(policy.extra.count):
-            ix, iy = _draw(rng, m * mask, stage=2, index=i)
+            ix, iy = _draw(rng, m * mask, geometry, 2, policy.extra, i)
             placed.append((ix, iy))
             mask = mask * _ramp_mask(geometry, ix, iy,
                                      policy.extra.exclusion_m, policy.extra.ramp_m)

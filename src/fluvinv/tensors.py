@@ -24,7 +24,7 @@ __all__ = [
     "add", "sub", "mul", "div", "neg", "absolute", "exp", "log", "sqrt",
     "square", "power", "sin", "tanh", "sigmoid", "leaky_relu", "clamp",
     "affine", "dense", "conv3d", "upsample2",
-    "crop", "pad_zero", "concat", "stack", "reshape", "take",
+    "crop", "concat", "stack", "reshape", "take",
     "sum_all", "sum_axis", "mean_all", "gradient_check",
 ]
 
@@ -389,22 +389,6 @@ def crop(x, slices):
             buf = np.zeros(in_shape, dtype=g.dtype)
             buf[slices] = g
             return (buf,)
-
-        tape._record(out, (x,), backward)
-    return out
-
-
-def pad_zero(x, pad_width):
-    """Zero padding; ``pad_width`` as in numpy.pad."""
-    tape = _tape_of(x)
-    pad_width = tuple((int(a), int(b)) for a, b in pad_width)
-    value = np.pad(x.value, pad_width)
-    out = tape._new_node(value, x.requires_grad)
-    if out.requires_grad:
-        slices = tuple(slice(a, a + n) for (a, _), n in zip(pad_width, x.value.shape))
-
-        def backward(g):
-            return (np.ascontiguousarray(g[slices]),)
 
         tape._record(out, (x,), backward)
     return out

@@ -31,7 +31,7 @@ from fluvinv.inversion import (
     train_inference_network,
     variational_infer,
 )
-from fluvinv.inversion.optimize import _build_generator, descend
+from fluvinv.inversion.optimize import descend
 from fluvinv.survey import extract_well_data
 from helpers import LinearGenerator, NonFiniteGenerator
 
@@ -178,7 +178,7 @@ def test_generator_rejects_other_latent_shapes(gen, shape):
     shape = tuple(gen.latent_dim if s == 8 else s for s in shape)
     tape = tc.GraphTape(np.float64)
     with pytest.raises(GeneratorError, match="latent shape"):
-        _build_generator(tape, gen, tape.constant(np.zeros(shape)))
+        gen.build(tape, tape.constant(np.zeros(shape)))
 
 
 @pytest.mark.parametrize("double", [LinearGenerator, NonFiniteGenerator])
@@ -225,12 +225,12 @@ def _loss_pair(config, obs, gen, zs, with_z):
         tape = tc.GraphTape(np.float64)
         zn = tape.input(zs)
         if batched:
-            coarse, _ = _build_generator(tape, gen, zn, cells=loss_fn.cells)
+            coarse, _ = gen.build(tape, zn, cells=loss_fn.cells)
             total = loss_fn.build(tape, coarse, z=zn if with_z else None)
         else:
             total = None
             for z in _rows(tape, zn):
-                coarse, _ = _build_generator(tape, gen, z, cells=loss_fn.cells)
+                coarse, _ = gen.build(tape, z, cells=loss_fn.cells)
                 part = loss_fn.build(tape, coarse, z=z if with_z else None)
                 total = part if total is None else total + part
             total = (1.0 / len(zs)) * total
@@ -340,7 +340,7 @@ def _amortized_loop_objective(net, cfg, generator, loss_fn, noise_dim):
             eps = rng.standard_normal(noise_dim)
             z = net.apply(tape, tape.constant(eps), wnodes)
             latents.append(z)
-            coarse, _ = _build_generator(tape, generator, z, cells=loss_fn.cells)
+            coarse, _ = generator.build(tape, z, cells=loss_fn.cells)
             part = loss_fn.build(tape, coarse, z=z)
             total = part if total is None else total + part
         total = (1.0 / cfg.batch) * total

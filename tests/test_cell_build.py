@@ -24,11 +24,14 @@ from fluvinv.inversion import (
     DataLoss,
     DataLossConfig,
     InversionError,
+    LatentOptimizeConfig,
     Observations,
+    PivotalTuneConfig,
     gaussian_data_loglik,
+    latent_optimize,
+    pivotal_tune,
 )
 from fluvinv.inversion.loss import well_mae
-from fluvinv.inversion.optimize import _generator_well_mae
 from fluvinv.survey import extract_well_data
 
 GEO = GridGeometry(nx=12, ny=9, nz=4)
@@ -197,13 +200,49 @@ def test_residuals_reject_other_shapes():
             tape, tape.constant(np.zeros(n)))
 
 
+def _row_well_maes(gen, zs, wells, labels, dtype):
+    """Well MAE of each row of one batched build at the well cells."""
+    tape = tc.GraphTape(dtype)
+    labels = None if labels is None else tape.constant(labels)
+    coarse, _ = gen.build(tape, tape.constant(zs), labels, cells=wells.flat_cell_indices())
+    return np.mean(np.abs(coarse.value - wells.values()), axis=1)
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("labels", [None, np.array([0.1, 0.9, 0.3, 0.7, 0.5])])
 def test_generator_well_mae_equals_full_grid(dtype, labels):
-    z = sample_prior(1, 8, rng_seed=4)[0]
-    expected = well_mae(PROC.generate(z, labels, dtype=dtype), WELLS)
-    assert _generator_well_mae(PROC, z, WELLS, labels, dtype) == expected
+    zs = sample_prior(3, 8, rng_seed=4)
+    for z, mae in zip(zs, _row_well_maes(PROC, zs, WELLS, labels, dtype)):
+        assert mae == well_mae(PROC.generate(z, labels, dtype=dtype), WELLS)
     wells = extract_well_data(NEURAL.generate(np.zeros(6)), [(1, 2), (6, 5)])
-    z = sample_prior(1, 6, rng_seed=4)[0]
-    expected = well_mae(NEURAL.generate(z, dtype=dtype), wells)
-    assert _generator_well_mae(NEURAL, z, wells, dtype=dtype) == expected
+    zs = sample_prior(3, 6, rng_seed=4)
+    for z, mae in zip(zs, _row_well_maes(NEURAL, zs, wells, None, dtype)):
+        assert mae == well_mae(NEURAL.generate(z, dtype=dtype), wells)
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("optimize_labels", [False, True], ids=["no-labels", "labels"])
+def test_restart_well_mae_equals_full_grid(dtype, optimize_labels):
+    # each restart's well MAE comes from a build at the well cells
+    cfg = LatentOptimizeConfig(n_restarts=2, iterations=3, lr=0.05,
+                               optimize_labels=optimize_labels, dtype=dtype, rng_seed=4)
+    result = latent_optimize(PROC, Observations(wells=WELLS), cfg)
+    for r in result.restarts:
+        assert (r.labels is not None) == optimize_labels
+        expected = well_mae(PROC.generate(r.z, r.labels, dtype=np.dtype(dtype)), WELLS)
+        assert r.well_mae == expected
+
+
+@pytest.mark.parametrize("mode", ["shared", "per_pivot"])
+def test_tuning_well_maes_equal_full_grid(mode):
+    # mae_before and mae_after come from one float32 build of all pivots
+    # at the well cells per generator
+    cases = [(PROC, WELLS),
+             (NEURAL, extract_well_data(NEURAL.generate(np.zeros(6)), [(1, 2), (6, 5)]))]
+    for gen, wells in cases:
+        pivots = sample_prior(3, gen.latent_dim, rng_seed=4)
+        cfg = PivotalTuneConfig(steps=2, lr=1e-2, anchors_per_step=2, mode=mode, rng_seed=5)
+        result = pivotal_tune(gen, pivots, Observations(wells=wells), cfg)
+        for i, z in enumerate(pivots):
+            assert result.mae_before[i] == well_mae(gen.generate(z), wells)
+            assert result.mae_after[i] == well_mae(result.generator_for(i).generate(z), wells)

@@ -164,6 +164,39 @@ def test_neural_rejects_weight_mismatch():
         NeuralGenerator(GEO16, DESC, weights)
 
 
+SMALL = GridGeometry(nx=8, ny=8, nz=4)
+
+
+def test_unconditional_procedural_rejects_labels_everywhere():
+    gen = ProceduralGenerator(SMALL, latent_dim=8, label_dim=0)
+    z, labels = np.zeros(8), neutral_labels()
+    tape = tc.GraphTape(np.float64)
+    with pytest.raises(GeneratorError, match="unconditional"):
+        gen.build(tape, tape.constant(z), tape.constant(labels))
+    with pytest.raises(GeneratorError, match="unconditional"):
+        gen.generate(z, labels)
+    with pytest.raises(GeneratorError, match="unconditional"):
+        gen.belt_parameters(z, labels)
+    # with no labels it builds at the neutral ones, as a conditioned generator would
+    conditioned = ProceduralGenerator(SMALL, latent_dim=8)
+    np.testing.assert_array_equal(gen.generate(z).coarse_fraction,
+                                  conditioned.generate(z, labels).coarse_fraction)
+
+
+@pytest.mark.parametrize("shape", [(6,), (2, 6)], ids=["one", "batch"])
+def test_conditioned_neural_build_defaults_to_neutral_labels(shape):
+    desc = GeneratorDescriptor(latent_dim=6, label_dim=5, base_channels=4, out_extents=(8, 8, 4))
+    gen = NeuralGenerator.random_init(SMALL, desc, rng_seed=3)
+    z = np.random.default_rng(4).standard_normal(shape)
+    tape = tc.GraphTape(np.float64)
+    default = gen.build(tape, tape.constant(z))
+    neutral = gen.build(tape, tape.constant(z), tape.constant(neutral_labels()))
+    for got, want in zip(default, neutral):
+        np.testing.assert_array_equal(got.value, want.value)
+    with pytest.raises(GeneratorError, match="expected 5 labels"):
+        gen.build(tape, tape.constant(z), tape.constant(neutral_labels(4)))
+
+
 def test_descriptor_rejects_indivisible_extents():
     with pytest.raises(GeneratorError, match="divisible"):
         GeneratorDescriptor(out_extents=(30, 32, 8), num_blocks=2)

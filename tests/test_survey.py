@@ -54,6 +54,16 @@ def test_infeasible_second_draw_rejected():
         place_wells([w], huge, rng_seed=0)
 
 
+def test_default_policy_on_desk_grid_names_stage_radii_and_extent():
+    # the 16 extra wells 500 m apart do not fit on 32x32 cells of 50 m
+    with pytest.raises(SurveyError) as err:
+        place_wells([np.ones((32, 32))], POLICY, rng_seed=0)
+    msg = str(err.value)
+    assert msg.startswith("stage 2: no feasible cell left for well 9 of 16 ")
+    assert "exclusion 500 m, ramp 1000 m" in msg
+    assert "32x32 grid of 50 m cells (1600 m x 1600 m)" in msg
+
+
 def test_placement_deterministic():
     maps = [np.random.default_rng(2).random((128, 128)) for _ in range(3)]
     a = place_wells(maps, POLICY, rng_seed=9)

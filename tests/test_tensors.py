@@ -134,9 +134,9 @@ PRIMITIVE_CASES = {
         tc.square(tc.upsample2(tc.reshape(x, (1, 2, 3, 4))))),
     "crop": lambda t, x: tc.sum_all(tc.square(tc.crop(
         tc.reshape(x, (2, 3, 4)), (slice(0, 1), slice(1, 3), slice(0, 4))))),
-    "pad": lambda t, x: tc.sum_all(tc.square(tc.pad_zero(
-        tc.reshape(x, (2, 3, 4)), ((0, 1), (1, 0), (2, 2))))),
     "concat": lambda t, x: tc.sum_all(tc.square(tc.concat([x, tc.square(x)], axis=0))),
+    "stack": lambda t, x: tc.sum_all(tc.square(tc.stack([x, tc.affine(x, 2.0, 0.3)]))),
+    "sum_axis": lambda t, x: tc.sum_all(tc.square(tc.sum_axis(tc.reshape(x, (4, 6)), 1))),
     "take": lambda t, x: tc.sum_all(tc.square(tc.take(x, [0, 3, 3, 7]))),
     "dense": lambda t, x: tc.sum_all(tc.square(tc.dense(
         t.constant(np.linspace(-1, 1, 3 * 24).reshape(3, 24)), tc.reshape(x, (24,)),
