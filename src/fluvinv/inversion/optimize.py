@@ -304,7 +304,8 @@ class TuneResult:
 def _tune_one(generator, pivots, observations, config):
     dtype = np.dtype(config.dtype)
     loss_fn = DataLoss(observations, config.loss, geometry=generator.geometry)
-    params = {k: v.astype(np.float64) for k, v in generator.weights().items()}
+    untuned = generator.weights()
+    params = {k: v.astype(np.float64) for k, v in untuned.items()}
     if math.isinf(config.locality_weight):
         data_term_on, lam = False, 1.0  # anchor-only objective
     else:
@@ -344,7 +345,7 @@ def _tune_one(generator, pivots, observations, config):
     if diverged:
         raise InversionError(f"pivotal tuning diverged at step {len(history) - 1}")
     tuned = generator.with_weights(
-        {k: v.astype(generator.weights()[k].dtype) for k, v in params.items()})
+        {k: v.astype(untuned[k].dtype) for k, v in params.items()})
     return tuned, history
 
 

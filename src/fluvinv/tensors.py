@@ -23,7 +23,7 @@ __all__ = [
     "TapeError",
     "add", "sub", "mul", "div", "neg", "absolute", "exp", "log", "sqrt",
     "square", "power", "sin", "tanh", "sigmoid", "leaky_relu", "clamp",
-    "affine", "dense", "conv3d", "upsample2",
+    "affine", "pointwise", "dense", "conv3d", "upsample2",
     "crop", "concat", "stack", "reshape", "take",
     "sum_all", "sum_axis", "mean_all", "gradient_check",
 ]
@@ -366,6 +366,22 @@ def affine(x, scale, offset):
     scale, offset = float(scale), float(offset)
     return _unary("affine", x, lambda v: scale * v + offset,
                   lambda g, v, o: g * scale, keep="")
+
+
+def pointwise(x, fn):
+    """Elementwise function with a known derivative, as one record.
+
+    ``fn(v, with_slope)`` returns the values at ``v`` and, when
+    ``with_slope`` is true, the derivatives there (else None). The record
+    keeps only the derivative array.
+    """
+    tape = _tape_of(x)
+    value, slope = fn(x.value, x.requires_grad)
+    out = tape._new_node(np.asarray(value, dtype=tape.dtype), x.requires_grad)
+    if out.requires_grad:
+        slope = np.asarray(slope, dtype=tape.dtype)
+        tape._record(out, (x,), lambda g: (g * slope,))
+    return out
 
 
 # ---------------------------------------------------------------------------

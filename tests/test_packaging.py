@@ -1,4 +1,5 @@
-"""Packaging metadata matches the code: entry points resolve, dependencies are used."""
+"""Packaging metadata matches the code: entry points resolve, dependencies are
+used and every name in a module's ``__all__`` exists."""
 
 import importlib
 import re
@@ -27,3 +28,15 @@ def test_runtime_dependencies_are_imported():
         name = re.match(r"[A-Za-z0-9_.-]+", requirement).group(0).replace("-", "_")
         assert re.search(rf"^\s*(import|from)\s+{name}\b", source, re.MULTILINE), \
             f"runtime dependency {name!r} is not imported under src/"
+
+
+def test_every_exported_name_resolves():
+    package = ROOT / "src" / "fluvinv"
+    stale = []
+    for path in sorted(package.rglob("*.py")):
+        parts = path.relative_to(package.parent).with_suffix("").parts
+        name = ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+        module = importlib.import_module(name)
+        stale += [f"{name}.{export}" for export in getattr(module, "__all__", ())
+                  if not hasattr(module, export)]
+    assert not stale, f"names in __all__ that do not resolve: {stale}"

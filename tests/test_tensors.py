@@ -129,6 +129,8 @@ PRIMITIVE_CASES = {
     "affine": lambda t, x: tc.sum_all(tc.affine(x, -1.7, 0.4)),
     "abs": lambda t, x: tc.sum_all(tc.absolute(tc.add(x, t.constant(0.05)))),
     "clamp": lambda t, x: tc.sum_all(tc.clamp(x, -0.8, 0.8)),
+    "pointwise": lambda t, x: tc.sum_all(tc.pointwise(
+        x, lambda v, with_slope: (v ** 3 / 3.0 + v, v * v + 1.0 if with_slope else None))),
     "mean": lambda t, x: tc.mean_all(tc.square(x)),
     "upsample2": lambda t, x: tc.mean_all(
         tc.square(tc.upsample2(tc.reshape(x, (1, 2, 3, 4))))),
