@@ -447,8 +447,10 @@ class NeuralGenerator:
         built and then gathered at those cells.
 
         ``z`` is one latent, shape (d,), or a batch, shape (B, d). A batch is
-        built row by row (``conv3d`` has no batch axis) and stacked, so both
-        nodes gain a leading batch axis and row i equals the build of ``z[i]``.
+        built row by row and stacked, so both nodes gain a leading batch axis
+        and row i equals the build of ``z[i]``. ``upsample2`` and ``conv3d``
+        take one (C, Z, Y, X) sample; a row's time goes to the per-tap
+        matmuls of its convolutions, not to the Python cost of its calls.
 
         ``labels`` follows the rule of :meth:`ProceduralGenerator.build`.
         """

@@ -127,7 +127,7 @@ def _draw(rng, weight, geometry, stage, policy, index):
     return int(ix), int(iy)
 
 
-def place_wells(weight_maps, policy, rng_seed):
+def place_wells(weight_maps, policy, rng_seed, geometry=None):
     """Legacy wells shared by all samples plus per-sample extra wells.
 
     ``weight_maps``: one non-negative (ny, nx) map per test sample, typically
@@ -135,6 +135,10 @@ def place_wells(weight_maps, policy, rng_seed):
     all maps; stage 2 weights by each sample's own map. Returns
     (legacy, extras) with ``legacy`` a list of (ix, iy) and ``extras`` one
     list per sample.
+
+    ``geometry`` sets the cell size that turns the policy's radii in metres
+    into cells; its nx and ny must match the maps. Without it the cells are
+    50 m (the ``GridGeometry`` default).
     """
     maps = [np.asarray(m, dtype=np.float64) for m in weight_maps]
     if not maps:
@@ -145,8 +149,11 @@ def place_wells(weight_maps, policy, rng_seed):
             raise SurveyError("weight maps must share a shape")
         if m.min() < 0:
             raise SurveyError("weight maps must be non-negative")
-    # radii are in meters; any consistent dx/dy works, the default is 50 m cells
-    geometry = GridGeometry(nx=shape[1], ny=shape[0], nz=1)
+    if geometry is None:
+        geometry = GridGeometry(nx=shape[1], ny=shape[0], nz=1)
+    elif (geometry.ny, geometry.nx) != shape:
+        raise SurveyError(f"weight maps of (ny, nx) shape {shape} do not match the "
+                          f"{geometry.nx}x{geometry.ny} grid")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((int(rng_seed),))))
 
     joint = np.mean(maps, axis=0)
@@ -197,31 +204,37 @@ def extract_well_data(grid, locations, noise_std=0.0, rng_seed=0):
 
 
 def write_wells_csv(path, dataset):
-    """CSV rows (well_id, ix, iy, iz, coarse_fraction), 9 significant digits."""
+    """CSV rows (well_id, ix, iy, iz, coarse_fraction); each value is written
+    as the shortest decimal that reads back to the same float64."""
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["well_id", "ix", "iy", "iz", "coarse_fraction"])
         for w, col in zip(dataset.wells, dataset.columns):
             for iz, v in enumerate(col):
-                writer.writerow([w.well_id, w.ix, w.iy, iz, f"{v:.9g}"])
+                writer.writerow([w.well_id, w.ix, w.iy, iz, repr(float(v))])
 
 
 def read_wells_csv(path, geometry):
+    """Read what :func:`write_wells_csv` writes. A repeated (well_id, iz) row,
+    a well whose ix/iy changes between rows, or a well without every layer
+    raises :class:`SurveyError`."""
     with open(path, newline="") as f:
         rows = list(csv.DictReader(f))
     by_well = {}
-    order = []
     for r in rows:
-        key = r["well_id"]
-        if key not in by_well:
-            by_well[key] = {"ix": int(r["ix"]), "iy": int(r["iy"]), "vals": {}}
-            order.append(key)
-        by_well[key]["vals"][int(r["iz"])] = float(r["coarse_fraction"])
+        key, ix, iy, iz = r["well_id"], int(r["ix"]), int(r["iy"]), int(r["iz"])
+        info = by_well.setdefault(key, {"ix": ix, "iy": iy, "vals": {}})
+        if (info["ix"], info["iy"]) != (ix, iy):
+            raise SurveyError(f"well {key}: at ({info['ix']}, {info['iy']}) and at "
+                              f"({ix}, {iy})")
+        if iz in info["vals"]:
+            raise SurveyError(f"well {key}: layer {iz} given twice")
+        info["vals"][iz] = float(r["coarse_fraction"])
     wells, cols = [], []
-    for key in order:
-        info = by_well[key]
+    for key, info in by_well.items():
         if sorted(info["vals"]) != list(range(geometry.nz)):
             raise SurveyError(f"well {key}: layers do not cover 0..{geometry.nz - 1}")
         wells.append(Well(key, info["ix"], info["iy"]))
         cols.append([info["vals"][z] for z in range(geometry.nz)])
-    return WellDataset(geometry, wells, np.asarray(cols, dtype=np.float64))
+    columns = np.asarray(cols, dtype=np.float64).reshape(len(wells), geometry.nz)
+    return WellDataset(geometry, wells, columns)

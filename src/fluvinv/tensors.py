@@ -12,7 +12,6 @@ Contractions and reductions always accumulate in float64 with a fixed
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "GraphTape",
@@ -620,18 +619,53 @@ def _conv_one_axis(tape, x, taps, axis):
     return out
 
 
-def _windows(padded, kshape):
-    # (C, oz, oy, ox, kz, ky, kx) view over a padded (C, Z, Y, X) array
-    return sliding_window_view(padded, kshape, axis=(1, 2, 3))
+def _shifted_views(v, kshape):
+    # v (C, Z, Y, X) zero-padded by half a kernel on every side into one fresh
+    # float64 buffer, flattened to (C, Zp*Yp*Xp). Per kernel tap (i, j, k), in
+    # a fixed order, a (C, L) view of it whose column z*Yp*Xp + y*Xp + x holds
+    # v[:, z+i-pz, y+j-py, x+k-px], with L reaching column (Z-1, Y-1, X-1);
+    # the centre tap's view is v itself, zero in the columns y >= Y or x >= X
+    c, nz, ny, nx = v.shape
+    pz, py, px = (k // 2 for k in kshape)
+    yp, xp = ny + 2 * py, nx + 2 * px
+    buf = np.zeros((c, nz + 2 * pz, yp, xp), dtype=_ACC)
+    buf[:, pz:pz + nz, py:py + ny, px:px + nx] = v
+    flat = buf.reshape(c, -1)
+    n = (nz - 1) * yp * xp + (ny - 1) * xp + nx
+    views = {}
+    for i, j, k in np.ndindex(*kshape):
+        o = i * yp * xp + j * xp + k
+        views[i, j, k] = flat[:, o:o + n]
+    return views
+
+
+def _correlate(views, w, shape):
+    # "same" correlation with w (O, C, kz, ky, kx) of the (C, *shape) array
+    # whose shifted views these are: one float64 (O, C) @ (C, L) matmul per
+    # tap, accumulated in an (O, Z*Yp*Xp) buffer whose columns y >= Y or
+    # x >= X are dropped from the returned (O, Z, Y, X) view
+    o, _, _, ky, kx = w.shape
+    nz, ny, nx = shape
+    yp, xp = ny + ky - 1, nx + kx - 1
+    taps = np.ascontiguousarray(w.transpose(2, 3, 4, 0, 1), dtype=_ACC)
+    acc = np.zeros((o, nz * yp * xp), dtype=_ACC)
+    out = acc[:, :next(iter(views.values())).shape[1]]
+    term = np.empty_like(out)
+    for tap, view in views.items():
+        out += np.matmul(taps[tap], view, out=term)
+    return acc.reshape(o, nz, yp, xp)[:, :, :ny, :nx]
 
 
 def conv3d(x, w, bias=None):
     """3D cross-correlation, stride 1, "same" zero padding, odd kernels.
 
     x: (C, Z, Y, X); w: (O, C, kz, ky, kx); bias: (O,) optional. A constant
-    single-channel kernel without bias that extends along one axis only is
-    applied as a banded matrix along that axis; every other kernel slides a
-    window.
+    single-channel kernel without bias that extends along one axis only (a
+    separable PSF factor) is applied as a banded matrix along that axis.
+    Every other kernel is a shifted-view correlation: the input is padded
+    once, and each tap adds one (O, C) @ (C, L) matmul over a shifted flat
+    view of it, so no window is copied. Both accumulate in float64 in a
+    fixed order.
     """
     tape = _tape_of(x, w)
     x = _coerce(tape, x)
@@ -648,13 +682,11 @@ def conv3d(x, w, bias=None):
     if (w.value.shape[:2] == (1, 1) and len(long_axes) == 1 and not w.requires_grad
             and bias is None):
         # a single-channel constant kernel along one axis (a separable PSF
-        # factor): the sliding window would mostly multiply padding once the
+        # factor): shifted views would mostly multiply padding once the
         # kernel outgrows the axis, the banded matrix never does
         return _conv_one_axis(tape, x, w.value.reshape(-1), 1 + long_axes[0])
-    pads = tuple(k // 2 for k in kshape)
-    xp = np.pad(x.value, ((0, 0),) + tuple((p, p) for p in pads))
-    win = _windows(xp, kshape)
-    value = np.einsum("czyxijk,ocijk->ozyx", win, w.value, dtype=_ACC, optimize=True)
+    views = _shifted_views(x.value, kshape)
+    value = _correlate(views, w.value, x.value.shape[1:])
     inputs = [x, w]
     if bias is not None:
         bias = _coerce(tape, bias)
@@ -662,22 +694,27 @@ def conv3d(x, w, bias=None):
             raise ShapeError(f"conv3d: bias {bias.shape} incompatible with kernel {w.shape}")
         value = value + bias.value[:, None, None, None]
         inputs.append(bias)
-    value = np.asarray(value, dtype=tape.dtype)
+    value = np.ascontiguousarray(value, dtype=tape.dtype)
     out = tape._new_node(value, any(n.requires_grad for n in inputs))
     if out.requires_grad:
         wv = w.value
+        views = views if w.requires_grad else None
 
         def backward(g):
+            gviews = _shifted_views(g, kshape)
             gx = None
             if x.requires_grad:
                 # correlate the output gradient with the flipped, channel-swapped kernel
                 wt = wv[:, :, ::-1, ::-1, ::-1].transpose(1, 0, 2, 3, 4)
-                gp = np.pad(g, ((0, 0),) + tuple((p, p) for p in pads))
-                gx = np.einsum("ozyxijk,coijk->czyx", _windows(gp, kshape),
-                               wt, dtype=_ACC, optimize=True)
+                gx = _correlate(gviews, wt, g.shape[1:])
             gw = None
             if w.requires_grad:
-                gw = np.einsum("czyxijk,ozyx->ocijk", win, g, dtype=_ACC, optimize=True)
+                # gw[:, :, i, j, k] = g @ view(i, j, k).T, with g in the
+                # forward's column layout: the centre view of padded g
+                gf = gviews[tuple(k // 2 for k in kshape)]
+                gw = np.empty(wv.shape, dtype=_ACC)
+                for (i, j, k), view in views.items():
+                    gw[:, :, i, j, k] = gf @ view.T
             parts = [gx, gw]
             if bias is not None:
                 parts.append(g.sum(axis=(1, 2, 3), dtype=_ACC) if bias.requires_grad else None)

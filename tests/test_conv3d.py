@@ -1,0 +1,134 @@
+"""conv3d's general path (shifted-view matmuls) against the paths it replaced.
+
+``conv3d_windows_reference`` is the general path as it was before: an
+einsum over a sliding-window view of the padded input, forward and
+backward. The shifted-view correlation must reproduce it, values and all
+three gradients, to float64 round-off, and agree with direct summation and
+its own adjoint on random small shapes.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
+
+import fluvinv.tensors as tc
+from fluvinv.tensors import GraphTape
+from helpers import conv3d_reference
+
+
+def conv3d_windows_reference(x, w, bias, g):
+    """(value, gx, gw, gbias) of conv3d(x, w, bias) with output gradient g,
+    by einsum over sliding windows of the zero-padded input, in float64."""
+    kshape = w.shape[2:]
+    pads = ((0, 0),) + tuple((k // 2, k // 2) for k in kshape)
+    win = sliding_window_view(np.pad(x, pads), kshape, axis=(1, 2, 3))
+    value = np.einsum("czyxijk,ocijk->ozyx", win, w, dtype=np.float64, optimize=True)
+    value = value + bias[:, None, None, None]
+    # the input gradient correlates g with the flipped, channel-swapped kernel
+    wt = w[:, :, ::-1, ::-1, ::-1].transpose(1, 0, 2, 3, 4)
+    gwin = sliding_window_view(np.pad(g, pads), kshape, axis=(1, 2, 3))
+    gx = np.einsum("ozyxijk,coijk->czyx", gwin, wt, dtype=np.float64, optimize=True)
+    gw = np.einsum("czyxijk,ozyx->ocijk", win, g, dtype=np.float64, optimize=True)
+    return value, gx, gw, g.sum(axis=(1, 2, 3), dtype=np.float64)
+
+
+def taped(x, w, bias, g, dtype):
+    """The same four arrays from ``tc.conv3d`` on a tape of ``dtype``."""
+    tape = GraphTape(dtype)
+    nodes = [tape.input(v) for v in (x, w, bias)]
+    out = tc.conv3d(*nodes)
+    grads = tape.backward(out, seed=g)
+    return (out.value,) + tuple(grads.wrt(n) for n in nodes)
+
+
+def assert_close(actual, reference, rtol):
+    # relative to the largest reference magnitude, as sums of many taps
+    # leave single entries near zero with round-off above their own size
+    actual = np.asarray(actual, dtype=np.float64)
+    scale = max(float(np.max(np.abs(reference))), 1e-300)
+    err = float(np.max(np.abs(actual - reference))) / scale
+    assert err <= rtol, f"relative error {err:.3e} > {rtol:g}"
+
+
+# (input shape, kernel shape): the seven convolutions of the default
+# NeuralGenerator at 32x32x8, then the edge cases of the padding layout
+SHAPES = {
+    "block0.conv1": ((16, 4, 16, 16), (8, 16, 3, 3, 3)),
+    "block0.conv2": ((8, 4, 16, 16), (8, 8, 3, 3, 3)),
+    "block0.skip": ((16, 4, 16, 16), (8, 16, 1, 1, 1)),
+    "block1.conv1": ((8, 8, 32, 32), (4, 8, 3, 3, 3)),
+    "block1.conv2": ((4, 8, 32, 32), (4, 4, 3, 3, 3)),
+    "block1.skip": ((8, 8, 32, 32), (4, 8, 1, 1, 1)),
+    "head": ((4, 8, 32, 32), (2, 4, 3, 3, 3)),
+    "1x1x1": ((3, 2, 4, 5), (2, 3, 1, 1, 1)),
+    "3x1x5": ((2, 4, 3, 6), (3, 2, 3, 1, 5)),
+    # kz = 5 on Z = 2 and kx = 7 on X = 3: taps that only ever meet padding
+    "longer-than-axis": ((2, 2, 4, 3), (2, 2, 5, 3, 7)),
+}
+
+
+def random_case(xshape, wshape, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=xshape)
+    w = rng.normal(size=wshape)
+    bias = rng.normal(size=wshape[0])
+    g = rng.normal(size=(wshape[0],) + xshape[1:])
+    return x, w, bias, g
+
+
+@pytest.mark.parametrize("name", sorted(SHAPES))
+def test_shifted_views_match_windows_reference_float64(name):
+    x, w, bias, g = random_case(*SHAPES[name], seed=0)
+    want = conv3d_windows_reference(x, w, bias, g)
+    got = taped(x, w, bias, g, np.float64)
+    for label, a, r in zip(("value", "gx", "gw", "gbias"), got, want):
+        assert a.shape == r.shape, label
+        assert_close(a, r, 1e-12)
+
+
+@pytest.mark.parametrize("name", sorted(SHAPES))
+def test_shifted_views_match_windows_reference_float32(name):
+    x, w, bias, g = (v.astype(np.float32) for v in random_case(*SHAPES[name], seed=1))
+    want = conv3d_windows_reference(x, w, bias, g)
+    got = taped(x, w, bias, g, np.float32)
+    assert got[0].dtype == np.float32
+    for a, r in zip(got, want):
+        assert_close(a, r, 1e-5)
+
+
+def test_general_path_value_is_contiguous_and_repeatable():
+    x, w, bias, g = random_case(*SHAPES["head"], seed=2)
+    first, second = taped(x, w, bias, g, np.float64), taped(x, w, bias, g, np.float64)
+    tape = GraphTape(np.float64)
+    plain = tc.conv3d(tape.input(x), tape.constant(w))
+    assert plain.value.flags.c_contiguous
+    for a, b in zip(first, second):
+        assert a.tobytes() == b.tobytes()
+
+
+@st.composite
+def conv_cases(draw):
+    c, o = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    extents = tuple(draw(st.integers(1, 6)) for _ in range(3))
+    kshape = tuple(draw(st.sampled_from([1, 3, 5])) for _ in range(3))
+    return (c,) + extents, (o, c) + kshape, draw(st.integers(0, 2 ** 16))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=conv_cases())
+def test_general_path_matches_direct_summation_and_its_adjoint(case):
+    xshape, wshape, seed = case
+    rng = np.random.default_rng(seed)
+    xv, wv = rng.normal(size=xshape), rng.normal(size=wshape)
+    yv = rng.normal(size=(wshape[0],) + xshape[1:])
+    tape = GraphTape(np.float64)
+    x, w = tape.input(xv), tape.input(wv)  # a kernel with a gradient: never banded
+    out = tc.conv3d(x, w)
+    np.testing.assert_allclose(out.value, conv3d_reference(xv, wv), rtol=1e-12, atol=1e-12)
+    grads = tape.backward(out, seed=yv)
+    # conv3d is bilinear: <conv(x, w), y> = <x, gx(y)> = <w, gw(y)>
+    lhs = float(np.sum(out.value * yv))
+    scale = float(np.sum(np.abs(conv3d_reference(np.abs(xv), np.abs(wv)) * yv))) + 1.0
+    assert abs(lhs - float(np.sum(xv * grads.wrt(x)))) <= 1e-12 * scale
+    assert abs(lhs - float(np.sum(wv * grads.wrt(w)))) <= 1e-12 * scale

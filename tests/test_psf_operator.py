@@ -1,7 +1,7 @@
-"""The seismic PSF on conv3d's banded path, against the sliding-window path.
+"""The seismic PSF on conv3d's banded path, against the general-kernel path.
 
 ``reference_build`` is the seismic forward as it was written before the
-banded path: one sliding-window ``tc.conv3d`` per PSF axis, and the PSF
+banded path: one general-kernel ``tc.conv3d`` per PSF axis, and the PSF
 velocity from a separate float64 rock-physics pass over the whole cube.
 ``SeismicModel.build`` must reproduce it, values and input gradient, to
 float64 round-off.
@@ -37,7 +37,7 @@ def reference_build(model, tape, coarse, geometry):
             continue
         shape = [1, 1, 1, 1, 1]
         shape[2 + axis] = taps.shape[0]
-        # a kernel that needs its own gradient keeps conv3d on the sliding window
+        # a kernel that needs its own gradient keeps conv3d on the general path
         x = tc.conv3d(x, tape.input(taps.reshape(shape)))
     return tc.reshape(x, (nzs, geometry.ny, geometry.nx)), kernel
 
@@ -126,8 +126,8 @@ def test_float32_tape_matches_float64():
 
 
 def test_build_slides_no_window_and_runs_no_whole_cube_rock_physics(monkeypatch):
-    def no_windows(*args, **kwargs):
-        raise AssertionError("SeismicModel.build took conv3d's sliding-window path")
+    def no_general_path(*args, **kwargs):
+        raise AssertionError("SeismicModel.build took conv3d's general-kernel path")
 
     rock_sizes = []
     original = geophysics.rock_physics
@@ -136,7 +136,7 @@ def test_build_slides_no_window_and_runs_no_whole_cube_rock_physics(monkeypatch)
         rock_sizes.append(np.size(f))
         return original(f, *args, **kwargs)
 
-    monkeypatch.setattr(tc, "_windows", no_windows)
+    monkeypatch.setattr(tc, "_shifted_views", no_general_path)
     monkeypatch.setattr(geophysics, "rock_physics", counted)
     geometry = GridGeometry(nx=8, ny=6, nz=4)
     tape = tc.GraphTape(np.float64)

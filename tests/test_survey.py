@@ -2,12 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fluvinv.grids import GridGeometry, ModelGrid
 from fluvinv.survey import (
     PlacementPolicy,
     StagePolicy,
     SurveyError,
+    Well,
+    WellDataset,
     extract_well_data,
     place_wells,
     read_wells_csv,
@@ -104,6 +107,47 @@ def test_weighting_concentrates_wells():
     assert hits / total >= 0.9
 
 
+def two_cell_map(axis, cells):
+    """A 12x12 map whose only weight sits at (0, 0) and ``cells`` cells along x or y."""
+    w = np.zeros((12, 12))
+    w[0, 0] = 1.0
+    w[(cells, 0) if axis == "y" else (0, cells)] = 1.0
+    return w
+
+
+@pytest.mark.parametrize("axis", ["x", "y"])
+def test_cell_size_scales_the_exclusion_distance(axis):
+    # two legacy wells with a 250 m exclusion fit on the two weighted cells
+    # only if they are more than 250 m apart: 5 cells of 50 m, 2.5 of 100 m
+    policy = PlacementPolicy(legacy=StagePolicy(count=2, exclusion_m=250.0, ramp_m=500.0),
+                             extra=StagePolicy(count=0, exclusion_m=100.0, ramp_m=200.0))
+    for size, exclusion_cells in ((50.0, 5.0), (100.0, 2.5)):
+        geometry = GridGeometry(nx=12, ny=12, nz=1, dx=size, dy=size)
+        for cells in range(1, 12):
+            maps = [two_cell_map(axis, cells)]
+            if cells > exclusion_cells:
+                legacy, _ = place_wells(maps, policy, rng_seed=0, geometry=geometry)
+                assert sorted(legacy) == sorted([(0, 0), (0, cells) if axis == "y"
+                                                 else (cells, 0)])
+            else:
+                with pytest.raises(SurveyError, match=f"{size:g} m cells"):
+                    place_wells(maps, policy, rng_seed=0, geometry=geometry)
+
+
+def test_default_geometry_is_50_m_cells():
+    maps = [np.random.default_rng(3).random((64, 64)) for _ in range(2)]
+    policy = PlacementPolicy(legacy=StagePolicy(count=3, exclusion_m=500.0, ramp_m=1000.0),
+                             extra=StagePolicy(count=4, exclusion_m=250.0, ramp_m=500.0))
+    assert place_wells(maps, policy, rng_seed=4) == place_wells(
+        maps, policy, rng_seed=4, geometry=GridGeometry(nx=64, ny=64, nz=3))
+
+
+def test_geometry_must_match_the_maps():
+    with pytest.raises(SurveyError, match=r"\(64, 32\) do not match the 64x32 grid"):
+        place_wells([np.ones((64, 32))], POLICY, rng_seed=0,
+                    geometry=GridGeometry(nx=64, ny=32, nz=1))
+
+
 def grid_with_marker(geometry=GridGeometry(nx=16, ny=16, nz=4)):
     coarse = np.random.default_rng(0).random(geometry.shape)
     return ModelGrid(geometry, coarse, np.full(geometry.shape, 0.5))
@@ -152,4 +196,41 @@ def test_wells_csv_roundtrip(tmp_path):
     assert header == "well_id,ix,iy,iz,coarse_fraction"
     back = read_wells_csv(path, grid.geometry)
     assert [w.well_id for w in back.wells] == [w.well_id for w in ds.wells]
-    np.testing.assert_allclose(back.columns, ds.columns, rtol=1e-8)
+    np.testing.assert_array_equal(back.columns, ds.columns)
+
+
+def write_rows(path, rows):
+    lines = ["well_id,ix,iy,iz,coarse_fraction"] + [",".join(map(str, r)) for r in rows]
+    path.write_text("\n".join(lines) + "\n")
+
+
+def test_wells_csv_rejects_a_repeated_layer(tmp_path):
+    path = tmp_path / "wells.csv"
+    write_rows(path, [("W00", 1, 2, 0, 0.5), ("W00", 1, 2, 1, 0.25), ("W00", 1, 2, 1, 0.75)])
+    with pytest.raises(SurveyError, match="well W00: layer 1 given twice"):
+        read_wells_csv(path, GridGeometry(nx=4, ny=4, nz=2))
+
+
+def test_wells_csv_rejects_a_moving_well(tmp_path):
+    path = tmp_path / "wells.csv"
+    write_rows(path, [("W00", 1, 2, 0, 0.5), ("W00", 1, 3, 1, 0.25)])
+    with pytest.raises(SurveyError, match=r"well W00: at \(1, 2\) and at \(1, 3\)"):
+        read_wells_csv(path, GridGeometry(nx=4, ny=4, nz=2))
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_wells_csv_round_trip_is_exact(tmp_path_factory, data):
+    geometry = GridGeometry(nx=6, ny=5, nz=data.draw(st.integers(1, 4)))
+    n = data.draw(st.integers(0, 5))
+    locations = [(data.draw(st.integers(0, 5)), data.draw(st.integers(0, 4))) for _ in range(n)]
+    values = st.floats(0.0, 1.0, allow_subnormal=True)
+    columns = np.array([[data.draw(values) for _ in range(geometry.nz)] for _ in range(n)],
+                       dtype=np.float64).reshape(n, geometry.nz)
+    wells = [Well(f"W{i:02d}", ix, iy) for i, (ix, iy) in enumerate(locations)]
+    ds = WellDataset(geometry, wells, columns)
+    path = tmp_path_factory.mktemp("wells") / "wells.csv"
+    write_wells_csv(path, ds)
+    back = read_wells_csv(path, geometry)
+    assert back.wells == ds.wells
+    assert back.columns.tobytes() == ds.columns.tobytes()

@@ -7,28 +7,7 @@ from hypothesis.extra import numpy as hnp
 
 import fluvinv.tensors as tc
 from fluvinv.tensors import GraphTape, ShapeError, TapeError, gradient_check
-
-
-def conv3d_reference(x, w):
-    """Direct-summation oracle for "same" zero-padded cross-correlation."""
-    co, ci, kz, ky, kx = w.shape
-    _, nz, ny, nx = x.shape
-    pz, py, px = kz // 2, ky // 2, kx // 2
-    out = np.zeros((co, nz, ny, nx), dtype=np.float64)
-    for o in range(co):
-        for c in range(ci):
-            for z in range(nz):
-                for y in range(ny):
-                    for xx in range(nx):
-                        acc = 0.0
-                        for i in range(kz):
-                            for j in range(ky):
-                                for k in range(kx):
-                                    zz, yy, xq = z + i - pz, y + j - py, xx + k - px
-                                    if 0 <= zz < nz and 0 <= yy < ny and 0 <= xq < nx:
-                                        acc += w[o, c, i, j, k] * x[c, zz, yy, xq]
-                        out[o, z, y, xx] += acc
-    return out
+from helpers import conv3d_reference
 
 
 def test_dense_identity():
