@@ -67,16 +67,21 @@ def neutral_labels(k=len(LABEL_NAMES)):
     return np.full(k, 0.5)
 
 
-def _label_node(tape, labels, label_dim, n_neutral):
+def _label_node(tape, labels, label_dim, n_neutral, rows=None):
     """The label node a build uses: ``labels``, or ``n_neutral`` neutral
     labels (none if 0) when ``labels`` is None. A generator without labels
-    (``label_dim`` 0) rejects any."""
+    (``label_dim`` 0) rejects any. Labels of shape (label_dim,) are shared by
+    every row; a batch latent of ``rows`` rows also takes per-row labels,
+    shape (rows, label_dim)."""
     if labels is None:
         return tape.constant(neutral_labels(n_neutral)) if n_neutral else None
     if not label_dim:
         raise GeneratorError("generator is unconditional, labels given")
-    if labels.value.shape != (label_dim,):
-        raise GeneratorError(f"expected {label_dim} labels, got shape {labels.value.shape}")
+    shape = labels.value.shape
+    if shape != (label_dim,) and (rows is None or shape != (rows, label_dim)):
+        per_row = "" if rows is None else f" or ({rows}, {label_dim})"
+        raise GeneratorError(f"expected {label_dim} labels, shape ({label_dim},){per_row}, "
+                             f"got shape {shape}")
     return labels
 
 
@@ -109,13 +114,14 @@ def _check_cells(cells, geometry):
     return arr.astype(np.intp, copy=False)
 
 
-def _is_batch(z, latent_dim):
-    """Whether latent node ``z`` is a batch (B, d) rather than one latent (d,)."""
+def _batch_rows(z, latent_dim):
+    """The row count B of a batch latent node ``z``, shape (B, d), or None
+    for one latent, shape (d,)."""
     shape = z.value.shape
     if shape == (latent_dim,):
-        return False
+        return None
     if len(shape) == 2 and shape[0] >= 1 and shape[1] == latent_dim:
-        return True
+        return shape[0]
     raise GeneratorError(f"latent shape {shape} is neither ({latent_dim},) "
                          f"nor (B, {latent_dim})")
 
@@ -176,6 +182,7 @@ class ProceduralGenerator:
     """
 
     kind = "procedural"
+    builds_at_cells = True  # a build at cells evaluates only those cells
 
     def __init__(self, geometry, latent_dim=16, label_dim=len(LABEL_NAMES),
                  map_coefficients=None):
@@ -224,11 +231,12 @@ class ProceduralGenerator:
         or (B, len(cells)), and row i equals the build of ``z[i]`` exactly.
 
         ``labels`` is a node of ``label_dim`` labels shared by every row, or
-        None for neutral labels; an unconditional generator takes none.
+        for a batch of B latents per-row labels, shape (B, label_dim), or None
+        for neutral labels; an unconditional generator takes none.
         """
         g = self.geometry
-        batch = _is_batch(z, self.latent_dim)
-        labels = _label_node(tape, labels, self.label_dim, len(LABEL_NAMES))
+        rows = _batch_rows(z, self.latent_dim)
+        labels = _label_node(tape, labels, self.label_dim, len(LABEL_NAMES), rows)
         if weights is None:
             weights = {"maps": tape.constant(self._maps)}
 
@@ -236,9 +244,12 @@ class ProceduralGenerator:
             x = np.arange(g.nx, dtype=np.float64).reshape(1, 1, g.nx)
             y = np.arange(g.ny, dtype=np.float64).reshape(1, g.ny, 1)
             layer = np.arange(g.nz, dtype=np.float64).reshape(g.nz, 1, 1)
-            if batch:
-                # latent columns of shape (B, 1, 1, 1) broadcast over the grid
-                z = tc.reshape(z, (z.value.shape[0], 1, 1, self.latent_dim))
+            if rows:
+                # latent and per-row label columns of shape (B, 1, 1, 1)
+                # broadcast over the grid
+                z = tc.reshape(z, (rows, 1, 1, self.latent_dim))
+                if labels.value.ndim == 2:
+                    labels = tc.reshape(labels, (rows, 1, 1, self.label_dim))
         else:
             cells = _check_cells(cells, g)
             x = (cells % g.nx).astype(np.float64)
@@ -278,21 +289,19 @@ class ProceduralGenerator:
 
     def _belt_nodes(self, z, labels, maps):
         """Belt parameter nodes from latent, label and map-coefficient nodes:
-        shape (1,) for a latent of shape (d,); the latent-driven ones keep a
-        batch latent's leading axes, with the last axis of size 1."""
-        lead = (slice(None),) * (z.value.ndim - 1)
+        shape (1,) for a latent of shape (d,); the latent- and per-row
+        label-driven ones keep a batch's leading axes, with the last axis of
+        size 1."""
+        def col(node, i):  # component i along the last axis
+            return tc.crop(node, (slice(None),) * (node.value.ndim - 1) + (slice(i, i + 1),))
 
         def zc(i):  # latent component
-            return tc.crop(z, lead + (slice(i, i + 1),))
+            return col(z, i)
 
         def cf(i):  # map coefficient
             return tc.take(maps, [i])
 
-        g_coarse = tc.take(labels, [0])
-        g_fine = tc.take(labels, [1])
-        erod = tc.take(labels, [2])
-        aggr = tc.take(labels, [3])
-        rain = tc.take(labels, [4])
+        g_coarse, g_fine, erod, aggr, rain = (col(labels, i) for i in range(5))
 
         g = self.geometry
         ny, nx, nz = float(g.ny), float(g.nx), g.nz
@@ -385,6 +394,7 @@ class NeuralGenerator:
     """Frozen inference pass of the residual upsampling generator."""
 
     kind = "neural"
+    builds_at_cells = False  # a build at cells builds the whole grid, then gathers
 
     def __init__(self, geometry, descriptor, weights):
         if (geometry.nx, geometry.ny, geometry.nz) != tuple(descriptor.out_extents):
@@ -448,25 +458,30 @@ class NeuralGenerator:
 
         ``z`` is one latent, shape (d,), or a batch, shape (B, d). A batch is
         built row by row and stacked, so both nodes gain a leading batch axis
-        and row i equals the build of ``z[i]``. ``upsample2`` and ``conv3d``
-        take one (C, Z, Y, X) sample; a row's time goes to the per-tap
-        matmuls of its convolutions, not to the Python cost of its calls.
+        and row i equals the build of ``z[i]`` (with labels ``labels[i]``
+        when they are per row). ``upsample2`` and ``conv3d`` take one
+        (C, Z, Y, X) sample; a row's time goes to the per-tap matmuls of its
+        convolutions, not to the Python cost of its calls.
 
         ``labels`` follows the rule of :meth:`ProceduralGenerator.build`.
         """
         d = self.descriptor
         if cells is not None:
             cells = _check_cells(cells, self.geometry)
-        batch = _is_batch(z, d.latent_dim)
-        labels = _label_node(tape, labels, d.label_dim, d.label_dim)
+        rows = _batch_rows(z, d.latent_dim)
+        labels = _label_node(tape, labels, d.label_dim, d.label_dim, rows)
         if weights is None:
             weights = {k: tape.constant(v) for k, v in self._weights.items()}
-        if batch:
-            rows = [self.build(tape, tc.reshape(tc.crop(z, (slice(i, i + 1), slice(None))),
-                                                (d.latent_dim,)),
-                               labels, weights, cells)
-                    for i in range(z.value.shape[0])]
-            return tc.stack([r[0] for r in rows]), tc.stack([r[1] for r in rows])
+        if rows:
+            def row(node, i, width):
+                return tc.reshape(tc.crop(node, (slice(i, i + 1), slice(None))), (width,))
+
+            per_row = labels is not None and labels.value.ndim == 2
+            outs = [self.build(tape, row(z, i, d.latent_dim),
+                               row(labels, i, d.label_dim) if per_row else labels,
+                               weights, cells)
+                    for i in range(rows)]
+            return tc.stack([o[0] for o in outs]), tc.stack([o[1] for o in outs])
 
         def wn(name):
             if name not in weights:

@@ -135,7 +135,7 @@ class DataLoss:
             terms["seismic"] = pred - obs
         return terms
 
-    def build(self, tape, coarse, z=None):
+    def build(self, tape, coarse, z=None, rows=False):
         """Scalar loss node from a coarse-fraction node (any form that
         :meth:`residuals` takes) and an optional latent node.
 
@@ -143,32 +143,43 @@ class DataLoss:
         (B, d)) the loss is the batch mean of the per-sample losses: every
         term is a mean over the batch too. Automatic weights freeze from the
         first sample of the first evaluation.
+
+        With ``rows=True`` a batch gives instead the B per-sample losses,
+        shape (B,): row i is the loss a single build of sample i would give,
+        with automatic weights frozen per row at its first evaluation.
         """
+        reduce = tc.mean_rows if rows else tc.mean_all
         metrics, terms = {}, {}
         for name, r in self.residuals(tape, coarse).items():
             metrics[name] = self._metric(r)
-            terms[name] = tc.mean_all(metrics[name])
+            terms[name] = reduce(metrics[name])
 
         if self._frozen is None:
-            batched = bool(self._batch_shape(coarse.value.shape)[0])
-            self._frozen = self._freeze_weights(
-                {name: _mean_value(m.value[0] if batched else m.value)
-                 for name, m in metrics.items()})
+            if rows:
+                first = {name: t.value.astype(np.float64) for name, t in terms.items()}
+            else:
+                batched = bool(self._batch_shape(coarse.value.shape)[0])
+                first = {name: _mean_value(m.value[0] if batched else m.value)
+                         for name, m in metrics.items()}
+            self._frozen = self._freeze_weights(first)
         w_well, w_seis = self._frozen
 
-        total = None
+        total = None  # node first: an array of per-row weights must not lead
         if "well" in terms:
-            total = w_well * terms["well"]
+            total = terms["well"] * w_well
         if "seismic" in terms:
-            part = w_seis * terms["seismic"]
+            part = terms["seismic"] * w_seis
             total = part if total is None else total + part
         if z is not None and self.config.lambda_z > 0:
-            d = z.value.size
-            total = total + (self.config.lambda_z / d) * tc.sum_all(tc.square(z))
+            d = z.value.shape[-1] if rows else z.value.size
+            square = tc.square(z)
+            total = total + (self.config.lambda_z / d) * (
+                tc.sum_axis(square, -1) if rows else tc.sum_all(square))
         return total
 
     def _freeze_weights(self, first):
-        """(w_well, w_seis) from the first sample's term values ``first``."""
+        """(w_well, w_seis) from the first sample's term values ``first``:
+        floats, or arrays of per-row values, which give per-row weights."""
         w_well = self.config.well_weight
         w_seis = self.config.seismic_weight
         both_auto = len(first) == 2 and w_well is None and w_seis is None
@@ -188,7 +199,10 @@ def _mean_value(a):
 
 
 def _inverse_or_one(value):
-    """Automatic weight of a term worth ``value`` at its first evaluation."""
+    """Automatic weight of a term worth ``value`` at its first evaluation
+    (a float, or an array of per-row values)."""
+    if np.ndim(value):
+        return np.where(value == 0.0, 1.0, 1.0 / np.maximum(value, 1e-12))
     return 1.0 if value == 0.0 else 1.0 / max(value, 1e-12)
 
 

@@ -64,41 +64,67 @@ def check_schedule(name):
 
 
 def descend(objective, params, dtype, steps, lr, schedule="constant",
-            beta1=0.9, beta2=0.999, constrain=None):
+            beta1=0.9, beta2=0.999, constrain=None, rows=None):
     """Minimize ``objective`` by Adam over the named arrays in ``params``.
 
     Each step records a fresh tape with one input node per entry of
-    ``params`` and calls ``objective(tape, nodes, step)`` for the scalar loss
-    node. ``params`` is updated in place; ``constrain(params)``, if given,
-    runs after every update. The "cosine" schedule decays the rate from
-    ``lr`` to 1% of it over ``steps``.
+    ``params`` and calls ``objective(tape, nodes, step)`` for the loss node.
+    ``params`` is updated in place; ``constrain(params)``, if given, runs
+    after every update. The "cosine" schedule decays the rate from ``lr`` to
+    1% of it over ``steps``.
 
-    Non-finite policy: the descent stops at the first non-finite loss,
-    before updating, so ``params`` keeps the last finite iterate and the
-    history ends with the non-finite value. Returns ``(history, halted)``.
+    The loss is a scalar, or with ``rows=R`` a vector of R independent row
+    losses, shape (R,): row i of the loss depends only on row i of every
+    entry of ``params``, each with a leading axis of R rows. The gradient of
+    their sum is row i's own gradient in row i, and Adam is elementwise, so
+    every row descends as it would alone.
+
+    Non-finite policy: a descent (or a row) stops at its first non-finite
+    loss, before updating, so its parameters keep the last finite iterate
+    and its history ends with the non-finite value; other rows go on.
+    Returns ``(history, halted)``: a list of floats and a bool for a scalar
+    loss, a list of R such lists and a bool array (R,) for row losses.
     """
     opt = Adam(lr=lr, beta1=beta1, beta2=beta2)
-    history = []
+    shape = () if rows is None else (rows,)
+    history = [[] for _ in range(rows or 1)]
+    live = [True] * (rows or 1)
     for step in range(steps):
         if schedule == "cosine":
             opt.lr = lr * (0.01 + 0.99 * 0.5 * (1.0 + math.cos(math.pi * step / steps)))
         tape = tc.GraphTape(dtype)
         nodes = {k: tape.input(v) for k, v in params.items()}
         loss = objective(tape, nodes, step)
-        value = float(loss.value)
-        history.append(value)
-        if not math.isfinite(value):
-            return history, True
+        if loss.value.shape != shape:
+            raise InversionError(f"loss node has shape {loss.value.shape}, expected {shape}")
+        for i, value in enumerate(loss.value.reshape(-1).tolist()):
+            if live[i]:
+                history[i].append(value)
+                live[i] = math.isfinite(value)
+        if not any(live):
+            break
         grads = tape.backward(loss)
-        opt.step(params, {k: grads.wrt(n) for k, n in nodes.items()})
+        grads = {k: grads.wrt(n) for k, n in nodes.items()}
+        if all(live):
+            opt.step(params, grads)
+        else:  # halted rows take no gradient and keep their last finite iterate
+            halted = ~np.array(live)
+            before = dict(params)
+            opt.step(params, {k: np.where(halted.reshape((-1,) + (1,) * (g.ndim - 1)), 0.0, g)
+                              for k, g in grads.items()})
+            for k, old in before.items():
+                params[k][halted] = old[halted]
         if constrain is not None:
             constrain(params)
-    return history, False
+    if rows is None:
+        return history[0], not live[0]
+    return history, ~np.array(live)
 
 
 def _generator_well_mae(generator, zs, wells, labels=None, dtype=np.float32):
     """Well MAE (:func:`.loss.well_mae`) of the grid of each row of ``zs``
-    (n, d) at ``dtype``, shape (n,), from one build at the well cells."""
+    (n, d) at ``dtype``, shape (n,), from one build at the well cells.
+    ``labels`` are shared, shape (label_dim,), or per row, (n, label_dim)."""
     tape = tc.GraphTape(dtype)
     labels = None if labels is None else tape.constant(labels)
     coarse, _ = generator.build(tape, tape.constant(zs), labels,
@@ -123,6 +149,16 @@ class LatentOptimizeConfig:
 
     def __post_init__(self):
         check_schedule(self.lr_schedule)
+        if self.n_restarts < 1:
+            raise InversionError(f"n_restarts must be >= 1, got {self.n_restarts}")
+        if self.iterations < 0:
+            raise InversionError(f"iterations must be >= 0, got {self.iterations}")
+        if self.threads < 1:
+            raise InversionError(f"threads must be >= 1, got {self.threads}")
+        if not self.lr > 0:
+            raise InversionError(f"lr must be > 0, got {self.lr}")
+        if self.ball_radius is not None and not self.ball_radius > 0:
+            raise InversionError(f"ball_radius must be > 0, got {self.ball_radius}")
 
 
 @dataclass
@@ -183,28 +219,48 @@ class InversionResult:
         return out
 
 
+# Restarts share a graph while rows x (cells built per row) stays within
+# this many cells: with the well term only, every restart of a procedural
+# case shares one graph; a full-scale seismic row (262,144 cells) keeps its
+# own, since stacking whole-grid rows on one tape costs more memory than the
+# bookkeeping it saves.
+_CELL_BUDGET = 2 ** 16
+
+
 def _project_ball(z, radius):
-    norm = float(np.linalg.norm(z))
-    cap = radius * math.sqrt(z.size)
-    if norm > cap:
-        return z * (cap / norm)
-    return z
+    """``z``, one latent (d,) or rows (R, d), with every row longer than
+    radius * sqrt(d) scaled back onto that sphere."""
+    rows = z.reshape(-1, z.shape[-1])
+    norms = np.array([np.linalg.norm(row) for row in rows])  # each as a lone latent's
+    cap = radius * math.sqrt(z.shape[-1])
+    over = norms > cap
+    if not over.any():
+        return z
+    scale = np.ones(len(rows))
+    scale[over] = cap / norms[over]
+    return (rows * scale[:, None]).reshape(z.shape)
 
 
-def _run_restart(args):
-    generator, observations, config, index = args
+def _run_block(args):
+    """Restarts ``start`` .. ``stop - 1`` as one descent over their rows; a
+    one-row block records the unbatched graph of a single latent."""
+    generator, observations, config, start, stop = args
     dtype = np.dtype(config.dtype)
-    params = {"z": sample_prior(index + 1, generator.latent_dim, config.rng_seed)[index]}
+    n = stop - start
+    params = {"z": sample_prior(stop, generator.latent_dim, config.rng_seed)[start:]}
     if config.optimize_labels:
         if generator.label_dim == 0:
             raise InversionError("generator has no labels to co-optimize")
-        params["labels"] = neutral_labels(generator.label_dim)
+        params["labels"] = np.tile(neutral_labels(generator.label_dim), (n, 1))
+    rows = n if n > 1 else None
+    if rows is None:
+        params = {k: v[0] for k, v in params.items()}
     loss_fn = DataLoss(observations, config.loss, geometry=generator.geometry)
 
     def objective(tape, nodes, step):
         coarse, _ = generator.build(tape, nodes["z"], nodes.get("labels"),
                                     cells=loss_fn.cells)
-        return loss_fn.build(tape, coarse, z=nodes["z"])
+        return loss_fn.build(tape, coarse, z=nodes["z"], rows=rows is not None)
 
     def constrain(p):
         if config.ball_radius is not None:
@@ -212,43 +268,71 @@ def _run_restart(args):
         if "labels" in p:
             p["labels"] = np.clip(p["labels"], 0.0, 1.0)
 
-    history, aborted = descend(objective, params, dtype, config.iterations, config.lr,
-                               config.lr_schedule, config.beta1, config.beta2,
-                               constrain=constrain)
-    note = ""
-    if aborted:
-        note = f"non-finite loss at iteration {len(history) - 1}"
-    else:
+    histories, halted = descend(objective, params, dtype, config.iterations, config.lr,
+                                config.lr_schedule, config.beta1, config.beta2,
+                                constrain=constrain, rows=rows)
+    if rows is None:
+        histories, halted = [histories], np.array([halted])
+    if not halted.all():
         tape = tc.GraphTape(dtype)
         final = objective(tape, {k: tape.constant(v) for k, v in params.items()}, None)
-        history.append(float(final.value))
-
-    mae = (float(_generator_well_mae(generator, params["z"][None], observations.wells,
-                                     params.get("labels"), dtype)[0])
-           if observations.wells is not None else math.nan)
-    return RestartRecord(index=index, z=params["z"],
-                         labels=params.get("labels"),
-                         loss_history=np.asarray(history),
-                         well_mae=mae, aborted=aborted, note=note)
+        values = np.asarray(final.value, dtype=np.float64).reshape(-1)
+        for i in np.flatnonzero(~halted):
+            histories[i].append(float(values[i]))
+    if rows is None:
+        params = {k: v[None] for k, v in params.items()}
+    labels = params.get("labels")
+    maes = (_generator_well_mae(generator, params["z"], observations.wells, labels, dtype)
+            if observations.wells is not None else np.full(n, math.nan))
+    return [RestartRecord(index=start + i, z=params["z"][i].copy(),
+                          labels=None if labels is None else labels[i].copy(),
+                          loss_history=np.asarray(histories[i]), well_mae=float(maes[i]),
+                          aborted=bool(halted[i]),
+                          note=(f"non-finite loss at iteration {len(histories[i]) - 1}"
+                                if halted[i] else ""))
+            for i in range(n)]
 
 
 def latent_optimize(generator, observations, config=None):
     """Independent Adam restarts on the latent; generator weights untouched.
 
-    Restart i is seeded by (rng_seed, i) alone, so the result is identical
-    for any worker count.
+    Restart i starts from row i of :func:`.sample_prior` ``(rng_seed, i)``.
+    Consecutive restarts are descended together as one block of rows: each
+    step records one tape whose latent input is (rows, d), and the loss is
+    the sum of the rows' losses, so every row takes exactly its own restart's
+    gradient and Adam update. A block holds as many rows as fit in a fixed
+    budget of rows x cells built per row: the well cells, or the whole grid
+    with the seismic term on or for a generator that builds the whole grid
+    even at cells (``builds_at_cells`` False, the neural one). With the well
+    term only, every restart of a procedural case shares one graph; a
+    full-scale seismic row keeps its own.
+
+    Everything else stays per row: automatic term weights freeze at the
+    row's own first evaluation; the ball projection and the label clip act
+    on each row; a row whose loss goes non-finite stops before its update,
+    keeps its last finite iterate and is ``aborted`` with its own note while
+    the others go on; the final loss and the well MAE are the row's own.
+
+    ``threads > 1`` maps the blocks over worker processes. The blocks do not
+    depend on the worker count, so neither does the result.
     """
     config = config or LatentOptimizeConfig()
     t0 = time.perf_counter()
-    jobs = [(generator, observations, config, i) for i in range(config.n_restarts)]
-    if config.threads > 1:
-        with ProcessPoolExecutor(max_workers=config.threads) as pool:
-            restarts = list(pool.map(_run_restart, jobs))
+    cells = DataLoss(observations, config.loss, geometry=generator.geometry).cells
+    if cells is None or not generator.builds_at_cells:
+        per_row = generator.geometry.n_cells
     else:
-        restarts = [_run_restart(j) for j in jobs]
-    restarts.sort(key=lambda r: r.index)
+        per_row = max(len(cells), 1)
+    size = max(1, _CELL_BUDGET // per_row)
+    jobs = [(generator, observations, config, start, min(start + size, config.n_restarts))
+            for start in range(0, config.n_restarts, size)]
+    if config.threads > 1 and len(jobs) > 1:
+        with ProcessPoolExecutor(max_workers=min(config.threads, len(jobs))) as pool:
+            blocks = list(pool.map(_run_block, jobs))
+    else:
+        blocks = [_run_block(j) for j in jobs]
     return InversionResult(method="latent-opt", rng_seed=config.rng_seed,
-                           restarts=restarts,
+                           restarts=[r for block in blocks for r in block],
                            wall_clock_s=time.perf_counter() - t0,
                            meta={"iterations": config.iterations, "lr": config.lr})
 

@@ -67,12 +67,16 @@ class FlowModel:
         d_a = self.half if layer % 2 == 0 else self.dim - self.half
         return d_a, self.dim - d_a
 
-    def transform(self, tape, u, weight_nodes=None):
+    def transform(self, tape, u, weight_nodes=None, clamped=None):
         """(z node, log-determinant node) for a base-noise node u.
 
         ``u`` is one draw, shape (dim,), or a batch, shape (B, dim); z has
         the shape of u, and the log-determinant is a scalar summed over the
         rows. Row i of a batch's z equals the transform of ``u[i]`` exactly.
+
+        A raw coupling scale beyond ``scale_clip`` is clamped, with a
+        warning; ``clamped``, an integer array (n_layers,), if given, gains
+        each layer's count of clamped entries.
         """
         if weight_nodes is None:
             weight_nodes = {k: tape.constant(v) for k, v in self.weights.items()}
@@ -98,9 +102,12 @@ class FlowModel:
             d_b = b.value.shape[-1]
             s_raw = cols(raw, 0, d_b)
             t = cols(raw, d_b, 2 * d_b)
-            if np.any(np.abs(s_raw.value) > cfg.scale_clip):
+            n_clamped = int(np.count_nonzero(np.abs(s_raw.value) > cfg.scale_clip))
+            if n_clamped:
                 warnings.warn("coupling scale clamped to keep the flow invertible",
                               stacklevel=2)
+                if clamped is not None:
+                    clamped[layer] += n_clamped
             s = tc.clamp(s_raw, -cfg.scale_clip, cfg.scale_clip)
             b_new = b * tc.exp(s) + t
             z = (tc.concat([a, b_new], axis=-1) if layer % 2 == 0
@@ -150,6 +157,7 @@ class VariationalResult:
     elbo_history: np.ndarray
     wall_clock_s: float = 0.0
     halted: bool = False
+    clamp_counts: np.ndarray = None  # per layer: clamped scale entries over the fit
 
 
 def variational_infer(loglik_builder, dim, config=None):
@@ -165,12 +173,13 @@ def variational_infer(loglik_builder, dim, config=None):
     cfg = config or FlowConfig()
     t0 = time.perf_counter()
     flow = FlowModel(dim, cfg)
+    clamped = np.zeros(cfg.n_layers, dtype=np.int64)
 
     def neg_elbo(tape, wnodes, step):
         rng = np.random.Generator(np.random.PCG64(
             np.random.SeedSequence((int(cfg.rng_seed), 17, step))))
         u = rng.standard_normal((cfg.batch, dim))
-        z, logdet = flow.transform(tape, tape.constant(u), wnodes)
+        z, logdet = flow.transform(tape, tape.constant(u), wnodes, clamped)
         # log p(z) - log q(z) = -|z|^2/2 + |u|^2/2 + logdet (constants cancel),
         # summed over the batch
         elbo = -0.5 * tc.sum_all(tc.square(z)) + logdet + tape.constant(0.5 * np.sum(u * u))
@@ -185,4 +194,4 @@ def variational_infer(loglik_builder, dim, config=None):
     return VariationalResult(flow=flow, posterior=posterior,
                              elbo_history=-np.asarray(history),
                              wall_clock_s=time.perf_counter() - t0,
-                             halted=halted)
+                             halted=halted, clamp_counts=clamped)

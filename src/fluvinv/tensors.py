@@ -24,7 +24,7 @@ __all__ = [
     "square", "power", "sin", "tanh", "sigmoid", "leaky_relu", "clamp",
     "affine", "pointwise", "dense", "conv3d", "upsample2",
     "crop", "concat", "stack", "reshape", "take",
-    "sum_all", "sum_axis", "mean_all", "gradient_check",
+    "sum_all", "sum_axis", "mean_all", "mean_rows", "gradient_check",
 ]
 
 _ACC = np.float64  # accumulation dtype for reductions/contractions
@@ -535,6 +535,26 @@ def mean_all(x):
 
         def backward(g):
             return (np.broadcast_to(g / n, shape),)
+
+        tape._record(out, (x,), backward)
+    return out
+
+
+def mean_rows(x):
+    """Mean over every axis but the first, shape (B,): entry i equals
+    :func:`mean_all` of row ``x[i]``."""
+    tape = _tape_of(x)
+    shape = x.value.shape
+    if len(shape) < 2:
+        raise ShapeError(f"mean_rows: need a leading row axis, got shape {shape}")
+    n = int(np.prod(shape[1:]))
+    value = np.asarray(x.value.reshape(shape[0], -1).sum(axis=1, dtype=_ACC) / n,
+                       dtype=tape.dtype)
+    out = tape._new_node(value, x.requires_grad)
+    if out.requires_grad:
+
+        def backward(g):
+            return (np.broadcast_to((g / n).reshape((-1,) + (1,) * (len(shape) - 1)), shape),)
 
         tape._record(out, (x,), backward)
     return out

@@ -1,16 +1,23 @@
 """Shared test fixtures: a linear generator with a known least-squares oracle,
-and a direct-summation oracle for ``tc.conv3d``."""
+a direct-summation oracle for ``tc.conv3d`` and the one-restart-at-a-time
+latent optimization loop that the row blocks replaced."""
+
+import math
 
 import numpy as np
 
 import fluvinv.tensors as tc
+from fluvinv.generators import neutral_labels, sample_prior
 from fluvinv.grids import GridGeometry, ModelGrid
+from fluvinv.inversion import DataLoss, InversionError
+from fluvinv.inversion.optimize import RestartRecord, descend
 
 
 class LinearGenerator:
     """G(z) = offset + A z laid out on a 1 x 1 x m grid; convex inversion."""
 
     kind = "linear"
+    builds_at_cells = False
 
     def __init__(self, A, offset=0.5):
         A = np.asarray(A, dtype=np.float64)
@@ -48,12 +55,14 @@ class NonFiniteGenerator(LinearGenerator):
 
     Every descent step records a fresh tape with its parameters as input
     nodes, so that tape is step ``nan_step``; builds on constant tapes (a
-    well-MAE evaluation, say) do not count.
+    well-MAE evaluation, say) do not count. With ``nan_row`` only that row of
+    a batch turns NaN; a single latent's output turns NaN either way.
     """
 
-    def __init__(self, A, nan_step, offset=0.5):
+    def __init__(self, A, nan_step, offset=0.5, nan_row=None):
         super().__init__(A, offset)
         self.nan_step = nan_step
+        self.nan_row = nan_row
         self._tapes = []
 
     def weights(self):
@@ -65,7 +74,12 @@ class NonFiniteGenerator(LinearGenerator):
             self._tapes.append(tape)
         v = tc.dense(A, z) + self.offset
         if len(self._tapes) > self.nan_step:
-            v = v * np.nan
+            if self.nan_row is None or v.value.ndim == 1:
+                v = v * np.nan
+            else:
+                mask = np.ones((v.value.shape[0], 1))
+                mask[self.nan_row] = np.nan
+                v = v * tape.constant(mask)
         return _at_cells(v, cells)
 
 
@@ -81,6 +95,56 @@ def _at_cells(v, cells):
     else:
         coarse = tc.reshape(v, batch + (1, 1, v.value.shape[-1]))
     return coarse, coarse
+
+
+def run_restart_reference(generator, observations, config, index):
+    """Restart ``index`` of ``latent_optimize(generator, observations, config)``
+    descended on its own: one tape per step over its single latent (d,), its
+    own DataLoss, ball projection, label clip and well MAE."""
+    dtype = np.dtype(config.dtype)
+    params = {"z": sample_prior(index + 1, generator.latent_dim, config.rng_seed)[index]}
+    if config.optimize_labels:
+        if generator.label_dim == 0:
+            raise InversionError("generator has no labels to co-optimize")
+        params["labels"] = neutral_labels(generator.label_dim)
+    loss_fn = DataLoss(observations, config.loss, geometry=generator.geometry)
+
+    def objective(tape, nodes, step):
+        coarse, _ = generator.build(tape, nodes["z"], nodes.get("labels"),
+                                    cells=loss_fn.cells)
+        return loss_fn.build(tape, coarse, z=nodes["z"])
+
+    def constrain(p):
+        if config.ball_radius is not None:
+            norm = float(np.linalg.norm(p["z"]))
+            cap = config.ball_radius * math.sqrt(p["z"].size)
+            if norm > cap:
+                p["z"] = p["z"] * (cap / norm)
+        if "labels" in p:
+            p["labels"] = np.clip(p["labels"], 0.0, 1.0)
+
+    history, aborted = descend(objective, params, dtype, config.iterations, config.lr,
+                               config.lr_schedule, config.beta1, config.beta2,
+                               constrain=constrain)
+    note = ""
+    if aborted:
+        note = f"non-finite loss at iteration {len(history) - 1}"
+    else:
+        tape = tc.GraphTape(dtype)
+        final = objective(tape, {k: tape.constant(v) for k, v in params.items()}, None)
+        history.append(float(final.value))
+
+    mae = math.nan
+    if observations.wells is not None:
+        tape = tc.GraphTape(dtype)
+        labels = params.get("labels")
+        coarse, _ = generator.build(tape, tape.constant(params["z"]),
+                                    None if labels is None else tape.constant(labels),
+                                    cells=observations.wells.flat_cell_indices())
+        mae = float(np.mean(np.abs(coarse.value - observations.wells.values())))
+    return RestartRecord(index=index, z=params["z"], labels=params.get("labels"),
+                         loss_history=np.asarray(history), well_mae=mae,
+                         aborted=aborted, note=note)
 
 
 def conv3d_reference(x, w):

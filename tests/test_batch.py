@@ -114,6 +114,26 @@ def test_sum_axis_value_and_range():
         tc.sum_axis(tape.input(x), 2)
 
 
+@pytest.mark.parametrize("shape", [(3, 5), (2, 3, 4, 5), (1, 7)])
+def test_mean_rows_gradient_matches_fd(shape):
+    point = np.random.default_rng(3).standard_normal(shape)
+    err = tc.gradient_check(lambda tape, x: _weighted(tape, tc.mean_rows(tc.square(x)), 4),
+                            point)
+    assert err < 1e-7
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_mean_rows_equal_row_means(dtype):
+    x = np.random.default_rng(4).standard_normal((3, 4, 2, 5)).astype(dtype)
+    tape = tc.GraphTape(dtype)
+    rows = tc.mean_rows(tape.constant(x))
+    assert rows.value.shape == (3,) and rows.value.dtype == dtype
+    for i in range(3):
+        assert rows.value[i] == tc.mean_all(tape.constant(x[i])).value
+    with pytest.raises(tc.ShapeError):
+        tc.mean_rows(tape.constant(x[0, 0, 0]))
+
+
 def test_stack_gradient_matches_fd():
     point = np.random.default_rng(4).standard_normal(6)
     err = tc.gradient_check(
@@ -170,6 +190,57 @@ def test_generator_batch_rows_equal_single_builds(gen, cells, dtype):
         if "labels" in bn:
             np.testing.assert_allclose(gb.wrt(bn["labels"]), gl.wrt(ln["labels"]),
                                        rtol=1e-12)
+
+
+NEURAL_LABELLED = NeuralGenerator.random_init(
+    NEURAL_GEO, GeneratorDescriptor(latent_dim=6, label_dim=5, base_channels=4,
+                                    out_extents=(8, 8, 4)), rng_seed=4)
+ROW_LABELS = np.array([[0.1, 0.9, 0.3, 0.7, 0.5],
+                       [0.0, 1.0, 0.6, 0.2, 0.8],
+                       [0.4, 0.4, 0.9, 0.1, 0.3]])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("cells", [None, CELLS], ids=["grid", "cells"])
+@pytest.mark.parametrize("gen", [PROC, NEURAL_LABELLED], ids=["procedural", "neural"])
+def test_generator_batch_per_row_labels_equal_single_builds(gen, cells, dtype):
+    zs = sample_prior(3, gen.latent_dim, rng_seed=8)
+    outs = []
+    for batched in (True, False):
+        tape = tc.GraphTape(dtype)
+        zn, ln = tape.input(zs), tape.input(ROW_LABELS)
+        if batched:
+            coarse, depo = gen.build(tape, zn, ln, cells=cells)
+        else:
+            rows = [gen.build(tape, z, lab, cells=cells)
+                    for z, lab in zip(_rows(tape, zn), _rows(tape, ln))]
+            coarse, depo = tc.stack([r[0] for r in rows]), tc.stack([r[1] for r in rows])
+        outs.append((coarse, depo, tape, zn, ln))
+    (bc, bd, bt, bz, bl), (lc, ld, lt, lz, ll) = outs
+    np.testing.assert_array_equal(bc.value, lc.value)
+    np.testing.assert_array_equal(bd.value, ld.value)
+    for i, z in enumerate(zs):  # row i is the build of z[i] with labels[i]
+        if cells is None:
+            grid = gen.generate(z, ROW_LABELS[i], dtype=dtype)
+            np.testing.assert_array_equal(bc.value[i], grid.coarse_fraction)
+            np.testing.assert_array_equal(bd.value[i], grid.depo_time)
+    if dtype == np.float64:
+        gb = bt.backward(_weighted(bt, bc, 8) + _weighted(bt, tc.square(bd), 9))
+        gl = lt.backward(_weighted(lt, lc, 8) + _weighted(lt, tc.square(ld), 9))
+        np.testing.assert_allclose(gb.wrt(bz), gl.wrt(lz), rtol=1e-12)
+        np.testing.assert_allclose(gb.wrt(bl), gl.wrt(ll), rtol=1e-12)
+
+
+@pytest.mark.parametrize("gen", [PROC, NEURAL_LABELLED], ids=["procedural", "neural"])
+@pytest.mark.parametrize("shape", [(2, 5), (3, 4), (1, 3, 5)])
+def test_generator_rejects_mismatched_row_labels(gen, shape):
+    tape = tc.GraphTape(np.float64)
+    z = tape.constant(sample_prior(3, gen.latent_dim, rng_seed=9))
+    with pytest.raises(GeneratorError, match="expected 5 labels"):
+        gen.build(tape, z, tape.constant(np.full(shape, 0.5)))
+    with pytest.raises(GeneratorError, match="expected 5 labels"):  # one latent, rows of labels
+        gen.build(tape, tape.constant(np.zeros(gen.latent_dim)),
+                  tape.constant(np.full((1, 5), 0.5)))
 
 
 @pytest.mark.parametrize("gen", [PROC, NEURAL], ids=["procedural", "neural"])
@@ -251,6 +322,37 @@ def test_data_loss_batch_mean_equals_loop(config):
     assert bw == lw  # weights frozen from the first sample either way
     np.testing.assert_allclose(bv, lv, rtol=1e-12)
     np.testing.assert_allclose(bg, lg, rtol=1e-12)
+
+
+@pytest.mark.parametrize("config", [
+    DataLossConfig(),
+    DataLossConfig(metric="absolute", lambda_z=0.0),
+    DataLossConfig(use_seismic=True),
+    DataLossConfig(use_seismic=True, metric="absolute", well_weight=2.0),
+    DataLossConfig(use_wells=False, use_seismic=True),
+], ids=["wells", "wells-abs", "wells+seismic", "wells+seismic-fixed", "seismic"])
+def test_data_loss_rows_equal_single_losses(config):
+    # each row against a single build with its own DataLoss, over two
+    # evaluations, so per-row automatic weights freeze at the first one
+    starts = sample_prior(3, 8, rng_seed=34)
+    moved = starts + 0.3 * sample_prior(3, 8, rng_seed=35)
+    rows_fn = DataLoss(SEIS_OBS, config, geometry=SEIS_GEO)
+    singles = [DataLoss(SEIS_OBS, config, geometry=SEIS_GEO) for _ in starts]
+    for zs in (starts, moved):
+        tape = tc.GraphTape(np.float64)
+        zn = tape.input(zs)
+        coarse, _ = SEIS_GEN.build(tape, zn, cells=rows_fn.cells)
+        total = rows_fn.build(tape, coarse, z=zn, rows=True)
+        assert total.value.shape == (3,)
+        grad = tape.backward(total).wrt(zn)
+        for i, (z, fn) in enumerate(zip(zs, singles)):
+            tape = tc.GraphTape(np.float64)
+            zi = tape.input(z)
+            one = fn.build(tape, SEIS_GEN.build(tape, zi, cells=fn.cells)[0], z=zi)
+            np.testing.assert_allclose(total.value[i], float(one.value), rtol=1e-12)
+            np.testing.assert_allclose(grad[i], tape.backward(one).wrt(zi), rtol=1e-12)
+    if config.use_wells and config.use_seismic and config.well_weight is None:
+        assert len(set(rows_fn._frozen[0])) == 3  # a weight per row
 
 
 def test_data_loss_full_grid_batch_with_cells_available():

@@ -234,3 +234,56 @@ def test_wells_csv_round_trip_is_exact(tmp_path_factory, data):
     back = read_wells_csv(path, geometry)
     assert back.wells == ds.wells
     assert back.columns.tobytes() == ds.columns.tobytes()
+
+
+@st.composite
+def stage_policies(draw, max_count):
+    exclusion = draw(st.floats(1.0, 600.0))
+    return StagePolicy(count=draw(st.integers(0, max_count)), exclusion_m=exclusion,
+                       ramp_m=exclusion + draw(st.floats(1.0, 600.0)))
+
+
+def _metres(a, b, geometry):
+    return np.hypot((a[0] - b[0]) * geometry.dx, (a[1] - b[1]) * geometry.dy)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_placed_wells_respect_every_exclusion_radius(data):
+    cell = data.draw(st.sampled_from([25.0, 50.0, 100.0]))
+    geometry = GridGeometry(nx=data.draw(st.integers(4, 20)), ny=data.draw(st.integers(4, 20)),
+                            nz=1, dx=cell, dy=cell)
+    policy = PlacementPolicy(legacy=data.draw(stage_policies(5)),
+                             extra=data.draw(stage_policies(6)),
+                             legacy_in_stage2=data.draw(stage_policies(0)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 16)))
+    maps = [rng.uniform(0.0, 1.0, (geometry.ny, geometry.nx))
+            * (rng.uniform(size=(geometry.ny, geometry.nx)) < 0.8)
+            for _ in range(data.draw(st.integers(1, 2)))]
+    try:
+        legacy, extras = place_wells(maps, policy, rng_seed=data.draw(st.integers(0, 99)),
+                                     geometry=geometry)
+    except SurveyError as exc:
+        assert "no feasible cell left" in str(exc)
+        return
+    # a policy that cannot be met raises; it never returns fewer wells
+    assert len(legacy) == policy.legacy.count
+    assert [len(e) for e in extras] == [policy.extra.count] * len(maps)
+    for i, a in enumerate(legacy):
+        for b in legacy[i + 1:]:
+            assert _metres(a, b, geometry) >= policy.legacy.exclusion_m
+    for placed, m in zip(extras, maps):
+        for i, a in enumerate(placed):
+            assert m[a[1], a[0]] > 0
+            for b in placed[i + 1:]:
+                assert _metres(a, b, geometry) >= policy.extra.exclusion_m
+            for b in legacy:
+                assert _metres(a, b, geometry) >= policy.legacy_in_stage2.exclusion_m
+
+
+def test_infeasible_policy_raises_instead_of_placing_fewer_wells():
+    # five wells 500 m apart cannot fit on a 400 m x 400 m grid
+    geometry = GridGeometry(nx=8, ny=8, nz=1)
+    policy = PlacementPolicy(legacy=StagePolicy(count=5, exclusion_m=500.0, ramp_m=600.0))
+    with pytest.raises(SurveyError, match="stage 1: no feasible cell left"):
+        place_wells([np.ones((8, 8))], policy, rng_seed=0, geometry=geometry)

@@ -1,5 +1,7 @@
 """Flow-based variational inference: conjugate oracle, prior fit, ELBO trend."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -85,6 +87,33 @@ def test_scale_clamp_warns():
             flow.weights[k] = v + 10.0
     with pytest.warns(UserWarning, match="clamped"):
         flow.push(np.ones(4))
+
+
+def test_clamp_counts_per_layer_in_transform():
+    cfg = FlowConfig(n_layers=3, hidden=(4,), scale_clip=8.0, rng_seed=4)
+    flow = FlowModel(4, cfg)
+    d_b = 2
+    flow.weights["layer1.fc1.b"][:d_b] += 10.0  # the raw scales of layer 1 only
+    tape = tc.GraphTape(np.float64)
+    counts = np.zeros(3, dtype=np.int64)
+    with pytest.warns(UserWarning, match="clamped"):
+        flow.transform(tape, tape.constant(np.zeros((5, 4))), clamped=counts)
+    np.testing.assert_array_equal(counts, [0, 5 * d_b, 0])
+
+
+@pytest.mark.parametrize("scale_clip, clamps", [(1e-9, True), (8.0, False)])
+def test_variational_result_counts_clamped_entries(scale_clip, clamps):
+    cfg = FlowConfig(n_layers=2, hidden=(4,), steps=6, batch=3, scale_clip=scale_clip,
+                     n_posterior=2, rng_seed=5)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = variational_infer(None, 5, cfg)
+    # layer 0 scales the last 3 coordinates, layer 1 the first 2; every raw
+    # scale is nonzero, so a clip of 1e-9 clamps each one at every step
+    expected = [6 * 3 * 3, 6 * 3 * 2] if clamps else [0, 0]
+    np.testing.assert_array_equal(result.clamp_counts, expected)
+    n_warned = sum("clamped" in str(w.message) for w in caught)
+    assert n_warned == (2 * 6 + 2 if clamps else 0)  # per layer per transform, fit and draws
 
 
 def test_flow_needs_two_dims():
