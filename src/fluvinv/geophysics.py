@@ -3,9 +3,15 @@
 Chain: unconsolidated quartz/clay mixture -> density and P-wave velocity
 (Voigt-Reuss-Hill mineral mixing, Hertz-Mindlin at critical porosity,
 modified Hashin-Shtrikman lower-bound interpolation, Gassmann water
-saturation) -> normal-incidence reflectivity over a burden-padded column ->
-3D convolution with a separable point-spread function (depth-domain Ricker
-vertically, Gaussian laterally).
+saturation) -> normal-incidence reflectivity -> 3D convolution with a
+separable point-spread function (depth-domain Ricker vertically, Gaussian
+laterally; Lecomte et al., 2015) -> a cube over the burden-padded column.
+
+The burden (:class:`BurdenConfig`) is one impedance above and one below the
+deposit, so of the padded column's interfaces only the deposit's own, its
+top and its base can reflect. The forward works on those nz + 1 interfaces
+(nz - 1 without burden): lateral PSF factors first, then the vertical factor
+as one matrix that expands them to every interface of the padded column.
 
 Formulas follow the friable-sand model of Avseth, Mukerji & Mavko (2005),
 "Quantitative Seismic Interpretation", sec. 2.5-2.6, and Mavko, Mukerji &
@@ -23,6 +29,7 @@ dVp/df. Both agree with the chain to float64 relative 1e-12 (slopes to
 from __future__ import annotations
 
 import functools
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -256,6 +263,15 @@ class BurdenConfig:
     fraction: float = 0.0
     bottom_fraction: float | None = None
 
+    def __post_init__(self):
+        if not (math.isfinite(self.total_thickness_m) and self.total_thickness_m >= 0):
+            raise GeophysicsError(
+                f"burden thickness must be finite and >= 0, got {self.total_thickness_m}")
+        for name in ("fraction", "bottom_fraction"):
+            value = getattr(self, name)
+            if value is not None and not 0 <= value <= 1:
+                raise GeophysicsError(f"burden {name} must lie in [0, 1], got {value}")
+
     @property
     def fractions(self):
         bottom = self.fraction if self.bottom_fraction is None else self.bottom_fraction
@@ -270,27 +286,49 @@ class BurdenConfig:
         return int(round(cells))
 
 
+def _interface_nodes(tape, rho, vp, geometry, burden, params):
+    """Reflection coefficients at the interfaces of the burden-padded column
+    that can reflect, and where they sit in it.
+
+    Returns ``(node, first, nzs)``: the padded column has nzs interfaces, and
+    node (n, ny, nx) holds interfaces first .. first + n - 1 of them. These
+    are the deposit's nz - 1 and, with a burden, the two at its top and base
+    (n = nz + 1), computed with one cap sheet of burden impedance on each
+    side. The burden-internal interfaces separate equal impedances and
+    reflect exactly 0.
+    """
+    pad = burden.cells_per_side(geometry.dz)
+    if geometry.nz == 1 and pad == 0:
+        raise GeophysicsError(
+            f"a {geometry.nx}x{geometry.ny}x{geometry.nz} grid under a "
+            f"{burden.total_thickness_m} m burden has no interface to reflect")
+    imp = rho * vp
+    if pad:
+        sheet = (1, geometry.ny, geometry.nx)
+        caps = []
+        for f_side in burden.fractions:
+            rho_b, vp_b = rock_physics(np.float64(f_side), params)
+            caps.append(tape.constant(np.full(sheet, float(rho_b * vp_b))))
+        imp = tc.concat([caps[0], imp, caps[1]], axis=0)
+    n = imp.value.shape[0] - 1
+    upper = tc.crop(imp, (slice(0, n), slice(None), slice(None)))
+    lower = tc.crop(imp, (slice(1, n + 1), slice(None), slice(None)))
+    return (lower - upper) / (lower + upper), max(pad - 1, 0), geometry.nz + 2 * pad - 1
+
+
 def reflectivity_nodes(tape, rho, vp, geometry, burden=BurdenConfig(),
                        params=RockPhysicsParams()):
     """Normal-incidence reflection coefficients over the burden-padded column.
 
-    Output shape (nz + 2*pad - 1, ny, nx): one sample per interface.
+    Output shape (nz + 2*pad - 1, ny, nx): one sample per interface. These
+    are the interfaces that can reflect (:func:`_interface_nodes`) and zero
+    sheets at the burden-internal ones, where the padded-column formula gives
+    (c - c) / (c + c) = +0.0, so the values are the same bit for bit.
     """
-    pad = burden.cells_per_side(geometry.dz)
-    imp_caps = []
-    for f_side in burden.fractions:
-        rho_b, vp_b = rock_physics(np.float64(f_side), params)
-        imp_caps.append(float(rho_b * vp_b))
-
-    imp = rho * vp
-    nzp = geometry.nz + 2 * pad
-    top = np.full((pad, geometry.ny, geometry.nx), imp_caps[0])
-    bot = np.full((pad, geometry.ny, geometry.nx), imp_caps[1])
-    imp_padded = tc.concat([tape.constant(top), imp, tape.constant(bot)], axis=0)
-
-    upper = tc.crop(imp_padded, (slice(0, nzp - 1), slice(None), slice(None)))
-    lower = tc.crop(imp_padded, (slice(1, nzp), slice(None), slice(None)))
-    return (lower - upper) / (lower + upper)
+    refl, first, nzs = _interface_nodes(tape, rho, vp, geometry, burden, params)
+    sheets = [first, nzs - first - refl.value.shape[0]]
+    zeros = [tape.constant(np.zeros((k, geometry.ny, geometry.nx))) for k in sheets]
+    return tc.concat([zeros[0], refl, zeros[1]], axis=0)
 
 
 def reflectivity(grid, burden=BurdenConfig(), params=RockPhysicsParams(),
@@ -450,8 +488,12 @@ class SeismicModel:
 
     def build(self, tape, coarse, geometry):
         """Seismic amplitude node (nz_seis, ny, nx) from a coarse-fraction node
-        (nz, ny, nx). A batch (B, nz, ny, nx) gives (B, nz_seis, ny, nx); each
-        row is built on its own, with the PSF velocity of that model."""
+        (nz, ny, nx), one sample per interface of the burden-padded column
+        (nz_seis = nz + 2*pad - 1). The reflectivity and the lateral PSF run
+        on the nz + 1 interfaces that can reflect (nz - 1 without burden); the
+        vertical PSF factor expands them to nz_seis last. A batch
+        (B, nz, ny, nx) gives (B, nz_seis, ny, nx); each row is built on its
+        own, with the PSF velocity of that model."""
         if coarse.value.ndim == 4:
             shape = coarse.value.shape[1:]
             return tc.stack([
@@ -462,19 +504,22 @@ class SeismicModel:
         return self._build(tape, coarse, geometry)[0]
 
     def _build(self, tape, coarse, geometry):
-        # (amplitude node, PSF kernel)
+        # (amplitude node, PSF kernel). The separable PSF factors commute, so
+        # the lateral ones run on the interfaces that can reflect, and the
+        # vertical one, as the interface columns of its banded matrix over
+        # the padded column, expands them to all nzs interfaces last
         rho, vp = rock_physics_nodes(tape, coarse, self.params)
-        refl = reflectivity_nodes(tape, rho, vp, geometry, self.burden, self.params)
+        refl, first, nzs = _interface_nodes(tape, rho, vp, geometry, self.burden, self.params)
         v_avg = (self._padded_mean_vp(vp.value, geometry)
                  if self.psf.velocity_mps is None else None)
         kernel = build_psf(self.psf, geometry.dz, geometry.dy, geometry.dx, v_avg)
 
-        nzs = refl.value.shape[0]
-        x = tc.reshape(refl, (1, nzs, geometry.ny, geometry.nx))
-        x = _conv_axis(tape, x, kernel.vertical, axis=0)
+        shape = refl.value.shape
+        x = tc.reshape(refl, (1,) + shape)
         x = _conv_axis(tape, x, kernel.lateral_y, axis=1)
         x = _conv_axis(tape, x, kernel.lateral_x, axis=2)
-        return tc.reshape(x, (nzs, geometry.ny, geometry.nx)), kernel
+        vertical = tc._banded(kernel.vertical, nzs)[:, first:first + shape[0]]
+        return tc.matmul_axis(tc.reshape(x, shape), vertical, 0), kernel
 
     def forward(self, grid, dtype=np.float64):
         """SeismicCube for a model grid."""

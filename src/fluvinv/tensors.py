@@ -22,7 +22,7 @@ __all__ = [
     "TapeError",
     "add", "sub", "mul", "div", "neg", "absolute", "exp", "log", "sqrt",
     "square", "power", "sin", "tanh", "sigmoid", "leaky_relu", "clamp",
-    "affine", "pointwise", "dense", "conv3d", "upsample2",
+    "affine", "pointwise", "dense", "matmul_axis", "conv3d", "upsample2",
     "crop", "concat", "stack", "reshape", "take",
     "sum_all", "sum_axis", "mean_all", "mean_rows", "gradient_check",
 ]
@@ -603,14 +603,15 @@ def dense(w, x, bias=None):
 
 
 def _along_axis(v, m, axis):
-    # m @ v along one axis of v, as one (batched) float64 matmul
+    # m @ v along one axis of v, as one (batched) float64 matmul; that axis
+    # becomes m.shape[0] long
     shape = v.shape
     v = np.asarray(v, dtype=_ACC)
     if axis == v.ndim - 1:
         out = v.reshape(-1, shape[axis]) @ m.T
     else:
         out = m @ v.reshape(int(np.prod(shape[:axis])), shape[axis], -1)
-    return out.reshape(shape)
+    return out.reshape(shape[:axis] + (m.shape[0],) + shape[axis + 1:])
 
 
 def _banded(taps, n):
@@ -623,10 +624,14 @@ def _banded(taps, n):
     return np.where(inside, taps[np.clip(offset, 0, taps.shape[0] - 1)], 0.0)
 
 
-def _conv_one_axis(tape, x, taps, axis):
-    # conv3d of x with a constant kernel that extends along one axis only:
-    # one banded matmul forward, its transpose backward
-    m = _banded(np.asarray(taps, dtype=_ACC), x.value.shape[axis])
+def matmul_axis(x, m, axis):
+    """A constant matrix m (n_out, n_in) applied along one axis of x, whose
+    length there is n_in: that axis becomes n_out long. One float64 matmul
+    forward, m.T backward."""
+    tape = _tape_of(x)
+    m = np.asarray(m, dtype=_ACC)
+    if m.ndim != 2 or not 0 <= axis < x.value.ndim or m.shape[1] != x.value.shape[axis]:
+        raise ShapeError(f"matmul_axis: matrix {m.shape} does not fit axis {axis} of {x.shape}")
     value = np.asarray(_along_axis(x.value, m, axis), dtype=tape.dtype)
     out = tape._new_node(value, x.requires_grad)
     if out.requires_grad:
@@ -704,7 +709,8 @@ def conv3d(x, w, bias=None):
         # a single-channel constant kernel along one axis (a separable PSF
         # factor): shifted views would mostly multiply padding once the
         # kernel outgrows the axis, the banded matrix never does
-        return _conv_one_axis(tape, x, w.value.reshape(-1), 1 + long_axes[0])
+        axis = 1 + long_axes[0]
+        return matmul_axis(x, _banded(w.value.reshape(-1), x.value.shape[axis]), axis)
     views = _shifted_views(x.value, kshape)
     value = _correlate(views, w.value, x.value.shape[1:])
     inputs = [x, w]

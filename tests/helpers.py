@@ -1,6 +1,7 @@
 """Shared test fixtures: a linear generator with a known least-squares oracle,
-a direct-summation oracle for ``tc.conv3d`` and the one-restart-at-a-time
-latent optimization loop that the row blocks replaced."""
+a direct-summation oracle for ``tc.conv3d``, the padded-column reflectivity
+formula and the one-restart-at-a-time latent optimization loop that the row
+blocks replaced."""
 
 import math
 
@@ -8,6 +9,7 @@ import numpy as np
 
 import fluvinv.tensors as tc
 from fluvinv.generators import neutral_labels, sample_prior
+from fluvinv.geophysics import rock_physics
 from fluvinv.grids import GridGeometry, ModelGrid
 from fluvinv.inversion import DataLoss, InversionError
 from fluvinv.inversion.optimize import RestartRecord, descend
@@ -167,3 +169,29 @@ def conv3d_reference(x, w):
                                         acc += w[o, c, i, j, k] * x[c, zz, yy, xq]
                         out[o, z, y, xx] += acc
     return out
+
+
+def padded_reflectivity(imp, burden, dz, params):
+    """Normal-incidence reflection coefficients of an impedance cube
+    (nz, ny, nx) under ``burden``: pad sheets of the top burden impedance
+    above it and pad of the bottom one below, then (I[1:] - I[:-1]) /
+    (I[1:] + I[:-1]) down the padded column, in the dtype of ``imp``.
+
+    Returns the (nz + 2*pad - 1, ny, nx) coefficients and their
+    vector-Jacobian product g -> gradient with respect to ``imp``, derived by
+    hand: d r / d lower = 2 upper / total**2, d r / d upper = -2 lower / total**2.
+    """
+    pad = burden.cells_per_side(dz)
+    caps = [np.full((pad,) + imp.shape[1:], float(rho * vp), dtype=imp.dtype)
+            for rho, vp in (rock_physics(np.float64(f), params) for f in burden.fractions)]
+    column = np.concatenate([caps[0], imp, caps[1]])
+    upper, lower = column[:-1], column[1:]
+    total = lower + upper
+
+    def vjp(g):
+        g_column = np.zeros(column.shape)
+        g_column[1:] += 2.0 * g * upper / total ** 2
+        g_column[:-1] -= 2.0 * g * lower / total ** 2
+        return g_column[pad:pad + imp.shape[0]]
+
+    return (lower - upper) / total, vjp

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from helpers import padded_reflectivity
 
 import fluvinv.tensors as tc
 from fluvinv.generators import ProceduralGenerator, sample_prior
@@ -13,9 +14,11 @@ from fluvinv.geophysics import (
     SeismicModel,
     build_psf,
     reflectivity,
+    reflectivity_nodes,
     ricker_depth,
     rock_physics,
     rock_physics_moduli,
+    rock_physics_nodes,
     seismic_forward,
 )
 from fluvinv.grids import GridGeometry, ModelGrid
@@ -89,6 +92,24 @@ def test_reflectivity_homogeneous_column_zero():
 def test_reflectivity_impedance_ratio_three_gives_half():
     i1, i2 = 2.0, 6.0
     assert (i2 - i1) / (i2 + i1) == 0.5
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("burden", [BurdenConfig(), BurdenConfig(total_thickness_m=0.0),
+                                    BurdenConfig(fraction=0.2, bottom_fraction=0.9)],
+                         ids=["default", "no-burden", "bottom-fraction"])
+def test_reflectivity_equals_padded_column_formula(burden, dtype):
+    geometry = GridGeometry(nx=6, ny=5, nz=4)
+    coarse = np.random.default_rng(2).uniform(0.0, 1.0, size=geometry.shape)
+    tape = tc.GraphTape(dtype)
+    rho, vp = rock_physics_nodes(tape, tape.constant(coarse), PARAMS)
+    want, _ = padded_reflectivity(np.asarray((rho * vp).value), burden, geometry.dz, PARAMS)
+    got = [np.asarray(reflectivity_nodes(tape, rho, vp, geometry, burden, PARAMS).value),
+           reflectivity(ModelGrid(geometry, coarse, coarse), burden, PARAMS, dtype=dtype)]
+    for r in got:
+        # bit for bit, signs of zero included
+        assert r.dtype == want.dtype
+        np.testing.assert_array_equal(r.view(np.uint8), want.view(np.uint8))
 
 
 def test_reflectivity_vertical_extent_full_scale():
@@ -223,3 +244,26 @@ def test_seismic_gradient_matches_fd():
 def test_burden_must_tile_cells():
     with pytest.raises(GeophysicsError, match="whole number"):
         BurdenConfig(total_thickness_m=17.3).cells_per_side(0.5)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"total_thickness_m": -1.0}, {"total_thickness_m": float("nan")},
+    {"total_thickness_m": float("inf")}, {"fraction": -0.1}, {"fraction": 1.5},
+    {"fraction": float("nan")}, {"bottom_fraction": -0.5}, {"bottom_fraction": 1.1},
+    {"bottom_fraction": float("nan")}])
+def test_burden_rejects_out_of_range_inputs(kwargs):
+    with pytest.raises(GeophysicsError, match="burden"):
+        BurdenConfig(**kwargs)
+
+
+def test_burden_accepts_its_range_ends():
+    for burden in (BurdenConfig(total_thickness_m=0.0, fraction=1.0, bottom_fraction=0.0),
+                   BurdenConfig(fraction=0.0, bottom_fraction=1.0)):
+        assert burden.cells_per_side(0.5) in (0, 18)
+
+
+def test_column_without_interface_rejected():
+    grid = constant_grid(0.5, GridGeometry(nx=4, ny=3, nz=1))
+    model = SeismicModel(burden=BurdenConfig(total_thickness_m=0.0))
+    with pytest.raises(GeophysicsError, match=r"4x3x1 grid under a 0.0 m burden"):
+        model.forward(grid)

@@ -1,7 +1,10 @@
-"""The seismic PSF on conv3d's banded path, against the general-kernel path.
+"""The seismic forward on the deposit's interfaces, against a reference
+written on the burden-padded column.
 
 ``reference_build`` is the seismic forward as it was written before the
-banded path: one general-kernel ``tc.conv3d`` per PSF axis, and the PSF
+banded path and before the compact build: the reflectivity of the whole
+padded column from the plain numpy formula in ``helpers``, one
+general-kernel ``tc.conv3d`` per PSF axis (vertical first), and the PSF
 velocity from a separate float64 rock-physics pass over the whole cube.
 ``SeismicModel.build`` must reproduce it, values and input gradient, to
 float64 round-off.
@@ -9,24 +12,34 @@ float64 round-off.
 
 import numpy as np
 import pytest
+from helpers import padded_reflectivity
 
 import fluvinv.tensors as tc
 from fluvinv import geophysics
 from fluvinv.geophysics import (
+    BurdenConfig,
     PsfConfig,
     SeismicModel,
     build_psf,
-    reflectivity_nodes,
     rock_physics_nodes,
 )
 from fluvinv.grids import GridGeometry, ModelGrid
 
 RTOL = 1e-12
+# a float32 tape stores impedances of about 5e3 to 7 digits, and the
+# reflectivity takes their differences: about 2e-5 of the largest amplitude
+F32_RTOL = 5e-5
 
 
 def reference_build(model, tape, coarse, geometry):
     rho, vp = rock_physics_nodes(tape, coarse, model.params)
-    refl = reflectivity_nodes(tape, rho, vp, geometry, model.burden, model.params)
+    imp = rho * vp
+    value, vjp = padded_reflectivity(np.asarray(imp.value), model.burden, geometry.dz,
+                                     model.params)
+    # one record whose backward is the hand-derived vector-Jacobian product
+    refl = tape._new_node(value, imp.requires_grad)
+    if refl.requires_grad:
+        tape._record(refl, (imp,), lambda g: (vjp(g),))
     v_avg = model.average_velocity(coarse.value, geometry)
     kernel = build_psf(model.psf, geometry.dz, geometry.dy, geometry.dx, v_avg)
     nzs = refl.value.shape[0]
@@ -63,30 +76,42 @@ def coarse_cube(geometry, seed=0):
     return np.random.default_rng(seed).uniform(0.05, 0.95, size=geometry.shape)
 
 
-# (geometry, PSF, what the case is there for, checked on its kernel and the
-# (1, Z, Y, X) shape the PSF is applied to)
+# (geometry, model, what the case is there for, checked on the model, its
+# kernel and the (1, Z, Y, X) shape of the padded column's reflectivity)
 CASES = {
     # the vertical kernel is taller than the burden-padded column
-    "default-128x128x16": (GridGeometry(), PsfConfig(),
-                           lambda k, shape: k.vertical.size > shape[1] == 51),
-    "extents-9x3x3": (GridGeometry(nx=12, ny=10, nz=8), PsfConfig(kernel_extents=(9, 3, 3)),
-                      lambda k, shape: (k.vertical.size, k.lateral_y.size,
-                                        k.lateral_x.size) == (9, 3, 3)),
+    "default-128x128x16": (GridGeometry(), SeismicModel(),
+                           lambda m, k, shape: k.vertical.size > shape[1] == 51),
+    "extents-9x3x3": (GridGeometry(nx=12, ny=10, nz=8),
+                      SeismicModel(psf=PsfConfig(kernel_extents=(9, 3, 3))),
+                      lambda m, k, shape: (k.vertical.size, k.lateral_y.size,
+                                           k.lateral_x.size) == (9, 3, 3)),
     # single-tap lateral factors: a scalar multiply each
-    "illumination-90": (GridGeometry(nx=8, ny=8, nz=8), PsfConfig(illumination_angle_deg=90.0),
-                        lambda k, shape: k.lateral_y.size == k.lateral_x.size == 1),
+    "illumination-90": (GridGeometry(nx=8, ny=8, nz=8),
+                        SeismicModel(psf=PsfConfig(illumination_angle_deg=90.0)),
+                        lambda m, k, shape: k.lateral_y.size == k.lateral_x.size == 1),
     # lateral factors of 7 (x) and 5 (y) taps; the 7-tap one is longer than nx
-    "non-square": (GridGeometry(nx=5, ny=12, nz=8, dx=20.0, dy=30.0), PsfConfig(),
-                   lambda k, shape: (k.lateral_y.size, k.lateral_x.size) == (5, 7)
+    "non-square": (GridGeometry(nx=5, ny=12, nz=8, dx=20.0, dy=30.0), SeismicModel(),
+                   lambda m, k, shape: (k.lateral_y.size, k.lateral_x.size) == (5, 7)
                    and k.lateral_x.size > shape[3]),
+    # no burden: only the deposit's own nz - 1 interfaces, nothing to expand
+    "no-burden": (GridGeometry(nx=9, ny=7, nz=8),
+                  SeismicModel(burden=BurdenConfig(total_thickness_m=0.0)),
+                  lambda m, k, shape: shape[1] == 7),
+    # different lithologies above and below the deposit
+    "bottom-fraction": (GridGeometry(nx=9, ny=7, nz=8),
+                        SeismicModel(burden=BurdenConfig(fraction=0.2, bottom_fraction=0.9)),
+                        lambda m, k, shape: len(set(m.burden.fractions)) == 2),
+    # a one-layer deposit: its top and base are the only interfaces
+    "one-layer": (GridGeometry(nx=6, ny=5, nz=1), SeismicModel(),
+                  lambda m, k, shape: shape[1] == 36),
 }
 
 
 @pytest.mark.filterwarnings("ignore:lateral PSF width")
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_banded_psf_matches_conv3d_reference(name):
-    geometry, psf, covers = CASES[name]
-    model = SeismicModel(psf=psf)
+    geometry, model, covers = CASES[name]
     coarse = coarse_cube(geometry)
     kernels = []
 
@@ -95,11 +120,17 @@ def test_banded_psf_matches_conv3d_reference(name):
         kernels.append(kernel)
         return out
 
+    def build(tape, node):
+        return model.build(tape, node, geometry)
+
     want, want_g, seed = value_and_gradient(reference, coarse)
-    assert covers(kernels[0], (1,) + want.shape)
-    got, got_g, _ = value_and_gradient(lambda t, c: model.build(t, c, geometry), coarse, seed)
+    assert covers(model, kernels[0], (1,) + want.shape)
+    got, got_g, _ = value_and_gradient(build, coarse, seed)
     assert_close(got, want, RTOL)
     assert_close(got_g, want_g, RTOL)
+    got, got_g, _ = value_and_gradient(build, coarse, seed, dtype=np.float32)
+    assert_close(got, want, F32_RTOL)
+    assert_close(got_g, want_g, F32_RTOL)
 
 
 def test_forward_reports_the_build_velocity():
@@ -145,3 +176,22 @@ def test_build_slides_no_window_and_runs_no_whole_cube_rock_physics(monkeypatch)
         tape, coarse, geometry)
     tape.backward(out)
     assert rock_sizes and all(size == 1 for size in rock_sizes)
+
+
+def test_build_expands_to_the_padded_column_only_at_the_vertical_factor(monkeypatch):
+    geometry = GridGeometry(nx=32, ny=32, nz=8)
+    nzs = geometry.nz + 2 * SeismicModel().burden.cells_per_side(geometry.dz) - 1
+    shapes = []
+    original = tc.GraphTape._new_node
+
+    def recorded(self, value, requires_grad):
+        shapes.append(np.shape(value))
+        return original(self, value, requires_grad)
+
+    monkeypatch.setattr(tc.GraphTape, "_new_node", recorded)
+    tape = tc.GraphTape(np.float64)
+    out = SeismicModel().build(tape, tape.input(coarse_cube(geometry)), geometry)
+    assert out.value.shape == (nzs, geometry.ny, geometry.nx)
+    # every node before the vertical factor's output has fewer sheets
+    tall = [i for i, shape in enumerate(shapes) if nzs in shape[:-2]]
+    assert tall == [len(shapes) - 1]

@@ -119,6 +119,9 @@ PRIMITIVE_CASES = {
     "stack": lambda t, x: tc.sum_all(tc.square(tc.stack([x, tc.affine(x, 2.0, 0.3)]))),
     "sum_axis": lambda t, x: tc.sum_all(tc.square(tc.sum_axis(tc.reshape(x, (4, 6)), 1))),
     "take": lambda t, x: tc.sum_all(tc.square(tc.take(x, [0, 3, 3, 7]))),
+    # a (5, 3) matrix: the axis grows from 3 to 5
+    "matmul_axis": lambda t, x: tc.sum_all(tc.square(tc.matmul_axis(
+        tc.reshape(x, (2, 3, 4)), np.linspace(-1, 1, 15).reshape(5, 3), 1))),
     "dense": lambda t, x: tc.sum_all(tc.square(tc.dense(
         t.constant(np.linspace(-1, 1, 3 * 24).reshape(3, 24)), tc.reshape(x, (24,)),
         t.constant(np.array([0.1, -0.2, 0.3]))))),
@@ -176,6 +179,8 @@ def test_shape_mismatch_reports_op_and_shapes():
     b = tape.input(np.ones((4, 5)))
     with pytest.raises(ShapeError, match=r"add.*\(2, 3\).*\(4, 5\)"):
         tc.add(a, b)
+    with pytest.raises(ShapeError, match=r"matmul_axis.*\(4, 5\).*axis 1.*\(2, 3\)"):
+        tc.matmul_axis(a, np.ones((4, 5)), 1)
 
 
 def test_double_backward_rejected():
