@@ -25,6 +25,7 @@ from .grids import ModelGrid
 __all__ = [
     "GeneratorError",
     "LABEL_NAMES",
+    "keyed_rng",
     "sample_prior",
     "neutral_labels",
     "ProceduralGenerator",
@@ -48,18 +49,48 @@ class GeneratorError(Exception):
     pass
 
 
-def sample_prior(n, d, rng_seed):
-    """n i.i.d. standard-normal latent vectors, shape (n, d).
+def keyed_rng(*key):
+    """The package's one NumPy random stream: a PCG64 generator seeded from
+    the integer tuple ``key`` alone, so a draw depends on its key and on
+    nothing drawn before it. Every random draw in ``fluvinv`` comes from here.
 
-    Row i depends only on (rng_seed, i), so batches are identical no matter
-    how the work is split across workers.
+    Keys in use (``seed`` is the caller's ``rng_seed``; ``i`` a row, ``t`` a
+    generation, ``step`` a descent step):
+
+    * ``(seed, i)`` -- :func:`sample_prior` latent row i (truths, restarts);
+    * ``(seed,)`` -- :meth:`NeuralGenerator.random_init` and
+      :func:`.survey.place_wells`;
+    * ``(seed, 1, i)`` / ``(seed, 2, i)`` -- DREAM(ZS) archive row i / chain
+      i initial state; ``(seed, 3, t, i)`` -- its proposal for chain i at
+      generation t;
+    * ``(seed, 7, step)`` -- pivotal tuning's anchors and pivots;
+    * ``(seed, 11, layer)`` / ``(seed, 13, i)`` / ``(seed, 17, step)`` --
+      flow conditioner init / :meth:`FlowModel.sample` row i / flow batch;
+    * ``(seed, 19)`` / ``(seed, 23, i)`` / ``(seed, 29, step)`` -- inference
+      net init / :meth:`InferenceNet.sample` row i / training batch.
+
+    ``SeedSequence`` reads a key of up to four words as if zero-padded to
+    four, so trailing zeros there name the same stream: ``(seed,)`` is
+    latent row 0, and ``(seed, k, 0)`` or ``(seed, k, 0, 0)`` (row, layer or
+    step 0 of family k; DREAM's first proposal) is latent row k.
+    """
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(
+        tuple(int(k) for k in key))))
+
+
+def sample_prior(n, d, rng_seed, *stream):
+    """n i.i.d. standard-normal vectors, shape (n, d).
+
+    Row i is drawn from :func:`keyed_rng` ``(rng_seed, *stream, i)`` alone,
+    so batches are identical no matter how the work is split across
+    workers. Latents use no ``stream``; the flow, inference-net and DREAM
+    noise rows pass theirs (see :func:`keyed_rng`).
     """
     if n < 1 or d < 1:
         raise GeneratorError(f"need n >= 1 and d >= 1, got n={n}, d={d}")
     out = np.empty((n, d), dtype=np.float64)
     for i in range(n):
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((int(rng_seed), i))))
-        out[i] = rng.standard_normal(d)
+        out[i] = keyed_rng(rng_seed, *stream, i).standard_normal(d)
     return out
 
 
@@ -420,7 +451,7 @@ class NeuralGenerator:
     def random_init(cls, geometry, descriptor, rng_seed):
         """He-style random weights (the stand-in for an externally trained model)."""
         weights = {}
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((int(rng_seed),))))
+        rng = keyed_rng(rng_seed)
         for name, shape in descriptor.weight_shapes().items():
             if name.endswith(".b"):
                 weights[name] = np.zeros(shape, dtype=np.float32)

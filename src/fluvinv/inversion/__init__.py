@@ -2,7 +2,8 @@
 
 Four ways to match observations plus generator fine-tuning:
 
-* :func:`latent_optimize` -- per-sample gradient descent on the latent.
+* :func:`latent_optimize` -- Adam restarts on the latent, consecutive
+  restarts descended together as one block of rows.
 * :func:`train_inference_network` -- amortized reparameterization of the
   latent space.
 * :func:`variational_infer` -- normalizing-flow posterior approximation.

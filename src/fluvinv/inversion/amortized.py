@@ -10,8 +10,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .. import tensors as tc
+from ..generators import keyed_rng, sample_prior
 from .loss import DataLoss, DataLossConfig, InversionError
-from .networks import mlp_apply, mlp_init, mlp_sizes, noise_rows
+from .networks import mlp_apply, mlp_init, mlp_sizes
 from .optimize import descend
 
 __all__ = [
@@ -46,9 +47,7 @@ class InferenceNet:
         self.hidden = tuple(hidden)
         self.n_layers = len(mlp_sizes(noise_dim, self.hidden, latent_dim))
         if weights is None:
-            rng = np.random.Generator(np.random.PCG64(
-                np.random.SeedSequence((int(rng_seed), 19))))
-            weights = mlp_init(noise_dim, self.hidden, latent_dim, rng)
+            weights = mlp_init(noise_dim, self.hidden, latent_dim, keyed_rng(rng_seed, 19))
         self.weights = weights
 
     def apply(self, tape, eps, weight_nodes=None):
@@ -65,7 +64,7 @@ class InferenceNet:
 
     def sample(self, n, rng_seed=0):
         """(n, latent_dim) latents from counter-based noise draws, pushed as one batch."""
-        return self.push(noise_rows(n, self.noise_dim, rng_seed, 23))
+        return self.push(sample_prior(n, self.noise_dim, rng_seed, 23))
 
 
 @dataclass
@@ -85,9 +84,7 @@ def train_inference_network(generator, observations, config=None):
     loss_fn = DataLoss(observations, cfg.loss, geometry=generator.geometry)
 
     def objective(tape, wnodes, step):
-        rng = np.random.Generator(np.random.PCG64(
-            np.random.SeedSequence((int(cfg.rng_seed), 29, step))))
-        eps = rng.standard_normal((cfg.batch, noise_dim))
+        eps = keyed_rng(cfg.rng_seed, 29, step).standard_normal((cfg.batch, noise_dim))
         z = net.apply(tape, tape.constant(eps), wnodes)
         coarse, _ = generator.build(tape, z, cells=loss_fn.cells)
         total = loss_fn.build(tape, coarse, z=z)  # the batch mean

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..generators import keyed_rng, sample_prior
 from .loss import InversionError
 
 __all__ = [
@@ -98,16 +99,14 @@ def _distinct_rows(rng, m, k):
     return idx
 
 
-def _chain_rng(seed, *key):
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence((int(seed),) + key)))
-
-
 def dream_zs(log_posterior, d, config=None):
     """Sample a black-box log posterior over R^d.
 
-    Proposal randomness for (generation, chain) is derived from
-    (seed, generation, chain) only, so results do not depend on how chains
-    are scheduled.
+    Initial archive rows and chain states are :func:`.sample_prior` rows of
+    streams 1 and 2, scaled by ``init_scale``. Proposal randomness for
+    (generation, chain) comes from :func:`.keyed_rng` ``(seed, 3,
+    generation, chain)`` only, so results do not depend on how chains are
+    scheduled.
     """
     cfg = config or DreamConfig()
     if cfg.n_chains < 3:
@@ -121,16 +120,9 @@ def dream_zs(log_posterior, d, config=None):
     states = np.empty((cfg.n_chains, total, d))
     logps = np.empty((cfg.n_chains, total))
 
-    archive = np.empty((m0, d))
-    for i in range(m0):
-        archive[i] = cfg.init_scale * _chain_rng(cfg.rng_seed, 1, i).standard_normal(d)
-    x = np.empty((cfg.n_chains, d))
-    x_logp = np.empty(cfg.n_chains)
-    for i in range(cfg.n_chains):
-        x[i] = cfg.init_scale * _chain_rng(cfg.rng_seed, 2, i).standard_normal(d)
-        x_logp[i] = log_posterior(x[i])
-
-    archive_rows = [archive[i] for i in range(m0)]
+    archive_rows = list(cfg.init_scale * sample_prior(m0, d, cfg.rng_seed, 1))
+    x = cfg.init_scale * sample_prior(cfg.n_chains, d, cfg.rng_seed, 2)
+    x_logp = np.array([log_posterior(row) for row in x], dtype=np.float64)
     n_accept = 0
     n_prop = 0
     n_resets = 0
@@ -140,7 +132,7 @@ def dream_zs(log_posterior, d, config=None):
         m = arch.shape[0]
         unit_jump = (t + 1) % cfg.gamma_one_every == 0
         for i in range(cfg.n_chains):
-            rng = _chain_rng(cfg.rng_seed, 3, t, i)
+            rng = keyed_rng(cfg.rng_seed, 3, t, i)
             snooker = rng.uniform() < cfg.snooker_prob
             log_corr = 0.0
             if not snooker:

@@ -6,7 +6,7 @@ import numpy as np
 
 from .. import tensors as tc
 
-__all__ = ["mlp_init", "mlp_apply", "mlp_sizes", "noise_rows"]
+__all__ = ["mlp_init", "mlp_apply", "mlp_sizes"]
 
 
 def mlp_sizes(d_in, hidden, d_out):
@@ -34,13 +34,3 @@ def mlp_apply(tape, weights, x, n_layers, slope=0.2):
             h = tc.leaky_relu(h, slope)
     return h
 
-
-def noise_rows(n, dim, rng_seed, stream):
-    """(n, dim) standard-normal rows; row i is drawn from the key
-    (rng_seed, stream, i) alone, so it does not depend on n."""
-    out = np.empty((n, dim))
-    for i in range(n):
-        rng = np.random.Generator(np.random.PCG64(
-            np.random.SeedSequence((int(rng_seed), stream, i))))
-        out[i] = rng.standard_normal(dim)
-    return out

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .. import tensors as tc
-from ..generators import neutral_labels, sample_prior
+from ..generators import keyed_rng, neutral_labels, sample_prior
 from .loss import DataLoss, DataLossConfig, InversionError
 
 __all__ = [
@@ -399,8 +399,7 @@ def _tune_one(generator, pivots, observations, config):
     batch = min(batch, n_pivots)
 
     def objective(tape, wnodes, step):
-        rng = np.random.Generator(np.random.PCG64(
-            np.random.SeedSequence((int(config.rng_seed), 7, step))))
+        rng = keyed_rng(config.rng_seed, 7, step)
         total = None
 
         if data_term_on:

@@ -15,8 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import tensors as tc
+from ..generators import keyed_rng, sample_prior
 from .loss import DataLoss, DataLossConfig, InversionError
-from .networks import mlp_apply, mlp_init, mlp_sizes, noise_rows
+from .networks import mlp_apply, mlp_init, mlp_sizes
 from .optimize import check_schedule, descend
 
 __all__ = ["FlowConfig", "FlowModel", "VariationalResult",
@@ -54,9 +55,8 @@ class FlowModel:
             weights = {}
             for layer in range(config.n_layers):
                 d_a, d_b = self._split_dims(layer)
-                rng = np.random.Generator(np.random.PCG64(
-                    np.random.SeedSequence((int(config.rng_seed), 11, layer))))
-                sub = mlp_init(d_a, config.hidden, 2 * d_b, rng, scale=0.1)
+                sub = mlp_init(d_a, config.hidden, 2 * d_b,
+                               keyed_rng(config.rng_seed, 11, layer), scale=0.1)
                 for k, v in sub.items():
                     weights[f"layer{layer}.{k}"] = v
         self.weights = weights
@@ -124,7 +124,7 @@ class FlowModel:
 
     def sample(self, n, rng_seed=0):
         """(n, dim) posterior draws, counter-based per index, pushed as one batch."""
-        return np.asarray(self.push(noise_rows(n, self.dim, rng_seed, 13)), dtype=np.float64)
+        return np.asarray(self.push(sample_prior(n, self.dim, rng_seed, 13)), dtype=np.float64)
 
 
 def gaussian_data_loglik(generator, observations, sigma):
@@ -176,9 +176,7 @@ def variational_infer(loglik_builder, dim, config=None):
     clamped = np.zeros(cfg.n_layers, dtype=np.int64)
 
     def neg_elbo(tape, wnodes, step):
-        rng = np.random.Generator(np.random.PCG64(
-            np.random.SeedSequence((int(cfg.rng_seed), 17, step))))
-        u = rng.standard_normal((cfg.batch, dim))
+        u = keyed_rng(cfg.rng_seed, 17, step).standard_normal((cfg.batch, dim))
         z, logdet = flow.transform(tape, tape.constant(u), wnodes, clamped)
         # log p(z) - log q(z) = -|z|^2/2 + |u|^2/2 + logdet (constants cancel),
         # summed over the batch

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .generators import keyed_rng
 from .grids import GridGeometry
 
 __all__ = [
@@ -154,7 +155,7 @@ def place_wells(weight_maps, policy, rng_seed, geometry=None):
     elif (geometry.ny, geometry.nx) != shape:
         raise SurveyError(f"weight maps of (ny, nx) shape {shape} do not match the "
                           f"{geometry.nx}x{geometry.ny} grid")
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((int(rng_seed),))))
+    rng = keyed_rng(rng_seed)
 
     joint = np.mean(maps, axis=0)
     legacy = []
@@ -182,12 +183,9 @@ def place_wells(weight_maps, policy, rng_seed, geometry=None):
     return legacy, extras
 
 
-def extract_well_data(grid, locations, noise_std=0.0, rng_seed=0):
-    """Copy coarse-fraction columns at the given (ix, iy) locations.
-
-    Noise-free by default; an optional Gaussian perturbation is available but
-    off in every shipped configuration.
-    """
+def extract_well_data(grid, locations):
+    """Copy the noise-free coarse-fraction columns at the given (ix, iy)
+    locations; well n is named ``W{n:02d}``."""
     geometry = grid.geometry
     wells, cols = [], []
     for n, (ix, iy) in enumerate(locations):
@@ -197,9 +195,6 @@ def extract_well_data(grid, locations, noise_std=0.0, rng_seed=0):
         wells.append(Well(well_id=f"W{n:02d}", ix=int(ix), iy=int(iy)))
         cols.append(grid.coarse_fraction[:, iy, ix].astype(np.float64))
     columns = np.array(cols) if cols else np.zeros((0, geometry.nz))
-    if noise_std > 0.0 and columns.size:
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((int(rng_seed), 1))))
-        columns = np.clip(columns + noise_std * rng.standard_normal(columns.shape), 0.0, 1.0)
     return WellDataset(geometry, wells, columns)
 
 

@@ -11,6 +11,8 @@ Contractions and reductions always accumulate in float64 with a fixed
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = [
@@ -494,18 +496,29 @@ def take(x, indices):
 # ---------------------------------------------------------------------------
 # reductions (float64 accumulation, fixed order)
 
-def sum_all(x):
-    tape = _tape_of(x)
-    value = np.asarray(x.value.sum(dtype=_ACC), dtype=tape.dtype)
-    out = tape._new_node(value, x.requires_grad)
+def _reduction(tape, x, total, count=1, axes=None):
+    """Record ``total / count``, ``total`` a float64 sum of ``x`` over
+    ``axes`` (None: all of them); the backward spreads ``g / count`` back
+    over those axes. A sum (``count`` 1) skips the division."""
+    out = tape._new_node(np.asarray(total if count == 1 else total / count, dtype=tape.dtype),
+                         x.requires_grad)
     if out.requires_grad:
         shape = x.value.shape
 
         def backward(g):
+            if count != 1:
+                g = g / count
+            if axes is not None:
+                g = np.expand_dims(g, axes)
             return (np.broadcast_to(g, shape),)
 
         tape._record(out, (x,), backward)
     return out
+
+
+def sum_all(x):
+    tape = _tape_of(x)
+    return _reduction(tape, x, x.value.sum(dtype=_ACC))
 
 
 def sum_axis(x, axis):
@@ -514,30 +527,12 @@ def sum_axis(x, axis):
     shape = x.value.shape
     if not -len(shape) <= axis < len(shape):
         raise ShapeError(f"sum_axis: axis {axis} out of range for shape {shape}")
-    value = np.asarray(x.value.sum(axis=axis, dtype=_ACC), dtype=tape.dtype)
-    out = tape._new_node(value, x.requires_grad)
-    if out.requires_grad:
-
-        def backward(g):
-            return (np.broadcast_to(np.expand_dims(g, axis), shape),)
-
-        tape._record(out, (x,), backward)
-    return out
+    return _reduction(tape, x, x.value.sum(axis=axis, dtype=_ACC), 1, axis)
 
 
 def mean_all(x):
     tape = _tape_of(x)
-    n = x.value.size
-    value = np.asarray(x.value.sum(dtype=_ACC) / n, dtype=tape.dtype)
-    out = tape._new_node(value, x.requires_grad)
-    if out.requires_grad:
-        shape = x.value.shape
-
-        def backward(g):
-            return (np.broadcast_to(g / n, shape),)
-
-        tape._record(out, (x,), backward)
-    return out
+    return _reduction(tape, x, x.value.sum(dtype=_ACC), x.value.size)
 
 
 def mean_rows(x):
@@ -547,17 +542,8 @@ def mean_rows(x):
     shape = x.value.shape
     if len(shape) < 2:
         raise ShapeError(f"mean_rows: need a leading row axis, got shape {shape}")
-    n = int(np.prod(shape[1:]))
-    value = np.asarray(x.value.reshape(shape[0], -1).sum(axis=1, dtype=_ACC) / n,
-                       dtype=tape.dtype)
-    out = tape._new_node(value, x.requires_grad)
-    if out.requires_grad:
-
-        def backward(g):
-            return (np.broadcast_to((g / n).reshape((-1,) + (1,) * (len(shape) - 1)), shape),)
-
-        tape._record(out, (x,), backward)
-    return out
+    return _reduction(tape, x, x.value.reshape(shape[0], -1).sum(axis=1, dtype=_ACC),
+                      math.prod(shape[1:]), tuple(range(1, len(shape))))
 
 
 # ---------------------------------------------------------------------------

@@ -497,6 +497,8 @@ def test_flow_sample_rows_equal_single_pushes(n):
     assert draws.shape == (n, 5)
     for i in range(n):
         np.testing.assert_array_equal(draws[i], flow.push(_noise(9, 13, i, 5)))
+    with pytest.raises(GeneratorError, match="n >= 1"):
+        flow.sample(0)
 
 
 @pytest.mark.parametrize("n", [1, 7, 32])
@@ -506,6 +508,8 @@ def test_inference_net_sample_rows_equal_single_pushes(n):
     assert draws.shape == (n, 6)
     for i in range(n):
         np.testing.assert_array_equal(draws[i], net.push(_noise(9, 23, i, 4)))
+    with pytest.raises(GeneratorError, match="n >= 1"):
+        net.sample(0)
 
 
 def test_flow_batch_logdet_sums_rows():

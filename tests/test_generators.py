@@ -12,6 +12,7 @@ from fluvinv.generators import (
     GeneratorError,
     NeuralGenerator,
     ProceduralGenerator,
+    keyed_rng,
     load_weights,
     neutral_labels,
     sample_prior,
@@ -44,6 +45,26 @@ def test_sample_prior_worker_split_invariant():
 def test_sample_prior_single_value():
     z = sample_prior(1, 1, rng_seed=1)
     assert z.shape == (1, 1) and np.isfinite(z[0, 0])
+
+
+def _inline_rng(*key):
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(key)))
+
+
+def test_keyed_rng_is_the_pcg64_stream_of_its_key():
+    for key in [(5,), (5, 19), (5, 3, 2, 1), (2**32 - 1, 29, 400)]:
+        np.testing.assert_array_equal(keyed_rng(*key).standard_normal(6),
+                                      _inline_rng(*key).standard_normal(6))
+    # numpy integers name the same stream as Python ints
+    np.testing.assert_array_equal(keyed_rng(np.uint32(5), np.int64(7)).uniform(size=4),
+                                  _inline_rng(5, 7).uniform(size=4))
+
+
+@pytest.mark.parametrize("stream", [(), (13,), (1,), (3, 4)])
+def test_sample_prior_row_i_is_keyed_by_stream_and_i(stream):
+    z = sample_prior(4, 3, 9, *stream)
+    for i in range(4):
+        np.testing.assert_array_equal(z[i], _inline_rng(9, *stream, i).standard_normal(3))
 
 
 def test_sample_prior_rejects_bad_counts():

@@ -1,6 +1,7 @@
 """Packaging metadata matches the code: entry points resolve, dependencies are
 used and every name in a module's ``__all__`` exists."""
 
+import ast
 import importlib
 import re
 import tomllib
@@ -40,3 +41,52 @@ def test_every_exported_name_resolves():
         stale += [f"{name}.{export}" for export in getattr(module, "__all__", ())
                   if not hasattr(module, export)]
     assert not stale, f"names in __all__ that do not resolve: {stale}"
+
+
+def _numpy_random_uses(tree):
+    """(line, enclosing function) of every reference to ``numpy.random``:
+    ``np.random.<anything>`` and imports from it."""
+    uses = []
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if isinstance(node, ast.Attribute) and node.attr == "random" \
+                and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy"):
+            uses.append((node.lineno, func))
+        elif isinstance(node, ast.Import) and any(
+                a.name.startswith("numpy.random") for a in node.names):
+            uses.append((node.lineno, func))
+        elif isinstance(node, ast.ImportFrom) and node.module and (
+                node.module.startswith("numpy.random")
+                or node.module == "numpy" and any(a.name == "random" for a in node.names)):
+            uses.append((node.lineno, func))
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(tree, None)
+    return uses
+
+
+def test_only_keyed_rng_touches_numpy_random():
+    """Every random draw under src/ comes from ``generators.keyed_rng``: no
+    other code builds a SeedSequence, PCG64 or default_rng or draws from
+    numpy's global stream."""
+    offenders = []
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        rel = path.relative_to(ROOT).as_posix()
+        for line, func in _numpy_random_uses(ast.parse(path.read_text())):
+            if (rel, func) != ("src/fluvinv/generators.py", "keyed_rng"):
+                offenders.append(f"{rel}:{line} in {func}")
+    assert not offenders, f"numpy.random used outside keyed_rng: {offenders}"
+
+
+def test_numpy_random_finder_sees_every_form():
+    source = """
+import numpy.random
+from numpy import random
+from numpy.random import default_rng
+def f(seed):
+    return np.random.Generator(np.random.PCG64(seed)), numpy.random.uniform()
+"""
+    assert [line for line, _ in _numpy_random_uses(ast.parse(source))] == [2, 3, 4, 6, 6, 6]

@@ -1,8 +1,10 @@
-"""Pinned results of tiny fixed-seed runs of the four gradient methods.
+"""Pinned results of tiny fixed-seed runs of the four gradient methods and
+of the DREAM(ZS) sampler.
 
-Every loss/ELBO history and every final parameter array of the runs below is
-compared with ``reference_runs.json`` at rtol 1e-12, so a refactor of the
-descent loops, the likelihood or the generator calls that changes any
+Every loss/ELBO history, every final parameter array and the sampler's
+chains and archive of the runs below are compared with
+``reference_runs.json`` at rtol 1e-12, so a refactor of the descent loops,
+the likelihood, the generator calls or the random streams that changes any
 arithmetic shows here. Regenerate the file only on purpose, at a commit whose
 results are the reference:
 
@@ -25,11 +27,13 @@ from fluvinv.geophysics import PsfConfig, SeismicModel
 from fluvinv.grids import GridGeometry
 from fluvinv.inversion import (
     DataLossConfig,
+    DreamConfig,
     FlowConfig,
     InferenceNetConfig,
     LatentOptimizeConfig,
     Observations,
     PivotalTuneConfig,
+    dream_zs,
     gaussian_data_loglik,
     latent_optimize,
     pivotal_tune,
@@ -37,6 +41,7 @@ from fluvinv.inversion import (
     variational_infer,
 )
 from fluvinv.survey import extract_well_data
+from fluvinv.tensors import GraphTape
 
 REFERENCE = Path(__file__).with_name("reference_runs.json")
 
@@ -141,9 +146,25 @@ def run_amortized():
             **{f"w.{k}": v for k, v in result.net.weights.items()}}
 
 
+def run_dream():
+    gen, _, obs = _case(label_dim=0)
+    loglik = gaussian_data_loglik(gen, obs, 0.3)
+
+    def log_posterior(z):
+        tape = GraphTape(np.float64)
+        return float(loglik(tape, tape.constant(z)).value) - 0.5 * float(z @ z)
+
+    cfg = DreamConfig(n_chains=5, burn_in=12, generations=8, archive_thin=4,
+                      outlier_every=6, init_scale=1.5, rng_seed=18)
+    ens = dream_zs(log_posterior, gen.latent_dim, cfg)
+    return {"states": ens.states, "log_posteriors": ens.log_posteriors,
+            "archive": ens.archive, "accept_rate": [ens.accept_rate],
+            "outlier_resets": [ens.outlier_resets]}
+
+
 RUNS = {f.__name__[4:]: f for f in (run_latent_neutral, run_latent_labels, run_latent_seismic,
                                     run_tune_shared, run_tune_per_pivot, run_tune_neural,
-                                    run_flow, run_amortized)}
+                                    run_flow, run_amortized, run_dream)}
 
 
 @pytest.mark.parametrize("name", sorted(RUNS))
