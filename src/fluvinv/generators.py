@@ -106,14 +106,17 @@ def _label_node(tape, labels, label_dim, n_neutral, rows=None):
     shape (rows, label_dim)."""
     if labels is None:
         return tape.constant(neutral_labels(n_neutral)) if n_neutral else None
+    _check_label_shape(labels.value.shape, label_dim, rows)
+    return labels
+
+
+def _check_label_shape(shape, label_dim, rows=None):
     if not label_dim:
         raise GeneratorError("generator is unconditional, labels given")
-    shape = labels.value.shape
     if shape != (label_dim,) and (rows is None or shape != (rows, label_dim)):
         per_row = "" if rows is None else f" or ({rows}, {label_dim})"
         raise GeneratorError(f"expected {label_dim} labels, shape ({label_dim},){per_row}, "
                              f"got shape {shape}")
-    return labels
 
 
 def _check_labels(labels):
@@ -264,91 +267,331 @@ class ProceduralGenerator:
         ``labels`` is a node of ``label_dim`` labels shared by every row, or
         for a batch of B latents per-row labels, shape (B, label_dim), or None
         for neutral labels; an unconditional generator takes none.
+
+        The build is two :func:`tc.custom` records of one fused kernel
+        (:func:`_procedural_kernel`) over (z, labels, maps), one per channel.
         """
         g = self.geometry
         rows = _batch_rows(z, self.latent_dim)
         labels = _label_node(tape, labels, self.label_dim, len(LABEL_NAMES), rows)
-        if weights is None:
-            weights = {"maps": tape.constant(self._maps)}
-
+        maps = tape.constant(self._maps) if weights is None else weights["maps"]
         if cells is None:
             x = np.arange(g.nx, dtype=np.float64).reshape(1, 1, g.nx)
             y = np.arange(g.ny, dtype=np.float64).reshape(1, g.ny, 1)
             layer = np.arange(g.nz, dtype=np.float64).reshape(g.nz, 1, 1)
-            if rows:
-                # latent and per-row label columns of shape (B, 1, 1, 1)
-                # broadcast over the grid
-                z = tc.reshape(z, (rows, 1, 1, self.latent_dim))
-                if labels.value.ndim == 2:
-                    labels = tc.reshape(labels, (rows, 1, 1, self.label_dim))
         else:
             cells = _check_cells(cells, g)
             x = (cells % g.nx).astype(np.float64)
             y = ((cells // g.nx) % g.ny).astype(np.float64)
             layer = (cells // (g.ny * g.nx)).astype(np.float64)
-        b = self._belt_nodes(z, labels, weights["maps"])
-        xg, yg, mg = tape.constant(x), tape.constant(y), tape.constant(layer)
-
-        centerline = b["center"] + b["drift"] * mg + b["amplitude"] * tc.sin(
-            (2.0 * np.pi) * xg / b["wavelength"] + b["phase"] + b["turn"] * mg)
-        dist = tc.absolute(yg - centerline)
-        coarse = tc.sigmoid((b["half_width"] - dist) / b["sharpness"])
-        core = tc.sigmoid((0.6 * b["half_width"] - dist) / b["sharpness"])
-
-        # vertical stacking: layer time warped by the aggradation label and
-        # pulled toward 1 (recent reworking) inside the channel core
-        q = tc.exp(np.log(2.0) * (1.0 - 2.0 * b["aggradation"]))
-        t = tape.constant(np.clip(layer / max(g.nz - 1, 1), 1e-6, 1.0))
-        t_warp = tc.exp(q * tc.log(t))
-        weight_core = b["core_blend"] * core
-        depo = weight_core + (1.0 - weight_core) * t_warp
-
-        return coarse, depo
+        # the kernel runs once here; each record takes one channel's value and
+        # backward from it
+        coarse, depo = _procedural_kernel(
+            g, x, y, layer, z.value, labels.value, maps.value,
+            (z.requires_grad, labels.requires_grad, maps.requires_grad))
+        return (tc.custom(lambda *_: coarse, z, labels, maps),
+                tc.custom(lambda *_: depo, z, labels, maps))
 
     generate = _generate
 
     def belt_parameters(self, z, labels=None):
         """Interpretable belt parameters for a latent (diagnostics/tests), plus the
         core blend and the aggradation label that shape the vertical stacking."""
-        tape = tc.GraphTape(np.float64)
-        if labels is not None:
-            labels = tape.constant(_check_labels(labels))
-        nodes = self._belt_nodes(tape.constant(np.asarray(z, dtype=np.float64)),
-                                 _label_node(tape, labels, self.label_dim, len(LABEL_NAMES)),
-                                 tape.constant(self._maps))
-        return {k: float(v.value[0]) for k, v in nodes.items()}
+        if labels is None:
+            labels = neutral_labels()
+        else:
+            labels = _check_labels(labels)
+            _check_label_shape(labels.shape, self.label_dim)
+        b = _belt(self.geometry, np.asarray(z, dtype=np.float64), labels, self._maps)
+        return {k: float(b[k][0]) for k in _BELT_PARAMETERS}
 
-    def _belt_nodes(self, z, labels, maps):
-        """Belt parameter nodes from latent, label and map-coefficient nodes:
-        shape (1,) for a latent of shape (d,); the latent- and per-row
-        label-driven ones keep a batch's leading axes, with the last axis of
-        size 1."""
-        def col(node, i):  # component i along the last axis
-            return tc.crop(node, (slice(None),) * (node.value.ndim - 1) + (slice(i, i + 1),))
 
-        def zc(i):  # latent component
-            return col(z, i)
+_BELT_PARAMETERS = ("center", "half_width", "amplitude", "wavelength", "phase", "drift",
+                    "sharpness", "turn", "core_blend", "aggradation")
+_LN2 = float(np.log(2.0))
 
-        def cf(i):  # map coefficient
-            return tc.take(maps, [i])
 
-        g_coarse, g_fine, erod, aggr, rain = (col(labels, i) for i in range(5))
+def _belt(geometry, z, labels, maps):
+    """The belt parameters (:data:`_BELT_PARAMETERS`) from latent, label and
+    map-coefficient arrays of one float dtype, with the intermediates that
+    :func:`_belt_vjp` reads. Shape (1,) for a latent of shape (d,); the
+    latent- and per-row label-driven ones keep a batch's leading axes, with
+    the last axis of size 1. With map coefficients c, latent z and labels:
 
-        g = self.geometry
-        ny, nx, nz = float(g.ny), float(g.nx), g.nz
-        y0 = ny * tc.sigmoid(cf(0) * zc(0) + cf(1))
-        half_width = ny * (cf(2) + cf(3) * tc.sigmoid(0.7 * zc(1)))
-        half_width = half_width * (cf(4) + cf(5) * rain)
-        amp = ny * cf(6) * tc.tanh(0.7 * zc(2)) * (1.3 - 0.6 * g_coarse)
-        wavelength = nx * (cf(7) + cf(8) * tc.tanh(0.7 * zc(3)))
-        phase = cf(9) * zc(4)
-        drift = (ny / max(nz - 1, 1)) * cf(10) * tc.tanh(0.7 * zc(5)) * (0.5 + erod)
-        sharp = (cf(11) + cf(12) * tc.sigmoid(0.7 * zc(6))) * (0.7 + 0.6 * g_fine)
-        turn = cf(13) * tc.tanh(0.7 * zc(7))
-        blend = tc.sigmoid(cf(14))
-        return {"center": y0, "half_width": half_width, "amplitude": amp,
-                "wavelength": wavelength, "phase": phase, "drift": drift,
-                "sharpness": sharp, "turn": turn, "core_blend": blend, "aggradation": aggr}
+    * center = ny sigmoid(c0 z0 + c1)
+    * half_width = ny (c2 + c3 sigmoid(0.7 z1)) (c4 + c5 rain)
+    * amplitude = ny c6 tanh(0.7 z2) (1.3 - 0.6 coarse grain)
+    * wavelength = nx (c7 + c8 tanh(0.7 z3)); phase = c9 z4
+    * drift = ny / (nz - 1) c10 tanh(0.7 z5) (0.5 + erodibility)
+    * sharpness = (c11 + c12 sigmoid(0.7 z6)) (0.7 + 0.6 fine grain)
+    * turn = c13 tanh(0.7 z7); core_blend = sigmoid(c14); aggradation label
+
+    Every op runs in that dtype (Python scalars adopt it), with the operand
+    order and association written here, so a float32 build rounds as a tape
+    of one record per op does.
+    """
+    ny, nx = float(geometry.ny), float(geometry.nx)
+    zc = [z[..., i:i + 1] for i in range(8)]
+    g_coarse, g_fine, erod, aggr, rain = (labels[..., i:i + 1] for i in range(5))
+    c = [maps[i:i + 1] for i in range(len(_MAP_COEFF_NAMES))]
+    sigmoid = tc._stable_sigmoid
+    # kept for the backward: sK and tK are the sigmoid and tanh terms of latent
+    # component K, and a parameter that is a product keeps its factors
+    b = {"z": zc, "labels": (g_coarse, g_fine, erod, aggr, rain), "maps": c,
+         "ny": ny, "nx": nx, "drift_scale": ny / max(geometry.nz - 1, 1)}
+    b["s0"] = s0 = sigmoid(c[0] * zc[0] + c[1])
+    b["s1"] = s1 = sigmoid(zc[1] * 0.7)
+    b["hw0"] = hw0 = (c[2] + c[3] * s1) * ny
+    b["wr"] = wr = c[4] + c[5] * rain
+    b["t2"] = t2 = np.tanh(zc[2] * 0.7)
+    b["a6"] = a6 = c[6] * ny
+    b["a62"] = a62 = a6 * t2
+    b["k2"] = k2 = 1.3 - g_coarse * 0.6
+    b["t3"] = t3 = np.tanh(zc[3] * 0.7)
+    b["t5"] = t5 = np.tanh(zc[5] * 0.7)
+    b["d10"] = d10 = c[10] * b["drift_scale"]
+    b["d105"] = d105 = d10 * t5
+    b["e5"] = e5 = erod + 0.5
+    b["s6"] = s6 = sigmoid(zc[6] * 0.7)
+    b["sh0"] = sh0 = c[11] + c[12] * s6
+    b["f6"] = f6 = g_fine * 0.6 + 0.7
+    b["t7"] = t7 = np.tanh(zc[7] * 0.7)
+    b.update(center=s0 * ny, half_width=hw0 * wr, amplitude=a62 * k2,
+             wavelength=(c[7] + c[8] * t3) * nx, phase=c[9] * zc[4], drift=d105 * e5,
+             sharpness=sh0 * f6, turn=c[13] * t7, core_blend=sigmoid(c[14]),
+             aggradation=aggr)
+    return b
+
+
+def _belt_vjp(b, gp, needs):
+    """Gradients of the latent components, labels and map coefficients, as
+    dicts from column index to array, from the gradients ``gp`` of the belt
+    parameters of ``b`` (:func:`_belt`): each factor is the derivative of
+    one op of the forward, applied in reverse op order, and each broadcast is
+    summed back as the tape sums it. ``needs`` flags which of (latent,
+    labels, maps) take gradients."""
+    rz, rl, rm = needs
+    zc, (g_coarse, g_fine, erod, aggr, rain), c = b["z"], b["labels"], b["maps"]
+    ny, nx = b["ny"], b["nx"]
+    gz, gl, gm = {}, {}, {}
+    g = gp.get("center")
+    if g is not None:
+        s0 = b["s0"]
+        g = g * ny * s0 * (1.0 - s0)
+        if rm:
+            gm[0], gm[1] = _sum_to(g * zc[0], c[0]), _sum_to(g, c[1])
+        if rz:
+            gz[0] = g * c[0]
+    g = gp.get("half_width")
+    if g is not None:
+        if rz or rm:
+            g0 = _sum_to(g * b["wr"], b["hw0"]) * ny
+            if rm:
+                gm[2], gm[3] = _sum_to(g0, c[2]), _sum_to(g0 * b["s1"], c[3])
+            if rz:
+                s1 = b["s1"]
+                gz[1] = g0 * c[3] * s1 * (1.0 - s1) * 0.7
+        if rl or rm:
+            g0 = _sum_to(g * b["hw0"], b["wr"])
+            if rm:
+                gm[4], gm[5] = _sum_to(g0, c[4]), _sum_to(g0 * rain, c[5])
+            if rl:
+                gl[4] = g0 * c[5]
+    g = gp.get("amplitude")
+    if g is not None:
+        if rz or rm:
+            g0 = _sum_to(g * b["k2"], b["a62"])
+            if rm:
+                gm[6] = _sum_to(g0 * b["t2"], c[6]) * ny
+            if rz:
+                t2 = b["t2"]
+                gz[2] = g0 * b["a6"] * (1.0 - t2 * t2) * 0.7
+        if rl:
+            gl[0] = -_sum_to(g * b["a62"], b["k2"]) * 0.6
+    g = gp.get("wavelength")
+    if g is not None:
+        g = g * nx
+        if rm:
+            gm[7], gm[8] = _sum_to(g, c[7]), _sum_to(g * b["t3"], c[8])
+        if rz:
+            t3 = b["t3"]
+            gz[3] = g * c[8] * (1.0 - t3 * t3) * 0.7
+    g = gp.get("phase")
+    if g is not None:
+        if rm:
+            gm[9] = _sum_to(g * zc[4], c[9])
+        if rz:
+            gz[4] = g * c[9]
+    g = gp.get("drift")
+    if g is not None:
+        if rz or rm:
+            g0 = _sum_to(g * b["e5"], b["d105"])
+            if rm:
+                gm[10] = _sum_to(g0 * b["t5"], c[10]) * b["drift_scale"]
+            if rz:
+                t5 = b["t5"]
+                gz[5] = g0 * b["d10"] * (1.0 - t5 * t5) * 0.7
+        if rl:
+            gl[2] = _sum_to(g * b["d105"], b["e5"])
+    g = gp.get("sharpness")
+    if g is not None:
+        if rz or rm:
+            g0 = _sum_to(g * b["f6"], b["sh0"])
+            if rm:
+                gm[11], gm[12] = _sum_to(g0, c[11]), _sum_to(g0 * b["s6"], c[12])
+            if rz:
+                s6 = b["s6"]
+                gz[6] = g0 * c[12] * s6 * (1.0 - s6) * 0.7
+        if rl:
+            gl[1] = _sum_to(g * b["sh0"], b["f6"]) * 0.6
+    g = gp.get("turn")
+    if g is not None:
+        if rm:
+            gm[13] = _sum_to(g * b["t7"], c[13])
+        if rz:
+            t7 = b["t7"]
+            gz[7] = g * c[13] * (1.0 - t7 * t7) * 0.7
+    g = gp.get("core_blend")
+    if g is not None and rm:
+        blend = b["core_blend"]
+        gm[14] = g * blend * (1.0 - blend)
+    if "aggradation" in gp:
+        gl[3] = gp["aggradation"]
+    return gz, gl, gm
+
+
+def _sum_to(g, like):
+    """``g`` summed over the axes that ``like`` broadcasts along, in the
+    dtype of ``like``: the gradient of an operand, as the tape reduces it."""
+    return tc._unbroadcast(g, like.shape).astype(like.dtype)
+
+
+def _columns(shape, dt, cols):
+    """An array of ``shape`` whose last-axis columns are ``cols`` (index to
+    array), zero elsewhere."""
+    out = np.zeros(shape, dtype=dt)
+    for i, v in cols.items():
+        out[..., i:i + 1] = v
+    return out
+
+
+def _procedural_kernel(geometry, x, y, layer, z, labels, maps, needs):
+    """The procedural build from latent, label and map-coefficient arrays, as
+    ``((coarse, coarse_vjp), (depo, depo_vjp))`` for two :func:`tc.custom`
+    records over (z, labels, maps); x, y and layer are the cell coordinates,
+    broadcast aranges for the full grid or one entry per cell. The forward:
+
+    * centerline = center + drift layer
+      + amplitude sin(2 pi x / wavelength + phase + turn layer);
+    * dist = |y - centerline|; coarse = sigmoid((half_width - dist) / sharpness),
+      core = sigmoid((0.6 half_width - dist) / sharpness);
+    * depo = w + (1 - w) t**q, w = core_blend core, with t the layer time
+      clipped to [1e-6, 1] and q = 2**(1 - 2 aggradation): vertical stacking
+      warped by the aggradation label and pulled toward 1 (recent reworking)
+      inside the channel core.
+
+    Each channel's backward is derived by hand, op for op (see
+    :func:`_belt_vjp`); it reads the forward's arrays and skips the inputs
+    that ``needs`` (latent, labels, maps) leaves out. A channel no loss reads
+    costs no backward; when both are read, the tape sums their gradients."""
+    rz, rl, rm = needs
+    rzm = rz or rm  # center, wavelength, phase and turn take gradients
+    dt = z.dtype
+    z_shape, labels_shape = z.shape, labels.shape
+    if z.ndim == 2 and x.ndim == 3:
+        # a batch over the full grid: latent and per-row label columns
+        # of shape (B, 1, 1, 1) broadcast over the grid
+        z = z.reshape(z.shape[0], 1, 1, z.shape[1])
+        if labels.ndim == 2:
+            labels = labels.reshape(labels.shape[0], 1, 1, labels.shape[1])
+    b = _belt(geometry, z, labels, maps)
+    xg, yg, mg = (np.asarray(v, dtype=dt) for v in (x, y, layer))
+    center, half_width, amp, wavelength, phase, drift, sharp, turn, blend, aggr = (
+        b[k] for k in _BELT_PARAMETERS)
+
+    xs = xg * (2.0 * np.pi)
+    xw = xs / wavelength
+    a1 = xw + phase
+    tm = turn * mg
+    arg = a1 + tm
+    sn = np.sin(arg)
+    dm = drift * mg
+    cb = center + dm
+    am = amp * sn
+    cl = cb + am
+    diff = yg - cl
+    dist = np.abs(diff)
+    n1 = half_width - dist
+    # both channels share one allocation: as two arrays, a full-seismic
+    # latent call took twice the page faults (glibc sizes its heap trim
+    # by the largest chunk freed so far)
+    coarse, depo = np.empty((2,) + dist.shape, dtype=dt)
+    tc._stable_sigmoid(np.divide(n1, sharp, out=coarse), out=coarse)
+    n2 = np.subtract(half_width * 0.6, dist, out=dist)
+    core = n2 / sharp
+    tc._stable_sigmoid(core, out=core)
+    q = np.exp((1.0 - aggr * 2.0) * _LN2)
+    lt = np.log(np.asarray(np.clip(layer / max(geometry.nz - 1, 1), 1e-6, 1.0), dtype=dt))
+    tw = np.exp(q * lt)
+    wc = blend * core
+    om = np.subtract(1.0, wc)
+    np.multiply(om, tw, out=depo)
+    depo += wc
+    del wc
+    if not rl:  # only the time warp's backward reads om
+        om = None
+
+    def tail(g_dist, gp):
+        # dist = |yg - centerline| down to the belt parameters
+        g_dist *= np.sign(diff)
+        g_cl = -_sum_to(g_dist, cl)
+        g_cb, g_am = _sum_to(g_cl, cb), _sum_to(g_cl, am)
+        gp["amplitude"] = _sum_to(g_am * sn, amp)
+        gp["drift"] = _sum_to(_sum_to(g_cb, dm) * mg, drift)
+        if rzm:
+            gp["center"] = _sum_to(g_cb, center)
+            g_arg = _sum_to(g_am * amp, sn) * np.cos(arg)
+            gp["turn"] = _sum_to(_sum_to(g_arg, tm) * mg, turn)
+            g_a1 = _sum_to(g_arg, a1)
+            gp["phase"] = _sum_to(g_a1, phase)
+            g_xw = _sum_to(g_a1, xw)
+            gp["wavelength"] = _sum_to(-g_xw * xs / (wavelength * wavelength), wavelength)
+        gz, gl, gm = _belt_vjp(b, gp, needs)
+        return (_columns(z.shape, dt, gz).reshape(z_shape) if rz else None,
+                _columns(labels.shape, dt, gl).reshape(labels_shape) if rl else None,
+                _columns(maps.shape, dt, gm) if rm else None)
+
+    def sigmoid_quotient(g, o, n):
+        # g through o = sigmoid(n / sharp): (gradient of n, of sharp)
+        g = g * o
+        term = np.subtract(1.0, o)
+        g *= term
+        np.negative(g, out=term)
+        term *= n
+        term /= sharp * sharp
+        g /= sharp
+        return g, _sum_to(term, sharp)
+
+    def coarse_vjp(g):
+        g_n1, g_sharp = sigmoid_quotient(g, coarse, n1)
+        gp = {"sharpness": g_sharp, "half_width": _sum_to(g_n1, half_width)}
+        return tail(np.negative(g_n1, out=g_n1), gp)
+
+    def depo_vjp(g):
+        gp = {}
+        g_wc = g * tw
+        if rl:
+            g_tw = _sum_to(g * om, tw) * tw
+            gp["aggradation"] = -(_sum_to(g_tw * lt, q) * q * _LN2) * 2.0
+        np.subtract(g, g_wc, out=g_wc)
+        if rm:
+            gp["core_blend"] = _sum_to(g_wc * core, blend)
+        g_wc *= blend
+        g_n2, gp["sharpness"] = sigmoid_quotient(g_wc, core, n2)
+        gp["half_width"] = _sum_to(g_n2, half_width) * 0.6
+        return tail(np.negative(g_n2, out=g_n2), gp)
+
+    return (coarse, coarse_vjp), (depo, depo_vjp)
 
 
 # ---------------------------------------------------------------------------

@@ -237,15 +237,6 @@ def rock_physics(f, params=RockPhysicsParams(), dtype=np.float64):
     return np.asarray(rho.value), np.asarray(vp.value)
 
 
-def rock_physics_moduli(f, params=RockPhysicsParams()):
-    """Named intermediates of the friable-sand chain as arrays
-    (diagnostics/tests): mineral, dry and saturated moduli, porosity,
-    density and Vp."""
-    tape = tc.GraphTape(np.float64)
-    chain = _friable_sand(tape, _clamped_fraction(tape.constant(np.asarray(f))), params)
-    return {k: np.asarray(v.value) for k, v in chain.items()}
-
-
 # ---------------------------------------------------------------------------
 # reflectivity with over-/underburden
 

@@ -24,7 +24,7 @@ __all__ = [
     "TapeError",
     "add", "sub", "mul", "div", "neg", "absolute", "exp", "log", "sqrt",
     "square", "power", "sin", "tanh", "sigmoid", "leaky_relu", "clamp",
-    "affine", "pointwise", "dense", "matmul_axis", "conv3d", "upsample2",
+    "affine", "pointwise", "custom", "dense", "matmul_axis", "conv3d", "upsample2",
     "crop", "concat", "stack", "reshape", "take",
     "sum_all", "sum_axis", "mean_all", "mean_rows", "gradient_check",
 ]
@@ -337,10 +337,21 @@ def tanh(x):
     return _unary("tanh", x, np.tanh, lambda g, v, o: g * (1.0 - o * o), keep="o")
 
 
-def _stable_sigmoid(v):
-    # exp never overflows: 1/(1+e^-v) for v >= 0, e^v/(1+e^v) below
-    e = np.exp(-np.abs(v))
-    return np.where(v >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+def _stable_sigmoid(v, out=None):
+    # exp never overflows: 1/(1+e^-v) for v >= 0, e^v/(1+e^v) below. The
+    # result goes to ``out`` (an array of v's shape and dtype, v itself
+    # allowed; a new one if None) through one temporary array
+    if out is None:
+        out = np.empty_like(v)
+    below = v < 0
+    e = np.abs(v, out=np.empty_like(out))
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    np.add(e, 1.0, out=out)
+    np.divide(e, out, out=e)
+    np.divide(1.0, out, out=out)
+    np.copyto(out, e, where=below)
+    return out
 
 
 def sigmoid(x):
@@ -382,6 +393,50 @@ def pointwise(x, fn):
     if out.requires_grad:
         slope = np.asarray(slope, dtype=tape.dtype)
         tape._record(out, (x,), lambda g: (g * slope,))
+    return out
+
+
+def custom(fn, *nodes):
+    """A function of several nodes with a hand-derived backward, as one record.
+
+    ``fn(*values) -> (value, vjp)`` computes the output from the input
+    values; ``vjp(g)`` returns one gradient per input: None where it has
+    none, else an array of that input's shape or of a shape the input
+    broadcasts to, which is summed back to the input's shape. The record
+    keeps ``vjp``, the input shapes and their ``requires_grad`` flags, never
+    the nodes, so the tape holds no reference cycle through it.
+    """
+    tape = _tape_of(*nodes)
+    nodes = [_coerce(tape, n) for n in nodes]
+    value, vjp = fn(*(n.value for n in nodes))
+    out = tape._new_node(np.asarray(value, dtype=tape.dtype),
+                         any(n.requires_grad for n in nodes))
+    if out.requires_grad:
+        shapes = tuple(n.value.shape for n in nodes)
+        reqs = tuple(n.requires_grad for n in nodes)
+
+        def backward(g):
+            parts = tuple(vjp(g))
+            if len(parts) != len(shapes):
+                raise ShapeError(f"custom: vjp gave {len(parts)} gradients "
+                                 f"for {len(shapes)} inputs")
+            out = []
+            for part, shape, req in zip(parts, shapes, reqs):
+                if part is None or not req:
+                    out.append(None)
+                    continue
+                part = np.asarray(part)
+                try:
+                    fits = np.broadcast_shapes(part.shape, shape) == part.shape
+                except ValueError:
+                    fits = False
+                if not fits:
+                    raise ShapeError(f"custom: gradient of shape {part.shape} "
+                                     f"for an input of shape {shape}")
+                out.append(_unbroadcast(part, shape))
+            return tuple(out)
+
+        tape._record(out, nodes, backward)
     return out
 
 
@@ -448,9 +503,10 @@ def stack(nodes):
         raise ShapeError(f"stack: unequal shapes {[n.shape for n in nodes]}") from None
     out = tape._new_node(value, any(n.requires_grad for n in nodes))
     if out.requires_grad:
+        n = len(nodes)
 
         def backward(g):
-            return tuple(g[i] for i in range(len(nodes)))
+            return tuple(g[i] for i in range(n))
 
         tape._record(out, tuple(nodes), backward)
     return out
@@ -482,10 +538,10 @@ def take(x, indices):
     value = x.value.reshape(-1)[idx]
     out = tape._new_node(value, x.requires_grad)
     if out.requires_grad:
-        in_shape = x.value.shape
+        in_shape, size = x.value.shape, x.value.size
 
         def backward(g):
-            buf = np.zeros(x.value.size, dtype=_ACC)
+            buf = np.zeros(size, dtype=_ACC)
             np.add.at(buf, idx.ravel(), np.asarray(g, dtype=_ACC).ravel())
             return (buf.reshape(in_shape),)
 
@@ -575,13 +631,16 @@ def dense(w, x, bias=None):
     out = tape._new_node(value, any(n.requires_grad for n in inputs))
     if out.requires_grad:
         wv, xv = w.value, x.value
+        w_req, x_req = w.requires_grad, x.requires_grad
+        bias_shape = None if bias is None else bias.value.shape
+        bias_req = bias is not None and bias.requires_grad
 
         def backward(g):
-            gw = np.einsum(f"{ys},{xs}->mn", g, xv, dtype=_ACC) if w.requires_grad else None
-            gx = np.einsum(f"mn,{ys}->{xs}", wv, g, dtype=_ACC) if x.requires_grad else None
+            gw = np.einsum(f"{ys},{xs}->mn", g, xv, dtype=_ACC) if w_req else None
+            gx = np.einsum(f"mn,{ys}->{xs}", wv, g, dtype=_ACC) if x_req else None
             parts = [gw, gx]
-            if bias is not None:
-                parts.append(_unbroadcast(g, bias.value.shape) if bias.requires_grad else None)
+            if bias_shape is not None:
+                parts.append(_unbroadcast(g, bias_shape) if bias_req else None)
             return tuple(parts)
 
         tape._record(out, tuple(inputs), backward)
@@ -710,17 +769,20 @@ def conv3d(x, w, bias=None):
     out = tape._new_node(value, any(n.requires_grad for n in inputs))
     if out.requires_grad:
         wv = w.value
-        views = views if w.requires_grad else None
+        x_req, w_req = x.requires_grad, w.requires_grad
+        has_bias = bias is not None
+        bias_req = has_bias and bias.requires_grad
+        views = views if w_req else None
 
         def backward(g):
             gviews = _shifted_views(g, kshape)
             gx = None
-            if x.requires_grad:
+            if x_req:
                 # correlate the output gradient with the flipped, channel-swapped kernel
                 wt = wv[:, :, ::-1, ::-1, ::-1].transpose(1, 0, 2, 3, 4)
                 gx = _correlate(gviews, wt, g.shape[1:])
             gw = None
-            if w.requires_grad:
+            if w_req:
                 # gw[:, :, i, j, k] = g @ view(i, j, k).T, with g in the
                 # forward's column layout: the centre view of padded g
                 gf = gviews[tuple(k // 2 for k in kshape)]
@@ -728,8 +790,8 @@ def conv3d(x, w, bias=None):
                 for (i, j, k), view in views.items():
                     gw[:, :, i, j, k] = gf @ view.T
             parts = [gx, gw]
-            if bias is not None:
-                parts.append(g.sum(axis=(1, 2, 3), dtype=_ACC) if bias.requires_grad else None)
+            if has_bias:
+                parts.append(g.sum(axis=(1, 2, 3), dtype=_ACC) if bias_req else None)
             return tuple(parts)
 
         tape._record(out, tuple(inputs), backward)

@@ -1,15 +1,18 @@
 """Shared test fixtures: a linear generator with a known least-squares oracle,
 a direct-summation oracle for ``tc.conv3d``, the padded-column reflectivity
-formula and the one-restart-at-a-time latent optimization loop that the row
-blocks replaced."""
+formula, the one-restart-at-a-time latent optimization loop that the row
+blocks replaced, the procedural build as a tape of elementwise ops that the
+fused kernel replaced, and the friable-sand moduli as named arrays."""
 
 import math
 
 import numpy as np
 
 import fluvinv.tensors as tc
-from fluvinv.generators import neutral_labels, sample_prior
-from fluvinv.geophysics import rock_physics
+from fluvinv import geophysics
+from fluvinv.generators import (LABEL_NAMES, _batch_rows, _check_cells, _label_node,
+                                neutral_labels, sample_prior)
+from fluvinv.geophysics import RockPhysicsParams, rock_physics
 from fluvinv.grids import GridGeometry, ModelGrid
 from fluvinv.inversion import DataLoss, InversionError
 from fluvinv.inversion.optimize import RestartRecord, descend
@@ -195,3 +198,81 @@ def padded_reflectivity(imp, burden, dz, params):
         return g_column[pad:pad + imp.shape[0]]
 
     return (lower - upper) / total, vjp
+
+
+def taped_procedural_build(gen, tape, z, labels=None, weights=None, cells=None):
+    """``ProceduralGenerator.build`` as one tape record per elementwise op:
+    the slow-path reference of the fused kernel, same arguments and return."""
+    g = gen.geometry
+    rows = _batch_rows(z, gen.latent_dim)
+    labels = _label_node(tape, labels, gen.label_dim, len(LABEL_NAMES), rows)
+    if weights is None:
+        weights = {"maps": tape.constant(gen.weights()["maps"])}
+
+    if cells is None:
+        x = np.arange(g.nx, dtype=np.float64).reshape(1, 1, g.nx)
+        y = np.arange(g.ny, dtype=np.float64).reshape(1, g.ny, 1)
+        layer = np.arange(g.nz, dtype=np.float64).reshape(g.nz, 1, 1)
+        if rows:
+            z = tc.reshape(z, (rows, 1, 1, gen.latent_dim))
+            if labels.value.ndim == 2:
+                labels = tc.reshape(labels, (rows, 1, 1, gen.label_dim))
+    else:
+        cells = _check_cells(cells, g)
+        x = (cells % g.nx).astype(np.float64)
+        y = ((cells // g.nx) % g.ny).astype(np.float64)
+        layer = (cells // (g.ny * g.nx)).astype(np.float64)
+    b = taped_belt_nodes(g, z, labels, weights["maps"])
+    xg, yg, mg = tape.constant(x), tape.constant(y), tape.constant(layer)
+
+    centerline = b["center"] + b["drift"] * mg + b["amplitude"] * tc.sin(
+        (2.0 * np.pi) * xg / b["wavelength"] + b["phase"] + b["turn"] * mg)
+    dist = tc.absolute(yg - centerline)
+    coarse = tc.sigmoid((b["half_width"] - dist) / b["sharpness"])
+    core = tc.sigmoid((0.6 * b["half_width"] - dist) / b["sharpness"])
+
+    q = tc.exp(np.log(2.0) * (1.0 - 2.0 * b["aggradation"]))
+    t = tape.constant(np.clip(layer / max(g.nz - 1, 1), 1e-6, 1.0))
+    t_warp = tc.exp(q * tc.log(t))
+    weight_core = b["core_blend"] * core
+    depo = weight_core + (1.0 - weight_core) * t_warp
+    return coarse, depo
+
+
+def taped_belt_nodes(geometry, z, labels, maps):
+    """The belt parameter nodes of :func:`taped_procedural_build`: shape (1,)
+    for a latent (d,); the latent- and per-row label-driven ones keep a
+    batch's leading axes, with the last axis of size 1."""
+    def col(node, i):
+        return tc.crop(node, (slice(None),) * (node.value.ndim - 1) + (slice(i, i + 1),))
+
+    def zc(i):
+        return col(z, i)
+
+    def cf(i):
+        return tc.take(maps, [i])
+
+    g_coarse, g_fine, erod, aggr, rain = (col(labels, i) for i in range(5))
+
+    ny, nx, nz = float(geometry.ny), float(geometry.nx), geometry.nz
+    y0 = ny * tc.sigmoid(cf(0) * zc(0) + cf(1))
+    half_width = ny * (cf(2) + cf(3) * tc.sigmoid(0.7 * zc(1)))
+    half_width = half_width * (cf(4) + cf(5) * rain)
+    amp = ny * cf(6) * tc.tanh(0.7 * zc(2)) * (1.3 - 0.6 * g_coarse)
+    wavelength = nx * (cf(7) + cf(8) * tc.tanh(0.7 * zc(3)))
+    phase = cf(9) * zc(4)
+    drift = (ny / max(nz - 1, 1)) * cf(10) * tc.tanh(0.7 * zc(5)) * (0.5 + erod)
+    sharp = (cf(11) + cf(12) * tc.sigmoid(0.7 * zc(6))) * (0.7 + 0.6 * g_fine)
+    turn = cf(13) * tc.tanh(0.7 * zc(7))
+    blend = tc.sigmoid(cf(14))
+    return {"center": y0, "half_width": half_width, "amplitude": amp,
+            "wavelength": wavelength, "phase": phase, "drift": drift,
+            "sharpness": sharp, "turn": turn, "core_blend": blend, "aggradation": aggr}
+
+
+def rock_physics_moduli(f, params=RockPhysicsParams()):
+    """Named intermediates of the friable-sand chain as arrays: mineral, dry
+    and saturated moduli, porosity, density and Vp."""
+    tape = tc.GraphTape(np.float64)
+    f = geophysics._clamped_fraction(tape.constant(np.asarray(f)))
+    return {k: np.asarray(v.value) for k, v in geophysics._friable_sand(tape, f, params).items()}

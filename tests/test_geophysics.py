@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from helpers import padded_reflectivity
+from helpers import padded_reflectivity, rock_physics_moduli
 
 import fluvinv.tensors as tc
 from fluvinv.generators import ProceduralGenerator, sample_prior
@@ -17,7 +17,6 @@ from fluvinv.geophysics import (
     reflectivity_nodes,
     ricker_depth,
     rock_physics,
-    rock_physics_moduli,
     rock_physics_nodes,
     seismic_forward,
 )

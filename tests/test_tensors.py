@@ -1,5 +1,8 @@
 """Tensor engine: forward examples, finite-difference checks, adjoint identity."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,6 +10,8 @@ from hypothesis.extra import numpy as hnp
 
 import fluvinv.tensors as tc
 from fluvinv.tensors import GraphTape, ShapeError, TapeError, gradient_check
+from fluvinv.generators import ProceduralGenerator, sample_prior
+from fluvinv.grids import GridGeometry
 from helpers import conv3d_reference
 
 
@@ -91,6 +96,12 @@ def test_composite_grid_graph_matches_finite_differences():
     assert gradient_check(fn, x0, step=1e-5) < 1e-6
 
 
+def _scaled_exp(a, b):
+    """a * exp(b) and its vector-Jacobian product, for ``tc.custom``."""
+    e = np.exp(b)
+    return a * e, lambda g: (g * e, g * a * e)
+
+
 PRIMITIVE_CASES = {
     "add": lambda t, x: tc.sum_all(tc.square(tc.add(x, t.constant(0.3)))),
     "sub": lambda t, x: tc.sum_all(tc.square(tc.sub(t.constant(1.1), x))),
@@ -125,6 +136,11 @@ PRIMITIVE_CASES = {
     "dense": lambda t, x: tc.sum_all(tc.square(tc.dense(
         t.constant(np.linspace(-1, 1, 3 * 24).reshape(3, 24)), tc.reshape(x, (24,)),
         t.constant(np.array([0.1, -0.2, 0.3]))))),
+    # a (3, 6) and a (1, 6) input; the second one's gradient comes back in the
+    # broadcast shape (3, 6) and is summed to (1, 6)
+    "custom": lambda t, x: tc.sum_all(tc.square(tc.custom(
+        _scaled_exp, tc.reshape(tc.crop(x, (slice(0, 18),)), (3, 6)),
+        tc.reshape(tc.crop(x, (slice(18, 24),)), (1, 6))))),
 }
 
 
@@ -262,6 +278,9 @@ def test_sigmoid_equals_masked_reference(dtype, data):
     got = tc._stable_sigmoid(v)
     assert got.dtype == dtype and got.shape == v.shape
     np.testing.assert_array_equal(got, masked_sigmoid(v))
+    in_place = v.copy()
+    assert tc._stable_sigmoid(in_place, out=in_place) is in_place
+    np.testing.assert_array_equal(in_place, got)
 
 
 BINARY_OPS = {
@@ -330,3 +349,81 @@ def test_backward_keeps_only_leaf_gradients():
     np.testing.assert_array_equal(grads.wrt(c), np.zeros(2))
     with pytest.raises(TapeError, match="op output"):
         grads.wrt(h)
+
+
+@pytest.mark.parametrize("parts", [
+    lambda g: (g,),                                   # one gradient for two inputs
+    lambda g: (g, g, g),                              # three
+    lambda g: (g, np.ones(3)),                        # (3,) for a (2, 3) input
+    lambda g: (g, np.ones((2, 1))),                   # narrower than the input
+], ids=["too_few", "too_many", "wrong_shape", "narrower"])
+def test_custom_rejects_wrong_gradient_count_or_shape(parts):
+    tape = GraphTape(np.float64)
+    a, b = tape.input(np.ones((2, 3))), tape.input(np.ones((2, 3)))
+    out = tc.custom(lambda x, y: (x * y, parts), a, b)
+    with pytest.raises(ShapeError, match="custom"):
+        tape.backward(tc.sum_all(out))
+
+
+def test_custom_honours_requires_grad_and_tape_dtype():
+    tape = GraphTape(np.float32)
+    calls = []
+
+    def fn(a, b):
+        calls.append((a.dtype, b.dtype))
+        return (a + b).astype(np.float64), lambda g: (g, 2.0 * g)
+
+    a, c = tape.input(np.ones(3)), tape.constant(np.full(3, 2.0))
+    out = tc.custom(fn, a, c)
+    assert out.value.dtype == np.float32 and out.requires_grad
+    assert calls == [(np.float32, np.float32)]
+    before = len(tape._records)
+    const = tc.custom(fn, tape.constant(np.ones(3)), tape.constant(np.ones(3)))
+    assert not const.requires_grad and len(tape._records) == before
+    grads = tape.backward(tc.sum_all(out))
+    np.testing.assert_array_equal(grads.wrt(a), np.ones(3))
+    np.testing.assert_array_equal(grads.wrt(c), np.zeros(3))
+
+
+def _record_builders():
+    """Ops that record a backward, each as tape -> output node."""
+    def x(t):
+        return t.input(np.linspace(-1.0, 1.0, 24).reshape(1, 2, 3, 4))
+
+    return {
+        "custom": lambda t: tc.custom(_scaled_exp, x(t), t.input(np.ones((1, 2, 3, 1)))),
+        "dense": lambda t: tc.dense(t.input(np.ones((3, 24))), tc.reshape(x(t), (24,)),
+                                    t.input(np.zeros(3))),
+        "stack": lambda t: tc.stack([x(t), x(t)]),
+        "take": lambda t: tc.take(x(t), [0, 5, 5]),
+        "conv3d": lambda t: tc.conv3d(x(t), t.input(np.ones((2, 1, 3, 3, 3))),
+                                      t.input(np.zeros(2))),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_record_builders()))
+def test_tape_of_records_is_freed_by_reference_counting(name):
+    # a record captures flags and arrays, never its input nodes, so a tape
+    # is no reference cycle and dies with its last node
+    gc.disable()
+    try:
+        tape = GraphTape(np.float64)
+        out = _record_builders()[name](tape)
+        assert tape._records
+        ref = weakref.ref(tape)
+        del tape, out
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_procedural_build_adds_at_most_five_records():
+    gen = ProceduralGenerator(GridGeometry(nx=8, ny=8, nz=4), latent_dim=8)
+    tape = GraphTape(np.float64)
+    z = tape.input(sample_prior(2, 8, rng_seed=1))
+    labels = tape.input(np.full((2, 5), 0.4))
+    maps = tape.input(gen.weights()["maps"])
+    for cells in (None, np.array([3, 50, 200])):
+        before = len(tape._records)
+        gen.build(tape, z, labels, {"maps": maps}, cells)
+        assert len(tape._records) - before <= 5
