@@ -12,6 +12,7 @@ the tensor engine w.r.t. latent, labels, and their own parameters:
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import struct
@@ -137,15 +138,41 @@ def _generate(self, z, labels=None, dtype=np.float32):
                      labels=labels)
 
 
-def _check_cells(cells, geometry):
-    """``cells`` as an intp array of flat, layer-major cell indices of ``geometry``."""
+def _cell_coordinates(cells, geometry):
+    """``(cells, x, y, layer)`` of a build at ``cells`` of ``geometry``:
+    the flat, layer-major cell indices as an intp array and their float64
+    coordinates, one entry per cell; for ``cells`` None, no indices and
+    broadcast aranges over the full grid. The arrays are read-only and
+    computed once per distinct cell list, cached by its content, so a list
+    changed in place gets fresh coordinates. Bad cells raise on every call."""
+    if cells is None:
+        return _coordinates(geometry.nx, geometry.ny, geometry.nz, None)
     arr = np.asarray(cells)
     if arr.ndim != 1 or not np.issubdtype(arr.dtype, np.integer):
         raise GeneratorError(
             f"cells must be a 1-D integer array, got dtype {arr.dtype} shape {arr.shape}")
-    if arr.size and (arr.min() < 0 or arr.max() >= geometry.n_cells):
-        raise GeneratorError(f"cell index outside [0, {geometry.n_cells})")
-    return arr.astype(np.intp, copy=False)
+    return _coordinates(geometry.nx, geometry.ny, geometry.nz,
+                        arr.astype(np.intp, copy=False).tobytes())
+
+
+@functools.lru_cache(maxsize=16)
+def _coordinates(nx, ny, nz, key):
+    # an error is not cached, so bad cells raise again on the next call
+    if key is None:
+        cells = None
+        x = np.arange(nx, dtype=np.float64).reshape(1, 1, nx)
+        y = np.arange(ny, dtype=np.float64).reshape(1, ny, 1)
+        layer = np.arange(nz, dtype=np.float64).reshape(nz, 1, 1)
+    else:
+        cells = np.frombuffer(key, dtype=np.intp)  # read-only
+        if cells.size and (cells.min() < 0 or cells.max() >= nx * ny * nz):
+            raise GeneratorError(f"cell index outside [0, {nx * ny * nz})")
+        x = (cells % nx).astype(np.float64)
+        y = ((cells // nx) % ny).astype(np.float64)
+        layer = (cells // (ny * nx)).astype(np.float64)
+    for v in (x, y, layer):
+        v.flags.writeable = False
+    return cells, x, y, layer
 
 
 def _batch_rows(z, latent_dim):
@@ -251,7 +278,7 @@ class ProceduralGenerator:
                                    weights["maps"])
 
     # -- differentiable core ------------------------------------------------
-    def build(self, tape, z, labels=None, weights=None, cells=None):
+    def build(self, tape, z, labels=None, weights=None, cells=None, depo=True):
         """Emit (coarse_fraction, depo_time) nodes of shape (nz, ny, nx).
 
         With ``cells`` (flat, layer-major indices, as
@@ -268,29 +295,26 @@ class ProceduralGenerator:
         for a batch of B latents per-row labels, shape (B, label_dim), or None
         for neutral labels; an unconditional generator takes none.
 
-        The build is two :func:`tc.custom` records of one fused kernel
-        (:func:`_procedural_kernel`) over (z, labels, maps), one per channel.
+        With ``depo=False`` the build returns ``(coarse, None)``: it skips
+        every step only the depositional time reads and records one node,
+        whose values and gradients equal the coarse of a ``depo=True`` build
+        bit for bit.
+
+        The build is one :func:`tc.custom` record per channel of one fused
+        kernel (:func:`_procedural_kernel`) over (z, labels, maps).
         """
         g = self.geometry
         rows = _batch_rows(z, self.latent_dim)
         labels = _label_node(tape, labels, self.label_dim, len(LABEL_NAMES), rows)
         maps = tape.constant(self._maps) if weights is None else weights["maps"]
-        if cells is None:
-            x = np.arange(g.nx, dtype=np.float64).reshape(1, 1, g.nx)
-            y = np.arange(g.ny, dtype=np.float64).reshape(1, g.ny, 1)
-            layer = np.arange(g.nz, dtype=np.float64).reshape(g.nz, 1, 1)
-        else:
-            cells = _check_cells(cells, g)
-            x = (cells % g.nx).astype(np.float64)
-            y = ((cells // g.nx) % g.ny).astype(np.float64)
-            layer = (cells // (g.ny * g.nx)).astype(np.float64)
+        _, x, y, layer = _cell_coordinates(cells, g)
         # the kernel runs once here; each record takes one channel's value and
         # backward from it
         coarse, depo = _procedural_kernel(
             g, x, y, layer, z.value, labels.value, maps.value,
-            (z.requires_grad, labels.requires_grad, maps.requires_grad))
+            (z.requires_grad, labels.requires_grad, maps.requires_grad), depo)
         return (tc.custom(lambda *_: coarse, z, labels, maps),
-                tc.custom(lambda *_: depo, z, labels, maps))
+                None if depo is None else tc.custom(lambda *_: depo, z, labels, maps))
 
     generate = _generate
 
@@ -311,12 +335,13 @@ _BELT_PARAMETERS = ("center", "half_width", "amplitude", "wavelength", "phase", 
 _LN2 = float(np.log(2.0))
 
 
-def _belt(geometry, z, labels, maps):
+def _belt(geometry, z, labels, maps, depo=True):
     """The belt parameters (:data:`_BELT_PARAMETERS`) from latent, label and
     map-coefficient arrays of one float dtype, with the intermediates that
     :func:`_belt_vjp` reads. Shape (1,) for a latent of shape (d,); the
     latent- and per-row label-driven ones keep a batch's leading axes, with
-    the last axis of size 1. With map coefficients c, latent z and labels:
+    the last axis of size 1. ``core_blend`` is None unless ``depo``, the
+    only channel that reads it. With map coefficients c, latent z and labels:
 
     * center = ny sigmoid(c0 z0 + c1)
     * half_width = ny (c2 + c3 sigmoid(0.7 z1)) (c4 + c5 rain)
@@ -328,38 +353,36 @@ def _belt(geometry, z, labels, maps):
 
     Every op runs in that dtype (Python scalars adopt it), with the operand
     order and association written here, so a float32 build rounds as a tape
-    of one record per op does.
+    of one record per op does. The elementwise sigmoids and tanhs of the
+    latent-driven arguments each run as one call over their columns.
     """
     ny, nx = float(geometry.ny), float(geometry.nx)
     zc = [z[..., i:i + 1] for i in range(8)]
     g_coarse, g_fine, erod, aggr, rain = (labels[..., i:i + 1] for i in range(5))
     c = [maps[i:i + 1] for i in range(len(_MAP_COEFF_NAMES))]
-    sigmoid = tc._stable_sigmoid
     # kept for the backward: sK and tK are the sigmoid and tanh terms of latent
     # component K, and a parameter that is a product keeps its factors
     b = {"z": zc, "labels": (g_coarse, g_fine, erod, aggr, rain), "maps": c,
          "ny": ny, "nx": nx, "drift_scale": ny / max(geometry.nz - 1, 1)}
-    b["s0"] = s0 = sigmoid(c[0] * zc[0] + c[1])
-    b["s1"] = s1 = sigmoid(zc[1] * 0.7)
+    s = tc._stable_sigmoid(np.concatenate([c[0] * zc[0] + c[1], zc[1] * 0.7, zc[6] * 0.7],
+                                          axis=-1))
+    t = np.tanh(z[..., [2, 3, 5, 7]] * 0.7)
+    b["s0"], b["s1"], b["s6"] = s0, s1, s6 = [s[..., i:i + 1] for i in range(3)]
+    b["t2"], b["t3"], b["t5"], b["t7"] = t2, t3, t5, t7 = [t[..., i:i + 1] for i in range(4)]
     b["hw0"] = hw0 = (c[2] + c[3] * s1) * ny
     b["wr"] = wr = c[4] + c[5] * rain
-    b["t2"] = t2 = np.tanh(zc[2] * 0.7)
     b["a6"] = a6 = c[6] * ny
     b["a62"] = a62 = a6 * t2
     b["k2"] = k2 = 1.3 - g_coarse * 0.6
-    b["t3"] = t3 = np.tanh(zc[3] * 0.7)
-    b["t5"] = t5 = np.tanh(zc[5] * 0.7)
     b["d10"] = d10 = c[10] * b["drift_scale"]
     b["d105"] = d105 = d10 * t5
     b["e5"] = e5 = erod + 0.5
-    b["s6"] = s6 = sigmoid(zc[6] * 0.7)
     b["sh0"] = sh0 = c[11] + c[12] * s6
     b["f6"] = f6 = g_fine * 0.6 + 0.7
-    b["t7"] = t7 = np.tanh(zc[7] * 0.7)
     b.update(center=s0 * ny, half_width=hw0 * wr, amplitude=a62 * k2,
              wavelength=(c[7] + c[8] * t3) * nx, phase=c[9] * zc[4], drift=d105 * e5,
-             sharpness=sh0 * f6, turn=c[13] * t7, core_blend=sigmoid(c[14]),
-             aggradation=aggr)
+             sharpness=sh0 * f6, turn=c[13] * t7,
+             core_blend=tc._stable_sigmoid(c[14]) if depo else None, aggradation=aggr)
     return b
 
 
@@ -475,11 +498,13 @@ def _columns(shape, dt, cols):
     return out
 
 
-def _procedural_kernel(geometry, x, y, layer, z, labels, maps, needs):
+def _procedural_kernel(geometry, x, y, layer, z, labels, maps, needs, depo=True):
     """The procedural build from latent, label and map-coefficient arrays, as
     ``((coarse, coarse_vjp), (depo, depo_vjp))`` for two :func:`tc.custom`
-    records over (z, labels, maps); x, y and layer are the cell coordinates,
-    broadcast aranges for the full grid or one entry per cell. The forward:
+    records over (z, labels, maps), or ``((coarse, coarse_vjp), None)``
+    without ``depo``, which skips every step below that only depo reads; x,
+    y and layer are the cell coordinates, broadcast aranges for the full grid
+    or one entry per cell. The forward:
 
     * centerline = center + drift layer
       + amplitude sin(2 pi x / wavelength + phase + turn layer);
@@ -504,7 +529,7 @@ def _procedural_kernel(geometry, x, y, layer, z, labels, maps, needs):
         z = z.reshape(z.shape[0], 1, 1, z.shape[1])
         if labels.ndim == 2:
             labels = labels.reshape(labels.shape[0], 1, 1, labels.shape[1])
-    b = _belt(geometry, z, labels, maps)
+    b = _belt(geometry, z, labels, maps, depo)
     xg, yg, mg = (np.asarray(v, dtype=dt) for v in (x, y, layer))
     center, half_width, amp, wavelength, phase, drift, sharp, turn, blend, aggr = (
         b[k] for k in _BELT_PARAMETERS)
@@ -524,22 +549,13 @@ def _procedural_kernel(geometry, x, y, layer, z, labels, maps, needs):
     n1 = half_width - dist
     # both channels share one allocation: as two arrays, a full-seismic
     # latent call took twice the page faults (glibc sizes its heap trim
-    # by the largest chunk freed so far)
-    coarse, depo = np.empty((2,) + dist.shape, dtype=dt)
+    # by the largest chunk freed so far); a coarse-only build allocates
+    # coarse alone
+    if depo:
+        coarse, depo_time = np.empty((2,) + dist.shape, dtype=dt)
+    else:
+        coarse = np.empty(dist.shape, dtype=dt)
     tc._stable_sigmoid(np.divide(n1, sharp, out=coarse), out=coarse)
-    n2 = np.subtract(half_width * 0.6, dist, out=dist)
-    core = n2 / sharp
-    tc._stable_sigmoid(core, out=core)
-    q = np.exp((1.0 - aggr * 2.0) * _LN2)
-    lt = np.log(np.asarray(np.clip(layer / max(geometry.nz - 1, 1), 1e-6, 1.0), dtype=dt))
-    tw = np.exp(q * lt)
-    wc = blend * core
-    om = np.subtract(1.0, wc)
-    np.multiply(om, tw, out=depo)
-    depo += wc
-    del wc
-    if not rl:  # only the time warp's backward reads om
-        om = None
 
     def tail(g_dist, gp):
         # dist = |yg - centerline| down to the belt parameters
@@ -577,6 +593,22 @@ def _procedural_kernel(geometry, x, y, layer, z, labels, maps, needs):
         gp = {"sharpness": g_sharp, "half_width": _sum_to(g_n1, half_width)}
         return tail(np.negative(g_n1, out=g_n1), gp)
 
+    if not depo:
+        return (coarse, coarse_vjp), None
+    n2 = np.subtract(half_width * 0.6, dist, out=dist)
+    core = n2 / sharp
+    tc._stable_sigmoid(core, out=core)
+    q = np.exp((1.0 - aggr * 2.0) * _LN2)
+    lt = np.log(np.asarray(np.clip(layer / max(geometry.nz - 1, 1), 1e-6, 1.0), dtype=dt))
+    tw = np.exp(q * lt)
+    wc = blend * core
+    om = np.subtract(1.0, wc)
+    np.multiply(om, tw, out=depo_time)
+    depo_time += wc
+    del wc
+    if not rl:  # only the time warp's backward reads om
+        om = None
+
     def depo_vjp(g):
         gp = {}
         g_wc = g * tw
@@ -591,7 +623,7 @@ def _procedural_kernel(geometry, x, y, layer, z, labels, maps, needs):
         gp["half_width"] = _sum_to(g_n2, half_width) * 0.6
         return tail(np.negative(g_n2, out=g_n2), gp)
 
-    return (coarse, coarse_vjp), (depo, depo_vjp)
+    return (coarse, coarse_vjp), (depo_time, depo_vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -723,7 +755,7 @@ class NeuralGenerator:
     def with_weights(self, weights):
         return NeuralGenerator(self.geometry, self.descriptor, weights)
 
-    def build(self, tape, z, labels=None, weights=None, cells=None):
+    def build(self, tape, z, labels=None, weights=None, cells=None, depo=True):
         """Emit (coarse_fraction, depo_time) nodes of shape (nz, ny, nx).
 
         With ``cells`` (flat, layer-major indices) both nodes have shape
@@ -738,10 +770,12 @@ class NeuralGenerator:
         convolutions, not to the Python cost of its calls.
 
         ``labels`` follows the rule of :meth:`ProceduralGenerator.build`.
+        With ``depo=False`` the build returns ``(coarse, None)``: the network
+        still runs whole, but the depo channel is neither cropped nor stacked.
         """
         d = self.descriptor
         if cells is not None:
-            cells = _check_cells(cells, self.geometry)
+            cells = _cell_coordinates(cells, self.geometry)[0]
         rows = _batch_rows(z, d.latent_dim)
         labels = _label_node(tape, labels, d.label_dim, d.label_dim, rows)
         if weights is None:
@@ -753,9 +787,10 @@ class NeuralGenerator:
             per_row = labels is not None and labels.value.ndim == 2
             outs = [self.build(tape, row(z, i, d.latent_dim),
                                row(labels, i, d.label_dim) if per_row else labels,
-                               weights, cells)
+                               weights, cells, depo)
                     for i in range(rows)]
-            return tc.stack([o[0] for o in outs]), tc.stack([o[1] for o in outs])
+            return (tc.stack([o[0] for o in outs]),
+                    tc.stack([o[1] for o in outs]) if depo else None)
 
         def wn(name):
             if name not in weights:
@@ -776,12 +811,12 @@ class NeuralGenerator:
         out = tc.conv3d(h, wn("head.w"), wn("head.b"))
         out = tc.affine(tc.tanh(out), 0.5, 0.5)
 
-        nz, ny, nx = self.geometry.shape
-        coarse = tc.reshape(tc.crop(out, (slice(0, 1),) + (slice(None),) * 3), (nz, ny, nx))
-        depo = tc.reshape(tc.crop(out, (slice(1, 2),) + (slice(None),) * 3), (nz, ny, nx))
-        if cells is not None:
-            return tc.take(coarse, cells), tc.take(depo, cells)
-        return coarse, depo
+        def channel(k):
+            node = tc.reshape(tc.crop(out, (slice(k, k + 1),) + (slice(None),) * 3),
+                              self.geometry.shape)
+            return node if cells is None else tc.take(node, cells)
+
+        return channel(0), channel(1) if depo else None
 
     generate = _generate
 

@@ -86,7 +86,7 @@ def train_inference_network(generator, observations, config=None):
     def objective(tape, wnodes, step):
         eps = keyed_rng(cfg.rng_seed, 29, step).standard_normal((cfg.batch, noise_dim))
         z = net.apply(tape, tape.constant(eps), wnodes)
-        coarse, _ = generator.build(tape, z, cells=loss_fn.cells)
+        coarse, _ = generator.build(tape, z, cells=loss_fn.cells, depo=False)
         total = loss_fn.build(tape, coarse, z=z)  # the batch mean
 
         if cfg.collapse_reg > 0:

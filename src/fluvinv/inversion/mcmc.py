@@ -44,6 +44,16 @@ class DreamConfig:
     init_scale: float = 1.0
     rng_seed: int = 0
 
+    def __post_init__(self):
+        if self.n_chains < 3:
+            raise InversionError(f"need >= 3 chains, got {self.n_chains}")
+        for name, low in (("generations", 0), ("burn_in", 0), ("outlier_every", 0),
+                          ("archive_thin", 1), ("gamma_one_every", 1), ("de_pairs_max", 1)):
+            if getattr(self, name) < low:
+                raise InversionError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        if not 0.0 <= self.snooker_prob <= 1.0:
+            raise InversionError(f"snooker_prob must be in [0, 1], got {self.snooker_prob}")
+
 
 @dataclass
 class ChainEnsemble:
@@ -109,8 +119,6 @@ def dream_zs(log_posterior, d, config=None):
     scheduled.
     """
     cfg = config or DreamConfig()
-    if cfg.n_chains < 3:
-        raise InversionError(f"need >= 3 chains, got {cfg.n_chains}")
     m0 = cfg.archive_size0 if cfg.archive_size0 is not None else 10 * d
     if m0 < 2 * cfg.de_pairs_max + 1:
         raise InversionError(

@@ -128,7 +128,7 @@ def _generator_well_mae(generator, zs, wells, labels=None, dtype=np.float32):
     tape = tc.GraphTape(dtype)
     labels = None if labels is None else tape.constant(labels)
     coarse, _ = generator.build(tape, tape.constant(zs), labels,
-                                cells=wells.flat_cell_indices())
+                                cells=wells.flat_cell_indices(), depo=False)
     return np.mean(np.abs(coarse.value - wells.values()), axis=1)
 
 
@@ -259,7 +259,7 @@ def _run_block(args):
 
     def objective(tape, nodes, step):
         coarse, _ = generator.build(tape, nodes["z"], nodes.get("labels"),
-                                    cells=loss_fn.cells)
+                                    cells=loss_fn.cells, depo=False)
         return loss_fn.build(tape, coarse, z=nodes["z"], rows=rows is not None)
 
     def constrain(p):
@@ -357,6 +357,11 @@ class PivotalTuneConfig:
     def __post_init__(self):
         if self.mode not in ("shared", "per_pivot"):
             raise InversionError(f"unknown tuning mode {self.mode!r}")
+        for name in ("steps", "anchors_per_step", "pivots_per_step"):
+            if getattr(self, name) < 0:
+                raise InversionError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if not self.lr > 0:
+            raise InversionError(f"lr must be > 0, got {self.lr}")
 
 
 @dataclass
@@ -405,7 +410,7 @@ def _tune_one(generator, pivots, observations, config):
         if data_term_on:
             chosen = rng.permutation(n_pivots)[:batch]
             coarse, _ = generator.build(tape, tape.constant(pivots[chosen]), weights=wnodes,
-                                        cells=loss_fn.cells)
+                                        cells=loss_fn.cells, depo=False)
             total = loss_fn.build(tape, coarse)  # the batch mean
 
         if lam > 0 and config.anchors_per_step > 0:

@@ -140,7 +140,7 @@ def gaussian_data_loglik(generator, observations, sigma):
                      geometry=generator.geometry)
 
     def build(tape, z):
-        coarse, _ = generator.build(tape, z, cells=terms.cells)
+        coarse, _ = generator.build(tape, z, cells=terms.cells, depo=False)
         total = None
         for resid in terms.residuals(tape, coarse).values():
             part = tc.sum_all(tc.square(resid))

@@ -712,18 +712,20 @@ def _shifted_views(v, kshape):
 def _correlate(views, w, shape):
     # "same" correlation with w (O, C, kz, ky, kx) of the (C, *shape) array
     # whose shifted views these are: one float64 (O, C) @ (C, L) matmul per
-    # tap, accumulated in an (O, Z*Yp*Xp) buffer whose columns y >= Y or
-    # x >= X are dropped from the returned (O, Z, Y, X) view
+    # tap, accumulated in a contiguous (O, L) buffer; column z*Yp*Xp + y*Xp
+    # + x of it is output (z, y, x), so the returned (O, Z, Y, X) array is a
+    # strided view that skips the columns y >= Y or x >= X
     o, _, _, ky, kx = w.shape
     nz, ny, nx = shape
     yp, xp = ny + ky - 1, nx + kx - 1
     taps = np.ascontiguousarray(w.transpose(2, 3, 4, 0, 1), dtype=_ACC)
-    acc = np.zeros((o, nz * yp * xp), dtype=_ACC)
-    out = acc[:, :next(iter(views.values())).shape[1]]
-    term = np.empty_like(out)
+    acc = np.zeros((o, next(iter(views.values())).shape[1]), dtype=_ACC)
+    term = np.empty_like(acc)
     for tap, view in views.items():
-        out += np.matmul(taps[tap], view, out=term)
-    return acc.reshape(o, nz, yp, xp)[:, :, :ny, :nx]
+        acc += np.matmul(taps[tap], view, out=term)
+    step = acc.itemsize
+    return np.ndarray((o, nz, ny, nx), _ACC, acc, 0,
+                      (acc.strides[0], yp * xp * step, xp * step, step))
 
 
 def conv3d(x, w, bias=None):

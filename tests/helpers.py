@@ -1,5 +1,6 @@
 """Shared test fixtures: a linear generator with a known least-squares oracle,
-a direct-summation oracle for ``tc.conv3d``, the padded-column reflectivity
+a direct-summation oracle for ``tc.conv3d`` and its per-tap accumulation as
+it was, the padded-column reflectivity
 formula, the one-restart-at-a-time latent optimization loop that the row
 blocks replaced, the procedural build as a tape of elementwise ops that the
 fused kernel replaced, and the friable-sand moduli as named arrays."""
@@ -10,7 +11,7 @@ import numpy as np
 
 import fluvinv.tensors as tc
 from fluvinv import geophysics
-from fluvinv.generators import (LABEL_NAMES, _batch_rows, _check_cells, _label_node,
+from fluvinv.generators import (LABEL_NAMES, _batch_rows, _cell_coordinates, _label_node,
                                 neutral_labels, sample_prior)
 from fluvinv.geophysics import RockPhysicsParams, rock_physics
 from fluvinv.grids import GridGeometry, ModelGrid
@@ -35,10 +36,11 @@ class LinearGenerator:
     def weights(self):
         return {}
 
-    def build(self, tape, z, labels=None, weights=None, cells=None):
-        """(coarse, depo) nodes for a latent (d,) or a batch of latents (B, d)."""
+    def build(self, tape, z, labels=None, weights=None, cells=None, depo=True):
+        """(coarse, depo) nodes for a latent (d,) or a batch of latents (B, d);
+        depo is None with ``depo=False``."""
         v = tc.dense(tape.constant(self.A), z) + self.offset
-        return _at_cells(v, cells)
+        return _at_cells(v, cells, depo)
 
     def generate(self, z, labels=None, dtype=np.float64):
         vals = np.clip(self.A @ np.asarray(z, dtype=np.float64) + self.offset,
@@ -73,7 +75,7 @@ class NonFiniteGenerator(LinearGenerator):
     def weights(self):
         return {"A": self.A.copy()}
 
-    def build(self, tape, z, labels=None, weights=None, cells=None):
+    def build(self, tape, z, labels=None, weights=None, cells=None, depo=True):
         A = weights["A"] if weights else tape.constant(self.A)
         if (z.requires_grad or A.requires_grad) and not any(t is tape for t in self._tapes):
             self._tapes.append(tape)
@@ -85,12 +87,13 @@ class NonFiniteGenerator(LinearGenerator):
                 mask = np.ones((v.value.shape[0], 1))
                 mask[self.nan_row] = np.nan
                 v = v * tape.constant(mask)
-        return _at_cells(v, cells)
+        return _at_cells(v, cells, depo)
 
 
-def _at_cells(v, cells):
+def _at_cells(v, cells, depo):
     """(coarse, depo) of a test generator from its output node v, (m,) or a
-    batch (B, m): the 1 x 1 x m grid, or v gathered at cells, per row."""
+    batch (B, m): the 1 x 1 x m grid, or v gathered at cells, per row; depo
+    is the coarse node itself, or None without ``depo``."""
     batch = v.value.shape[:-1]
     if cells is not None:
         cells = np.asarray(cells)
@@ -99,7 +102,7 @@ def _at_cells(v, cells):
         coarse = tc.take(v, cells)
     else:
         coarse = tc.reshape(v, batch + (1, 1, v.value.shape[-1]))
-    return coarse, coarse
+    return coarse, coarse if depo else None
 
 
 def run_restart_reference(generator, observations, config, index):
@@ -174,6 +177,22 @@ def conv3d_reference(x, w):
     return out
 
 
+def correlate_wide_buffer(views, w, shape):
+    """``tc._correlate`` as it was before its contiguous buffer: each tap's
+    (O, C) @ (C, L) product is added into the first L columns of an
+    (O, Z*Yp*Xp) buffer, whose (O, Z, Y, X) corner is returned."""
+    o, _, _, ky, kx = w.shape
+    nz, ny, nx = shape
+    yp, xp = ny + ky - 1, nx + kx - 1
+    taps = np.ascontiguousarray(w.transpose(2, 3, 4, 0, 1), dtype=np.float64)
+    acc = np.zeros((o, nz * yp * xp), dtype=np.float64)
+    out = acc[:, :next(iter(views.values())).shape[1]]
+    term = np.empty_like(out)
+    for tap, view in views.items():
+        out += np.matmul(taps[tap], view, out=term)
+    return acc.reshape(o, nz, yp, xp)[:, :, :ny, :nx]
+
+
 def padded_reflectivity(imp, burden, dz, params):
     """Normal-incidence reflection coefficients of an impedance cube
     (nz, ny, nx) under ``burden``: pad sheets of the top burden impedance
@@ -218,7 +237,7 @@ def taped_procedural_build(gen, tape, z, labels=None, weights=None, cells=None):
             if labels.value.ndim == 2:
                 labels = tc.reshape(labels, (rows, 1, 1, gen.label_dim))
     else:
-        cells = _check_cells(cells, g)
+        cells = _cell_coordinates(cells, g)[0]
         x = (cells % g.nx).astype(np.float64)
         y = ((cells // g.nx) % g.ny).astype(np.float64)
         layer = (cells // (g.ny * g.nx)).astype(np.float64)

@@ -15,6 +15,7 @@ from fluvinv.generators import (
     GeneratorError,
     NeuralGenerator,
     ProceduralGenerator,
+    _cell_coordinates,
     neutral_labels,
     sample_prior,
 )
@@ -33,6 +34,7 @@ from fluvinv.inversion import (
 )
 from fluvinv.inversion.loss import well_mae
 from fluvinv.survey import extract_well_data
+from helpers import LinearGenerator, NonFiniteGenerator
 
 GEO = GridGeometry(nx=12, ny=9, nz=4)
 PROC = ProceduralGenerator(GEO, latent_dim=8)
@@ -132,6 +134,69 @@ def test_invalid_cells_rejected(gen, cells):
     tape = tc.GraphTape(np.float64)
     with pytest.raises(GeneratorError, match="cell"):
         gen.build(tape, tape.constant(np.zeros(gen.latent_dim)), cells=cells)
+
+
+@pytest.mark.parametrize("gen", [PROC, NEURAL], ids=["procedural", "neural"])
+def test_bad_cells_raise_on_every_call(gen):
+    cells = np.array([0, gen.geometry.n_cells])
+    for _ in range(3):
+        tape = tc.GraphTape(np.float64)
+        with pytest.raises(GeneratorError, match="cell"):
+            gen.build(tape, tape.constant(np.zeros(gen.latent_dim)), cells=cells)
+
+
+def test_cells_changed_in_place_get_fresh_coordinates():
+    z = sample_prior(1, 8, rng_seed=4)[0]
+    grid = PROC.generate(z, dtype=np.float64).coarse_fraction.reshape(-1)
+    cells = np.array([3, 50, 200, 411])
+    for _ in range(2):
+        for flat in ([3, 50, 200, 411], [7, 7, 0, 100]):
+            cells[:] = flat
+            tape = tc.GraphTape(np.float64)
+            coarse, _ = PROC.build(tape, tape.constant(z), cells=cells)
+            np.testing.assert_array_equal(coarse.value, grid[flat])
+
+
+def test_cell_coordinates_are_read_only():
+    cells, x, y, layer = _cell_coordinates(np.array([5, 130, 431]), GEO)
+    for v in (cells, x, y, layer):
+        assert not v.flags.writeable
+    np.testing.assert_array_equal(layer, [0, 1, 3])
+    assert _cell_coordinates(None, GEO)[0] is None
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("rows", [None, 3])
+@pytest.mark.parametrize("cells", [None, np.array([0, 17, 17, 255, 100])], ids=["grid", "cells"])
+def test_neural_coarse_only_build_equals_coarse_of_both(dtype, rows, cells):
+    z = sample_prior(rows or 1, 6, rng_seed=8)
+    z = z if rows else z[0]
+    out = []
+    for depo in (True, False):
+        tape = tc.GraphTape(dtype)
+        zn = tape.input(z)
+        wn = {k: tape.input(v) for k, v in NEURAL.weights().items()}
+        coarse, d = NEURAL.build(tape, zn, weights=wn, cells=cells, depo=depo)
+        assert (d is None) == (not depo)
+        g = tape.backward(tc.sum_all(tc.square(coarse)))
+        out.append((coarse.value, g.wrt(zn), g.wrt(wn["head.w"]), g.wrt(wn["dense.w"])))
+    for want, got in zip(*out):
+        assert got.dtype == want.dtype == dtype
+        np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("cells", [None, np.array([2, 0, 2])], ids=["grid", "cells"])
+@pytest.mark.parametrize("make", [lambda A: LinearGenerator(A),
+                                  lambda A: NonFiniteGenerator(A, nan_step=9)],
+                         ids=["linear", "non_finite"])
+def test_linear_test_generators_take_depo(make, cells):
+    gen = make(np.arange(12.0).reshape(3, 4))
+    tape = tc.GraphTape(np.float64)
+    z = tape.constant(np.ones((2, 4)))
+    both = gen.build(tape, z, cells=cells)
+    coarse, depo = gen.build(tape, z, cells=cells, depo=False)
+    assert depo is None
+    np.testing.assert_array_equal(coarse.value, both[0].value)
 
 
 def _well_loss(z, at_cells, config):

@@ -4,7 +4,9 @@
 einsum over a sliding-window view of the padded input, forward and
 backward. The shifted-view correlation must reproduce it, values and all
 three gradients, to float64 round-off, and agree with direct summation and
-its own adjoint on random small shapes.
+its own adjoint on random small shapes. Its per-tap accumulation in a
+contiguous buffer must equal the wide-buffer form it replaced
+(``helpers.correlate_wide_buffer``) bit for bit.
 """
 
 import numpy as np
@@ -14,7 +16,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 import fluvinv.tensors as tc
 from fluvinv.tensors import GraphTape
-from helpers import conv3d_reference
+from helpers import conv3d_reference, correlate_wide_buffer
 
 
 def conv3d_windows_reference(x, w, bias, g):
@@ -132,3 +134,16 @@ def test_general_path_matches_direct_summation_and_its_adjoint(case):
     scale = float(np.sum(np.abs(conv3d_reference(np.abs(xv), np.abs(wv)) * yv))) + 1.0
     assert abs(lhs - float(np.sum(xv * grads.wrt(x)))) <= 1e-12 * scale
     assert abs(lhs - float(np.sum(wv * grads.wrt(w)))) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("kshape", [(3, 3, 3), (1, 1, 1), (3, 1, 5), (5, 3, 1)])
+@pytest.mark.parametrize("shape", [(4, 8, 8), (3, 5, 7), (1, 1, 6)])
+def test_contiguous_accumulation_equals_wide_buffer(kshape, shape):
+    rng = np.random.default_rng(sum(kshape) * 31 + sum(shape))
+    x = rng.standard_normal((3,) + shape)
+    w = rng.standard_normal((4, 3) + kshape)
+    views = tc._shifted_views(x, kshape)
+    got = tc._correlate(views, w, shape)
+    want = correlate_wide_buffer(views, w, shape)
+    assert got.shape == want.shape == (4,) + shape
+    np.testing.assert_array_equal(got, want)

@@ -89,6 +89,15 @@ def test_per_pivot_mode_tunes_each_pivot_with_its_own_seed():
         np.testing.assert_array_equal(result.loss_history[i], alone.loss_history[0])
 
 
+@pytest.mark.parametrize("field, value", [
+    ("steps", -1), ("anchors_per_step", -1), ("pivots_per_step", -1), ("lr", 0.0),
+    ("lr", -1e-3),
+])
+def test_tune_config_rejects_invalid_values(field, value):
+    with pytest.raises(InversionError, match=field):
+        PivotalTuneConfig(**{field: value})
+
+
 def test_infinite_locality_weight_is_anchor_only():
     # the anchors start at the frozen generator's own outputs, so the first
     # loss is exactly 0 and, without a data term, nothing ever moves

@@ -54,6 +54,23 @@ def test_needs_three_chains():
         dream_zs(standard_normal_logp, d=2, config=DreamConfig(n_chains=2))
 
 
+@pytest.mark.parametrize("field, value", [
+    ("generations", -5), ("burn_in", -1), ("outlier_every", -1), ("archive_thin", 0),
+    ("gamma_one_every", 0), ("de_pairs_max", 0), ("snooker_prob", 1.5),
+    ("snooker_prob", -0.1),
+])
+def test_config_rejects_invalid_values(field, value):
+    with pytest.raises(InversionError, match=field):
+        DreamConfig(**{field: value})
+
+
+def test_config_accepts_its_edge_values():
+    cfg = DreamConfig(n_chains=3, generations=0, burn_in=4, outlier_every=0,
+                      archive_thin=1, gamma_one_every=1, de_pairs_max=1, snooker_prob=1.0)
+    ens = dream_zs(standard_normal_logp, d=2, config=cfg)
+    assert ens.states.shape == (3, 4, 2) and ens.burn_in == 4
+
+
 def test_archive_must_cover_pairs():
     cfg = DreamConfig(n_chains=3, archive_size0=5, de_pairs_max=3)
     with pytest.raises(InversionError, match="archive"):

@@ -90,3 +90,45 @@ def f(seed):
     return np.random.Generator(np.random.PCG64(seed)), numpy.random.uniform()
 """
     assert [line for line, _ in _numpy_random_uses(ast.parse(source))] == [2, 3, 4, 6, 6, 6]
+
+
+def _discarded_depo_builds(tree):
+    """Lines of every ``x, _ = <generator>.build(...)`` that throws the
+    depo channel away without passing ``depo=False``."""
+    lines = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Assign) and len(node.targets) == 1
+                and isinstance(node.targets[0], ast.Tuple)
+                and len(node.targets[0].elts) == 2
+                and isinstance(node.targets[0].elts[1], ast.Name)
+                and node.targets[0].elts[1].id == "_"
+                and isinstance(node.value, ast.Call)
+                and isinstance(node.value.func, ast.Attribute)
+                and node.value.func.attr == "build"):
+            continue
+        if not any(k.arg == "depo" and isinstance(k.value, ast.Constant)
+                   and k.value.value is False for k in node.value.keywords):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_coarse_only_builds_skip_depo():
+    """A build under src/ whose depo channel is discarded asks for none."""
+    offenders = []
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        rel = path.relative_to(ROOT).as_posix()
+        offenders += [f"{rel}:{line}"
+                      for line in _discarded_depo_builds(ast.parse(path.read_text()))]
+    assert not offenders, f"builds that compute a discarded depo channel: {offenders}"
+
+
+def test_discarded_depo_finder_sees_every_form():
+    source = """
+coarse, _ = gen.build(tape, z)
+coarse, _ = gen.build(tape, z, cells=c, depo=False)
+coarse, _ = self.generator.build(tape, z, depo=True)
+coarse, depo = gen.build(tape, z)
+out, _ = model.build(tape, z, depo=flag)
+a, b, _ = f.build(tape)
+"""
+    assert _discarded_depo_builds(ast.parse(source)) == [2, 4, 6]

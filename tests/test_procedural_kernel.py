@@ -8,6 +8,9 @@ the latent, the labels and the map coefficients of a loss that reads one
 channel. A loss that reads both sums the two channels' gradients at the
 inputs, where the tape sums them at the shared belt parameters, so those
 agree at 1e-12 of each gradient's largest entry.
+
+A ``depo=False`` build is one record whose coarse values and gradients equal
+the ``depo=True`` coarse bit for bit.
 """
 
 import gc
@@ -25,6 +28,7 @@ from fluvinv.grids import GridGeometry
 GEO = GridGeometry(nx=12, ny=9, nz=5)
 PROC = ProceduralGenerator(GEO, latent_dim=9)
 MAPS = PROC.weights()["maps"]
+CELLS = np.array([0, 14, 37, 101, 230, 333, 470])
 SETTINGS = settings(max_examples=30, deadline=None)
 
 
@@ -125,6 +129,38 @@ def test_float32_gradients_equal_taped_reference(channel, cells):
         np.testing.assert_array_equal(fused[k], taped[k], err_msg=k)
 
 
+def _coarse_only(tape, z, labels, weights, cells):
+    coarse, depo = PROC.build(tape, z, labels, weights, cells, depo=False)
+    assert depo is None
+    return coarse, coarse
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@SETTINGS
+@given(case=CASES)
+def test_coarse_only_build_equals_coarse_of_both_bit_for_bit(dtype, case):
+    z, labels, maps, cells = _case(*case)
+    wrt = ("z", "maps") if labels is None else ("z", "labels", "maps")
+    want_value, _, want = _build(_fused, dtype, z, labels, maps, cells, wrt, ("coarse",))
+    got_value, _, got = _build(_coarse_only, dtype, z, labels, maps, cells, wrt, ("coarse",))
+    assert got_value.dtype == dtype and got_value.shape == want_value.shape
+    np.testing.assert_array_equal(got_value, want_value)
+    for k in wrt:
+        assert got[k].dtype == want[k].dtype
+        np.testing.assert_array_equal(got[k], want[k], err_msg=k)
+
+
+@pytest.mark.parametrize("cells", [None, CELLS], ids=["grid", "cells"])
+@pytest.mark.parametrize("depo, records", [(True, 2), (False, 1)])
+def test_build_records_one_node_per_channel(depo, records, cells):
+    tape = tc.GraphTape(np.float64)
+    z = tape.input(sample_prior(2, 9, rng_seed=1))
+    before = len(tape._records)
+    coarse, d = PROC.build(tape, z, cells=cells, depo=depo)
+    assert len(tape._records) - before == records
+    assert (d is None) == (not depo)
+
+
 def test_belt_parameters_equal_taped_belt():
     z = sample_prior(1, 9, rng_seed=4)[0]
     labels = np.array([0.2, 0.9, 0.4, 0.7, 0.1])
@@ -148,9 +184,6 @@ def test_build_tape_is_freed_by_reference_counting():
         assert ref() is None
     finally:
         gc.enable()
-
-
-CELLS = np.array([0, 14, 37, 101, 230, 333, 470])
 
 
 def test_procedural_gradient_wrt_maps_matches_fd():
