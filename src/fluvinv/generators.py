@@ -765,9 +765,14 @@ class NeuralGenerator:
         ``z`` is one latent, shape (d,), or a batch, shape (B, d). A batch is
         built row by row and stacked, so both nodes gain a leading batch axis
         and row i equals the build of ``z[i]`` (with labels ``labels[i]``
-        when they are per row). ``upsample2`` and ``conv3d`` take one
-        (C, Z, Y, X) sample; a row's time goes to the per-tap matmuls of its
-        convolutions, not to the Python cost of its calls.
+        when they are per row): the convolutions take one (C, Z, Y, X)
+        sample.
+
+        Each residual block is ``conv2(leaky(conv1(upsample2(h)))) +
+        skip(upsample2(h))``, computed without convolving the upsampled
+        grid: conv1 is ``tc.upconv3d``, which runs it on the coarse grid
+        with 0.30x the multiply-adds, and the 1x1x1 skip commutes with
+        nearest upsampling, so it runs before ``upsample2``.
 
         ``labels`` follows the rule of :meth:`ProceduralGenerator.build`.
         With ``depo=False`` the build returns ``(coarse, None)``: the network
@@ -803,11 +808,10 @@ class NeuralGenerator:
         h = tc.dense(wn("dense.w"), x, wn("dense.b"))
         h = tc.reshape(h, (ch[0], sz, sy, sx))
         for i in range(d.num_blocks):
-            up = tc.upsample2(h)
-            m = tc.conv3d(up, wn(f"block{i}.conv1.w"), wn(f"block{i}.conv1.b"))
+            m = tc.upconv3d(h, wn(f"block{i}.conv1.w"), wn(f"block{i}.conv1.b"))
             m = tc.leaky_relu(m, d.leaky_slope)
             m = tc.conv3d(m, wn(f"block{i}.conv2.w"), wn(f"block{i}.conv2.b"))
-            h = m + tc.conv3d(up, wn(f"block{i}.skip.w"))
+            h = m + tc.upsample2(tc.conv3d(h, wn(f"block{i}.skip.w")))
         out = tc.conv3d(h, wn("head.w"), wn("head.b"))
         out = tc.affine(tc.tanh(out), 0.5, 0.5)
 

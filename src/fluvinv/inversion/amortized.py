@@ -13,7 +13,7 @@ from .. import tensors as tc
 from ..generators import keyed_rng, sample_prior
 from .loss import DataLoss, DataLossConfig, InversionError
 from .networks import mlp_apply, mlp_init, mlp_sizes
-from .optimize import descend
+from .optimize import check_config, descend
 
 __all__ = [
     "InferenceNetConfig",
@@ -36,6 +36,13 @@ class InferenceNetConfig:
     loss: DataLossConfig = field(default_factory=DataLossConfig)
     rng_seed: int = 0
     dtype: str = "float64"
+
+    def __post_init__(self):
+        check_config(self, (("steps", 0), ("batch", 1), ("collapse_reg", 0)), ("lr",))
+        if self.noise_dim is not None and self.noise_dim < 1:
+            raise InversionError(f"noise_dim must be >= 1 or None, got {self.noise_dim}")
+        if any(h < 1 for h in self.hidden):
+            raise InversionError(f"hidden widths must be >= 1, got {self.hidden}")
 
 
 class InferenceNet:

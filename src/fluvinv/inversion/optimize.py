@@ -63,6 +63,17 @@ def check_schedule(name):
         raise InversionError(f"unknown lr schedule {name!r}")
 
 
+def check_config(config, at_least=(), positive=()):
+    """Raise InversionError for a field of ``config`` below its minimum
+    (``at_least``: (name, minimum) pairs) or not > 0 (``positive``: names)."""
+    for name, low in at_least:
+        if getattr(config, name) < low:
+            raise InversionError(f"{name} must be >= {low}, got {getattr(config, name)}")
+    for name in positive:
+        if not getattr(config, name) > 0:
+            raise InversionError(f"{name} must be > 0, got {getattr(config, name)}")
+
+
 def descend(objective, params, dtype, steps, lr, schedule="constant",
             beta1=0.9, beta2=0.999, constrain=None, rows=None):
     """Minimize ``objective`` by Adam over the named arrays in ``params``.
@@ -149,14 +160,7 @@ class LatentOptimizeConfig:
 
     def __post_init__(self):
         check_schedule(self.lr_schedule)
-        if self.n_restarts < 1:
-            raise InversionError(f"n_restarts must be >= 1, got {self.n_restarts}")
-        if self.iterations < 0:
-            raise InversionError(f"iterations must be >= 0, got {self.iterations}")
-        if self.threads < 1:
-            raise InversionError(f"threads must be >= 1, got {self.threads}")
-        if not self.lr > 0:
-            raise InversionError(f"lr must be > 0, got {self.lr}")
+        check_config(self, (("n_restarts", 1), ("iterations", 0), ("threads", 1)), ("lr",))
         if self.ball_radius is not None and not self.ball_radius > 0:
             raise InversionError(f"ball_radius must be > 0, got {self.ball_radius}")
 
@@ -357,11 +361,8 @@ class PivotalTuneConfig:
     def __post_init__(self):
         if self.mode not in ("shared", "per_pivot"):
             raise InversionError(f"unknown tuning mode {self.mode!r}")
-        for name in ("steps", "anchors_per_step", "pivots_per_step"):
-            if getattr(self, name) < 0:
-                raise InversionError(f"{name} must be >= 0, got {getattr(self, name)}")
-        if not self.lr > 0:
-            raise InversionError(f"lr must be > 0, got {self.lr}")
+        check_config(self, (("steps", 0), ("anchors_per_step", 0), ("pivots_per_step", 0)),
+                     ("lr",))
 
 
 @dataclass

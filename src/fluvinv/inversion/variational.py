@@ -18,7 +18,7 @@ from .. import tensors as tc
 from ..generators import keyed_rng, sample_prior
 from .loss import DataLoss, DataLossConfig, InversionError
 from .networks import mlp_apply, mlp_init, mlp_sizes
-from .optimize import check_schedule, descend
+from .optimize import check_config, check_schedule, descend
 
 __all__ = ["FlowConfig", "FlowModel", "VariationalResult",
            "gaussian_data_loglik", "variational_infer"]
@@ -40,6 +40,10 @@ class FlowConfig:
 
     def __post_init__(self):
         check_schedule(self.lr_schedule)
+        check_config(self, (("n_layers", 1), ("steps", 0), ("batch", 1), ("n_posterior", 1)),
+                     ("lr", "sigma", "scale_clip"))
+        if any(h < 1 for h in self.hidden):
+            raise InversionError(f"hidden widths must be >= 1, got {self.hidden}")
 
 
 class FlowModel:
@@ -134,6 +138,8 @@ def gaussian_data_loglik(generator, observations, sigma):
     latent node of shape (d,) it returns log p(data|z); for a batch (B, d),
     the sum of the B rows' log-likelihoods.
     """
+    if not sigma > 0:
+        raise InversionError(f"sigma must be > 0, got {sigma}")
     terms = DataLoss(observations,
                      DataLossConfig(use_wells=observations.wells is not None,
                                     use_seismic=observations.seismic is not None),

@@ -11,6 +11,7 @@ Contractions and reductions always accumulate in float64 with a fixed
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -24,7 +25,8 @@ __all__ = [
     "TapeError",
     "add", "sub", "mul", "div", "neg", "absolute", "exp", "log", "sqrt",
     "square", "power", "sin", "tanh", "sigmoid", "leaky_relu", "clamp",
-    "affine", "pointwise", "custom", "dense", "matmul_axis", "conv3d", "upsample2",
+    "affine", "pointwise", "custom", "dense", "matmul_axis", "conv3d", "upconv3d",
+    "upsample2",
     "crop", "concat", "stack", "reshape", "take",
     "sum_all", "sum_axis", "mean_all", "mean_rows", "gradient_check",
 ]
@@ -694,7 +696,8 @@ def _shifted_views(v, kshape):
     # float64 buffer, flattened to (C, Zp*Yp*Xp). Per kernel tap (i, j, k), in
     # a fixed order, a (C, L) view of it whose column z*Yp*Xp + y*Xp + x holds
     # v[:, z+i-pz, y+j-py, x+k-px], with L reaching column (Z-1, Y-1, X-1);
-    # the centre tap's view is v itself, zero in the columns y >= Y or x >= X
+    # the centre tap's view is v itself, zero in the columns y >= Y or x >= X.
+    # Adding into a view scatters into the padded buffer.
     c, nz, ny, nx = v.shape
     pz, py, px = (k // 2 for k in kshape)
     yp, xp = ny + 2 * py, nx + 2 * px
@@ -728,6 +731,25 @@ def _correlate(views, w, shape):
                       (acc.strides[0], yp * xp * step, xp * step, step))
 
 
+def _conv_operands(name, x, w, bias):
+    # the checks that conv3d and upconv3d share
+    tape = _tape_of(x, w)
+    x = _coerce(tape, x)
+    w = _coerce(tape, w)
+    if x.value.ndim != 4 or w.value.ndim != 5:
+        raise ShapeError(f"{name}: expected rank-4 input and rank-5 kernel, "
+                         f"got {x.shape} and {w.shape}")
+    if w.value.shape[1] != x.value.shape[0]:
+        raise ShapeError(f"{name}: kernel channels {w.shape} do not match input {x.shape}")
+    if any(k % 2 == 0 for k in w.value.shape[2:]):
+        raise ShapeError(f"{name}: kernel extents must be odd, got {w.value.shape[2:]}")
+    if bias is not None:
+        bias = _coerce(tape, bias)
+        if bias.value.shape != (w.value.shape[0],):
+            raise ShapeError(f"{name}: bias {bias.shape} incompatible with kernel {w.shape}")
+    return tape, x, w, bias
+
+
 def conv3d(x, w, bias=None):
     """3D cross-correlation, stride 1, "same" zero padding, odd kernels.
 
@@ -739,17 +761,8 @@ def conv3d(x, w, bias=None):
     view of it, so no window is copied. Both accumulate in float64 in a
     fixed order.
     """
-    tape = _tape_of(x, w)
-    x = _coerce(tape, x)
-    w = _coerce(tape, w)
-    if x.value.ndim != 4 or w.value.ndim != 5:
-        raise ShapeError(f"conv3d: expected rank-4 input and rank-5 kernel, "
-                         f"got {x.shape} and {w.shape}")
-    if w.value.shape[1] != x.value.shape[0]:
-        raise ShapeError(f"conv3d: kernel channels {w.shape} do not match input {x.shape}")
+    tape, x, w, bias = _conv_operands("conv3d", x, w, bias)
     kshape = w.value.shape[2:]
-    if any(k % 2 == 0 for k in kshape):
-        raise ShapeError(f"conv3d: kernel extents must be odd, got {kshape}")
     long_axes = [a for a, k in enumerate(kshape) if k > 1]
     if (w.value.shape[:2] == (1, 1) and len(long_axes) == 1 and not w.requires_grad
             and bias is None):
@@ -762,9 +775,6 @@ def conv3d(x, w, bias=None):
     value = _correlate(views, w.value, x.value.shape[1:])
     inputs = [x, w]
     if bias is not None:
-        bias = _coerce(tape, bias)
-        if bias.value.shape != (w.value.shape[0],):
-            raise ShapeError(f"conv3d: bias {bias.shape} incompatible with kernel {w.shape}")
         value = value + bias.value[:, None, None, None]
         inputs.append(bias)
     value = np.ascontiguousarray(value, dtype=tape.dtype)
@@ -791,6 +801,135 @@ def conv3d(x, w, bias=None):
                 gw = np.empty(wv.shape, dtype=_ACC)
                 for (i, j, k), view in views.items():
                     gw[:, :, i, j, k] = gf @ view.T
+            parts = [gx, gw]
+            if has_bias:
+                parts.append(g.sum(axis=(1, 2, 3), dtype=_ACC) if bias_req else None)
+            return tuple(parts)
+
+        tape._record(out, tuple(inputs), backward)
+    return out
+
+
+@functools.lru_cache(maxsize=16)
+def _phase_plan(kshape):
+    # How a "same" kernel of extents kshape on the nearest-upsampled grid
+    # runs on the coarse grid. Per axis, A[r, s, t] = 1 where tap t at
+    # output phase r reads coarse offset s - hc: fine index 2p + r + t - h
+    # lies in coarse cell p + (r + t - h) // 2, with h = k // 2 and
+    # hc = ceil(h / 2). Returns the coarse extents; per coarse offset s, in
+    # np.ndindex order, the phases that read s (a slice per axis: every
+    # subset of {0, 1} is contiguous) and their rows [lo, hi) of P; and P,
+    # the (rows, kz*ky*kx) 0/1 map from the taps to those (offset, phase)
+    # rows, the product of the three A
+    axes = []
+    for k in kshape:
+        h = k // 2
+        hc = (h + 1) // 2
+        r, t = np.arange(2)[:, None], np.arange(k)
+        a = np.zeros((2, 2 * hc + 1, k))
+        a[r, (r + t - h) // 2 + hc, t] = 1.0
+        axes.append(a)
+    rows, offsets = [], []
+    for s in np.ndindex(*(a.shape[1] for a in axes)):
+        phases = []
+        for a, i in zip(axes, s):
+            read = np.flatnonzero(a[:, i].any(axis=1))
+            phases.append(slice(int(read[0]), int(read[-1]) + 1))
+        lo = len(rows)
+        for r in np.ndindex(*(ph.stop - ph.start for ph in phases)):
+            az, ay, ax = (a[ph.start + ri, i] for a, ph, ri, i in zip(axes, phases, r, s))
+            rows.append(np.multiply.outer(np.multiply.outer(az, ay), ax).ravel())
+        offsets.append((tuple(phases), lo, len(rows)))
+    p = np.array(rows)
+    p.flags.writeable = False
+    return tuple(a.shape[1] for a in axes), tuple(offsets), p
+
+
+def _column_grid(cols, shape, kshape):
+    # (..., L) columns in the layout of _shifted_views(·, kshape) over a
+    # (Z, Y, X) grid as a strided (..., Z, Y, X) view that skips the
+    # columns y >= Y or x >= X
+    nz, ny, nx = shape
+    yp, xp = ny + kshape[1] - 1, nx + kshape[2] - 1
+    step = cols.strides[-1]
+    return np.lib.stride_tricks.as_strided(
+        cols, cols.shape[:-1] + shape, cols.strides[:-1] + (yp * xp * step, xp * step, step))
+
+
+def upconv3d(x, w, bias=None):
+    """``conv3d(upsample2(x), w, bias)``, computed on the coarse grid.
+
+    x: (C, Z, Y, X); w: (O, C, kz, ky, kx), any odd extents; bias: (O,)
+    optional. Returns (O, 2Z, 2Y, 2X).
+
+    Per axis, output index 2p + r (phase r in {0, 1}) of tap t reads coarse
+    index p + floor((r + t - h) / 2), h = k // 2. That is a 0/1 map
+    A[r, s, t] from taps to coarse offsets s, ceil(h / 2) of them on either
+    side. For k = 3::
+
+        phase 0: taps (0, 1, 2) read offsets (-1, 0, 0)
+        phase 1: taps (0, 1, 2) read offsets ( 0, 0, +1)
+
+    so each phase sums 2 of the 3 taps per axis, and a 3x3x3 kernel becomes
+    eight 2x2x2 phase kernels on the coarse grid: 0.30x the multiply-adds of
+    the upsampled correlation. Every coarse offset is read by a contiguous
+    range of phases, so it costs one float64 (n_s*O, C) @ (C, L) matmul over
+    a shifted view of the once-padded coarse input, added into those phases
+    of one (2, 2, 2, O, L) buffer; one copy interleaves the phases into the
+    output. The backward runs the same offsets: the input gradient scatters
+    m.T @ g into shifted views of a padded buffer, and the kernel gradient
+    folds the phase kernels' gradients back through A.
+    """
+    tape, x, w, bias = _conv_operands("upconv3d", x, w, bias)
+    kshape, offsets, p = _phase_plan(w.value.shape[2:])
+    (o, c), shape = w.value.shape[:2], x.value.shape[1:]
+    # rows lo*O:hi*O of m are the stacked (n_s*O, C) phase kernels of offset s
+    m = (p @ np.asarray(w.value, dtype=_ACC).reshape(o * c, -1).T).reshape(-1, c)
+    views = _shifted_views(x.value, kshape)
+    ncol = next(iter(views.values())).shape[1]
+    acc = np.zeros((2, 2, 2, o, ncol), dtype=_ACC)
+    term = np.empty((8 * o, ncol), dtype=_ACC)
+    for (phases, lo, hi), view in zip(offsets, views.values()):
+        dst = acc[phases]
+        dst += np.matmul(m[lo * o:hi * o], view, out=term[:(hi - lo) * o]).reshape(dst.shape)
+    # (rz, ry, rx, O, Z, Y, X) -> (O, Z, rz, Y, ry, X, rx), one copy
+    value = _column_grid(acc, shape, kshape).transpose(3, 4, 0, 5, 1, 6, 2).reshape(
+        (o,) + tuple(2 * e for e in shape))
+    inputs = [x, w]
+    if bias is not None:
+        value += bias.value[:, None, None, None]
+        inputs.append(bias)
+    out = tape._new_node(value.astype(tape.dtype, copy=False),
+                         any(n.requires_grad for n in inputs))
+    if out.requires_grad:
+        wshape = w.value.shape
+        x_req, w_req = x.requires_grad, w.requires_grad
+        has_bias = bias is not None
+        bias_req = has_bias and bias.requires_grad
+        views = views if w_req else None
+
+        def backward(g):
+            nz, ny, nx = shape
+            # g in the forward's (2, 2, 2, O, L) column layout, zero in the
+            # columns y >= Y or x >= X
+            yp, xp = ny + kshape[1] - 1, nx + kshape[2] - 1
+            gp = np.zeros((2, 2, 2, o, nz, yp, xp), dtype=_ACC)
+            gp[..., :ny, :nx] = g.reshape(o, nz, 2, ny, 2, nx, 2).transpose(2, 4, 6, 0, 1, 3, 5)
+            gp = gp.reshape(2, 2, 2, o, -1)[..., :ncol]
+            gviews = _shifted_views(np.zeros((c,) + shape), kshape) if x_req else None
+            gm = np.empty_like(m) if w_req else None
+            term = np.empty((c, ncol), dtype=_ACC)
+            for s, (phases, lo, hi) in zip(np.ndindex(*kshape), offsets):
+                gs = gp[phases].reshape(-1, ncol)
+                if x_req:
+                    gviews[s] += np.matmul(m[lo * o:hi * o].T, gs, out=term)
+                if w_req:
+                    np.matmul(gs, views[s].T, out=gm[lo * o:hi * o])
+            gx = gw = None
+            if x_req:  # the interior of the padded buffer: the centre view
+                gx = _column_grid(gviews[tuple(k // 2 for k in kshape)], shape, kshape)
+            if w_req:
+                gw = (gm.reshape(-1, o * c).T @ p).reshape(wshape)
             parts = [gx, gw]
             if has_bias:
                 parts.append(g.sum(axis=(1, 2, 3), dtype=_ACC) if bias_req else None)

@@ -3,7 +3,9 @@ a direct-summation oracle for ``tc.conv3d`` and its per-tap accumulation as
 it was, the padded-column reflectivity
 formula, the one-restart-at-a-time latent optimization loop that the row
 blocks replaced, the procedural build as a tape of elementwise ops that the
-fused kernel replaced, and the friable-sand moduli as named arrays."""
+fused kernel replaced, the neural build as the upsample-then-convolve
+composition that ``tc.upconv3d`` replaced, and the friable-sand moduli as
+named arrays."""
 
 import math
 
@@ -256,6 +258,51 @@ def taped_procedural_build(gen, tape, z, labels=None, weights=None, cells=None):
     weight_core = b["core_blend"] * core
     depo = weight_core + (1.0 - weight_core) * t_warp
     return coarse, depo
+
+
+def composed_neural_build(gen, tape, z, labels=None, weights=None, cells=None, depo=True):
+    """``NeuralGenerator.build`` with every block written as it was before
+    ``tc.upconv3d``: conv1 and the 1x1x1 skip both read ``upsample2(h)``.
+    Same arguments and return."""
+    d = gen.descriptor
+    if cells is not None:
+        cells = _cell_coordinates(cells, gen.geometry)[0]
+    rows = _batch_rows(z, d.latent_dim)
+    labels = _label_node(tape, labels, d.label_dim, d.label_dim, rows)
+    if weights is None:
+        weights = {k: tape.constant(v) for k, v in gen.weights().items()}
+    if rows:
+        def row(node, i, width):
+            return tc.reshape(tc.crop(node, (slice(i, i + 1), slice(None))), (width,))
+
+        per_row = labels is not None and labels.value.ndim == 2
+        outs = [composed_neural_build(gen, tape, row(z, i, d.latent_dim),
+                                      row(labels, i, d.label_dim) if per_row else labels,
+                                      weights, cells, depo)
+                for i in range(rows)]
+        return (tc.stack([o[0] for o in outs]),
+                tc.stack([o[1] for o in outs]) if depo else None)
+
+    x = z if labels is None else tc.concat([z, labels], axis=0)
+    sx, sy, sz = d.seed_extents
+    ch = d.channels
+    h = tc.dense(weights["dense.w"], x, weights["dense.b"])
+    h = tc.reshape(h, (ch[0], sz, sy, sx))
+    for i in range(d.num_blocks):
+        up = tc.upsample2(h)
+        m = tc.conv3d(up, weights[f"block{i}.conv1.w"], weights[f"block{i}.conv1.b"])
+        m = tc.leaky_relu(m, d.leaky_slope)
+        m = tc.conv3d(m, weights[f"block{i}.conv2.w"], weights[f"block{i}.conv2.b"])
+        h = m + tc.conv3d(up, weights[f"block{i}.skip.w"])
+    out = tc.conv3d(h, weights["head.w"], weights["head.b"])
+    out = tc.affine(tc.tanh(out), 0.5, 0.5)
+
+    def channel(k):
+        node = tc.reshape(tc.crop(out, (slice(k, k + 1),) + (slice(None),) * 3),
+                          gen.geometry.shape)
+        return node if cells is None else tc.take(node, cells)
+
+    return channel(0), channel(1) if depo else None
 
 
 def taped_belt_nodes(geometry, z, labels, maps):

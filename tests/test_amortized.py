@@ -1,6 +1,7 @@
 """Inference network: linear oracle, collapse behavior, identity case."""
 
 import numpy as np
+import pytest
 
 from fluvinv.generators import ProceduralGenerator, sample_prior
 from fluvinv.grids import GridGeometry
@@ -8,6 +9,7 @@ from fluvinv.inversion import (
     DataLossConfig,
     InferenceNet,
     InferenceNetConfig,
+    InversionError,
     Observations,
     expected_prior_pairwise_distance,
     mean_pairwise_distance,
@@ -65,3 +67,12 @@ def test_expected_pairwise_distance_matches_monte_carlo():
     z = rng.standard_normal((4000, d))
     mc = np.mean(np.linalg.norm(z[: 2000] - z[2000:], axis=1))
     assert abs(mc - expected_prior_pairwise_distance(d)) < 0.05
+
+
+@pytest.mark.parametrize("field, value", [
+    ("lr", -1.0), ("lr", 0.0), ("steps", -2), ("noise_dim", 0), ("hidden", (0,)),
+    ("hidden", (16, 0)), ("batch", 0), ("collapse_reg", -0.1),
+])
+def test_config_rejects_bad_values(field, value):
+    with pytest.raises(InversionError, match=field):
+        InferenceNetConfig(**{field: value})

@@ -1,4 +1,5 @@
-"""conv3d's general path (shifted-view matmuls) against the paths it replaced.
+"""conv3d's general path (shifted-view matmuls) against the paths it replaced,
+and upconv3d against the composition it replaces.
 
 ``conv3d_windows_reference`` is the general path as it was before: an
 einsum over a sliding-window view of the padded input, forward and
@@ -7,6 +8,10 @@ three gradients, to float64 round-off, and agree with direct summation and
 its own adjoint on random small shapes. Its per-tap accumulation in a
 contiguous buffer must equal the wide-buffer form it replaced
 (``helpers.correlate_wide_buffer``) bit for bit.
+
+``upconv3d(x, w, bias)`` runs ``conv3d(upsample2(x), w, bias)`` on the
+coarse grid; the composition is its oracle, in value and all three
+gradients, at float64 round-off.
 """
 
 import numpy as np
@@ -147,3 +152,108 @@ def test_contiguous_accumulation_equals_wide_buffer(kshape, shape):
     want = correlate_wide_buffer(views, w, shape)
     assert got.shape == want.shape == (4,) + shape
     np.testing.assert_array_equal(got, want)
+
+
+def taped_upconv(x, w, bias, g, dtype, fn, frozen=()):
+    """(value, gx, gw, gbias) of ``fn(x, w, bias)`` on a tape of ``dtype``
+    with output gradient g; bias may be None (no gbias), and the operands
+    named in ``frozen`` ("x", "w") enter as tape constants."""
+    tape = GraphTape(dtype)
+    nodes = [(tape.constant if name in frozen else tape.input)(v)
+             for name, v in (("x", x), ("w", w), ("bias", bias)) if v is not None]
+    out = fn(*nodes)
+    grads = tape.backward(out, seed=g)
+    return (out.value,) + tuple(grads.wrt(n) for n in nodes)
+
+
+def upconv(*nodes):
+    return tc.upconv3d(*nodes)
+
+
+def upsampled_conv(x, *rest):
+    return tc.conv3d(tc.upsample2(x), *rest)
+
+
+@st.composite
+def upconv_cases(draw):
+    c, o = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    extents = tuple(draw(st.integers(1, 4)) for _ in range(3))  # axes one cell wide too
+    kshape = tuple(draw(st.sampled_from([1, 3, 5])) for _ in range(3))
+    return dict(xshape=(c,) + extents, wshape=(o, c) + kshape,
+                bias=draw(st.booleans()),
+                frozen=draw(st.sampled_from([(), ("x",), ("w",)])),
+                uniform=draw(st.sampled_from([None, "x", "w"])),
+                seed=draw(st.integers(0, 2 ** 16)))
+
+
+def upconv_arrays(xshape, wshape, bias, uniform, seed):
+    # float32-representable values, so one set serves both tape dtypes; the
+    # operand named by ``uniform`` holds one value everywhere
+    rng = np.random.default_rng(seed)
+    x = np.full(xshape, 0.7) if uniform == "x" else rng.normal(size=xshape)
+    w = np.full(wshape, -0.3) if uniform == "w" else rng.normal(size=wshape)
+    b = rng.normal(size=wshape[0]) if bias else None
+    g = rng.normal(size=(wshape[0],) + tuple(2 * e for e in xshape[1:]))
+    return tuple(None if v is None else v.astype(np.float32).astype(np.float64)
+                 for v in (x, w, b, g))
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=upconv_cases())
+def test_upconv3d_matches_upsampled_conv3d(case):
+    x, w, b, g = upconv_arrays(case["xshape"], case["wshape"], case["bias"],
+                               case["uniform"], case["seed"])
+    want = taped_upconv(x, w, b, g, np.float64, upsampled_conv, case["frozen"])
+    got = taped_upconv(x, w, b, g, np.float64, upconv, case["frozen"])
+    for a, r in zip(got, want):
+        assert a.shape == r.shape
+        assert_close(a, r, 1e-12)
+    # a float32 tape rounds each float64 result once
+    low = taped_upconv(x, w, b, g, np.float32, upconv, case["frozen"])
+    for a, r in zip(low, got):
+        assert a.dtype == np.float32
+        np.testing.assert_array_equal(a, r.astype(np.float32))
+
+
+# (input shape, kernel shape): the two upconv3d calls of the default
+# NeuralGenerator at 32x32x8, then a mixed and a wide kernel
+UPCONV_SHAPES = {
+    "block0.conv1": ((16, 2, 8, 8), (8, 16, 3, 3, 3)),
+    "block1.conv1": ((8, 4, 16, 16), (4, 8, 3, 3, 3)),
+    "3x1x5": ((2, 3, 2, 4), (3, 2, 3, 1, 5)),
+    "5x5x5": ((2, 2, 3, 3), (2, 2, 5, 5, 5)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UPCONV_SHAPES))
+def test_upconv3d_matches_upsampled_conv3d_at_generator_shapes(name):
+    xshape, wshape = UPCONV_SHAPES[name]
+    x, w, b, g = upconv_arrays(xshape, wshape, True, None, seed=3)
+    want = taped_upconv(x, w, b, g, np.float64, upsampled_conv)
+    got = taped_upconv(x, w, b, g, np.float64, upconv)
+    for a, r in zip(got, want):
+        assert_close(a, r, 1e-12)
+
+
+def test_upconv3d_phase_kernels_cut_multiply_adds():
+    # per axis each output phase of a 3-tap kernel reads 2 coarse offsets,
+    # so the 8 phases of a 3x3x3 kernel hold 64 coarse taps, not 8 * 27
+    kshape, offsets, p = tc._phase_plan((3, 3, 3))
+    assert kshape == (3, 3, 3) and p.shape == (64, 27)
+    # every (phase, tap) pair lands on exactly one coarse offset
+    np.testing.assert_array_equal(p.sum(axis=0), np.full(27, 8.0))
+    assert sum(hi - lo for _, lo, hi in offsets) == 64
+
+
+@pytest.mark.parametrize("xshape, wshape, bshape, match", [
+    ((2, 3, 3), (2, 2, 3, 3, 3), None, "rank-4 input"),
+    ((2, 3, 3, 3), (2, 2, 3, 3), None, "rank-5 kernel"),
+    ((2, 3, 3, 3), (2, 3, 3, 3, 3), None, "kernel channels"),
+    ((2, 3, 3, 3), (2, 2, 3, 2, 3), None, "odd"),
+    ((2, 3, 3, 3), (2, 2, 3, 3, 3), (3,), "bias"),
+])
+def test_upconv3d_rejects_bad_shapes(xshape, wshape, bshape, match):
+    tape = GraphTape(np.float64)
+    bias = None if bshape is None else tape.input(np.zeros(bshape))
+    with pytest.raises(tc.ShapeError, match=match):
+        tc.upconv3d(tape.input(np.zeros(xshape)), tape.input(np.zeros(wshape)), bias)

@@ -124,6 +124,12 @@ PRIMITIVE_CASES = {
     "mean": lambda t, x: tc.mean_all(tc.square(x)),
     "upsample2": lambda t, x: tc.mean_all(
         tc.square(tc.upsample2(tc.reshape(x, (1, 2, 3, 4))))),
+    # the input's gradient, then the kernel's: a (2, 4, 3, 1, 1) kernel
+    "upconv3d": lambda t, x: tc.mean_all(tc.square(tc.upconv3d(
+        tc.reshape(x, (2, 1, 3, 4)), t.constant(np.linspace(-1, 1, 54).reshape(3, 2, 1, 3, 3)),
+        t.constant(np.array([0.1, -0.2, 0.3]))))),
+    "upconv3d_kernel": lambda t, x: tc.mean_all(tc.square(tc.upconv3d(
+        t.constant(np.linspace(-1, 1, 48).reshape(4, 2, 2, 3)), tc.reshape(x, (2, 4, 3, 1, 1))))),
     "crop": lambda t, x: tc.sum_all(tc.square(tc.crop(
         tc.reshape(x, (2, 3, 4)), (slice(0, 1), slice(1, 3), slice(0, 4))))),
     "concat": lambda t, x: tc.sum_all(tc.square(tc.concat([x, tc.square(x)], axis=0))),
@@ -398,6 +404,8 @@ def _record_builders():
         "take": lambda t: tc.take(x(t), [0, 5, 5]),
         "conv3d": lambda t: tc.conv3d(x(t), t.input(np.ones((2, 1, 3, 3, 3))),
                                       t.input(np.zeros(2))),
+        "upconv3d": lambda t: tc.upconv3d(x(t), t.input(np.ones((2, 1, 3, 3, 3))),
+                                          t.input(np.zeros(2))),
     }
 
 

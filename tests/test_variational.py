@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 import fluvinv.tensors as tc
-from fluvinv.inversion import FlowConfig, FlowModel, variational_infer
+from fluvinv.inversion import (FlowConfig, FlowModel, InversionError, Observations,
+                               gaussian_data_loglik, variational_infer)
+from fluvinv.survey import extract_well_data
 from helpers import LinearGenerator
 
 
@@ -120,3 +122,21 @@ def test_flow_needs_two_dims():
     from fluvinv.inversion.loss import InversionError
     with pytest.raises(InversionError):
         FlowModel(1, FlowConfig())
+
+
+@pytest.mark.parametrize("field, value", [
+    ("lr", -0.5), ("lr", 0.0), ("steps", -2), ("n_layers", 0), ("hidden", (0,)),
+    ("hidden", (8, 0)), ("batch", 0), ("sigma", 0.0), ("scale_clip", 0.0),
+    ("n_posterior", 0),
+])
+def test_flow_config_rejects_bad_values(field, value):
+    with pytest.raises(InversionError, match=field):
+        FlowConfig(**{field: value})
+
+
+@pytest.mark.parametrize("sigma", [0.0, -0.3, float("nan")])
+def test_gaussian_data_loglik_rejects_non_positive_sigma(sigma):
+    gen = LinearGenerator(np.eye(3))
+    wells = extract_well_data(gen.generate(np.zeros(3)), [(0, 0)])
+    with pytest.raises(InversionError, match="sigma"):
+        gaussian_data_loglik(gen, Observations(wells=wells), sigma)
