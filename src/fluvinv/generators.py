@@ -772,7 +772,10 @@ class NeuralGenerator:
         skip(upsample2(h))``, computed without convolving the upsampled
         grid: conv1 is ``tc.upconv3d``, which runs it on the coarse grid
         with 0.30x the multiply-adds, and the 1x1x1 skip commutes with
-        nearest upsampling, so it runs before ``upsample2``.
+        nearest upsampling, so it runs before ``upsample2``. conv2 and the
+        head are ``tc.conv3d``. Both ops contract each kernel row's x-taps
+        in one matmul over a column buffer of the padded input: nine
+        matmuls per 3x3x3 ``conv3d``, eighteen per ``upconv3d``.
 
         ``labels`` follows the rule of :meth:`ProceduralGenerator.build`.
         With ``depo=False`` the build returns ``(coarse, None)``: the network

@@ -63,15 +63,19 @@ def check_schedule(name):
         raise InversionError(f"unknown lr schedule {name!r}")
 
 
-def check_config(config, at_least=(), positive=()):
+def check_config(config, at_least=(), positive=(), fractions=()):
     """Raise InversionError for a field of ``config`` below its minimum
-    (``at_least``: (name, minimum) pairs) or not > 0 (``positive``: names)."""
+    (``at_least``: (name, minimum) pairs), not > 0 (``positive``: names) or
+    outside [0, 1) (``fractions``: names). NaN fails every check."""
     for name, low in at_least:
-        if getattr(config, name) < low:
+        if not getattr(config, name) >= low:
             raise InversionError(f"{name} must be >= {low}, got {getattr(config, name)}")
     for name in positive:
         if not getattr(config, name) > 0:
             raise InversionError(f"{name} must be > 0, got {getattr(config, name)}")
+    for name in fractions:
+        if not 0 <= getattr(config, name) < 1:
+            raise InversionError(f"{name} must lie in [0, 1), got {getattr(config, name)}")
 
 
 def descend(objective, params, dtype, steps, lr, schedule="constant",
@@ -160,7 +164,8 @@ class LatentOptimizeConfig:
 
     def __post_init__(self):
         check_schedule(self.lr_schedule)
-        check_config(self, (("n_restarts", 1), ("iterations", 0), ("threads", 1)), ("lr",))
+        check_config(self, (("n_restarts", 1), ("iterations", 0), ("threads", 1)), ("lr",),
+                     ("beta1", "beta2"))
         if self.ball_radius is not None and not self.ball_radius > 0:
             raise InversionError(f"ball_radius must be > 0, got {self.ball_radius}")
 
@@ -350,7 +355,7 @@ class PivotalTuneConfig:
     lr: float = 1e-3
     beta1: float = 0.9
     beta2: float = 0.999
-    locality_weight: float = 1.0       # math.inf disables the data term
+    locality_weight: float = 1.0       # >= 0; math.inf disables the data term
     anchors_per_step: int = 16
     pivots_per_step: int = 4           # 0: every pivot every step
     loss: DataLossConfig = field(default_factory=DataLossConfig)
@@ -361,8 +366,8 @@ class PivotalTuneConfig:
     def __post_init__(self):
         if self.mode not in ("shared", "per_pivot"):
             raise InversionError(f"unknown tuning mode {self.mode!r}")
-        check_config(self, (("steps", 0), ("anchors_per_step", 0), ("pivots_per_step", 0)),
-                     ("lr",))
+        check_config(self, (("steps", 0), ("anchors_per_step", 0), ("pivots_per_step", 0),
+                            ("locality_weight", 0)), ("lr",), ("beta1", "beta2"))
 
 
 @dataclass

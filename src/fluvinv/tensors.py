@@ -691,44 +691,79 @@ def matmul_axis(x, m, axis):
     return out
 
 
-def _shifted_views(v, kshape):
-    # v (C, Z, Y, X) zero-padded by half a kernel on every side into one fresh
-    # float64 buffer, flattened to (C, Zp*Yp*Xp). Per kernel tap (i, j, k), in
-    # a fixed order, a (C, L) view of it whose column z*Yp*Xp + y*Xp + x holds
-    # v[:, z+i-pz, y+j-py, x+k-px], with L reaching column (Z-1, Y-1, X-1);
-    # the centre tap's view is v itself, zero in the columns y >= Y or x >= X.
-    # Adding into a view scatters into the padded buffer.
+def _padded(v, kshape):
+    # v (C, Z, Y, X) zero-padded by half a kernel on every side into one
+    # fresh float64 buffer, flattened to (C, Zp*Yp*Xp)
     c, nz, ny, nx = v.shape
     pz, py, px = (k // 2 for k in kshape)
-    yp, xp = ny + 2 * py, nx + 2 * px
-    buf = np.zeros((c, nz + 2 * pz, yp, xp), dtype=_ACC)
+    buf = np.zeros((c, nz + 2 * pz, ny + 2 * py, nx + 2 * px), dtype=_ACC)
     buf[:, pz:pz + nz, py:py + ny, px:px + nx] = v
-    flat = buf.reshape(c, -1)
-    n = (nz - 1) * yp * xp + (ny - 1) * xp + nx
-    views = {}
-    for i, j, k in np.ndindex(*kshape):
-        o = i * yp * xp + j * xp + k
-        views[i, j, k] = flat[:, o:o + n]
-    return views
+    return buf.reshape(c, -1)
 
 
-def _correlate(views, w, shape):
-    # "same" correlation with w (O, C, kz, ky, kx) of the (C, *shape) array
-    # whose shifted views these are: one float64 (O, C) @ (C, L) matmul per
-    # tap, accumulated in a contiguous (O, L) buffer; column z*Yp*Xp + y*Xp
-    # + x of it is output (z, y, x), so the returned (O, Z, Y, X) array is a
-    # strided view that skips the columns y >= Y or x >= X
-    o, _, _, ky, kx = w.shape
+def _columns(flat, kx):
+    # the column buffer of a padded (C, Np) input for kernels kx wide:
+    # (kx*C, Np - kx + 1), row block k the input shifted by k columns, so
+    # column o holds the kx x-taps of every channel at flat offset o
+    if kx == 1:
+        return flat
+    c, npad = flat.shape
+    cols = np.empty((kx, c, npad - kx + 1), dtype=_ACC)
+    for k in range(kx):
+        cols[k] = flat[:, k:k + npad - kx + 1]
+    return cols.reshape(kx * c, -1)
+
+
+def _fold_columns(cols, kx):
+    # the adjoint of _columns: the kx row blocks of a (kx*C, N) buffer added
+    # into one (C, N + kx - 1) buffer, block k shifted by k columns
+    if kx == 1:
+        return cols
+    c, n = cols.shape[0] // kx, cols.shape[1]
+    flat = np.zeros((c, n + kx - 1), dtype=_ACC)
+    for k in range(kx):
+        flat[:, k:k + n] += cols[k * c:(k + 1) * c]
+    return flat
+
+
+def _kernel_rows(cols, kshape, shape):
+    # per kernel row (i, j), in np.ndindex order, the (kx*C, L) view of the
+    # column buffer of a (C, *shape) grid v whose column z*Yp*Xp + y*Xp + x
+    # holds that row's taps at output (z, y, x): row block k reads
+    # v[:, z+i-pz, y+j-py, x+k-px]. L reaches column (Z-1, Y-1, X-1); the
+    # columns y >= Y or x >= X are not outputs. Adding into a view scatters
+    # into the buffer.
+    kz, ky, kx = kshape
     nz, ny, nx = shape
     yp, xp = ny + ky - 1, nx + kx - 1
-    taps = np.ascontiguousarray(w.transpose(2, 3, 4, 0, 1), dtype=_ACC)
-    acc = np.zeros((o, next(iter(views.values())).shape[1]), dtype=_ACC)
+    n = (nz - 1) * yp * xp + (ny - 1) * xp + nx
+    return [cols[:, o:o + n] for o in (i * yp * xp + j * xp for i, j in np.ndindex(kz, ky))]
+
+
+def _column_grid(cols, shape, kshape):
+    # (..., L) columns in the layout of _kernel_rows(·, kshape, shape) over a
+    # (Z, Y, X) grid as a strided (..., Z, Y, X) view that skips the
+    # columns y >= Y or x >= X
+    nz, ny, nx = shape
+    yp, xp = ny + kshape[1] - 1, nx + kshape[2] - 1
+    step = cols.strides[-1]
+    return np.lib.stride_tricks.as_strided(
+        cols, cols.shape[:-1] + shape, cols.strides[:-1] + (yp * xp * step, xp * step, step))
+
+
+def _correlate(cols, w, shape):
+    # "same" correlation with w (O, C, kz, ky, kx) of the (C, *shape) array
+    # whose column buffer cols is: one float64 (O, kx*C) @ (kx*C, L) matmul
+    # per kernel row, accumulated in a contiguous (O, L) buffer and returned
+    # as its strided (O, Z, Y, X) view
+    o, c, kz, ky, kx = w.shape
+    rows = np.ascontiguousarray(w.transpose(2, 3, 0, 4, 1), dtype=_ACC).reshape(-1, o, kx * c)
+    views = _kernel_rows(cols, w.shape[2:], shape)
+    acc = np.matmul(rows[0], views[0])
     term = np.empty_like(acc)
-    for tap, view in views.items():
-        acc += np.matmul(taps[tap], view, out=term)
-    step = acc.itemsize
-    return np.ndarray((o, nz, ny, nx), _ACC, acc, 0,
-                      (acc.strides[0], yp * xp * step, xp * step, step))
+    for row, view in zip(rows[1:], views[1:]):
+        acc += np.matmul(row, view, out=term)
+    return _column_grid(acc, shape, w.shape[2:])
 
 
 def _conv_operands(name, x, w, bias):
@@ -756,10 +791,14 @@ def conv3d(x, w, bias=None):
     x: (C, Z, Y, X); w: (O, C, kz, ky, kx); bias: (O,) optional. A constant
     single-channel kernel without bias that extends along one axis only (a
     separable PSF factor) is applied as a banded matrix along that axis.
-    Every other kernel is a shifted-view correlation: the input is padded
-    once, and each tap adds one (O, C) @ (C, L) matmul over a shifted flat
-    view of it, so no window is copied. Both accumulate in float64 in a
-    fixed order.
+    Every other kernel runs on a column buffer: the input is padded once
+    and copied kx times, each copy shifted by one more column, so a kernel
+    row's kx x-taps sit in one (kx*C, L) block. Each (i, j) kernel row is
+    then one (O, kx*C) @ (kx*C, L) matmul over a shifted flat view of that
+    buffer: kz*ky matmuls, not kz*ky*kx. The backward runs the same rows.
+    Only the padded input is kept for the kernel gradient, whose backward
+    rebuilds the column buffer. Both paths accumulate in float64 in a fixed
+    order.
     """
     tape, x, w, bias = _conv_operands("conv3d", x, w, bias)
     kshape = w.value.shape[2:]
@@ -767,12 +806,13 @@ def conv3d(x, w, bias=None):
     if (w.value.shape[:2] == (1, 1) and len(long_axes) == 1 and not w.requires_grad
             and bias is None):
         # a single-channel constant kernel along one axis (a separable PSF
-        # factor): shifted views would mostly multiply padding once the
+        # factor): the column buffer would mostly multiply padding once the
         # kernel outgrows the axis, the banded matrix never does
         axis = 1 + long_axes[0]
         return matmul_axis(x, _banded(w.value.reshape(-1), x.value.shape[axis]), axis)
-    views = _shifted_views(x.value, kshape)
-    value = _correlate(views, w.value, x.value.shape[1:])
+    shape = x.value.shape[1:]
+    flat = _padded(x.value, kshape)
+    value = _correlate(_columns(flat, kshape[2]), w.value, shape)
     inputs = [x, w]
     if bias is not None:
         value = value + bias.value[:, None, None, None]
@@ -784,23 +824,24 @@ def conv3d(x, w, bias=None):
         x_req, w_req = x.requires_grad, w.requires_grad
         has_bias = bias is not None
         bias_req = has_bias and bias.requires_grad
-        views = views if w_req else None
+        flat = flat if w_req else None
 
         def backward(g):
-            gviews = _shifted_views(g, kshape)
-            gx = None
+            gflat = _padded(g, kshape)
+            gx = gw = None
             if x_req:
                 # correlate the output gradient with the flipped, channel-swapped kernel
                 wt = wv[:, :, ::-1, ::-1, ::-1].transpose(1, 0, 2, 3, 4)
-                gx = _correlate(gviews, wt, g.shape[1:])
-            gw = None
+                gx = _correlate(_columns(gflat, kshape[2]), wt, shape)
             if w_req:
-                # gw[:, :, i, j, k] = g @ view(i, j, k).T, with g in the
-                # forward's column layout: the centre view of padded g
-                gf = gviews[tuple(k // 2 for k in kshape)]
-                gw = np.empty(wv.shape, dtype=_ACC)
-                for (i, j, k), view in views.items():
-                    gw[:, :, i, j, k] = gf @ view.T
+                # gw[:, :, i, j, :] = g @ row(i, j).T, with g in the forward's
+                # column layout: the centre row of padded g from its centre
+                # x-tap on, zero in the columns that are not outputs
+                views = _kernel_rows(_columns(flat, kshape[2]), kshape, shape)
+                gf = _kernel_rows(gflat[:, kshape[2] // 2:], kshape, shape)[len(views) // 2]
+                o, c, kz, ky, kx = wv.shape
+                gw = np.stack([gf @ view.T for view in views])
+                gw = gw.reshape(kz, ky, o, kx, c).transpose(2, 4, 0, 1, 3)
             parts = [gx, gw]
             if has_bias:
                 parts.append(g.sum(axis=(1, 2, 3), dtype=_ACC) if bias_req else None)
@@ -845,15 +886,35 @@ def _phase_plan(kshape):
     return tuple(a.shape[1] for a in axes), tuple(offsets), p
 
 
-def _column_grid(cols, shape, kshape):
-    # (..., L) columns in the layout of _shifted_views(·, kshape) over a
-    # (Z, Y, X) grid as a strided (..., Z, Y, X) view that skips the
-    # columns y >= Y or x >= X
-    nz, ny, nx = shape
-    yp, xp = ny + kshape[1] - 1, nx + kshape[2] - 1
-    step = cols.strides[-1]
-    return np.lib.stride_tricks.as_strided(
-        cols, cols.shape[:-1] + shape, cols.strides[:-1] + (yp * xp * step, xp * step, step))
+@functools.lru_cache(maxsize=16)
+def _phase_groups(kshape):
+    # The rows of _phase_plan(kshape)'s P regrouped for a column buffer over
+    # the coarse x-offsets. Output x-phase rx reads the contiguous coarse
+    # x-offsets [a, a + span), span = kx // 2 + 1 for either phase. Returns
+    # the coarse extents; span; per coarse (z, y) offset pair s (its index
+    # in np.ndindex order) and x-phase rx, in that order, a group: s, the
+    # phases that read s at rx (rx, then a slice per axis), a, and the
+    # group's blocks [lo, hi), one per (rz, ry) phase; and Q, the rows of P
+    # at block n and x-offset sx in row n*span + sx - a
+    ck, offsets, p = _phase_plan(kshape)
+    row = {}
+    for s, (phases, lo, _) in zip(np.ndindex(*ck), offsets):
+        for i, r in enumerate(np.ndindex(*(ph.stop - ph.start for ph in phases))):
+            row[s, tuple(ph.start + ri for ph, ri in zip(phases, r))] = lo + i
+    span = kshape[2] // 2 + 1
+    groups, picks = [], []
+    for s, (sz, sy) in enumerate(np.ndindex(*ck[:2])):
+        pz, py, _ = offsets[s * ck[2]][0]
+        for rx in range(2):
+            a = min(sx for sx in range(ck[2]) if ((sz, sy, sx), (pz.start, py.start, rx)) in row)
+            lo = len(picks) // span
+            picks += [row[(sz, sy, sx), (rz, ry, rx)]
+                      for rz in range(pz.start, pz.stop) for ry in range(py.start, py.stop)
+                      for sx in range(a, a + span)]
+            groups.append((s, (rx, pz, py), a, lo, len(picks) // span))
+    q = p[picks]
+    q.flags.writeable = False
+    return ck, span, tuple(groups), q
 
 
 def upconv3d(x, w, bias=None):
@@ -872,28 +933,37 @@ def upconv3d(x, w, bias=None):
 
     so each phase sums 2 of the 3 taps per axis, and a 3x3x3 kernel becomes
     eight 2x2x2 phase kernels on the coarse grid: 0.30x the multiply-adds of
-    the upsampled correlation. Every coarse offset is read by a contiguous
-    range of phases, so it costs one float64 (n_s*O, C) @ (C, L) matmul over
-    a shifted view of the once-padded coarse input, added into those phases
-    of one (2, 2, 2, O, L) buffer; one copy interleaves the phases into the
-    output. The backward runs the same offsets: the input gradient scatters
-    m.T @ g into shifted views of a padded buffer, and the kernel gradient
-    folds the phase kernels' gradients back through A.
+    the upsampled correlation. The coarse input is padded once and copied
+    into a column buffer, as in conv3d. Per coarse (z, y) offset pair and
+    output x-phase, the x-offsets read are contiguous (two for k = 3), so
+    the phases that read that pair cost one float64 (n*O, 2C) @ (2C, L)
+    matmul over a row range of the buffer's shifted view: 18 matmuls for
+    3x3x3, with no zero blocks. They add into one (2, 2, 2, O, L) buffer
+    (phases rx, rz, ry: each group's slice of it is mostly contiguous),
+    and one copy interleaves the phases into the output. The backward runs
+    the same groups: the input gradient accumulates m.T @ g in a column
+    buffer whose row blocks are folded into the padded gradient once, and
+    the kernel gradient folds the phase kernels' gradients back through A.
     """
     tape, x, w, bias = _conv_operands("upconv3d", x, w, bias)
-    kshape, offsets, p = _phase_plan(w.value.shape[2:])
+    kshape, span, groups, q = _phase_groups(w.value.shape[2:])
     (o, c), shape = w.value.shape[:2], x.value.shape[1:]
-    # rows lo*O:hi*O of m are the stacked (n_s*O, C) phase kernels of offset s
-    m = (p @ np.asarray(w.value, dtype=_ACC).reshape(o * c, -1).T).reshape(-1, c)
-    views = _shifted_views(x.value, kshape)
-    ncol = next(iter(views.values())).shape[1]
+    # rows n*O:(n+1)*O of m are block n's (O, span*C) phase kernel, its
+    # columns (sx - a)*C + channel in the layout of the column buffer
+    m = (q @ np.asarray(w.value, dtype=_ACC).reshape(o * c, -1).T).reshape(
+        -1, span, o, c).transpose(0, 2, 1, 3).reshape(-1, span * c)
+    flat = _padded(x.value, kshape)
+    cols = _columns(flat, kshape[2])
+    views = _kernel_rows(cols, kshape, shape)
+    ncol = views[0].shape[1]
     acc = np.zeros((2, 2, 2, o, ncol), dtype=_ACC)
-    term = np.empty((8 * o, ncol), dtype=_ACC)
-    for (phases, lo, hi), view in zip(offsets, views.values()):
+    term = np.empty((4 * o, ncol), dtype=_ACC)  # a group has at most 2x2 (rz, ry) blocks
+    for s, phases, a, lo, hi in groups:
         dst = acc[phases]
-        dst += np.matmul(m[lo * o:hi * o], view, out=term[:(hi - lo) * o]).reshape(dst.shape)
-    # (rz, ry, rx, O, Z, Y, X) -> (O, Z, rz, Y, ry, X, rx), one copy
-    value = _column_grid(acc, shape, kshape).transpose(3, 4, 0, 5, 1, 6, 2).reshape(
+        dst += np.matmul(m[lo * o:hi * o], views[s][a * c:(a + span) * c],
+                         out=term[:(hi - lo) * o]).reshape(dst.shape)
+    # (rx, rz, ry, O, Z, Y, X) -> (O, Z, rz, Y, ry, X, rx), one copy
+    value = _column_grid(acc, shape, kshape).transpose(3, 4, 1, 5, 2, 6, 0).reshape(
         (o,) + tuple(2 * e for e in shape))
     inputs = [x, w]
     if bias is not None:
@@ -902,34 +972,39 @@ def upconv3d(x, w, bias=None):
     out = tape._new_node(value.astype(tape.dtype, copy=False),
                          any(n.requires_grad for n in inputs))
     if out.requires_grad:
-        wshape = w.value.shape
+        wshape, cshape = w.value.shape, cols.shape
         x_req, w_req = x.requires_grad, w.requires_grad
         has_bias = bias is not None
         bias_req = has_bias and bias.requires_grad
-        views = views if w_req else None
+        flat = flat if w_req else None
 
         def backward(g):
-            nz, ny, nx = shape
             # g in the forward's (2, 2, 2, O, L) column layout, zero in the
-            # columns y >= Y or x >= X
-            yp, xp = ny + kshape[1] - 1, nx + kshape[2] - 1
-            gp = np.zeros((2, 2, 2, o, nz, yp, xp), dtype=_ACC)
-            gp[..., :ny, :nx] = g.reshape(o, nz, 2, ny, 2, nx, 2).transpose(2, 4, 6, 0, 1, 3, 5)
-            gp = gp.reshape(2, 2, 2, o, -1)[..., :ncol]
-            gviews = _shifted_views(np.zeros((c,) + shape), kshape) if x_req else None
+            # columns that are not outputs
+            nz, ny, nx = shape
+            gp = np.zeros((2, 2, 2, o, ncol), dtype=_ACC)
+            _column_grid(gp, shape, kshape)[...] = g.reshape(
+                o, nz, 2, ny, 2, nx, 2).transpose(6, 2, 4, 0, 1, 3, 5)
+            gcols = np.zeros(cshape, dtype=_ACC) if x_req else None
+            gviews = _kernel_rows(gcols, kshape, shape) if x_req else None
+            views = _kernel_rows(_columns(flat, kshape[2]), kshape, shape) if w_req else None
             gm = np.empty_like(m) if w_req else None
-            term = np.empty((c, ncol), dtype=_ACC)
-            for s, (phases, lo, hi) in zip(np.ndindex(*kshape), offsets):
+            term = np.empty((span * c, ncol), dtype=_ACC)
+            for s, phases, a, lo, hi in groups:
                 gs = gp[phases].reshape(-1, ncol)
+                rows = slice(a * c, (a + span) * c)
                 if x_req:
-                    gviews[s] += np.matmul(m[lo * o:hi * o].T, gs, out=term)
+                    gviews[s][rows] += np.matmul(m[lo * o:hi * o].T, gs, out=term)
                 if w_req:
-                    np.matmul(gs, views[s].T, out=gm[lo * o:hi * o])
+                    np.matmul(gs, views[s][rows].T, out=gm[lo * o:hi * o])
             gx = gw = None
-            if x_req:  # the interior of the padded buffer: the centre view
-                gx = _column_grid(gviews[tuple(k // 2 for k in kshape)], shape, kshape)
+            if x_req:  # the interior of the padded gradient
+                pz, py, px = (k // 2 for k in kshape)
+                gx = _fold_columns(gcols, kshape[2]).reshape(c, nz + 2 * pz, ny + 2 * py, -1)
+                gx = gx[:, pz:pz + nz, py:py + ny, px:px + nx]
             if w_req:
-                gw = (gm.reshape(-1, o * c).T @ p).reshape(wshape)
+                gm = gm.reshape(-1, o, span, c).transpose(0, 2, 1, 3).reshape(-1, o * c)
+                gw = (gm.T @ q).reshape(wshape)
             parts = [gx, gw]
             if has_bias:
                 parts.append(g.sum(axis=(1, 2, 3), dtype=_ACC) if bias_req else None)

@@ -1,11 +1,12 @@
 """Shared test fixtures: a linear generator with a known least-squares oracle,
-a direct-summation oracle for ``tc.conv3d`` and its per-tap accumulation as
-it was, the padded-column reflectivity
-formula, the one-restart-at-a-time latent optimization loop that the row
-blocks replaced, the procedural build as a tape of elementwise ops that the
-fused kernel replaced, the neural build as the upsample-then-convolve
-composition that ``tc.upconv3d`` replaced, and the friable-sand moduli as
-named arrays."""
+a direct-summation oracle for ``tc.conv3d``, the per-tap and per-offset
+loops that ``tc.conv3d`` and ``tc.upconv3d`` ran before their column
+buffer, the wide-buffer form of conv3d's row accumulation, the
+padded-column reflectivity formula, the one-restart-at-a-time latent
+optimization loop that the row blocks replaced, the procedural build as a
+tape of elementwise ops that the fused kernel replaced, the neural build as
+the upsample-then-convolve composition that ``tc.upconv3d`` replaced, and
+the friable-sand moduli as named arrays."""
 
 import math
 
@@ -179,20 +180,117 @@ def conv3d_reference(x, w):
     return out
 
 
-def correlate_wide_buffer(views, w, shape):
-    """``tc._correlate`` as it was before its contiguous buffer: each tap's
-    (O, C) @ (C, L) product is added into the first L columns of an
-    (O, Z*Yp*Xp) buffer, whose (O, Z, Y, X) corner is returned."""
-    o, _, _, ky, kx = w.shape
+def correlate_wide_buffer(cols, w, shape):
+    """``tc._correlate`` over the column buffer ``cols`` as it would be
+    without its contiguous buffer: each kernel row's (O, kx*C) @ (kx*C, L)
+    product is added into the first L columns of an (O, Z*Yp*Xp) buffer,
+    whose (O, Z, Y, X) corner is returned."""
+    o, c, kz, ky, kx = w.shape
     nz, ny, nx = shape
     yp, xp = ny + ky - 1, nx + kx - 1
-    taps = np.ascontiguousarray(w.transpose(2, 3, 4, 0, 1), dtype=np.float64)
+    rows = np.ascontiguousarray(w.transpose(2, 3, 0, 4, 1), dtype=np.float64)
+    n = (nz - 1) * yp * xp + (ny - 1) * xp + nx
     acc = np.zeros((o, nz * yp * xp), dtype=np.float64)
-    out = acc[:, :next(iter(views.values())).shape[1]]
+    out = acc[:, :n]
     term = np.empty_like(out)
-    for tap, view in views.items():
-        out += np.matmul(taps[tap], view, out=term)
+    for i, j in np.ndindex(kz, ky):
+        start = i * yp * xp + j * xp
+        out += np.matmul(rows[i, j].reshape(o, kx * c), cols[:, start:start + n], out=term)
     return acc.reshape(o, nz, yp, xp)[:, :, :ny, :nx]
+
+
+def shifted_views(v, kshape):
+    """v (C, Z, Y, X) zero-padded by half a kernel on every side into one
+    float64 buffer, flattened to (C, Zp*Yp*Xp). Per kernel tap (i, j, k), in
+    np.ndindex order, a (C, L) view of it whose column z*Yp*Xp + y*Xp + x
+    holds v[:, z+i-pz, y+j-py, x+k-px], L reaching column (Z-1, Y-1, X-1).
+    Adding into a view scatters into the padded buffer."""
+    c, nz, ny, nx = v.shape
+    pz, py, px = (k // 2 for k in kshape)
+    yp, xp = ny + 2 * py, nx + 2 * px
+    buf = np.zeros((c, nz + 2 * pz, yp, xp), dtype=np.float64)
+    buf[:, pz:pz + nz, py:py + ny, px:px + nx] = v
+    flat = buf.reshape(c, -1)
+    n = (nz - 1) * yp * xp + (ny - 1) * xp + nx
+    views = {}
+    for i, j, k in np.ndindex(*kshape):
+        o = i * yp * xp + j * xp + k
+        views[i, j, k] = flat[:, o:o + n]
+    return views
+
+
+def correlate_per_tap(views, w, shape):
+    """"same" correlation with w (O, C, kz, ky, kx) of the (C, *shape) array
+    whose shifted views these are: one float64 (O, C) @ (C, L) matmul per
+    tap, as ``tc.conv3d`` ran it before its column buffer."""
+    taps = np.ascontiguousarray(w.transpose(2, 3, 4, 0, 1), dtype=np.float64)
+    acc = np.zeros((w.shape[0], next(iter(views.values())).shape[1]), dtype=np.float64)
+    term = np.empty_like(acc)
+    for tap, view in views.items():
+        acc += np.matmul(taps[tap], view, out=term)
+    return tc._column_grid(acc, shape, w.shape[2:])
+
+
+def conv3d_per_tap(x, w, bias, g):
+    """(value, gx, gw, gbias) of ``tc.conv3d(x, w, bias)`` with output
+    gradient g by the per-tap loop, in float64; bias may be None (then
+    gbias is None)."""
+    kshape = w.shape[2:]
+    views = shifted_views(x, kshape)
+    value = correlate_per_tap(views, w, x.shape[1:])
+    if bias is not None:
+        value = value + bias[:, None, None, None]
+    gviews = shifted_views(g, kshape)
+    # the input gradient correlates g with the flipped, channel-swapped kernel
+    wt = w[:, :, ::-1, ::-1, ::-1].transpose(1, 0, 2, 3, 4)
+    gx = correlate_per_tap(gviews, wt, g.shape[1:])
+    # gw[:, :, i, j, k] = g @ view(i, j, k).T, with g in the forward's
+    # column layout: the centre view of padded g
+    gf = gviews[tuple(k // 2 for k in kshape)]
+    gw = np.empty(w.shape, dtype=np.float64)
+    for (i, j, k), view in views.items():
+        gw[:, :, i, j, k] = gf @ view.T
+    gbias = None if bias is None else g.sum(axis=(1, 2, 3), dtype=np.float64)
+    return np.array(value), np.array(gx), gw, gbias
+
+
+def upconv3d_per_offset(x, w, bias, g):
+    """(value, gx, gw, gbias) of ``tc.upconv3d(x, w, bias)`` with output
+    gradient g by its per-offset loop as it ran before the column buffer:
+    per coarse offset s of ``tc._phase_plan``, one (n_s*O, C) @ (C, L)
+    matmul over a shifted view of the padded coarse input, in float64; bias
+    may be None (then gbias is None)."""
+    kshape, offsets, p = tc._phase_plan(w.shape[2:])
+    (o, c), shape = w.shape[:2], x.shape[1:]
+    nz, ny, nx = shape
+    # rows lo*O:hi*O of m are the stacked (n_s*O, C) phase kernels of offset s
+    m = (p @ w.reshape(o * c, -1).T).reshape(-1, c)
+    views = shifted_views(x, kshape)
+    ncol = next(iter(views.values())).shape[1]
+    acc = np.zeros((2, 2, 2, o, ncol), dtype=np.float64)
+    for (phases, lo, hi), view in zip(offsets, views.values()):
+        dst = acc[phases]
+        dst += (m[lo * o:hi * o] @ view).reshape(dst.shape)
+    # (rz, ry, rx, O, Z, Y, X) -> (O, Z, rz, Y, ry, X, rx)
+    value = tc._column_grid(acc, shape, kshape).transpose(3, 4, 0, 5, 1, 6, 2).reshape(
+        (o,) + tuple(2 * e for e in shape))
+    if bias is not None:
+        value = value + bias[:, None, None, None]
+    # g in the forward's (2, 2, 2, O, L) column layout, zero in the columns
+    # y >= Y or x >= X
+    gp = np.zeros((2, 2, 2, o, ncol), dtype=np.float64)
+    tc._column_grid(gp, shape, kshape)[...] = g.reshape(
+        o, nz, 2, ny, 2, nx, 2).transpose(2, 4, 6, 0, 1, 3, 5)
+    gviews = shifted_views(np.zeros((c,) + shape), kshape)
+    gm = np.empty_like(m)
+    for s, (phases, lo, hi) in zip(np.ndindex(*kshape), offsets):
+        gs = gp[phases].reshape(-1, ncol)
+        gviews[s] += m[lo * o:hi * o].T @ gs
+        gm[lo * o:hi * o] = gs @ views[s].T
+    gx = tc._column_grid(gviews[tuple(k // 2 for k in kshape)], shape, kshape)
+    gw = (gm.reshape(-1, o * c).T @ p).reshape(w.shape)
+    gbias = None if bias is None else g.sum(axis=(1, 2, 3), dtype=np.float64)
+    return value, np.array(gx), gw, gbias
 
 
 def padded_reflectivity(imp, burden, dz, params):

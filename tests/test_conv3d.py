@@ -1,18 +1,27 @@
-"""conv3d's general path (shifted-view matmuls) against the paths it replaced,
-and upconv3d against the composition it replaces.
+"""conv3d's general path (column-buffer matmuls) against the paths it
+replaced, and upconv3d against the composition it replaces.
 
-``conv3d_windows_reference`` is the general path as it was before: an
-einsum over a sliding-window view of the padded input, forward and
-backward. The shifted-view correlation must reproduce it, values and all
-three gradients, to float64 round-off, and agree with direct summation and
-its own adjoint on random small shapes. Its per-tap accumulation in a
-contiguous buffer must equal the wide-buffer form it replaced
+``conv3d_windows_reference`` is the general path as it was first: an einsum
+over a sliding-window view of the padded input, forward and backward.
+``helpers.conv3d_per_tap`` is the loop it ran next: one (O, C) @ (C, L)
+matmul per tap over shifted views of the padded input. The column-buffer
+correlation (one (O, kx*C) @ (kx*C, L) matmul per kernel row) must
+reproduce both, values and all three gradients, to float64 round-off, and
+agree with direct summation and its own adjoint on random small shapes. Its
+per-row accumulation in a contiguous buffer must equal the wide-buffer form
 (``helpers.correlate_wide_buffer``) bit for bit.
 
 ``upconv3d(x, w, bias)`` runs ``conv3d(upsample2(x), w, bias)`` on the
 coarse grid; the composition is its oracle, in value and all three
-gradients, at float64 round-off.
+gradients, at float64 round-off, and ``helpers.upconv3d_per_offset``, its
+loop of one matmul per coarse offset before the column buffer, must agree
+with it as closely.
+
+A record that needs the kernel gradient keeps the once-padded input for
+its backward, never the column buffer, which is kx times larger.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +30,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 import fluvinv.tensors as tc
 from fluvinv.tensors import GraphTape
-from helpers import conv3d_reference, correlate_wide_buffer
+from helpers import (conv3d_per_tap, conv3d_reference, correlate_wide_buffer,
+                     upconv3d_per_offset)
 
 
 def conv3d_windows_reference(x, w, bias, g):
@@ -70,6 +80,7 @@ SHAPES = {
     "head": ((4, 8, 32, 32), (2, 4, 3, 3, 3)),
     "1x1x1": ((3, 2, 4, 5), (2, 3, 1, 1, 1)),
     "3x1x5": ((2, 4, 3, 6), (3, 2, 3, 1, 5)),
+    "5x3x1": ((3, 6, 4, 2), (2, 3, 5, 3, 1)),
     # kz = 5 on Z = 2 and kx = 7 on X = 3: taps that only ever meet padding
     "longer-than-axis": ((2, 2, 4, 3), (2, 2, 5, 3, 7)),
 }
@@ -102,6 +113,17 @@ def test_shifted_views_match_windows_reference_float32(name):
     assert got[0].dtype == np.float32
     for a, r in zip(got, want):
         assert_close(a, r, 1e-5)
+
+
+@pytest.mark.parametrize("dtype, rtol", [(np.float64, 1e-12), (np.float32, 1e-5)])
+@pytest.mark.parametrize("name", sorted(SHAPES))
+def test_column_buffer_matches_per_tap_loop(name, dtype, rtol):
+    x, w, bias, g = (v.astype(dtype) for v in random_case(*SHAPES[name], seed=4))
+    want = conv3d_per_tap(*(v.astype(np.float64) for v in (x, w, bias, g)))
+    got = taped(x, w, bias, g, dtype)
+    for label, a, r in zip(("value", "gx", "gw", "gbias"), got, want):
+        assert a.shape == r.shape and a.dtype == dtype, label
+        assert_close(a, r, rtol)
 
 
 def test_general_path_value_is_contiguous_and_repeatable():
@@ -147,9 +169,10 @@ def test_contiguous_accumulation_equals_wide_buffer(kshape, shape):
     rng = np.random.default_rng(sum(kshape) * 31 + sum(shape))
     x = rng.standard_normal((3,) + shape)
     w = rng.standard_normal((4, 3) + kshape)
-    views = tc._shifted_views(x, kshape)
-    got = tc._correlate(views, w, shape)
-    want = correlate_wide_buffer(views, w, shape)
+    cols = tc._columns(tc._padded(x, kshape), kshape[2])
+    assert cols.shape[0] == kshape[2] * 3
+    got = tc._correlate(cols, w, shape)
+    want = correlate_wide_buffer(cols, w, shape)
     assert got.shape == want.shape == (4,) + shape
     np.testing.assert_array_equal(got, want)
 
@@ -221,7 +244,11 @@ UPCONV_SHAPES = {
     "block0.conv1": ((16, 2, 8, 8), (8, 16, 3, 3, 3)),
     "block1.conv1": ((8, 4, 16, 16), (4, 8, 3, 3, 3)),
     "3x1x5": ((2, 3, 2, 4), (3, 2, 3, 1, 5)),
+    "5x3x1": ((3, 2, 3, 2), (2, 3, 5, 3, 1)),
     "5x5x5": ((2, 2, 3, 3), (2, 2, 5, 5, 5)),
+    "1x1x1": ((3, 2, 2, 3), (2, 3, 1, 1, 1)),
+    # kx = 7 reads five coarse x-offsets of an axis one cell wide
+    "longer-than-axis": ((2, 2, 3, 1), (2, 2, 3, 5, 7)),
 }
 
 
@@ -235,6 +262,42 @@ def test_upconv3d_matches_upsampled_conv3d_at_generator_shapes(name):
         assert_close(a, r, 1e-12)
 
 
+@pytest.mark.parametrize("dtype, rtol", [(np.float64, 1e-12), (np.float32, 1e-5)])
+@pytest.mark.parametrize("name", sorted(UPCONV_SHAPES))
+def test_upconv3d_column_buffer_matches_per_offset_loop(name, dtype, rtol):
+    xshape, wshape = UPCONV_SHAPES[name]
+    x, w, b, g = upconv_arrays(xshape, wshape, True, None, seed=5)
+    want = upconv3d_per_offset(x, w, b, g)
+    got = taped_upconv(x, w, b, g, dtype, upconv)
+    for label, a, r in zip(("value", "gx", "gw", "gbias"), got, want):
+        assert a.shape == r.shape and a.dtype == dtype, label
+        assert_close(a, r, rtol)
+
+
+@pytest.mark.parametrize("op", ["conv3d", "upconv3d"])
+def test_kernel_gradient_record_keeps_only_the_padded_input(op):
+    # the backward rebuilds the column buffer (3x the padded input here)
+    # from the once-padded input, the only array a record keeps besides its
+    # output value
+    rng = np.random.default_rng(6)
+    x = rng.normal(size=(8, 4, 12, 12))
+    padded = 8 * 6 * 14 * 14 * 8  # bytes of the padded input
+    tape = GraphTape(np.float64)
+    xn = tape.constant(x)
+    weights = [tape.input(rng.normal(size=(1, 8, 3, 3, 3))) for _ in range(4)]
+    fn = getattr(tc, op)
+    fn(xn, weights[0])  # upconv3d caches its phase plan on first use
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        outs = [fn(xn, w) for w in weights]
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    per_record = (retained - sum(o.value.nbytes for o in outs)) / len(outs)
+    assert per_record < padded + 16 * 1024, (per_record, padded)
+
+
 def test_upconv3d_phase_kernels_cut_multiply_adds():
     # per axis each output phase of a 3-tap kernel reads 2 coarse offsets,
     # so the 8 phases of a 3x3x3 kernel hold 64 coarse taps, not 8 * 27
@@ -243,6 +306,12 @@ def test_upconv3d_phase_kernels_cut_multiply_adds():
     # every (phase, tap) pair lands on exactly one coarse offset
     np.testing.assert_array_equal(p.sum(axis=0), np.full(27, 8.0))
     assert sum(hi - lo for _, lo, hi in offsets) == 64
+    # regrouped per coarse (z, y) offset pair and x-phase: 18 (n*O, 2C)
+    # phase kernels over two adjacent x-offsets hold the same 64 taps
+    kshape, span, groups, q = tc._phase_groups((3, 3, 3))
+    assert kshape == (3, 3, 3) and span == 2 and len(groups) == 18
+    assert sum(hi - lo for *_, lo, hi in groups) * span == 64
+    assert sorted(map(tuple, q)) == sorted(map(tuple, p))
 
 
 @pytest.mark.parametrize("xshape, wshape, bshape, match", [

@@ -91,11 +91,21 @@ def test_per_pivot_mode_tunes_each_pivot_with_its_own_seed():
 
 @pytest.mark.parametrize("field, value", [
     ("steps", -1), ("anchors_per_step", -1), ("pivots_per_step", -1), ("lr", 0.0),
-    ("lr", -1e-3),
+    ("lr", -1e-3), ("locality_weight", -math.inf), ("locality_weight", -0.5),
+    ("locality_weight", math.nan), ("beta1", 1.0), ("beta1", -0.1), ("beta1", math.nan),
+    ("beta2", 1.0), ("beta2", 1.5), ("beta2", math.nan),
 ])
 def test_tune_config_rejects_invalid_values(field, value):
     with pytest.raises(InversionError, match=field):
         PivotalTuneConfig(**{field: value})
+
+
+@pytest.mark.parametrize("field, value", [
+    ("locality_weight", 0.0), ("locality_weight", math.inf), ("beta1", 0.0), ("beta2", 0.0),
+    ("beta2", 0.9999),
+])
+def test_tune_config_accepts_edge_values(field, value):
+    assert getattr(PivotalTuneConfig(**{field: value}), field) == value
 
 
 def test_infinite_locality_weight_is_anchor_only():

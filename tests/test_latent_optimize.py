@@ -1,6 +1,8 @@
 """Latent optimization: convex oracle, stationarity, self-inversion, bookkeeping,
 and the row blocks against the one-restart-at-a-time reference loop."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -302,7 +304,8 @@ def test_non_finite_row_aborts_alone():
 
 @pytest.mark.parametrize("field, value", [
     ("n_restarts", 0), ("iterations", -1), ("threads", 0), ("lr", 0.0), ("lr", -0.1),
-    ("ball_radius", 0.0), ("ball_radius", -1.0),
+    ("ball_radius", 0.0), ("ball_radius", -1.0), ("beta1", 1.0), ("beta1", -0.1),
+    ("beta1", math.nan), ("beta2", 1.0), ("beta2", -1.0), ("beta2", math.nan),
 ])
 def test_config_rejects_invalid_values(field, value):
     with pytest.raises(InversionError, match=field):

@@ -167,7 +167,7 @@ def test_build_slides_no_window_and_runs_no_whole_cube_rock_physics(monkeypatch)
         rock_sizes.append(np.size(f))
         return original(f, *args, **kwargs)
 
-    monkeypatch.setattr(tc, "_shifted_views", no_general_path)
+    monkeypatch.setattr(tc, "_padded", no_general_path)
     monkeypatch.setattr(geophysics, "rock_physics", counted)
     geometry = GridGeometry(nx=8, ny=6, nz=4)
     tape = tc.GraphTape(np.float64)
