@@ -485,8 +485,10 @@ def _belt_vjp(b, gp, needs):
 
 def _sum_to(g, like):
     """``g`` summed over the axes that ``like`` broadcasts along, in the
-    dtype of ``like``: the gradient of an operand, as the tape reduces it."""
-    return tc._unbroadcast(g, like.shape).astype(like.dtype)
+    dtype of ``like``: the gradient of an operand, as the tape reduces it.
+    A ``g`` of the shape and dtype of ``like`` is returned itself, so no
+    caller may write into the result in place."""
+    return tc._unbroadcast(g, like.shape).astype(like.dtype, copy=False)
 
 
 def _columns(shape, dt, cols):
@@ -590,8 +592,11 @@ def _procedural_kernel(geometry, x, y, layer, z, labels, maps, needs, depo=True)
 
     def coarse_vjp(g):
         g_n1, g_sharp = sigmoid_quotient(g, coarse, n1)
-        gp = {"sharpness": g_sharp, "half_width": _sum_to(g_n1, half_width)}
-        return tail(np.negative(g_n1, out=g_n1), gp)
+        # negated first: the sum of -g is -(sum of g) bit for bit, and
+        # _sum_to may hand back g_n1 itself, which tail then scales in place
+        np.negative(g_n1, out=g_n1)
+        gp = {"sharpness": g_sharp, "half_width": -_sum_to(g_n1, half_width)}
+        return tail(g_n1, gp)
 
     if not depo:
         return (coarse, coarse_vjp), None

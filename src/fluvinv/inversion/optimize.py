@@ -27,33 +27,50 @@ __all__ = [
 
 
 class Adam:
-    """Adam over a dict of named arrays."""
+    """Adam over a dict of named arrays, updated as one float64 vector.
+
+    The moments are kept flat, the arrays laid end to end in the key order
+    of the first step; every later step must bring the same keys with the
+    same shapes. The update is elementwise, so each entry moves exactly as
+    it would in a per-array update.
+    """
 
     def __init__(self, lr=0.01, beta1=0.9, beta2=0.999, eps=1e-8):
         self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
-        self._m = {}
-        self._v = {}
+        self._layout = None  # (key, shape, start, stop) per array
+        self._m = self._v = None
         self._t = 0
 
     def step(self, params, grads):
-        """Update params in place; returns params."""
+        """Update params in place; returns params. Each updated entry of
+        ``params`` is a view into one fresh float64 vector."""
+        if self._layout is None:
+            layout, start = [], 0
+            for k, g in grads.items():
+                shape = np.shape(g)
+                stop = start + math.prod(shape)
+                layout.append((k, shape, start, stop))
+                start = stop
+            self._layout = layout
+            self._m, self._v = np.zeros(start), np.zeros(start)
+        elif (grads.keys() != {k for k, *_ in self._layout}
+              or any(np.shape(grads[k]) != shape for k, shape, *_ in self._layout)):
+            raise InversionError(f"Adam: step over {sorted(grads)} with the moments of "
+                                 f"{[k for k, *_ in self._layout]}")
         self._t += 1
         b1, b2 = self.beta1, self.beta2
         corr1 = 1.0 - b1 ** self._t
         corr2 = 1.0 - b2 ** self._t
-        for k, g in grads.items():
-            g = np.asarray(g, dtype=np.float64)
-            m = self._m.get(k)
-            if m is None:
-                m = np.zeros_like(g)
-                self._m[k] = m
-                self._v[k] = np.zeros_like(g)
-            v = self._v[k]
-            m *= b1
-            m += (1 - b1) * g
-            v *= b2
-            v += (1 - b2) * g * g
-            params[k] = params[k] - self.lr * (m / corr1) / (np.sqrt(v / corr2) + self.eps)
+        g = np.concatenate([np.ravel(grads[k]) for k, *_ in self._layout], dtype=np.float64)
+        m, v = self._m, self._v
+        m *= b1
+        m += (1 - b1) * g
+        v *= b2
+        v += (1 - b2) * g * g
+        new = (np.concatenate([np.ravel(params[k]) for k, *_ in self._layout], dtype=np.float64)
+               - self.lr * (m / corr1) / (np.sqrt(v / corr2) + self.eps))
+        for k, shape, start, stop in self._layout:
+            params[k] = new[start:stop].reshape(shape)
         return params
 
 

@@ -4,6 +4,13 @@ The flow maps base noise u ~ N(0, I) to latents z through a stack of
 couplings (alternating half masks, small dense conditioners); training
 maximizes a reparameterized Monte Carlo estimate of the evidence lower bound
 E_q[log p(data|z) + log p(z) - log q(z)] up to an additive constant.
+
+The coupling stack is one tape record: a numpy forward over u and every
+conditioner weight, each conditioner through the dense-chain kernel of
+:mod:`.networks`, and a hand-derived backward. Its values and gradients are
+those of the per-op records (crops, dense, clamp, exp, product, concat,
+sums) it stands for, bit for bit; ``tests/helpers.py`` keeps that taped
+form as the reference.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ import numpy as np
 from .. import tensors as tc
 from ..generators import keyed_rng, sample_prior
 from .loss import DataLoss, DataLossConfig, InversionError
-from .networks import mlp_apply, mlp_init, mlp_sizes
+from .networks import _mlp, mlp_init, mlp_sizes
 from .optimize import check_config, check_schedule, descend
 
 __all__ = ["FlowConfig", "FlowModel", "VariationalResult",
@@ -65,6 +72,8 @@ class FlowModel:
                     weights[f"layer{layer}.{k}"] = v
         self.weights = weights
         self._n_mlp = len(mlp_sizes(1, config.hidden, 1))
+        self._names = [f"layer{layer}.fc{i}.{p}" for layer in range(config.n_layers)
+                       for i in range(self._n_mlp) for p in "wb"]
 
     def _split_dims(self, layer):
         # even layers condition on the first half, odd layers on the second
@@ -81,44 +90,99 @@ class FlowModel:
         A raw coupling scale beyond ``scale_clip`` is clamped, with a
         warning; ``clamped``, an integer array (n_layers,), if given, gains
         each layer's count of clamped entries.
+
+        The whole stack is one tape record over u and every weight (see
+        :meth:`_couple`). Its value packs z with one more column that holds
+        the log-determinant in its first entry, zeros below (an empty batch
+        gets one padding row for it); z and the log-determinant are read
+        from it as crops, so one backward serves both.
         """
         if weight_nodes is None:
             weight_nodes = {k: tape.constant(v) for k, v in self.weights.items()}
-        cfg = self.config
-        lead = (slice(None),) * (u.value.ndim - 1)
-
-        def cols(x, lo, hi):
-            return tc.crop(x, lead + (slice(lo, hi),))
-
-        z = u
-        logdet = None
-        for layer in range(cfg.n_layers):
-            d_a, _ = self._split_dims(layer)
-            if layer % 2 == 0:
-                a = cols(z, 0, d_a)
-                b = cols(z, d_a, self.dim)
-            else:
-                a = cols(z, self.dim - d_a, self.dim)
-                b = cols(z, 0, self.dim - d_a)
-            sub = {k.split(".", 1)[1]: weight_nodes[k] for k in weight_nodes
-                   if k.startswith(f"layer{layer}.")}
-            raw = mlp_apply(tape, sub, a, self._n_mlp)
-            d_b = b.value.shape[-1]
-            s_raw = cols(raw, 0, d_b)
-            t = cols(raw, d_b, 2 * d_b)
-            n_clamped = int(np.count_nonzero(np.abs(s_raw.value) > cfg.scale_clip))
+        nodes = [weight_nodes[k] for k in self._names]
+        value, vjp, counts = self._couple(u.value, [n.value for n in nodes], u.requires_grad)
+        packed = tc.custom(lambda *_: (value, vjp), u, *nodes)
+        for layer, n_clamped in enumerate(counts):
             if n_clamped:
                 warnings.warn("coupling scale clamped to keep the flow invertible",
                               stacklevel=2)
                 if clamped is not None:
                     clamped[layer] += n_clamped
-            s = tc.clamp(s_raw, -cfg.scale_clip, cfg.scale_clip)
-            b_new = b * tc.exp(s) + t
-            z = (tc.concat([a, b_new], axis=-1) if layer % 2 == 0
-                 else tc.concat([b_new, a], axis=-1))
-            part = tc.sum_all(s)
-            logdet = part if logdet is None else logdet + part
+        lead = tuple(slice(0, n) for n in u.value.shape[:-1])
+        z = tc.crop(packed, lead + (slice(0, self.dim),))
+        logdet = tc.sum_all(tc.crop(packed, lead + (slice(self.dim, self.dim + 1),)))
         return z, logdet
+
+    def _couple(self, u, params, need_u):
+        """The coupling stack on arrays: ``params`` holds each layer's
+        conditioner weights in the order of ``_names``, all in the storage
+        dtype of ``u``. Returns ``(packed, vjp, clamp counts per layer)``.
+
+        Each step computes what its tape record would, cast to the storage
+        dtype: the conditioner's raw output through :func:`.networks._mlp`,
+        s = clip(raw scale), b exp(s) + t, and the log-determinant as the
+        running sum of each layer's float64 sum of s. ``vjp`` runs the
+        records' backward in reverse, so a scale gradient is zero at and
+        beyond the clip, as ``tc.clamp`` gives it; the gradient of u is None
+        without ``need_u``."""
+        cfg = self.config
+        dim, dt = self.dim, u.dtype
+        per_layer = 2 * self._n_mlp
+        clip = float(cfg.scale_clip)
+        z, logdet = u, None
+        saved, counts = [], []
+        for layer in range(cfg.n_layers):
+            lo, hi = self._halves(layer)
+            a = np.ascontiguousarray(z[..., lo])
+            b = z[..., hi]
+            raw, mlp_vjp = _mlp(a, params[layer * per_layer:(layer + 1) * per_layer],
+                                need_x=layer > 0 or need_u)
+            d_b = b.shape[-1]
+            s_raw = np.ascontiguousarray(raw[..., :d_b])
+            counts.append(int(np.count_nonzero(np.abs(s_raw) > clip)))
+            s = np.clip(s_raw, -clip, clip)
+            e = np.exp(s)
+            z = np.empty_like(z)
+            z[..., lo] = a
+            z[..., hi] = b * e + raw[..., d_b:]
+            part = np.asarray(s.sum(dtype=np.float64), dtype=dt)
+            logdet = part if logdet is None else np.asarray(logdet + part, dtype=dt)
+            saved.append((b, s_raw, e, mlp_vjp))
+        # z plus a column whose first entry holds the log-determinant; an
+        # empty batch keeps one row for that entry
+        lead = tuple(slice(0, n) for n in u.shape[:-1])
+        packed = np.zeros(tuple(max(n, 1) for n in u.shape[:-1]) + (dim + 1,), dtype=dt)
+        packed[lead + (slice(0, dim),)] = z
+        packed[(0,) * (u.ndim - 1) + (dim,)] = logdet
+
+        def vjp(g):
+            g_z = g[lead + (slice(0, dim),)]
+            g_ld = g[(0,) * (u.ndim - 1) + (dim,)]
+            grads = [None] * len(params)
+            for layer in reversed(range(cfg.n_layers)):
+                lo, hi = self._halves(layer)
+                b, s_raw, e, mlp_vjp = saved[layer]
+                g_new = np.ascontiguousarray(g_z[..., hi])
+                g_s = g_new * b * e + g_ld
+                g_s = g_s * ((s_raw > -clip) & (s_raw < clip))
+                g_a, *sub = mlp_vjp(np.concatenate([g_s, g_new], axis=-1))
+                grads[layer * per_layer:(layer + 1) * per_layer] = sub
+                if g_a is not None:
+                    g_prev = np.empty_like(g_z)
+                    g_prev[..., lo] = g_z[..., lo] + g_a
+                    g_prev[..., hi] = g_new * e
+                    g_z = g_prev
+            return (g_z if need_u else None, *grads)
+
+        return packed, vjp, counts
+
+    def _halves(self, layer):
+        # column slices of the conditioning half a and the transformed half b:
+        # even layers condition on the first half, odd layers on the second
+        d_a, _ = self._split_dims(layer)
+        if layer % 2 == 0:
+            return slice(0, d_a), slice(d_a, self.dim)
+        return slice(self.dim - d_a, self.dim), slice(0, self.dim - d_a)
 
     def push(self, u):
         """Numpy z for base noise u, one draw (dim,) or a batch (n, dim)."""

@@ -219,7 +219,10 @@ def _tape_of(*args):
 
 
 def _unbroadcast(grad, shape):
-    """Sum ``grad`` down to ``shape`` (reverses numpy broadcasting)."""
+    """Sum ``grad`` down to ``shape`` (reverses numpy broadcasting); a
+    gradient already of that shape is returned as it is, not copied."""
+    if grad.shape == shape:
+        return grad
     extra = grad.ndim - len(shape)
     if extra > 0:
         grad = grad.sum(axis=tuple(range(extra)), dtype=_ACC)
@@ -403,10 +406,10 @@ def custom(fn, *nodes):
 
     ``fn(*values) -> (value, vjp)`` computes the output from the input
     values; ``vjp(g)`` returns one gradient per input: None where it has
-    none, else an array of that input's shape or of a shape the input
-    broadcasts to, which is summed back to the input's shape. The record
-    keeps ``vjp``, the input shapes and their ``requires_grad`` flags, never
-    the nodes, so the tape holds no reference cycle through it.
+    none, else an array of that input's shape, taken as it is, or of a shape
+    the input broadcasts to, which is summed back to the input's shape. The
+    record keeps ``vjp``, the input shapes and their ``requires_grad`` flags,
+    never the nodes, so the tape holds no reference cycle through it.
     """
     tape = _tape_of(*nodes)
     nodes = [_coerce(tape, n) for n in nodes]
@@ -428,6 +431,9 @@ def custom(fn, *nodes):
                     out.append(None)
                     continue
                 part = np.asarray(part)
+                if part.shape == shape:
+                    out.append(part)
+                    continue
                 try:
                     fits = np.broadcast_shapes(part.shape, shape) == part.shape
                 except ValueError:

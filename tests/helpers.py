@@ -5,10 +5,13 @@ buffer, the wide-buffer form of conv3d's row accumulation, the
 padded-column reflectivity formula, the one-restart-at-a-time latent
 optimization loop that the row blocks replaced, the procedural build as a
 tape of elementwise ops that the fused kernel replaced, the neural build as
-the upsample-then-convolve composition that ``tc.upconv3d`` replaced, and
-the friable-sand moduli as named arrays."""
+the upsample-then-convolve composition that ``tc.upconv3d`` replaced, the
+flow transform and the dense chain as the per-op tape records that their
+fused kernels replaced, the per-array Adam update that the one-vector
+update replaced, and the friable-sand moduli as named arrays."""
 
 import math
+import warnings
 
 import numpy as np
 
@@ -440,3 +443,88 @@ def rock_physics_moduli(f, params=RockPhysicsParams()):
     tape = tc.GraphTape(np.float64)
     f = geophysics._clamped_fraction(tape.constant(np.asarray(f)))
     return {k: np.asarray(v.value) for k, v in geophysics._friable_sand(tape, f, params).items()}
+
+
+def taped_mlp_apply(tape, weights, x, n_layers, slope=0.2):
+    """:func:`fluvinv.inversion.networks.mlp_apply` as one ``tc.dense`` and
+    one ``tc.leaky_relu`` record per layer: the reference of the fused
+    kernel, same arguments and return."""
+    h = x
+    for i in range(n_layers):
+        h = tc.dense(weights[f"fc{i}.w"], h, weights[f"fc{i}.b"])
+        if i < n_layers - 1:
+            h = tc.leaky_relu(h, slope)
+    return h
+
+
+def taped_flow_transform(flow, tape, u, weight_nodes=None, clamped=None):
+    """``FlowModel.transform`` as 14 tape records per coupling layer (crops,
+    the taped conditioner, clamp, exp, product, sum, concat, log-determinant
+    sum): the reference of the fused kernel, same arguments and return."""
+    if weight_nodes is None:
+        weight_nodes = {k: tape.constant(v) for k, v in flow.weights.items()}
+    cfg = flow.config
+    lead = (slice(None),) * (u.value.ndim - 1)
+
+    def cols(x, lo, hi):
+        return tc.crop(x, lead + (slice(lo, hi),))
+
+    z = u
+    logdet = None
+    for layer in range(cfg.n_layers):
+        d_a, _ = flow._split_dims(layer)
+        if layer % 2 == 0:
+            a = cols(z, 0, d_a)
+            b = cols(z, d_a, flow.dim)
+        else:
+            a = cols(z, flow.dim - d_a, flow.dim)
+            b = cols(z, 0, flow.dim - d_a)
+        sub = {k.split(".", 1)[1]: weight_nodes[k] for k in weight_nodes
+               if k.startswith(f"layer{layer}.")}
+        raw = taped_mlp_apply(tape, sub, a, flow._n_mlp)
+        d_b = b.value.shape[-1]
+        s_raw = cols(raw, 0, d_b)
+        t = cols(raw, d_b, 2 * d_b)
+        n_clamped = int(np.count_nonzero(np.abs(s_raw.value) > cfg.scale_clip))
+        if n_clamped:
+            warnings.warn("coupling scale clamped to keep the flow invertible", stacklevel=2)
+            if clamped is not None:
+                clamped[layer] += n_clamped
+        s = tc.clamp(s_raw, -cfg.scale_clip, cfg.scale_clip)
+        b_new = b * tc.exp(s) + t
+        z = (tc.concat([a, b_new], axis=-1) if layer % 2 == 0
+             else tc.concat([b_new, a], axis=-1))
+        part = tc.sum_all(s)
+        logdet = part if logdet is None else logdet + part
+    return z, logdet
+
+
+class PerArrayAdam:
+    """``Adam`` with its moments kept per named array and each array updated
+    on its own: the reference of the one-vector update."""
+
+    def __init__(self, lr=0.01, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+        self._m = {}
+        self._v = {}
+        self._t = 0
+
+    def step(self, params, grads):
+        self._t += 1
+        b1, b2 = self.beta1, self.beta2
+        corr1 = 1.0 - b1 ** self._t
+        corr2 = 1.0 - b2 ** self._t
+        for k, g in grads.items():
+            g = np.asarray(g, dtype=np.float64)
+            m = self._m.get(k)
+            if m is None:
+                m = np.zeros_like(g)
+                self._m[k] = m
+                self._v[k] = np.zeros_like(g)
+            v = self._v[k]
+            m *= b1
+            m += (1 - b1) * g
+            v *= b2
+            v += (1 - b2) * g * g
+            params[k] = params[k] - self.lr * (m / corr1) / (np.sqrt(v / corr2) + self.eps)
+        return params

@@ -27,8 +27,9 @@ from fluvinv.inversion import (
     train_inference_network,
     variational_infer,
 )
+from fluvinv.inversion.optimize import Adam
 from fluvinv.survey import extract_well_data
-from helpers import NonFiniteGenerator
+from helpers import NonFiniteGenerator, PerArrayAdam
 
 
 def _observations(gen, xy, seed):
@@ -162,3 +163,65 @@ def test_non_finite_loss_fails_pivotal_tuning():
     gen, obs = _nan_case()
     with pytest.raises(InversionError, match=f"diverged at step {NAN_STEP}"):
         pivotal_tune(gen, np.zeros((1, 4)), obs, PivotalTuneConfig(steps=10, anchors_per_step=1))
+
+
+SHAPES = {"w": (3, 4), "b": (4,), "s": (), "rows": (5, 2)}
+
+
+def _adam_grads(step):
+    rng = np.random.default_rng(step)
+    grads = {k: rng.standard_normal(shape) * 10.0 ** rng.integers(-6, 3)
+             for k, shape in SHAPES.items()}
+    grads["b"][1] = 0.0  # an entry whose moments stay zero
+    return grads
+
+
+@pytest.mark.parametrize("steps", [1, 5])
+def test_adam_one_vector_update_equals_per_array(steps):
+    params = {k: np.random.default_rng(1).standard_normal(shape) for k, shape in SHAPES.items()}
+    ref_params = {k: v.copy() for k, v in params.items()}
+    opt, ref = Adam(lr=0.05), PerArrayAdam(lr=0.05)
+    for step in range(steps):
+        opt.lr = ref.lr = 0.05 / (step + 1)
+        grads = _adam_grads(step)
+        # a later step may list its arrays in another order
+        opt.step(params, dict(reversed(grads.items())) if step % 2 else grads)
+        ref.step(ref_params, grads)
+        for k in SHAPES:
+            assert params[k].shape == SHAPES[k]
+            np.testing.assert_array_equal(params[k], ref_params[k], err_msg=k)
+
+
+def test_adam_halted_row_restore_equals_per_array():
+    """descend's update with halted rows: their gradients are zeroed, and
+    each parameter array's halted rows are written back in place."""
+    halted = np.array([False, True, False, False, True])
+    params = {"z": np.random.default_rng(2).standard_normal((5, 3)),
+              "labels": np.random.default_rng(3).uniform(size=(5, 2))}
+    ref_params = {k: v.copy() for k, v in params.items()}
+    opt, ref = Adam(lr=0.1), PerArrayAdam(lr=0.1)
+    for step in range(4):
+        rng = np.random.default_rng(10 + step)
+        grads = {k: rng.standard_normal(v.shape) for k, v in params.items()}
+        grads = {k: np.where(halted[:, None], 0.0, g) for k, g in grads.items()}
+        for o, p in ((opt, params), (ref, ref_params)):
+            before = dict(p)
+            o.step(p, grads)
+            for k, old in before.items():
+                p[k][halted] = old[halted]
+        for k in params:
+            np.testing.assert_array_equal(params[k], ref_params[k], err_msg=k)
+    np.testing.assert_array_equal(params["z"][halted],
+                                  np.random.default_rng(2).standard_normal((5, 3))[halted])
+
+
+@pytest.mark.parametrize("change", ["missing", "extra", "reshaped"])
+def test_adam_rejects_another_key_set(change):
+    opt = Adam()
+    params = {"a": np.zeros(4), "b": np.zeros((2, 2))}
+    opt.step(params, {"a": np.ones(4), "b": np.ones((2, 2))})
+    grads = {"missing": {"a": np.ones(4)},
+             "extra": {"a": np.ones(4), "b": np.ones((2, 2)), "c": np.ones(1)},
+             "reshaped": {"a": np.ones(4), "b": np.ones(4)}}[change]
+    with pytest.raises(InversionError, match="Adam"):
+        opt.step(params, grads)
