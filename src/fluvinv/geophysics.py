@@ -52,7 +52,6 @@ __all__ = [
     "reflectivity_nodes",
     "reflectivity",
     "build_psf",
-    "seismic_forward",
 ]
 
 
@@ -219,15 +218,18 @@ def rock_physics_nodes(tape, f, params=RockPhysicsParams()):
     rho = tc.affine(f, rho_sand - rho_clay, rho_clay)
     value_rows, slope_rows = _vp_table(params)
 
-    def vp(v, with_slope):
+    def vp(v):
         s = np.asarray(v, dtype=np.float64) * (_KNOTS - 1)
         # fmin sends NaN to the last interval, where t and so Vp stay NaN
         i = np.fmin(s, _KNOTS - 2).astype(np.intp)
         t = s - i
-        return (_horner(value_rows, i, t),
-                _horner(slope_rows, i, t) if with_slope else None)
+        value = _horner(value_rows, i, t)
+        if not f.requires_grad:
+            return value, None
+        slope = np.asarray(_horner(slope_rows, i, t), dtype=tape.dtype)
+        return value, lambda g: (g * slope,)
 
-    return rho, tc.pointwise(f, vp)
+    return rho, tc.custom(vp, f)
 
 
 def rock_physics(f, params=RockPhysicsParams(), dtype=np.float64):
@@ -365,11 +367,6 @@ class PsfKernel:
     lateral_x: np.ndarray
     velocity_mps: float
     sigma_lateral_m: float
-
-    def full(self):
-        return (self.vertical[:, None, None]
-                * self.lateral_y[None, :, None]
-                * self.lateral_x[None, None, :])
 
 
 def ricker_depth(zeta, peak_wavenumber):
@@ -518,11 +515,3 @@ class SeismicModel:
         out, kernel = self._build(tape, tape.constant(grid.coarse_fraction), grid.geometry)
         return SeismicCube(np.asarray(out.value), grid.geometry,
                            velocity_mps=kernel.velocity_mps)
-
-
-def seismic_forward(grid, params=None, psf=None, burden=None, dtype=np.float64):
-    """One-call forward: ModelGrid -> SeismicCube."""
-    model = SeismicModel(params=params or RockPhysicsParams(),
-                         psf=psf or PsfConfig(),
-                         burden=burden or BurdenConfig())
-    return model.forward(grid, dtype=dtype)

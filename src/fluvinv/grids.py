@@ -64,7 +64,3 @@ class ModelGrid:
     def in_range(self, tol=1e-6):
         return (self.coarse_fraction.min() >= -tol and self.coarse_fraction.max() <= 1 + tol
                 and self.depo_time.min() >= -tol and self.depo_time.max() <= 1 + tol)
-
-    def copy(self):
-        return ModelGrid(self.geometry, self.coarse_fraction.copy(), self.depo_time.copy(),
-                         None if self.labels is None else self.labels.copy())

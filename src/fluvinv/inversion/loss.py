@@ -51,11 +51,12 @@ class DataLossConfig:
             raise InversionError("at least one data term must be active")
         if self.metric not in ("squared", "absolute"):
             raise InversionError(f"unknown metric {self.metric!r}")
-        for w in (self.well_weight, self.seismic_weight):
-            if w is not None and w < 0:
-                raise InversionError("term weights must be >= 0")
-        if self.lambda_z < 0:
-            raise InversionError("lambda_z must be >= 0")
+        if not self.lambda_z >= 0:
+            raise InversionError(f"lambda_z must be >= 0, got {self.lambda_z}")
+        for name in ("well_weight", "seismic_weight"):
+            value = getattr(self, name)
+            if value is not None and not value >= 0:
+                raise InversionError(f"{name} must be >= 0, got {value}")
 
 
 class DataLoss:

@@ -16,6 +16,7 @@ import numpy as np
 
 from ..generators import keyed_rng, sample_prior
 from .loss import InversionError
+from .optimize import check_config
 
 __all__ = [
     "DreamConfig",
@@ -47,12 +48,14 @@ class DreamConfig:
     def __post_init__(self):
         if self.n_chains < 3:
             raise InversionError(f"need >= 3 chains, got {self.n_chains}")
-        for name, low in (("generations", 0), ("burn_in", 0), ("outlier_every", 0),
-                          ("archive_thin", 1), ("gamma_one_every", 1), ("de_pairs_max", 1)):
-            if getattr(self, name) < low:
-                raise InversionError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        check_config(self, (("generations", 0), ("burn_in", 0), ("outlier_every", 0),
+                            ("archive_thin", 1), ("gamma_one_every", 1), ("de_pairs_max", 1),
+                            ("jitter", 0), ("noise", 0)), ("init_scale",))
         if not 0.0 <= self.snooker_prob <= 1.0:
             raise InversionError(f"snooker_prob must be in [0, 1], got {self.snooker_prob}")
+        if not self.cr_values or not all(0.0 < cr <= 1.0 for cr in self.cr_values):
+            raise InversionError(f"cr_values must be a non-empty tuple in (0, 1], "
+                                 f"got {self.cr_values}")
 
 
 @dataclass

@@ -80,23 +80,20 @@ def check_schedule(name):
         raise InversionError(f"unknown lr schedule {name!r}")
 
 
-def check_config(config, at_least=(), positive=(), fractions=()):
+def check_config(config, at_least=(), positive=()):
     """Raise InversionError for a field of ``config`` below its minimum
-    (``at_least``: (name, minimum) pairs), not > 0 (``positive``: names) or
-    outside [0, 1) (``fractions``: names). NaN fails every check."""
+    (``at_least``: (name, minimum) pairs) or not > 0 (``positive``: names).
+    NaN fails every check."""
     for name, low in at_least:
         if not getattr(config, name) >= low:
             raise InversionError(f"{name} must be >= {low}, got {getattr(config, name)}")
     for name in positive:
         if not getattr(config, name) > 0:
             raise InversionError(f"{name} must be > 0, got {getattr(config, name)}")
-    for name in fractions:
-        if not 0 <= getattr(config, name) < 1:
-            raise InversionError(f"{name} must lie in [0, 1), got {getattr(config, name)}")
 
 
 def descend(objective, params, dtype, steps, lr, schedule="constant",
-            beta1=0.9, beta2=0.999, constrain=None, rows=None):
+            constrain=None, rows=None):
     """Minimize ``objective`` by Adam over the named arrays in ``params``.
 
     Each step records a fresh tape with one input node per entry of
@@ -117,7 +114,7 @@ def descend(objective, params, dtype, steps, lr, schedule="constant",
     Returns ``(history, halted)``: a list of floats and a bool for a scalar
     loss, a list of R such lists and a bool array (R,) for row losses.
     """
-    opt = Adam(lr=lr, beta1=beta1, beta2=beta2)
+    opt = Adam(lr=lr)
     shape = () if rows is None else (rows,)
     history = [[] for _ in range(rows or 1)]
     live = [True] * (rows or 1)
@@ -170,8 +167,6 @@ class LatentOptimizeConfig:
     iterations: int = 1000
     lr: float = 0.01
     lr_schedule: str = "constant"      # or "cosine" (decay to 1% of lr)
-    beta1: float = 0.9
-    beta2: float = 0.999
     loss: DataLossConfig = field(default_factory=DataLossConfig)
     optimize_labels: bool = False
     ball_radius: float | None = None   # project z onto radius r*sqrt(d); off by default
@@ -181,8 +176,7 @@ class LatentOptimizeConfig:
 
     def __post_init__(self):
         check_schedule(self.lr_schedule)
-        check_config(self, (("n_restarts", 1), ("iterations", 0), ("threads", 1)), ("lr",),
-                     ("beta1", "beta2"))
+        check_config(self, (("n_restarts", 1), ("iterations", 0), ("threads", 1)), ("lr",))
         if self.ball_radius is not None and not self.ball_radius > 0:
             raise InversionError(f"ball_radius must be > 0, got {self.ball_radius}")
 
@@ -228,9 +222,6 @@ class InversionResult:
 
     def latents(self):
         return np.array([r.z for r in self.ok()])
-
-    def well_maes(self):
-        return np.array([r.well_mae for r in self.ok()])
 
     def to_json_dict(self, include_timing=False):
         # timing is excluded by default so artifacts stay byte-reproducible
@@ -295,8 +286,7 @@ def _run_block(args):
             p["labels"] = np.clip(p["labels"], 0.0, 1.0)
 
     histories, halted = descend(objective, params, dtype, config.iterations, config.lr,
-                                config.lr_schedule, config.beta1, config.beta2,
-                                constrain=constrain, rows=rows)
+                                config.lr_schedule, constrain=constrain, rows=rows)
     if rows is None:
         histories, halted = [histories], np.array([halted])
     if not halted.all():
@@ -370,8 +360,6 @@ def latent_optimize(generator, observations, config=None):
 class PivotalTuneConfig:
     steps: int = 500
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
     locality_weight: float = 1.0       # >= 0; math.inf disables the data term
     anchors_per_step: int = 16
     pivots_per_step: int = 4           # 0: every pivot every step
@@ -384,7 +372,7 @@ class PivotalTuneConfig:
         if self.mode not in ("shared", "per_pivot"):
             raise InversionError(f"unknown tuning mode {self.mode!r}")
         check_config(self, (("steps", 0), ("anchors_per_step", 0), ("pivots_per_step", 0),
-                            ("locality_weight", 0)), ("lr",), ("beta1", "beta2"))
+                            ("locality_weight", 0)), ("lr",))
 
 
 @dataclass
@@ -396,9 +384,6 @@ class TuneResult:
     mae_after: np.ndarray
     loss_history: list
     wall_clock_s: float = 0.0
-
-    def generator_for(self, pivot_index):
-        return self.generators[0] if self.mode == "shared" else self.generators[pivot_index]
 
     def to_json_dict(self, include_timing=False):
         out = {
@@ -451,8 +436,7 @@ def _tune_one(generator, pivots, observations, config):
             total = anchor if total is None else total + anchor
         return total
 
-    history, diverged = descend(objective, params, dtype, config.steps, config.lr,
-                                beta1=config.beta1, beta2=config.beta2)
+    history, diverged = descend(objective, params, dtype, config.steps, config.lr)
     if diverged:
         raise InversionError(f"pivotal tuning diverged at step {len(history) - 1}")
     tuned = generator.with_weights(

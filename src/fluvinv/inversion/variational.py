@@ -65,8 +65,8 @@ class FlowModel:
         if weights is None:
             weights = {}
             for layer in range(config.n_layers):
-                d_a, d_b = self._split_dims(layer)
-                sub = mlp_init(d_a, config.hidden, 2 * d_b,
+                lo, hi = self._halves(layer)
+                sub = mlp_init(lo.stop - lo.start, config.hidden, 2 * (hi.stop - hi.start),
                                keyed_rng(config.rng_seed, 11, layer), scale=0.1)
                 for k, v in sub.items():
                     weights[f"layer{layer}.{k}"] = v
@@ -74,11 +74,6 @@ class FlowModel:
         self._n_mlp = len(mlp_sizes(1, config.hidden, 1))
         self._names = [f"layer{layer}.fc{i}.{p}" for layer in range(config.n_layers)
                        for i in range(self._n_mlp) for p in "wb"]
-
-    def _split_dims(self, layer):
-        # even layers condition on the first half, odd layers on the second
-        d_a = self.half if layer % 2 == 0 else self.dim - self.half
-        return d_a, self.dim - d_a
 
     def transform(self, tape, u, weight_nodes=None, clamped=None):
         """(z node, log-determinant node) for a base-noise node u.
@@ -179,10 +174,9 @@ class FlowModel:
     def _halves(self, layer):
         # column slices of the conditioning half a and the transformed half b:
         # even layers condition on the first half, odd layers on the second
-        d_a, _ = self._split_dims(layer)
         if layer % 2 == 0:
-            return slice(0, d_a), slice(d_a, self.dim)
-        return slice(self.dim - d_a, self.dim), slice(0, self.dim - d_a)
+            return slice(0, self.half), slice(self.half, self.dim)
+        return slice(self.half, self.dim), slice(0, self.half)
 
     def push(self, u):
         """Numpy z for base noise u, one draw (dim,) or a batch (n, dim)."""

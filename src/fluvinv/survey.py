@@ -86,10 +86,6 @@ class WellDataset:
             if self.columns.size and (self.columns.min() < 0 or self.columns.max() > 1):
                 raise SurveyError("well values must lie in [0, 1]")
 
-    @property
-    def n_observations(self):
-        return 0 if self.columns is None else self.columns.size
-
     def flat_cell_indices(self):
         """Indices into a flattened (nz, ny, nx) channel, layer-major."""
         nz, ny, nx = self.geometry.shape

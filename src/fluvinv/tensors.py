@@ -25,7 +25,7 @@ __all__ = [
     "TapeError",
     "add", "sub", "mul", "div", "neg", "absolute", "exp", "log", "sqrt",
     "square", "power", "sin", "tanh", "sigmoid", "leaky_relu", "clamp",
-    "affine", "pointwise", "custom", "dense", "matmul_axis", "conv3d", "upconv3d",
+    "affine", "custom", "dense", "matmul_axis", "conv3d", "upconv3d",
     "upsample2",
     "crop", "concat", "stack", "reshape", "take",
     "sum_all", "sum_axis", "mean_all", "mean_rows", "gradient_check",
@@ -132,7 +132,7 @@ class GraphTape:
         self._consumed = False
 
     # -- node constructors -------------------------------------------------
-    def input(self, value, name=None):
+    def input(self, value):
         """Leaf that participates in gradients."""
         return self._new_node(self._as_array(value), True)
 
@@ -385,29 +385,12 @@ def affine(x, scale, offset):
                   lambda g, v, o: g * scale, keep="")
 
 
-def pointwise(x, fn):
-    """Elementwise function with a known derivative, as one record.
-
-    ``fn(v, with_slope)`` returns the values at ``v`` and, when
-    ``with_slope`` is true, the derivatives there (else None). The record
-    keeps only the derivative array.
-    """
-    tape = _tape_of(x)
-    value, slope = fn(x.value, x.requires_grad)
-    out = tape._new_node(np.asarray(value, dtype=tape.dtype), x.requires_grad)
-    if out.requires_grad:
-        slope = np.asarray(slope, dtype=tape.dtype)
-        tape._record(out, (x,), lambda g: (g * slope,))
-    return out
-
-
 def custom(fn, *nodes):
     """A function of several nodes with a hand-derived backward, as one record.
 
     ``fn(*values) -> (value, vjp)`` computes the output from the input
     values; ``vjp(g)`` returns one gradient per input: None where it has
-    none, else an array of that input's shape, taken as it is, or of a shape
-    the input broadcasts to, which is summed back to the input's shape. The
+    none, else an array of that input's exact shape, taken as it is. The
     record keeps ``vjp``, the input shapes and their ``requires_grad`` flags,
     never the nodes, so the tape holds no reference cycle through it.
     """
@@ -431,17 +414,10 @@ def custom(fn, *nodes):
                     out.append(None)
                     continue
                 part = np.asarray(part)
-                if part.shape == shape:
-                    out.append(part)
-                    continue
-                try:
-                    fits = np.broadcast_shapes(part.shape, shape) == part.shape
-                except ValueError:
-                    fits = False
-                if not fits:
+                if part.shape != shape:
                     raise ShapeError(f"custom: gradient of shape {part.shape} "
                                      f"for an input of shape {shape}")
-                out.append(_unbroadcast(part, shape))
+                out.append(part)
             return tuple(out)
 
         tape._record(out, nodes, backward)

@@ -138,8 +138,7 @@ def run_restart_reference(generator, observations, config, index):
             p["labels"] = np.clip(p["labels"], 0.0, 1.0)
 
     history, aborted = descend(objective, params, dtype, config.iterations, config.lr,
-                               config.lr_schedule, config.beta1, config.beta2,
-                               constrain=constrain)
+                               config.lr_schedule, constrain=constrain)
     note = ""
     if aborted:
         note = f"non-finite loss at iteration {len(history) - 1}"
@@ -472,13 +471,9 @@ def taped_flow_transform(flow, tape, u, weight_nodes=None, clamped=None):
     z = u
     logdet = None
     for layer in range(cfg.n_layers):
-        d_a, _ = flow._split_dims(layer)
-        if layer % 2 == 0:
-            a = cols(z, 0, d_a)
-            b = cols(z, d_a, flow.dim)
-        else:
-            a = cols(z, flow.dim - d_a, flow.dim)
-            b = cols(z, 0, flow.dim - d_a)
+        lo, hi = flow._halves(layer)
+        a = cols(z, lo.start, lo.stop)
+        b = cols(z, hi.start, hi.stop)
         sub = {k.split(".", 1)[1]: weight_nodes[k] for k in weight_nodes
                if k.startswith(f"layer{layer}.")}
         raw = taped_mlp_apply(tape, sub, a, flow._n_mlp)

@@ -244,6 +244,10 @@ def test_gradient_comparison_rejects_a_perturbed_entry(seed):
 
 @SETTINGS
 @given(seed=st.integers(0, 2 ** 16))
+@example(seed=951)  # each failed an elementwise rtol 1e-12 comparison
+@example(seed=2678)
+@example(seed=3345)
+@example(seed=3902)
 def test_gaussian_loglik_at_cells_equals_full_grid(seed):
     z = sample_prior(1, 8, rng_seed=seed)[0]
     sigma = 0.05
@@ -260,7 +264,7 @@ def test_gaussian_loglik_at_cells_equals_full_grid(seed):
     ref = (-0.5 / sigma ** 2) * tc.sum_all(tc.square(resid))
     g_full = tape.backward(ref).wrt(zn)
     assert float(value.value) == float(ref.value)
-    np.testing.assert_allclose(g_cells, g_full, rtol=1e-12)
+    _assert_gradient_close(g_cells, g_full)
 
 
 def test_cells_follow_the_seismic_term():
@@ -332,4 +336,4 @@ def test_tuning_well_maes_equal_full_grid(mode):
         result = pivotal_tune(gen, pivots, Observations(wells=wells), cfg)
         for i, z in enumerate(pivots):
             assert result.mae_before[i] == well_mae(gen.generate(z), wells)
-            assert result.mae_after[i] == well_mae(result.generator_for(i).generate(z), wells)
+            assert result.mae_after[i] == well_mae(result.generators[i if mode == "per_pivot" else 0].generate(z), wells)

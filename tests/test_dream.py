@@ -1,5 +1,7 @@
 """DREAM(ZS) sampler: analytic targets, proposal symmetry, acceptance rule."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy.special import logsumexp
@@ -57,7 +59,10 @@ def test_needs_three_chains():
 @pytest.mark.parametrize("field, value", [
     ("generations", -5), ("burn_in", -1), ("outlier_every", -1), ("archive_thin", 0),
     ("gamma_one_every", 0), ("de_pairs_max", 0), ("snooker_prob", 1.5),
-    ("snooker_prob", -0.1),
+    ("snooker_prob", -0.1), ("snooker_prob", math.nan), ("jitter", -0.1),
+    ("jitter", math.nan), ("noise", -1e-6), ("noise", math.nan), ("init_scale", 0.0),
+    ("init_scale", -1.0), ("init_scale", math.nan), ("cr_values", ()),
+    ("cr_values", (0.0, 1.0)), ("cr_values", (0.5, 1.5)), ("cr_values", (math.nan,)),
 ])
 def test_config_rejects_invalid_values(field, value):
     with pytest.raises(InversionError, match=field):
@@ -66,7 +71,8 @@ def test_config_rejects_invalid_values(field, value):
 
 def test_config_accepts_its_edge_values():
     cfg = DreamConfig(n_chains=3, generations=0, burn_in=4, outlier_every=0,
-                      archive_thin=1, gamma_one_every=1, de_pairs_max=1, snooker_prob=1.0)
+                      archive_thin=1, gamma_one_every=1, de_pairs_max=1, snooker_prob=1.0,
+                      cr_values=(1.0,), jitter=0.0, noise=0.0)
     ens = dream_zs(standard_normal_logp, d=2, config=cfg)
     assert ens.states.shape == (3, 4, 2) and ens.burn_in == 4
 

@@ -1,5 +1,7 @@
 """Data-mismatch loss: arithmetic, weighting, gradients."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -50,6 +52,21 @@ def test_single_residual_squared_metric():
 def test_all_terms_disabled_rejected():
     with pytest.raises(InversionError, match="at least one"):
         DataLossConfig(use_wells=False, use_seismic=False)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("lambda_z", -1e-3), ("lambda_z", math.nan), ("well_weight", -1.0),
+    ("well_weight", math.nan), ("seismic_weight", -1.0), ("seismic_weight", math.nan),
+])
+def test_config_rejects_invalid_values(field, value):
+    with pytest.raises(InversionError, match=field):
+        DataLossConfig(**{field: value})
+
+
+def test_config_rejects_a_missing_lambda_z():
+    # only the term weights take None (an automatic weight)
+    with pytest.raises(TypeError):
+        DataLossConfig(lambda_z=None)
 
 
 def test_equal_contribution_freeze():

@@ -172,7 +172,7 @@ def test_observation_count():
     grid = ModelGrid(geometry, np.full(geometry.shape, 0.5), np.full(geometry.shape, 0.5))
     locs = [(i, i) for i in range(20)]
     ds = extract_well_data(grid, locs)
-    assert ds.n_observations == 320
+    assert ds.columns.size == 320
 
 
 def test_extract_out_of_bounds_rejected():

@@ -119,8 +119,10 @@ PRIMITIVE_CASES = {
     "affine": lambda t, x: tc.sum_all(tc.affine(x, -1.7, 0.4)),
     "abs": lambda t, x: tc.sum_all(tc.absolute(tc.add(x, t.constant(0.05)))),
     "clamp": lambda t, x: tc.sum_all(tc.clamp(x, -0.8, 0.8)),
-    "pointwise": lambda t, x: tc.sum_all(tc.pointwise(
-        x, lambda v, with_slope: (v ** 3 / 3.0 + v, v * v + 1.0 if with_slope else None))),
+    # a pointwise (elementwise) `tc.custom` whose vjp multiplies by the slope,
+    # the form of the tabulated Vp record
+    "pointwise": lambda t, x: tc.sum_all(tc.custom(
+        lambda v: (v ** 3 / 3.0 + v, lambda g: (g * (v * v + 1.0),)), x)),
     "mean": lambda t, x: tc.mean_all(tc.square(x)),
     "upsample2": lambda t, x: tc.mean_all(
         tc.square(tc.upsample2(tc.reshape(x, (1, 2, 3, 4))))),
@@ -142,11 +144,11 @@ PRIMITIVE_CASES = {
     "dense": lambda t, x: tc.sum_all(tc.square(tc.dense(
         t.constant(np.linspace(-1, 1, 3 * 24).reshape(3, 24)), tc.reshape(x, (24,)),
         t.constant(np.array([0.1, -0.2, 0.3]))))),
-    # a (3, 6) and a (1, 6) input; the second one's gradient comes back in the
-    # broadcast shape (3, 6) and is summed to (1, 6)
-    "custom": lambda t, x: tc.sum_all(tc.square(tc.custom(
-        _scaled_exp, tc.reshape(tc.crop(x, (slice(0, 18),)), (3, 6)),
-        tc.reshape(tc.crop(x, (slice(18, 24),)), (1, 6))))),
+    # two (2, 6) inputs; the square makes the upstream gradient non-uniform,
+    # and the offset keeps its entries away from zero
+    "custom": lambda t, x: tc.sum_all(tc.square(tc.add(tc.custom(
+        _scaled_exp, tc.reshape(tc.crop(x, (slice(0, 12),)), (2, 6)),
+        tc.reshape(tc.crop(x, (slice(12, 24),)), (2, 6))), t.constant(0.5)))),
 }
 
 
@@ -362,7 +364,8 @@ def test_backward_keeps_only_leaf_gradients():
     lambda g: (g, g, g),                              # three
     lambda g: (g, np.ones(3)),                        # (3,) for a (2, 3) input
     lambda g: (g, np.ones((2, 1))),                   # narrower than the input
-], ids=["too_few", "too_many", "wrong_shape", "narrower"])
+    lambda g: (g, np.ones((4, 2, 3))),                # one the input broadcasts to
+], ids=["too_few", "too_many", "wrong_shape", "narrower", "broadcast"])
 def test_custom_rejects_wrong_gradient_count_or_shape(parts):
     tape = GraphTape(np.float64)
     a, b = tape.input(np.ones((2, 3))), tape.input(np.ones((2, 3)))
@@ -397,7 +400,7 @@ def _record_builders():
         return t.input(np.linspace(-1.0, 1.0, 24).reshape(1, 2, 3, 4))
 
     return {
-        "custom": lambda t: tc.custom(_scaled_exp, x(t), t.input(np.ones((1, 2, 3, 1)))),
+        "custom": lambda t: tc.custom(_scaled_exp, x(t), t.input(np.ones((1, 2, 3, 4)))),
         "dense": lambda t: tc.dense(t.input(np.ones((3, 24))), tc.reshape(x(t), (24,)),
                                     t.input(np.zeros(3))),
         "stack": lambda t: tc.stack([x(t), x(t)]),
