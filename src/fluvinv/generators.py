@@ -21,7 +21,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from . import tensors as tc
-from .grids import ModelGrid
+from .grids import ModelGrid, check_config
 
 __all__ = [
     "GeneratorError",
@@ -647,15 +647,11 @@ class GeneratorDescriptor:
     leaky_slope: float = 0.2
 
     def __post_init__(self):
-        if self.latent_dim < 1:
-            raise GeneratorError("latent_dim must be >= 1")
-        if self.num_blocks < 1:
-            raise GeneratorError("num_blocks must be >= 1")
-        f = 2 ** self.num_blocks
-        for e in self.out_extents:
-            if e % f != 0:
-                raise GeneratorError(
-                    f"out extents {self.out_extents} must be divisible by 2^{self.num_blocks}")
+        check_config(self, GeneratorError, ("label_dim", ">=", 0), ("leaky_slope", ">=", 0.0),
+                     ("latent_dim base_channels num_blocks out_extents", ">=", 1))
+        if any(e % 2 ** self.num_blocks for e in self.out_extents):
+            raise GeneratorError(
+                f"out extents {self.out_extents} must be divisible by 2^{self.num_blocks}")
 
     @property
     def channels(self):

@@ -29,14 +29,13 @@ dVp/df. Both agree with the chain to float64 relative 1e-12 (slopes to
 from __future__ import annotations
 
 import functools
-import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import tensors as tc
-from .grids import GridGeometry
+from .grids import GridGeometry, check_config
 
 __all__ = [
     "GeophysicsError",
@@ -69,6 +68,9 @@ class MineralPhase:
     bulk: float
     shear: float
 
+    def __post_init__(self):
+        check_config(self, GeophysicsError, ("rho porosity bulk shear", ">", 0.0))
+
 
 @dataclass(frozen=True)
 class RockPhysicsParams:
@@ -81,14 +83,11 @@ class RockPhysicsParams:
     coordination: float = 8.5       # Hertz-Mindlin grain contacts
 
     def __post_init__(self):
-        for phase in (self.quartz, self.clay):
-            if phase.bulk <= 0 or phase.shear <= 0:
-                raise GeophysicsError("mineral moduli must be > 0")
-            if not 0 < phase.porosity < self.critical_porosity:
-                raise GeophysicsError(
-                    "end-member porosities must lie in (0, critical porosity)")
-        if not 0 < self.critical_porosity < 1:
-            raise GeophysicsError("critical porosity must lie in (0, 1)")
+        check_config(self, GeophysicsError,
+                     ("water_rho water_bulk critical_porosity pressure coordination", ">", 0.0),
+                     ("critical_porosity", "<", 1.0))
+        if not max(self.quartz.porosity, self.clay.porosity) < self.critical_porosity:
+            raise GeophysicsError("end-member porosities must lie below critical_porosity")
 
 
 def _friable_sand(tape, f, params):
@@ -257,13 +256,9 @@ class BurdenConfig:
     bottom_fraction: float | None = None
 
     def __post_init__(self):
-        if not (math.isfinite(self.total_thickness_m) and self.total_thickness_m >= 0):
-            raise GeophysicsError(
-                f"burden thickness must be finite and >= 0, got {self.total_thickness_m}")
-        for name in ("fraction", "bottom_fraction"):
-            value = getattr(self, name)
-            if value is not None and not 0 <= value <= 1:
-                raise GeophysicsError(f"burden {name} must lie in [0, 1], got {value}")
+        check_config(self, GeophysicsError,
+                     ("total_thickness_m fraction bottom_fraction", ">=", 0.0),
+                     ("fraction bottom_fraction", "<=", 1.0))
 
     @property
     def fractions(self):
@@ -348,14 +343,11 @@ class PsfConfig:
     kernel_extents: tuple | None = None  # (kz, ky, kx), odd; None: auto
 
     def __post_init__(self):
-        if self.peak_frequency_hz <= 0:
-            raise GeophysicsError("peak frequency must be > 0")
-        if not 0 < self.illumination_angle_deg <= 90:
-            raise GeophysicsError("illumination angle must lie in (0, 90] degrees")
-        if self.kernel_extents is not None:
-            if any(int(k) % 2 == 0 for k in self.kernel_extents):
-                raise GeophysicsError(
-                    f"kernel extents must be odd, got {self.kernel_extents}")
+        check_config(self, GeophysicsError,
+                     ("peak_frequency_hz illumination_angle_deg velocity_mps", ">", 0.0),
+                     ("illumination_angle_deg", "<=", 90.0), ("kernel_extents", ">=", 1))
+        if any(k % 2 == 0 for k in self.kernel_extents or ()):
+            raise GeophysicsError(f"kernel_extents must be odd, got {self.kernel_extents}")
 
 
 @dataclass
@@ -389,7 +381,7 @@ def build_psf(config, dz, dy, dx, velocity_mps=None):
     sigma = v / (4.0 * config.peak_frequency_hz * np.sin(theta))
 
     if config.kernel_extents is not None:
-        kz, ky, kx = (int(k) for k in config.kernel_extents)
+        kz, ky, kx = config.kernel_extents
         hz, hy, hx = kz // 2, ky // 2, kx // 2
     else:
         # beyond 1.4/k the Ricker is below 1e-6; the lateral Gaussian collapses

@@ -2,15 +2,49 @@
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["GridGeometry", "ModelGrid", "GridError"]
+__all__ = ["GridGeometry", "ModelGrid", "GridError", "check_config"]
+
+_COMPARE = {">=": operator.ge, ">": operator.gt, "<=": operator.le, "<": operator.lt}
+_INTEGERS = (int, np.integer)
 
 
 class GridError(Exception):
     pass
+
+
+def check_config(config, error, *bounds):
+    """Raise ``error`` naming the first field of ``config`` outside its bound.
+
+    Each bound is ``(names, op, limit)``: space-separated field names, one of
+    ``">="``, ``">"``, ``"<="``, ``"<"``, and the limit, as in
+    ``("nx ny nz", ">=", 1)``. A tuple or list has each entry checked.
+
+    - NaN and +-inf fail every bound.
+    - A minimum (``">="`` or ``">"``) written as an int also requires an
+      integer, so 2.5 fails ``(name, ">=", 1)``; write a float field's
+      minimum as a float (``0.0``).
+    - None fails, except in a field whose default is None, where it means
+      "unset" and skips the field's bounds.
+    """
+    for names, op, limit in bounds:
+        within = _COMPARE[op]
+        integral = op[0] == ">" and type(limit) is int
+        for name in names.split():
+            value = getattr(config, name)
+            if value is None and getattr(type(config), name, 0) is None:
+                continue
+            for v in value if isinstance(value, (tuple, list)) else (value,):
+                valid = (isinstance(v, _INTEGERS) if integral
+                         else v is not None and math.isfinite(v))
+                if not (valid and within(v, limit)):
+                    kind = "an integer" if integral else "finite and"
+                    raise error(f"{name} must be {kind} {op} {limit}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -25,10 +59,7 @@ class GridGeometry:
     dz: float = 0.5
 
     def __post_init__(self):
-        if min(self.nx, self.ny, self.nz) < 1:
-            raise GridError(f"cell counts must be >= 1, got {self.nx}x{self.ny}x{self.nz}")
-        if min(self.dx, self.dy, self.dz) <= 0:
-            raise GridError("cell sizes must be > 0")
+        check_config(self, GridError, ("nx ny nz", ">=", 1), ("dx dy dz", ">", 0.0))
 
     @property
     def shape(self):

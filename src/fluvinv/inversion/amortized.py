@@ -11,9 +11,10 @@ import numpy as np
 
 from .. import tensors as tc
 from ..generators import keyed_rng, sample_prior
+from ..grids import check_config
 from .loss import DataLoss, DataLossConfig, InversionError
 from .networks import mlp_apply, mlp_init, mlp_sizes
-from .optimize import check_config, descend
+from .optimize import descend
 
 __all__ = [
     "InferenceNetConfig",
@@ -38,11 +39,8 @@ class InferenceNetConfig:
     dtype: str = "float64"
 
     def __post_init__(self):
-        check_config(self, (("steps", 0), ("batch", 1), ("collapse_reg", 0)), ("lr",))
-        if self.noise_dim is not None and self.noise_dim < 1:
-            raise InversionError(f"noise_dim must be >= 1 or None, got {self.noise_dim}")
-        if any(h < 1 for h in self.hidden):
-            raise InversionError(f"hidden widths must be >= 1, got {self.hidden}")
+        check_config(self, InversionError, ("hidden noise_dim batch", ">=", 1),
+                     ("steps rng_seed", ">=", 0), ("collapse_reg", ">=", 0.0), ("lr", ">", 0.0))
 
 
 class InferenceNet:

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import tensors as tc
+from ..grids import check_config
 
 __all__ = ["InversionError", "Observations", "DataLossConfig", "DataLoss", "well_mae"]
 
@@ -51,12 +52,7 @@ class DataLossConfig:
             raise InversionError("at least one data term must be active")
         if self.metric not in ("squared", "absolute"):
             raise InversionError(f"unknown metric {self.metric!r}")
-        if not self.lambda_z >= 0:
-            raise InversionError(f"lambda_z must be >= 0, got {self.lambda_z}")
-        for name in ("well_weight", "seismic_weight"):
-            value = getattr(self, name)
-            if value is not None and not value >= 0:
-                raise InversionError(f"{name} must be >= 0, got {value}")
+        check_config(self, InversionError, ("lambda_z well_weight seismic_weight", ">=", 0.0))
 
 
 class DataLoss:

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..generators import keyed_rng, sample_prior
+from ..grids import check_config
 from .loss import InversionError
-from .optimize import check_config
 
 __all__ = [
     "DreamConfig",
@@ -46,16 +46,13 @@ class DreamConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.n_chains < 3:
-            raise InversionError(f"need >= 3 chains, got {self.n_chains}")
-        check_config(self, (("generations", 0), ("burn_in", 0), ("outlier_every", 0),
-                            ("archive_thin", 1), ("gamma_one_every", 1), ("de_pairs_max", 1),
-                            ("jitter", 0), ("noise", 0)), ("init_scale",))
-        if not 0.0 <= self.snooker_prob <= 1.0:
-            raise InversionError(f"snooker_prob must be in [0, 1], got {self.snooker_prob}")
-        if not self.cr_values or not all(0.0 < cr <= 1.0 for cr in self.cr_values):
-            raise InversionError(f"cr_values must be a non-empty tuple in (0, 1], "
-                                 f"got {self.cr_values}")
+        check_config(self, InversionError, ("n_chains", ">=", 3),
+                     ("generations burn_in outlier_every rng_seed", ">=", 0),
+                     ("archive_size0 archive_thin gamma_one_every de_pairs_max", ">=", 1),
+                     ("snooker_prob jitter noise", ">=", 0.0), ("init_scale cr_values", ">", 0.0),
+                     ("snooker_prob cr_values", "<=", 1.0))
+        if not self.cr_values:
+            raise InversionError("cr_values must not be empty")
 
 
 @dataclass

@@ -11,6 +11,7 @@ import numpy as np
 
 from .. import tensors as tc
 from ..generators import keyed_rng, neutral_labels, sample_prior
+from ..grids import check_config
 from .loss import DataLoss, DataLossConfig, InversionError
 
 __all__ = [
@@ -80,18 +81,6 @@ def check_schedule(name):
         raise InversionError(f"unknown lr schedule {name!r}")
 
 
-def check_config(config, at_least=(), positive=()):
-    """Raise InversionError for a field of ``config`` below its minimum
-    (``at_least``: (name, minimum) pairs) or not > 0 (``positive``: names).
-    NaN fails every check."""
-    for name, low in at_least:
-        if not getattr(config, name) >= low:
-            raise InversionError(f"{name} must be >= {low}, got {getattr(config, name)}")
-    for name in positive:
-        if not getattr(config, name) > 0:
-            raise InversionError(f"{name} must be > 0, got {getattr(config, name)}")
-
-
 def descend(objective, params, dtype, steps, lr, schedule="constant",
             constrain=None, rows=None):
     """Minimize ``objective`` by Adam over the named arrays in ``params``.
@@ -150,7 +139,7 @@ def descend(objective, params, dtype, steps, lr, schedule="constant",
     return history, ~np.array(live)
 
 
-def _generator_well_mae(generator, zs, wells, labels=None, dtype=np.float32):
+def _generator_well_mae(generator, zs, wells, dtype, labels=None):
     """Well MAE (:func:`.loss.well_mae`) of the grid of each row of ``zs``
     (n, d) at ``dtype``, shape (n,), from one build at the well cells.
     ``labels`` are shared, shape (label_dim,), or per row, (n, label_dim)."""
@@ -176,9 +165,8 @@ class LatentOptimizeConfig:
 
     def __post_init__(self):
         check_schedule(self.lr_schedule)
-        check_config(self, (("n_restarts", 1), ("iterations", 0), ("threads", 1)), ("lr",))
-        if self.ball_radius is not None and not self.ball_radius > 0:
-            raise InversionError(f"ball_radius must be > 0, got {self.ball_radius}")
+        check_config(self, InversionError, ("n_restarts threads", ">=", 1),
+                     ("iterations rng_seed", ">=", 0), ("lr ball_radius", ">", 0.0))
 
 
 @dataclass
@@ -298,7 +286,7 @@ def _run_block(args):
     if rows is None:
         params = {k: v[None] for k, v in params.items()}
     labels = params.get("labels")
-    maes = (_generator_well_mae(generator, params["z"], observations.wells, labels, dtype)
+    maes = (_generator_well_mae(generator, params["z"], observations.wells, dtype, labels)
             if observations.wells is not None else np.full(n, math.nan))
     return [RestartRecord(index=start + i, z=params["z"][i].copy(),
                           labels=None if labels is None else labels[i].copy(),
@@ -360,7 +348,7 @@ def latent_optimize(generator, observations, config=None):
 class PivotalTuneConfig:
     steps: int = 500
     lr: float = 1e-3
-    locality_weight: float = 1.0       # >= 0; math.inf disables the data term
+    locality_weight: float = 1.0       # weight of the anchor term
     anchors_per_step: int = 16
     pivots_per_step: int = 4           # 0: every pivot every step
     loss: DataLossConfig = field(default_factory=DataLossConfig)
@@ -371,8 +359,8 @@ class PivotalTuneConfig:
     def __post_init__(self):
         if self.mode not in ("shared", "per_pivot"):
             raise InversionError(f"unknown tuning mode {self.mode!r}")
-        check_config(self, (("steps", 0), ("anchors_per_step", 0), ("pivots_per_step", 0),
-                            ("locality_weight", 0)), ("lr",))
+        check_config(self, InversionError, ("locality_weight", ">=", 0.0), ("lr", ">", 0.0),
+                     ("steps anchors_per_step pivots_per_step rng_seed", ">=", 0))
 
 
 @dataclass
@@ -403,23 +391,17 @@ def _tune_one(generator, pivots, observations, config):
     loss_fn = DataLoss(observations, config.loss, geometry=generator.geometry)
     untuned = generator.weights()
     params = {k: v.astype(np.float64) for k, v in untuned.items()}
-    if math.isinf(config.locality_weight):
-        data_term_on, lam = False, 1.0  # anchor-only objective
-    else:
-        data_term_on, lam = True, config.locality_weight
+    lam = config.locality_weight
     n_pivots = len(pivots)
     batch = config.pivots_per_step or n_pivots
     batch = min(batch, n_pivots)
 
     def objective(tape, wnodes, step):
         rng = keyed_rng(config.rng_seed, 7, step)
-        total = None
-
-        if data_term_on:
-            chosen = rng.permutation(n_pivots)[:batch]
-            coarse, _ = generator.build(tape, tape.constant(pivots[chosen]), weights=wnodes,
-                                        cells=loss_fn.cells, depo=False)
-            total = loss_fn.build(tape, coarse)  # the batch mean
+        chosen = rng.permutation(n_pivots)[:batch]
+        coarse, _ = generator.build(tape, tape.constant(pivots[chosen]), weights=wnodes,
+                                    cells=loss_fn.cells, depo=False)
+        total = loss_fn.build(tape, coarse)  # the batch mean
 
         if lam > 0 and config.anchors_per_step > 0:
             z_tilde = np.empty((config.anchors_per_step, generator.latent_dim))
@@ -433,7 +415,7 @@ def _tune_one(generator, pivots, observations, config):
             coarse, depo = generator.build(tape, tape.constant(z_tilde), weights=wnodes)
             anchor = lam * (tc.mean_all(tc.square(coarse - tape.constant(ref_coarse.value)))
                             + tc.mean_all(tc.square(depo - tape.constant(ref_depo.value))))
-            total = anchor if total is None else total + anchor
+            total = total + anchor
         return total
 
     history, diverged = descend(objective, params, dtype, config.steps, config.lr)
@@ -461,7 +443,7 @@ def pivotal_tune(generator, pivots, observations, config=None):
         raise InversionError("pivotal tuning needs well observations to score pivots")
 
     t0 = time.perf_counter()
-    mae_before = _generator_well_mae(generator, pivots, observations.wells)
+    mae_before = _generator_well_mae(generator, pivots, observations.wells, config.dtype)
     if config.mode == "shared":
         jobs = [(pivots, config)]
     else:
@@ -472,8 +454,9 @@ def pivotal_tune(generator, pivots, observations, config=None):
         tuned, history = _tune_one(generator, job_pivots, observations, job_config)
         generators.append(tuned)
         histories.append(history)
-    mae_after = np.concatenate([_generator_well_mae(tuned, job_pivots, observations.wells)
-                                for tuned, (job_pivots, _) in zip(generators, jobs)])
+    mae_after = np.concatenate(
+        [_generator_well_mae(tuned, job_pivots, observations.wells, config.dtype)
+         for tuned, (job_pivots, _) in zip(generators, jobs)])
     return TuneResult(mode=config.mode, generators=generators, pivots=pivots,
                       mae_before=mae_before, mae_after=mae_after, loss_history=histories,
                       wall_clock_s=time.perf_counter() - t0)

@@ -23,9 +23,10 @@ import numpy as np
 
 from .. import tensors as tc
 from ..generators import keyed_rng, sample_prior
+from ..grids import check_config
 from .loss import DataLoss, DataLossConfig, InversionError
 from .networks import _mlp, mlp_init, mlp_sizes
-from .optimize import check_config, check_schedule, descend
+from .optimize import check_schedule, descend
 
 __all__ = ["FlowConfig", "FlowModel", "VariationalResult",
            "gaussian_data_loglik", "variational_infer"]
@@ -40,17 +41,15 @@ class FlowConfig:
     batch: int = 8
     lr: float = 0.01
     lr_schedule: str = "cosine"  # or "constant"
-    sigma: float = 0.025         # observation noise in fraction units
+    sigma: float = 0.025         # not read: the flow's noise is gaussian_data_loglik's sigma
     n_posterior: int = 300
     rng_seed: int = 0
     dtype: str = "float64"
 
     def __post_init__(self):
         check_schedule(self.lr_schedule)
-        check_config(self, (("n_layers", 1), ("steps", 0), ("batch", 1), ("n_posterior", 1)),
-                     ("lr", "sigma", "scale_clip"))
-        if any(h < 1 for h in self.hidden):
-            raise InversionError(f"hidden widths must be >= 1, got {self.hidden}")
+        check_config(self, InversionError, ("n_layers hidden batch n_posterior", ">=", 1),
+                     ("steps rng_seed", ">=", 0), ("lr sigma scale_clip", ">", 0.0))
 
 
 class FlowModel:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .generators import keyed_rng
-from .grids import GridGeometry
+from .grids import GridGeometry, check_config
 
 __all__ = [
     "SurveyError",
@@ -44,10 +44,9 @@ class StagePolicy:
     ramp_m: float
 
     def __post_init__(self):
-        if not 0 < self.exclusion_m < self.ramp_m:
-            raise SurveyError(
-                f"need 0 < exclusion < ramp outer radius, got "
-                f"{self.exclusion_m} / {self.ramp_m}")
+        check_config(self, SurveyError, ("count", ">=", 0), ("exclusion_m ramp_m", ">", 0.0))
+        if not self.exclusion_m < self.ramp_m:
+            raise SurveyError(f"need exclusion_m < ramp_m, got {self.exclusion_m} / {self.ramp_m}")
 
 
 @dataclass(frozen=True)
@@ -99,7 +98,7 @@ class WellDataset:
         return self.columns.reshape(-1)
 
     def subset(self, n_wells):
-        if n_wells > len(self.wells):
+        if not (isinstance(n_wells, (int, np.integer)) and 0 <= n_wells <= len(self.wells)):
             raise SurveyError(f"dataset has {len(self.wells)} wells, asked for {n_wells}")
         return WellDataset(self.geometry, self.wells[:n_wells], self.columns[:n_wells].copy())
 

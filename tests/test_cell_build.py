@@ -5,6 +5,8 @@ likelihoods that use it must agree with the full-grid path, for unsorted cell
 lists with repeats.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -326,14 +328,16 @@ def test_restart_well_mae_equals_full_grid(dtype, optimize_labels):
 
 @pytest.mark.parametrize("mode", ["shared", "per_pivot"])
 def test_tuning_well_maes_equal_full_grid(mode):
-    # mae_before and mae_after come from one float32 build of all pivots
-    # at the well cells per generator
+    # mae_before and mae_after come from one build of all pivots at the well
+    # cells per generator, at the tuning dtype
     cases = [(PROC, WELLS),
              (NEURAL, extract_well_data(NEURAL.generate(np.zeros(6)), [(1, 2), (6, 5)]))]
-    for gen, wells in cases:
+    for (gen, wells), dtype in itertools.product(cases, ("float32", "float64")):
         pivots = sample_prior(3, gen.latent_dim, rng_seed=4)
-        cfg = PivotalTuneConfig(steps=2, lr=1e-2, anchors_per_step=2, mode=mode, rng_seed=5)
+        cfg = PivotalTuneConfig(steps=2, lr=1e-2, anchors_per_step=2, mode=mode, rng_seed=5,
+                                dtype=dtype)
         result = pivotal_tune(gen, pivots, Observations(wells=wells), cfg)
         for i, z in enumerate(pivots):
-            assert result.mae_before[i] == well_mae(gen.generate(z), wells)
-            assert result.mae_after[i] == well_mae(result.generators[i if mode == "per_pivot" else 0].generate(z), wells)
+            tuned = result.generators[i if mode == "per_pivot" else 0]
+            assert result.mae_before[i] == well_mae(gen.generate(z, dtype=dtype), wells)
+            assert result.mae_after[i] == well_mae(tuned.generate(z, dtype=dtype), wells)

@@ -52,7 +52,7 @@ def test_flat_target_accepts_everything():
 
 
 def test_needs_three_chains():
-    with pytest.raises(InversionError, match=">= 3 chains"):
+    with pytest.raises(InversionError, match="n_chains must be an integer >= 3"):
         dream_zs(standard_normal_logp, d=2, config=DreamConfig(n_chains=2))
 
 

@@ -249,7 +249,7 @@ def test_burden_must_tile_cells():
     {"fraction": float("nan")}, {"bottom_fraction": -0.5}, {"bottom_fraction": 1.1},
     {"bottom_fraction": float("nan")}])
 def test_burden_rejects_out_of_range_inputs(kwargs):
-    with pytest.raises(GeophysicsError, match="burden"):
+    with pytest.raises(GeophysicsError, match=next(iter(kwargs))):
         BurdenConfig(**kwargs)
 
 

@@ -65,7 +65,7 @@ def test_config_rejects_invalid_values(field, value):
 
 def test_config_rejects_a_missing_lambda_z():
     # only the term weights take None (an automatic weight)
-    with pytest.raises(TypeError):
+    with pytest.raises(InversionError, match="lambda_z"):
         DataLossConfig(lambda_z=None)
 
 

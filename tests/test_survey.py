@@ -180,6 +180,21 @@ def test_extract_out_of_bounds_rejected():
         extract_well_data(grid_with_marker(), [(16, 0)])
 
 
+def test_subset_keeps_the_first_wells():
+    ds = extract_well_data(grid_with_marker(), [(3, 7), (10, 2), (5, 9)])
+    for n in (0, 2, np.int64(3)):
+        sub = ds.subset(n)
+        assert [w.well_id for w in sub.wells] == [w.well_id for w in ds.wells[:n]]
+        np.testing.assert_array_equal(sub.columns, ds.columns[:n])
+
+
+@pytest.mark.parametrize("n_wells", [-1, 4, 2.5, 2.0, None])
+def test_subset_rejects_a_count_it_cannot_take(n_wells):
+    ds = extract_well_data(grid_with_marker(), [(3, 7), (10, 2), (5, 9)])
+    with pytest.raises(SurveyError, match="asked for"):
+        ds.subset(n_wells)
+
+
 def test_flat_cell_indices_pick_column_values():
     grid = grid_with_marker()
     ds = extract_well_data(grid, [(5, 9)])
