@@ -16,6 +16,7 @@ import functools
 import json
 import math
 import struct
+from collections import namedtuple
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -697,11 +698,39 @@ class GeneratorDescriptor:
         return cls(**d)
 
 
+_CellPlan = namedtuple("_CellPlan", "conv2 skip head gather")
+
+
+@functools.lru_cache(maxsize=16)
+def _neural_cell_plan(shape, conv2_shape, head_shape, key):
+    """The plans of a neural build at the cells ``key`` (the bytes of a
+    validated intp cell array) over a grid of ``shape`` (Z, Y, X), read
+    only. With U the distinct cells and S the in-grid cells that the head's
+    taps at U read: ``conv2``, the last block's conv2 at S, and ``head``,
+    the head at U reading S (``tc.cell_plan``); ``skip``, the flat index of
+    S's parent cells in each channel of the coarse skip output, (conv2's
+    output channels, |S|); ``gather``, per output channel, the index of each
+    requested cell in the (channels, |U|) head output."""
+    cells = np.frombuffer(key, dtype=np.intp)
+    unique, inverse = np.unique(cells, return_inverse=True)
+    support = tc.cell_plan(shape, head_shape[2:], unique).read
+    coarse = tuple(e // 2 for e in shape)
+    parents = np.ravel_multi_index(
+        tuple(a // 2 for a in np.unravel_index(support, shape)), coarse)
+    plan = _CellPlan(
+        conv2=tc.cell_plan(shape, conv2_shape[2:], support),
+        skip=np.arange(conv2_shape[0])[:, None] * math.prod(coarse) + parents,
+        head=tc.cell_plan(shape, head_shape[2:], unique, support),
+        gather=np.arange(head_shape[0])[:, None] * unique.size + inverse)
+    plan.skip.flags.writeable = plan.gather.flags.writeable = False
+    return plan
+
+
 class NeuralGenerator:
     """Frozen inference pass of the residual upsampling generator."""
 
     kind = "neural"
-    builds_at_cells = False  # a build at cells builds the whole grid, then gathers
+    builds_at_cells = False  # a build at cells still runs most of the network on the full grid
 
     def __init__(self, geometry, descriptor, weights):
         if (geometry.nx, geometry.ny, geometry.nz) != tuple(descriptor.out_extents):
@@ -759,9 +788,18 @@ class NeuralGenerator:
     def build(self, tape, z, labels=None, weights=None, cells=None, depo=True):
         """Emit (coarse_fraction, depo_time) nodes of shape (nz, ny, nx).
 
-        With ``cells`` (flat, layer-major indices) both nodes have shape
-        ``(len(cells),)``. The network is not pointwise, so the full grid is
-        built and then gathered at those cells.
+        With ``cells`` (flat, layer-major indices, repeats allowed) both
+        nodes have shape ``(len(cells),)`` and equal the full-grid build
+        gathered there. Everything up to the last block's leaky activation
+        still runs on the full grid. That block's conv2 runs only on S, the
+        in-grid 3x3x3 neighbourhood of the distinct cells, and its skip term
+        is read at S's parent cells of the coarse skip output, where
+        ``upsample2`` would put it. The head, ``tanh`` and
+        ``affine`` run only at the distinct cells, and a gather puts them
+        back in request order. The plans are cached per grid and cell list.
+        Values and gradients equal the gathered full-grid build's bit for
+        bit where ``tc.conv3d_at`` matches ``tc.conv3d`` (the default widths
+        on the OpenBLAS kernels measured), and to round-off otherwise.
 
         ``z`` is one latent, shape (d,), or a batch, shape (B, d). A batch is
         built row by row and stacked, so both nodes gain a leading batch axis
@@ -774,9 +812,10 @@ class NeuralGenerator:
         grid: conv1 is ``tc.upconv3d``, which runs it on the coarse grid
         with 0.30x the multiply-adds, and the 1x1x1 skip commutes with
         nearest upsampling, so it runs before ``upsample2``. conv2 and the
-        head are ``tc.conv3d``. Both ops contract each kernel row's x-taps
-        in one matmul over a column buffer of the padded input: nine
-        matmuls per 3x3x3 ``conv3d``, eighteen per ``upconv3d``.
+        head are ``tc.conv3d`` (``tc.conv3d_at`` at cells, as above). Both
+        ops contract each kernel row's x-taps in one matmul over a column
+        buffer of the padded input: nine matmuls per 3x3x3 ``conv3d``,
+        eighteen per ``upconv3d``.
 
         ``labels`` follows the rule of :meth:`ProceduralGenerator.build`.
         With ``depo=False`` the build returns ``(coarse, None)``: the network
@@ -811,18 +850,31 @@ class NeuralGenerator:
         ch = d.channels
         h = tc.dense(wn("dense.w"), x, wn("dense.b"))
         h = tc.reshape(h, (ch[0], sz, sy, sx))
+        plan = None if cells is None else _neural_cell_plan(
+            self.geometry.shape, wn(f"block{d.num_blocks - 1}.conv2.w").shape,
+            wn("head.w").shape, cells.tobytes())
         for i in range(d.num_blocks):
             m = tc.upconv3d(h, wn(f"block{i}.conv1.w"), wn(f"block{i}.conv1.b"))
             m = tc.leaky_relu(m, d.leaky_slope)
-            m = tc.conv3d(m, wn(f"block{i}.conv2.w"), wn(f"block{i}.conv2.b"))
-            h = m + tc.upsample2(tc.conv3d(h, wn(f"block{i}.skip.w")))
-        out = tc.conv3d(h, wn("head.w"), wn("head.b"))
+            w2, b2 = wn(f"block{i}.conv2.w"), wn(f"block{i}.conv2.b")
+            if plan is not None and i == d.num_blocks - 1:
+                m = tc.conv3d_at(tc.reshape(m, (m.shape[0], -1)), w2, b2, plan.conv2)
+                skip = tc.take(tc.conv3d(h, wn(f"block{i}.skip.w")), plan.skip)
+            else:
+                m = tc.conv3d(m, w2, b2)
+                skip = tc.upsample2(tc.conv3d(h, wn(f"block{i}.skip.w")))
+            h = m + skip
+        if plan is None:
+            out = tc.conv3d(h, wn("head.w"), wn("head.b"))
+        else:
+            out = tc.conv3d_at(h, wn("head.w"), wn("head.b"), plan.head)
         out = tc.affine(tc.tanh(out), 0.5, 0.5)
 
         def channel(k):
-            node = tc.reshape(tc.crop(out, (slice(k, k + 1),) + (slice(None),) * 3),
+            if plan is not None:
+                return tc.take(out, plan.gather[k])
+            return tc.reshape(tc.crop(out, (slice(k, k + 1),) + (slice(None),) * 3),
                               self.geometry.shape)
-            return node if cells is None else tc.take(node, cells)
 
         return channel(0), channel(1) if depo else None
 

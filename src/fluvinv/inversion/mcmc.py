@@ -116,7 +116,8 @@ def dream_zs(log_posterior, d, config=None):
     streams 1 and 2, scaled by ``init_scale``. Proposal randomness for
     (generation, chain) comes from :func:`.keyed_rng` ``(seed, 3,
     generation, chain)`` only, so results do not depend on how chains are
-    scheduled.
+    scheduled. A chain whose initial log-posterior is NaN starts at -inf, so
+    its first finite proposal is accepted.
     """
     cfg = config or DreamConfig()
     m0 = cfg.archive_size0 if cfg.archive_size0 is not None else 10 * d
@@ -131,6 +132,7 @@ def dream_zs(log_posterior, d, config=None):
     archive_rows = list(cfg.init_scale * sample_prior(m0, d, cfg.rng_seed, 1))
     x = cfg.init_scale * sample_prior(cfg.n_chains, d, cfg.rng_seed, 2)
     x_logp = np.array([log_posterior(row) for row in x], dtype=np.float64)
+    x_logp[np.isnan(x_logp)] = -np.inf
     n_accept = 0
     n_prop = 0
     n_resets = 0

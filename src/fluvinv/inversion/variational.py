@@ -195,8 +195,8 @@ def gaussian_data_loglik(generator, observations, sigma):
     latent node of shape (d,) it returns log p(data|z); for a batch (B, d),
     the sum of the B rows' log-likelihoods.
     """
-    if not sigma > 0:
-        raise InversionError(f"sigma must be > 0, got {sigma}")
+    if not 0 < sigma < np.inf:
+        raise InversionError(f"sigma must be finite and > 0, got {sigma}")
     terms = DataLoss(observations,
                      DataLossConfig(use_wells=observations.wells is not None,
                                     use_seismic=observations.seismic is not None),

@@ -75,8 +75,7 @@ class WellDataset:
 
     def __post_init__(self):
         for w in self.wells:
-            if not (0 <= w.ix < self.geometry.nx and 0 <= w.iy < self.geometry.ny):
-                raise SurveyError(f"well {w.well_id} at ({w.ix}, {w.iy}) out of bounds")
+            _check_location(w.ix, w.iy, self.geometry, f"well {w.well_id}")
         if self.columns is not None:
             if self.columns.shape != (len(self.wells), self.geometry.nz):
                 raise SurveyError(
@@ -101,6 +100,13 @@ class WellDataset:
         if not (isinstance(n_wells, (int, np.integer)) and 0 <= n_wells <= len(self.wells)):
             raise SurveyError(f"dataset has {len(self.wells)} wells, asked for {n_wells}")
         return WellDataset(self.geometry, self.wells[:n_wells], self.columns[:n_wells].copy())
+
+
+def _check_location(ix, iy, geometry, what):
+    if not all(isinstance(v, (int, np.integer)) for v in (ix, iy)):
+        raise SurveyError(f"{what} at ({ix!r}, {iy!r}): coordinates must be integers")
+    if not (0 <= ix < geometry.nx and 0 <= iy < geometry.ny):
+        raise SurveyError(f"{what} at ({ix}, {iy}) out of bounds {geometry.nx}x{geometry.ny}")
 
 
 def _ramp_mask(geometry, ix, iy, exclusion_m, ramp_m):
@@ -184,9 +190,7 @@ def extract_well_data(grid, locations):
     geometry = grid.geometry
     wells, cols = [], []
     for n, (ix, iy) in enumerate(locations):
-        if not (0 <= ix < geometry.nx and 0 <= iy < geometry.ny):
-            raise SurveyError(f"well location ({ix}, {iy}) out of bounds "
-                              f"{geometry.nx}x{geometry.ny}")
+        _check_location(ix, iy, geometry, "well location")
         wells.append(Well(well_id=f"W{n:02d}", ix=int(ix), iy=int(iy)))
         cols.append(grid.coarse_fraction[:, iy, ix].astype(np.float64))
     columns = np.array(cols) if cols else np.zeros((0, geometry.nz))

@@ -11,6 +11,7 @@ Contractions and reductions always accumulate in float64 with a fixed
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
 
@@ -25,8 +26,8 @@ __all__ = [
     "TapeError",
     "add", "sub", "mul", "div", "neg", "absolute", "exp", "log", "sqrt",
     "square", "power", "sin", "tanh", "sigmoid", "leaky_relu", "clamp",
-    "affine", "custom", "dense", "matmul_axis", "conv3d", "upconv3d",
-    "upsample2",
+    "affine", "custom", "dense", "matmul_axis", "conv3d", "conv3d_at", "cell_plan",
+    "upconv3d", "upsample2",
     "crop", "concat", "stack", "reshape", "take",
     "sum_all", "sum_axis", "mean_all", "mean_rows", "gradient_check",
 ]
@@ -738,14 +739,31 @@ def _correlate(cols, w, shape):
     # whose column buffer cols is: one float64 (O, kx*C) @ (kx*C, L) matmul
     # per kernel row, accumulated in a contiguous (O, L) buffer and returned
     # as its strided (O, Z, Y, X) view
-    o, c, kz, ky, kx = w.shape
-    rows = np.ascontiguousarray(w.transpose(2, 3, 0, 4, 1), dtype=_ACC).reshape(-1, o, kx * c)
+    rows = _row_blocks(w)
     views = _kernel_rows(cols, w.shape[2:], shape)
     acc = np.matmul(rows[0], views[0])
     term = np.empty_like(acc)
     for row, view in zip(rows[1:], views[1:]):
         acc += np.matmul(row, view, out=term)
     return _column_grid(acc, shape, w.shape[2:])
+
+
+def _kernel_grad(flat, gflat, kshape, shape):
+    # conv3d's kernel gradient from the padded input and output gradient:
+    # gw[:, :, i, j, :] = g @ row(i, j).T, with g in the forward's column
+    # layout: the centre row of padded g from its centre x-tap on, zero in
+    # the columns that are not outputs
+    views = _kernel_rows(_columns(flat, kshape[2]), kshape, shape)
+    gf = _kernel_rows(gflat[:, kshape[2] // 2:], kshape, shape)[len(views) // 2]
+    (kz, ky, kx), o, c = kshape, gflat.shape[0], flat.shape[0]
+    gw = np.stack([gf @ view.T for view in views])
+    return gw.reshape(kz, ky, o, kx, c).transpose(2, 4, 0, 1, 3)
+
+
+def _bias_grad(g):
+    # a (O, Z, Y, X) gradient summed per channel; the copy of a strided g
+    # makes the order of the sum independent of its layout
+    return np.ascontiguousarray(g).sum(axis=(1, 2, 3), dtype=_ACC)
 
 
 def _conv_operands(name, x, w, bias):
@@ -816,17 +834,176 @@ def conv3d(x, w, bias=None):
                 wt = wv[:, :, ::-1, ::-1, ::-1].transpose(1, 0, 2, 3, 4)
                 gx = _correlate(_columns(gflat, kshape[2]), wt, shape)
             if w_req:
-                # gw[:, :, i, j, :] = g @ row(i, j).T, with g in the forward's
-                # column layout: the centre row of padded g from its centre
-                # x-tap on, zero in the columns that are not outputs
-                views = _kernel_rows(_columns(flat, kshape[2]), kshape, shape)
-                gf = _kernel_rows(gflat[:, kshape[2] // 2:], kshape, shape)[len(views) // 2]
-                o, c, kz, ky, kx = wv.shape
-                gw = np.stack([gf @ view.T for view in views])
-                gw = gw.reshape(kz, ky, o, kx, c).transpose(2, 4, 0, 1, 3)
+                gw = _kernel_grad(flat, gflat, kshape, shape)
             parts = [gx, gw]
             if has_bias:
-                parts.append(g.sum(axis=(1, 2, 3), dtype=_ACC) if bias_req else None)
+                parts.append(_bias_grad(g) if bias_req else None)
+            return tuple(parts)
+
+        tape._record(out, tuple(inputs), backward)
+    return out
+
+
+CellPlan = collections.namedtuple("CellPlan", "shape kshape cells sources taps read back")
+
+
+def cell_plan(shape, kshape, cells, sources=None):
+    """The plan of :func:`conv3d_at`: a "same" correlation with a kernel of
+    extents ``kshape`` over a (Z, Y, X) grid of ``shape``, evaluated at the
+    distinct output ``cells`` (flat, layer-major indices) of an input that
+    holds the whole grid, or only the cells ``sources`` (sorted distinct
+    flat indices) when given. Its arrays are read only:
+
+    - ``taps`` (kz*ky, kx, P): per kernel row (i, j), in np.ndindex order,
+      and x-tap k, the input column each cell's tap reads: a flat grid
+      index, or a position in ``sources``. A tap outside the grid reads
+      column N, one past the last input column;
+    - ``read``: the sorted input columns that some tap reads;
+    - ``back`` (kz*ky, kx, len(read)): the same for the input gradient, the
+      flipped kernel's taps at ``read`` into the P output cells, column P
+      where a tap meets no output cell.
+    """
+    kz, ky, kx = kshape
+    if any(k % 2 == 0 for k in kshape):
+        raise ShapeError(f"cell_plan: kernel extents must be odd, got {kshape}")
+    cells = np.asarray(cells, dtype=np.intp)
+    n = math.prod(shape)
+    if cells.ndim != 1 or (cells.size and (cells.min() < 0 or cells.max() >= n)):
+        raise TensorError(f"cell_plan: cells must be a 1-D array of indices in [0, {n})")
+    if np.unique(cells).size != cells.size:
+        raise TensorError("cell_plan: output cells must be distinct")
+    z, y, x = np.unravel_index(cells, shape)
+    zz = z + (np.arange(kz) - kz // 2)[:, None, None, None]
+    yy = y + (np.arange(ky) - ky // 2)[None, :, None, None]
+    xx = x + (np.arange(kx) - kx // 2)[None, None, :, None]
+    inside = ((zz >= 0) & (zz < shape[0]) & (yy >= 0) & (yy < shape[1])
+              & (xx >= 0) & (xx < shape[2]))
+    flat = (zz * shape[1] + yy) * shape[2] + xx
+    if sources is not None:
+        sources = np.array(sources, dtype=np.intp)
+        if sources.ndim != 1 or np.any(np.diff(sources) <= 0):
+            raise TensorError("cell_plan: sources must be sorted distinct indices")
+        pos = np.searchsorted(sources, flat)
+        held = np.append(sources, -1)[pos] == flat
+        if np.any(inside & ~held):
+            raise TensorError("cell_plan: a tap reads a cell outside sources")
+        flat, n = pos, sources.size
+    taps = np.where(inside, flat, n).reshape(kz * ky, kx, -1)
+    # output cell p's tap (i, j, k) reads column q, so the flipped kernel's
+    # tap (kz-1-i, ky-1-j, kx-1-k) at q meets p
+    read = np.unique(taps[taps < n])
+    back = np.full((kz * ky, kx, read.size), cells.size, dtype=np.intp)
+    ri, ki, pi = np.nonzero(taps < n)
+    back[kz * ky - 1 - ri, kx - 1 - ki, np.searchsorted(read, taps[ri, ki, pi])] = pi
+    plan = CellPlan(tuple(shape), tuple(kshape), cells.copy(), sources, taps, read, back)
+    for v in plan[2:]:
+        if v is not None:
+            v.flags.writeable = False
+    return plan
+
+
+def _row_blocks(w):
+    # the kernel rows of w (O, C, kz, ky, kx) as (kz*ky, O, kx*C) float64,
+    # in np.ndindex order, column k*C + c the weight of channel c's x-tap k
+    o, c, kz, ky, kx = w.shape
+    return np.ascontiguousarray(w.transpose(2, 3, 0, 4, 1), dtype=_ACC).reshape(-1, o, kx * c)
+
+
+def _correlate_at(x, rows, taps):
+    # _correlate's sums, evaluated only at the output cells of a
+    # (kz*ky, kx, P) tap plan over the (C, N) columns x, column N a zero
+    # column: each kernel row's (kx*C, P) patch gathered from x in the
+    # row order of _columns, then one float64 (O, kx*C) @ (kx*C, P) matmul
+    # per kernel row in np.ndindex order. Returns (O, P).
+    c, n = x.shape
+    p = taps.shape[2]
+    if p == 1:
+        # a one-column product takes the matrix-vector path, which rounds
+        # differently, so one output cell runs as two
+        taps = np.concatenate([taps, np.full_like(taps, n)], axis=2)
+    xz = np.zeros((c, n + 1), dtype=_ACC)
+    xz[:, :n] = x
+    patches = np.empty(taps.shape[:2] + (c, taps.shape[2]), dtype=_ACC)
+    for ch in range(c):
+        np.take(xz[ch], taps, out=patches[:, :, ch])
+    patches = patches.reshape(len(rows), -1, taps.shape[2])
+    acc = np.matmul(rows[0], patches[0])
+    term = np.empty_like(acc)
+    for row, patch in zip(rows[1:], patches[1:]):
+        acc += np.matmul(row, patch, out=term)
+    return acc[:, :p]
+
+
+def _on_grid(v, shape, cells, dtype):
+    # (K, len(cells)) values as a fresh (K, *shape) grid, zero elsewhere
+    grid = np.zeros((v.shape[0], math.prod(shape)), dtype=dtype)
+    grid[:, cells] = v
+    return grid.reshape((v.shape[0],) + tuple(shape))
+
+
+def conv3d_at(x, w, bias, plan):
+    """``conv3d`` evaluated only at the output cells of a :func:`cell_plan`.
+
+    x: (C, N), the input at the plan's N input cells (the whole grid, or
+    its ``sources``); w: (O, C, kz, ky, kx); bias: (O,) or None. Returns
+    (O, P) for the plan's P cells. Each kernel row's (kx*C, P) taps are
+    gathered from x, and the rows run in ``conv3d``'s order: one float64
+    (O, kx*C) @ (kx*C, P) matmul per kernel row in np.ndindex order, the
+    bias added after. Column p therefore equals ``conv3d`` at cell p
+    wherever BLAS rounds each column of a product as it would in a wider
+    one. The OpenBLAS kernels measured do for kx*C <= 15 (the default
+    generator's last block and head have 12); above that, or with one
+    output channel, a column can differ in the last bit.
+
+    The backward takes ``conv3d``'s own order too. The input gradient is
+    the output gradient correlated with the flipped, channel-swapped
+    kernel, evaluated the same way at the input columns the taps read,
+    and so holds where the values do. The kernel and bias gradients run
+    ``conv3d``'s code on the output gradient and the input put on the
+    full grid, zero elsewhere: an exact zero adds nothing to a sum, so
+    they equal ``conv3d``'s whenever the gradient is zero off the cells.
+    """
+    tape = _tape_of(x, w)
+    x, w = _coerce(tape, x), _coerce(tape, w)
+    shape, kshape = plan.shape, plan.kshape
+    n = math.prod(shape) if plan.sources is None else plan.sources.size
+    if (x.value.ndim != 2 or w.value.ndim != 5 or w.value.shape[1] != x.value.shape[0]
+            or x.value.shape[1] != n or w.value.shape[2:] != kshape):
+        raise ShapeError(f"conv3d_at: expected a (C, {n}) input and an (O, C, *{kshape}) "
+                         f"kernel, got {x.shape} and {w.shape}")
+    o, c = w.value.shape[:2]
+    inputs = [x, w]
+    if bias is not None:
+        bias = _coerce(tape, bias)
+        if bias.value.shape != (o,):
+            raise ShapeError(f"conv3d_at: bias {bias.shape} incompatible with kernel {w.shape}")
+        inputs.append(bias)
+    value = _correlate_at(x.value, _row_blocks(w.value), plan.taps)
+    if bias is not None:
+        value = value + bias.value[:, None]
+    out = tape._new_node(np.ascontiguousarray(value, dtype=tape.dtype),
+                         any(node.requires_grad for node in inputs))
+    if out.requires_grad:
+        x_req, w_req = x.requires_grad, w.requires_grad
+        wv, xv = w.value, x.value if w_req else None
+        has_bias = bias is not None
+        bias_req = has_bias and bias.requires_grad
+
+        def backward(g):
+            gx = gw = None
+            if x_req:
+                wt = wv[:, :, ::-1, ::-1, ::-1].transpose(1, 0, 2, 3, 4)
+                gx = np.zeros((c, n), dtype=_ACC)
+                gx[:, plan.read] = _correlate_at(g, _row_blocks(wt), plan.back)
+            if w_req or bias_req:
+                g = _on_grid(g, shape, plan.cells, g.dtype)
+            if w_req:
+                xg = xv.reshape((c,) + shape) if plan.sources is None else _on_grid(
+                    xv, shape, plan.sources, _ACC)
+                gw = _kernel_grad(_padded(xg, kshape), _padded(g, kshape), kshape, shape)
+            parts = [gx, gw]
+            if has_bias:
+                parts.append(_bias_grad(g) if bias_req else None)
             return tuple(parts)
 
         tape._record(out, tuple(inputs), backward)
@@ -1004,10 +1181,14 @@ def upsample2(x):
     value = x.value.repeat(2, axis=1).repeat(2, axis=2).repeat(2, axis=3)
     out = tape._new_node(value, x.requires_grad)
     if out.requires_grad:
-        c, z, y, xx = x.value.shape
-
         def backward(g):
-            return (g.reshape(c, z, 2, y, 2, xx, 2).sum(axis=(2, 4, 6), dtype=_ACC),)
+            # the eight children of each cell added one by one in (dz, dy, dx)
+            # order, as a take of some of them reproduces: a missing child
+            # adds an exact zero
+            acc = np.array(g[:, 0::2, 0::2, 0::2], dtype=_ACC)
+            for dz, dy, dx in list(np.ndindex(2, 2, 2))[1:]:
+                acc += g[:, dz::2, dy::2, dx::2]
+            return (acc,)
 
         tape._record(out, (x,), backward)
     return out

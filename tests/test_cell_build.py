@@ -2,10 +2,16 @@
 
 ``build(..., cells=c)`` must give exactly ``take(build(...), c)``, and the
 likelihoods that use it must agree with the full-grid path, for unsorted cell
-lists with repeats.
+lists with repeats. The neural generator runs its last block's conv2 and its
+head only near the cells, in ``conv3d``'s order, so it stays exact wherever
+BLAS rounds each column of a product as in a wider one; a wider generator
+agrees to round-off.
 """
 
+import functools
+import gc
 import itertools
+import weakref
 
 import numpy as np
 import pytest
@@ -97,29 +103,163 @@ def test_procedural_cells_equal_gathered_full_grid(dtype, cells, seed, labels):
                                        g_full.wrt(full_nodes[name]), rtol=1e-12)
 
 
+def _neural_pair(gen, dtype, cells, rows=None, seed=0):
+    """A build at ``cells`` and the full-grid build gathered there, each as
+    (values of both channels, gradients of a random projection of them with
+    respect to z, the labels of a conditioned generator, per row for a
+    batch, and every weight)."""
+    z = sample_prior(rows or 1, gen.latent_dim, rng_seed=seed)
+    z = z if rows else z[0]
+    labels = None
+    if gen.label_dim:
+        labels = np.linspace(0.1, 0.9, (rows or 1) * gen.label_dim).reshape(rows or 1, -1)
+        labels = labels if rows else labels[0]
+    cells = np.asarray(cells)
+    gather = cells if rows is None else np.arange(rows)[:, None] * gen.geometry.n_cells + cells
+    out = []
+    for at_cells in (True, False):
+        tape = tc.GraphTape(dtype)
+        nodes = {"z": tape.input(z)}
+        if labels is not None:
+            nodes["labels"] = tape.input(labels)
+        weights = {k: tape.input(v) for k, v in gen.weights().items()}
+        built = gen.build(tape, nodes["z"], nodes.get("labels"), weights=weights,
+                          cells=cells if at_cells else None)
+        if not at_cells:
+            built = [tc.take(node, gather) for node in built]
+        rng = np.random.default_rng(seed)
+        loss = (tc.sum_all(built[0] * tape.constant(rng.normal(size=built[0].shape)))
+                + tc.sum_all(tc.square(built[1]) * tape.constant(rng.normal(size=built[1].shape))))
+        grads = tape.backward(loss)
+        out.append(([node.value for node in built],
+                     {k: grads.wrt(node) for k, node in (nodes | weights).items()}))
+    return out
+
+
+def _assert_neural_pair_equal(pair, dtype, shape, exact=True):
+    # values bit for bit and every gradient to rtol 1e-12 where the cells
+    # build's sums round as conv3d's do (see tests/test_conv3d.py). A
+    # generator too wide for that agrees to round-off: values in [0, 1] to
+    # two ulps of 1, and gradients to eight ulps of their largest entry
+    (values, grads), (want_values, want_grads) = pair
+    eps = float(np.finfo(dtype).eps)
+    for got, want in zip(values, want_values):
+        assert got.dtype == dtype and got.shape == want.shape == shape
+        if exact:
+            np.testing.assert_array_equal(got, want)
+        else:
+            np.testing.assert_allclose(got, want, rtol=0, atol=2 * eps)
+    assert grads.keys() == want_grads.keys()
+    for name, want in want_grads.items():
+        assert grads[name].shape == want.shape, name
+        if exact:
+            np.testing.assert_allclose(grads[name], want, rtol=1e-12, atol=0, err_msg=name)
+        else:
+            _assert_gradient_close(grads[name], want, 8 * eps)
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @SETTINGS
 @given(cells=cell_lists(NEURAL_GEO), seed=st.integers(0, 2 ** 16))
 def test_neural_cells_equal_gathered_full_grid(dtype, cells, seed):
-    z = sample_prior(1, 6, rng_seed=seed)[0]
-    out = []
-    for c in (np.asarray(cells), None):
-        tape = tc.GraphTape(dtype)
-        zn = tape.input(z)
-        wn = {k: tape.input(v) for k, v in NEURAL.weights().items()}
-        if c is None:
-            coarse, depo = NEURAL.build(tape, zn, weights=wn)
-            coarse, depo = tc.take(coarse, cells), tc.take(depo, cells)
+    pair = _neural_pair(NEURAL, dtype, cells, seed=seed)
+    _assert_neural_pair_equal(pair, dtype, (len(cells),))
+
+
+def _flat(geometry, x, y, z):
+    return (z * geometry.ny + y) * geometry.nx + x
+
+
+def _edge_cells(geometry):
+    """Cell lists whose taps reach past the grid, a single cell (one output
+    column, which conv3d_at runs as two) and repeats."""
+    nx, ny, nz = geometry.nx, geometry.ny, geometry.nz
+    cell = functools.partial(_flat, geometry)
+    return {
+        "corners": [cell(x, y, z) for z in (0, nz - 1) for y in (0, ny - 1) for x in (0, nx - 1)],
+        "faces": [cell(0, 3, 1), cell(nx - 1, 4, 2), cell(2, 0, 1), cell(5, ny - 1, 2),
+                  cell(3, 3, 0), cell(4, 2, nz - 1)],
+        "single": [185],
+        "single-corner": [cell(nx - 1, ny - 1, nz - 1)],
+        "repeats": [17, 0, 17, 17, 185, 0],
+    }
+
+
+def _neural(geometry, rng_seed, **descriptor):
+    return NeuralGenerator.random_init(
+        geometry, GeneratorDescriptor(latent_dim=6, out_extents=(geometry.nx, geometry.ny,
+                                                                  geometry.nz), **descriptor),
+        rng_seed=rng_seed)
+
+
+NEURAL_VARIANTS = {
+    # (generator, batch rows, exact): "default-widths" has the default
+    # descriptor's channels, whose last block and head contract over
+    # kx*C = 12; "wide" contracts over 18, where the OpenBLAS kernels
+    # measured round some columns of a product apart from the rest, so it
+    # agrees to round-off only. "conditioned-rows" has per-row labels.
+    "default-widths": (_neural(NEURAL_GEO, 7), None, True),
+    "one-block": (_neural(NEURAL_GEO, 4, base_channels=4, num_blocks=1), None, True),
+    "two-blocks": (NEURAL, None, True),
+    "three-blocks": (_neural(GridGeometry(nx=8, ny=8, nz=8), 5, base_channels=8, num_blocks=3),
+                     None, True),
+    "conditioned-rows": (_neural(NEURAL_GEO, 6, label_dim=3, base_channels=8), 3, True),
+    "wide": (_neural(NEURAL_GEO, 8, base_channels=24), None, False),
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("cell_set", sorted(_edge_cells(NEURAL_GEO)))
+@pytest.mark.parametrize("variant", sorted(NEURAL_VARIANTS))
+def test_neural_cells_on_edges_equal_gathered_full_grid(variant, cell_set, dtype):
+    gen, rows, exact = NEURAL_VARIANTS[variant]
+    cells = _edge_cells(gen.geometry)[cell_set]
+    pair = _neural_pair(gen, dtype, cells, rows=rows, seed=len(cells))
+    _assert_neural_pair_equal(pair, dtype, (len(cells),) if rows is None else (rows, len(cells)),
+                              exact)
+
+
+@pytest.mark.parametrize("variant", sorted(NEURAL_VARIANTS))
+def test_neural_cells_build_runs_last_conv2_and_head_at_cells(variant, monkeypatch):
+    # the last block's conv2 and the head never run on the full grid: they
+    # are conv3d_at records, one each per row
+    gen, rows, _ = NEURAL_VARIANTS[variant]
+    last = f"block{gen.descriptor.num_blocks - 1}.conv2.w"
+    conv3d, conv3d_at, calls = tc.conv3d, tc.conv3d_at, []
+
+    def tracked(op, fn):
+        def call(x, w, *rest):
+            calls.append((op, w))
+            return fn(x, w, *rest)
+        return call
+
+    monkeypatch.setattr(tc, "conv3d", tracked("conv3d", conv3d))
+    monkeypatch.setattr(tc, "conv3d_at", tracked("conv3d_at", conv3d_at))
+    for cells in (np.array([0, 185, 17, 17]), None):
+        calls.clear()
+        tape = tc.GraphTape(np.float32)
+        weights = {k: tape.constant(v) for k, v in gen.weights().items()}
+        z = sample_prior(rows or 1, gen.latent_dim, rng_seed=2)
+        gen.build(tape, tape.constant(z if rows else z[0]), weights=weights, cells=cells)
+        late = [op for op, w in calls if w is weights[last] or w is weights["head.w"]]
+        if cells is None:
+            assert late == ["conv3d"] * 2 * (rows or 1)
         else:
-            coarse, depo = NEURAL.build(tape, zn, weights=wn, cells=c)
-        grads = tape.backward(_weighted_sum(tape, coarse, depo, seed))
-        out.append((coarse.value, depo.value, grads.wrt(zn), grads.wrt(wn["head.w"])))
-    (c1, d1, gz1, gw1), (c2, d2, gz2, gw2) = out
-    assert c1.shape == (len(cells),)
-    np.testing.assert_array_equal(c1, c2)
-    np.testing.assert_array_equal(d1, d2)
-    np.testing.assert_allclose(gz1, gz2, rtol=1e-12)
-    np.testing.assert_allclose(gw1, gw2, rtol=1e-12)
+            assert late == ["conv3d_at"] * 2 * (rows or 1)
+
+
+def test_neural_cells_build_tape_is_freed_by_reference_counting():
+    gc.disable()
+    try:
+        tape = tc.GraphTape(np.float64)
+        weights = {k: tape.input(v) for k, v in NEURAL.weights().items()}
+        coarse, depo = NEURAL.build(tape, tape.input(np.zeros(6)), weights=weights,
+                                    cells=np.array([3, 50, 50]))
+        ref = weakref.ref(tape)
+        del tape, weights, coarse, depo
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("gen", [PROC, NEURAL], ids=["procedural", "neural"])

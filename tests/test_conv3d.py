@@ -19,6 +19,12 @@ with it as closely.
 
 A record that needs the kernel gradient keeps the once-padded input for
 its backward, never the column buffer, which is kx times larger.
+
+``conv3d_at`` evaluates the same correlation only at given output cells. It
+must equal ``take`` of ``conv3d`` there: bit for bit wherever BLAS rounds
+each column of a product as it does in a wider one, to round-off elsewhere,
+and its kernel and bias gradients bit for bit always. It must also satisfy
+its own adjoint identity.
 """
 
 import tracemalloc
@@ -326,3 +332,191 @@ def test_upconv3d_rejects_bad_shapes(xshape, wshape, bshape, match):
     bias = None if bshape is None else tape.input(np.zeros(bshape))
     with pytest.raises(tc.ShapeError, match=match):
         tc.upconv3d(tape.input(np.zeros(xshape)), tape.input(np.zeros(wshape)), bias)
+
+
+@st.composite
+def cell_conv_cases(draw):
+    c, o = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    shape = tuple(draw(st.integers(1, 6)) for _ in range(3))
+    kshape = tuple(draw(st.sampled_from([1, 3, 5])) for _ in range(3))
+    n = int(np.prod(shape))
+    cells = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+    return (c,) + shape, (o, c) + kshape, np.array(cells), draw(st.booleans()), draw(
+        st.integers(0, 2 ** 16))
+
+
+def columns_round_alike(rows, width, grid_cells):
+    """Whether BLAS rounds each column of a (rows, width) @ (width, N)
+    product as it does in a wider one, as measured on OpenBLAS's kernels:
+    not for one row or a one-cell grid (the matrix-vector path, whose
+    rounding depends on N), nor above width 15 (the last N mod 8 columns
+    of a product round differently from the rest)."""
+    return rows >= 2 and grid_cells >= 2 and width <= 15
+
+
+def assert_round_off(actual, reference, dtype):
+    # one ulp of the storage dtype per entry, on top of float64 round-off
+    # of the largest entry: the two sides sum in different orders
+    reference = np.asarray(reference, dtype=np.float64)
+    scale = float(np.max(np.abs(reference), initial=0.0))
+    bound = np.spacing(np.abs(reference).astype(dtype)).astype(np.float64) + 1e-13 * scale
+    np.testing.assert_array_less(np.abs(np.asarray(actual, dtype=np.float64) - reference),
+                                 bound + np.finfo(np.float64).tiny)
+
+
+def taped_at_cells(x, w, bias, cells, g, dtype, at_cells):
+    """(value, gx, gw[, gbias]) of conv3d at ``cells``: by ``conv3d_at`` or
+    by ``take`` of the full ``conv3d``, on a tape of ``dtype``."""
+    tape = GraphTape(dtype)
+    nodes = [tape.input(v) for v in (x, w) + (() if bias is None else (bias,))]
+    xn, wn, bn = nodes[0], nodes[1], nodes[2] if bias is not None else None
+    c, n, o = x.shape[0], x[0].size, w.shape[0]
+    if at_cells:
+        plan = tc.cell_plan(x.shape[1:], w.shape[2:], cells)
+        out = tc.conv3d_at(tc.reshape(xn, (c, n)), wn, bn, plan)
+    else:
+        out = tc.take(tc.conv3d(xn, wn, bn), np.arange(o)[:, None] * n + cells)
+    grads = tape.backward(out, seed=g)
+    return (out.value,) + tuple(grads.wrt(v).reshape(v.shape) for v in nodes)
+
+
+def assert_at_cells_equal(xshape, wshape, x, w, bias, cells, g):
+    # values and the input gradient bit for bit where BLAS rounds each
+    # column alike (their contractions are kx*C and kx*O wide), else to
+    # round-off; the kernel and bias gradients always bit for bit, as
+    # conv3d_at runs conv3d's own code for them
+    (o, c, *_, kx), grid = wshape, int(np.prod(xshape[1:]))
+    exact = (columns_round_alike(o, kx * c, grid), columns_round_alike(c, kx * o, grid))
+    for dtype in (np.float32, np.float64):
+        args = [v if v is None else v.astype(dtype) for v in (x, w, bias)]
+        got = taped_at_cells(*args, cells, g, dtype, True)
+        want = taped_at_cells(*args, cells, g, dtype, False)
+        assert got[0].dtype == dtype and got[0].shape == (o, cells.size)
+        for a, r, bit in zip(got, want, exact + (True, True)):
+            assert a.shape == r.shape
+            if bit:
+                np.testing.assert_array_equal(a, r)
+            else:
+                assert_round_off(a, r, dtype)
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=cell_conv_cases())
+def test_conv3d_at_equals_take_of_conv3d(case):
+    xshape, wshape, cells, with_bias, seed = case
+    rng = np.random.default_rng(seed)
+    x, w = rng.normal(size=xshape), rng.normal(size=wshape)
+    bias = rng.normal(size=wshape[0]) if with_bias else None
+    g = rng.normal(size=(wshape[0], cells.size))
+    assert_at_cells_equal(xshape, wshape, x, w, bias, cells, g)
+
+
+@pytest.mark.parametrize("xshape, wshape, cells", [
+    ((4, 1, 1, 4), (2, 4, 1, 1, 5), [1]),            # kx*C = 20, the case hypothesis found
+    ((6, 4, 6, 6), (3, 6, 3, 3, 3), [0, 17, 70, 143]),  # kx*C = 18
+    ((2, 4, 4, 4), (6, 2, 3, 3, 3), [5, 21, 42]),      # kx*O = 18 in the input gradient
+    ((3, 4, 4, 4), (1, 3, 3, 3, 3), [5, 21, 42]),      # one output channel
+    ((1, 1, 1, 1), (2, 1, 3, 3, 3), [0]),              # a one-cell grid
+])
+def test_conv3d_at_agrees_to_round_off_where_columns_round_apart(xshape, wshape, cells):
+    # outside columns_round_alike the values or the input gradient may
+    # differ from conv3d's in the last bit; the gap is bounded, not hidden
+    x, w, bias, _ = random_case(xshape, wshape, seed=11)
+    cells = np.array(cells)
+    g = np.random.default_rng(12).normal(size=(wshape[0], cells.size))
+    assert_at_cells_equal(xshape, wshape, x, w, bias, cells, g)
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=cell_conv_cases())
+def test_conv3d_at_satisfies_its_adjoint_identity(case):
+    xshape, wshape, cells, _, seed = case
+    rng = np.random.default_rng(seed)
+    xv, wv = rng.normal(size=xshape), rng.normal(size=wshape)
+    yv = rng.normal(size=(wshape[0], cells.size))
+    tape = GraphTape(np.float64)
+    x, w = tape.input(xv.reshape(xshape[0], -1)), tape.input(wv)
+    out = tc.conv3d_at(x, w, None, tc.cell_plan(xshape[1:], wshape[2:], cells))
+    grads = tape.backward(out, seed=yv)
+    # bilinear: <conv(x, w), y> = <x, gx(y)> = <w, gw(y)>
+    lhs = float(np.sum(out.value * yv))
+    scale = float(np.sum(np.abs(conv3d_reference(np.abs(xv), np.abs(wv)).reshape(
+        wshape[0], -1)[:, cells] * yv))) + 1.0
+    assert abs(lhs - float(np.sum(x.value * grads.wrt(x)))) <= 1e-12 * scale
+    assert abs(lhs - float(np.sum(wv * grads.wrt(w)))) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("cells", [[185], [0], [255], [0, 7, 56, 63, 192, 255], [28, 197, 184]],
+                         ids=["one", "first", "last", "corners", "faces"])
+def test_conv3d_at_is_exact_on_edges_and_single_cells(cells):
+    # a one-column product would take the matrix-vector path, which rounds
+    # differently; taps outside the grid read the zero column
+    x, w, bias, g = random_case((4, 4, 8, 8), (4, 4, 3, 3, 3), seed=9)
+    cells = np.array(cells)
+    assert_at_cells_equal(x.shape, w.shape, x, w, bias, cells, g[:, 0, 0, :cells.size])
+
+
+def test_conv3d_at_reads_an_input_held_at_sources():
+    rng = np.random.default_rng(10)
+    shape, kshape = (4, 6, 5), (3, 3, 3)
+    x, w = rng.normal(size=(3,) + shape), rng.normal(size=(2, 3) + kshape)
+    cells = np.array([0, 31, 64, 119])
+    sources = tc.cell_plan(shape, kshape, cells).read
+    g = rng.normal(size=(2, cells.size))
+    out = []
+    for held in (False, True):
+        plan = tc.cell_plan(shape, kshape, cells, sources if held else None)
+        tape = GraphTape(np.float64)
+        xn = tape.input(x.reshape(3, -1)[:, sources] if held else x.reshape(3, -1))
+        wn = tape.input(w)
+        node = tc.conv3d_at(xn, wn, None, plan)
+        grads = tape.backward(node, seed=g)
+        gx = grads.wrt(xn) if held else grads.wrt(xn)[:, sources]
+        out.append((node.value, gx, grads.wrt(wn)))
+    for full, held in zip(*out):
+        np.testing.assert_array_equal(held, full)
+    with pytest.raises(tc.TensorError, match="outside sources"):
+        tc.cell_plan(shape, kshape, cells, sources[1:])
+
+
+def test_cell_plan_is_read_only_and_transposes_its_taps():
+    plan = tc.cell_plan((3, 4, 5), (3, 1, 3), [7, 0, 33])
+    for v in (plan.cells, plan.taps, plan.read, plan.back):
+        assert not v.flags.writeable
+    # cell p's tap (i, k) reads column q exactly when the flipped tap at q
+    # meets p, and the flipped taps meet no other cell
+    r, kx, p = plan.taps.shape
+    inside = list(zip(*np.nonzero(plan.taps < 60)))
+    for i, k, pp in inside:
+        q = np.searchsorted(plan.read, plan.taps[i, k, pp])
+        assert plan.back[r - 1 - i, kx - 1 - k, q] == pp
+    assert np.count_nonzero(plan.back < p) == len(inside)
+
+
+@pytest.mark.parametrize("args, error, match", [
+    (((4, 4, 4), (3, 3, 3), [64]), tc.TensorError, "indices"),
+    (((4, 4, 4), (3, 3, 3), [[1]]), tc.TensorError, "1-D"),
+    (((4, 4, 4), (3, 2, 3), [1]), tc.ShapeError, "odd"),
+    (((4, 4, 4), (3, 3, 3), [1], [2, 1]), tc.TensorError, "sorted"),
+    (((4, 4, 4), (3, 3, 3), [5, 9, 5]), tc.TensorError, "distinct"),
+])
+def test_cell_plan_rejects_bad_plans(args, error, match):
+    # repeated output cells are refused: the input gradient's plan meets
+    # each output cell once per tap
+    with pytest.raises(error, match=match):
+        tc.cell_plan(*args)
+
+
+@pytest.mark.parametrize("xshape, wshape, bshape, match", [
+    ((2, 64), (2, 2, 3, 3), None, "kernel"),
+    ((2, 64), (2, 3, 3, 3, 3), None, "kernel"),
+    ((2, 63), (2, 2, 3, 3, 3), None, "kernel"),
+    ((2, 64), (2, 2, 1, 3, 3), None, "kernel"),
+    ((2, 64), (2, 2, 3, 3, 3), (3,), "bias"),
+])
+def test_conv3d_at_rejects_bad_shapes(xshape, wshape, bshape, match):
+    tape = GraphTape(np.float64)
+    bias = None if bshape is None else tape.input(np.zeros(bshape))
+    with pytest.raises(tc.ShapeError, match=match):
+        tc.conv3d_at(tape.input(np.zeros(xshape)), tape.input(np.zeros(wshape)), bias,
+                     tc.cell_plan((4, 4, 4), (3, 3, 3), [0, 5]))

@@ -152,3 +152,19 @@ def test_ensemble_shapes_and_determinism():
     assert a.states.shape == (4, 100, 3)
     np.testing.assert_array_equal(a.states, b.states)
     assert a.retained().shape[1] == 30
+
+
+def test_chain_with_a_nan_start_moves():
+    # a NaN initial log-posterior scores -inf, as a NaN proposal is rejected,
+    # so the chain accepts its first finite proposal instead of never moving
+    calls = []
+
+    def logp(z):
+        calls.append(None)
+        return math.nan if len(calls) == 1 else standard_normal_logp(z)
+
+    cfg = DreamConfig(n_chains=4, generations=60, burn_in=0, rng_seed=5)
+    ens = dream_zs(logp, d=4, config=cfg)
+    for chain in ens.states:
+        assert np.ptp(chain, axis=0).max() > 0
+    assert np.all(np.isfinite(ens.log_posteriors[:, -1]))

@@ -180,6 +180,25 @@ def test_extract_out_of_bounds_rejected():
         extract_well_data(grid_with_marker(), [(16, 0)])
 
 
+@pytest.mark.parametrize("location", [(1.5, 2), (1, 2.0), (1, None)])
+def test_extract_rejects_non_integer_coordinates(location):
+    with pytest.raises(SurveyError, match="integers"):
+        extract_well_data(grid_with_marker(), [location])
+
+
+def test_well_dataset_rejects_non_integer_coordinates():
+    geometry = grid_with_marker().geometry
+    with pytest.raises(SurveyError, match="well W00 .*integers"):
+        WellDataset(geometry, [Well("W00", 1.5, 2)], np.zeros((1, geometry.nz)))
+
+
+def test_extract_accepts_numpy_integer_coordinates():
+    grid = grid_with_marker()
+    ds = extract_well_data(grid, [(np.int64(3), np.int32(7))])
+    np.testing.assert_array_equal(ds.columns, extract_well_data(grid, [(3, 7)]).columns)
+    assert (ds.wells[0].ix, ds.wells[0].iy) == (3, 7)
+
+
 def test_subset_keeps_the_first_wells():
     ds = extract_well_data(grid_with_marker(), [(3, 7), (10, 2), (5, 9)])
     for n in (0, 2, np.int64(3)):

@@ -409,6 +409,9 @@ def _record_builders():
                                       t.input(np.zeros(2))),
         "upconv3d": lambda t: tc.upconv3d(x(t), t.input(np.ones((2, 1, 3, 3, 3))),
                                           t.input(np.zeros(2))),
+        "conv3d_at": lambda t: tc.conv3d_at(
+            tc.reshape(x(t), (1, 24)), t.input(np.ones((2, 1, 3, 3, 3))), t.input(np.zeros(2)),
+            tc.cell_plan((2, 3, 4), (3, 3, 3), [0, 13, 23])),
     }
 
 

@@ -140,3 +140,12 @@ def test_gaussian_data_loglik_rejects_non_positive_sigma(sigma):
     wells = extract_well_data(gen.generate(np.zeros(3)), [(0, 0)])
     with pytest.raises(InversionError, match="sigma"):
         gaussian_data_loglik(gen, Observations(wells=wells), sigma)
+
+
+@pytest.mark.parametrize("sigma", [float("inf"), float("nan")])
+def test_gaussian_data_loglik_rejects_non_finite_sigma(sigma):
+    # sigma = inf made every log-likelihood -0.0, so each method fit the prior
+    gen = LinearGenerator(np.eye(3))
+    wells = extract_well_data(gen.generate(np.zeros(3)), [(0, 0)])
+    with pytest.raises(InversionError, match="finite"):
+        gaussian_data_loglik(gen, Observations(wells=wells), sigma)
