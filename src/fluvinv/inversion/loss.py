@@ -64,6 +64,8 @@ class DataLoss:
         self.config = config or DataLossConfig()
         if self.config.use_wells and observations.wells is None:
             raise InversionError("well term active but no well dataset given")
+        if self.config.use_wells and not observations.wells.wells:
+            raise InversionError("well term active but the well dataset has no wells")
         if self.config.use_seismic and observations.seismic is None:
             raise InversionError("seismic term active but no seismic cube given")
         self.geometry = geometry or (observations.wells.geometry

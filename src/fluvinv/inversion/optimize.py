@@ -439,8 +439,8 @@ def pivotal_tune(generator, pivots, observations, config=None):
         raise InversionError(
             "pivotal tuning requires pre-inverted pivot latents; "
             "random starts are not accepted")
-    if observations.wells is None:
-        raise InversionError("pivotal tuning needs well observations to score pivots")
+    if observations.wells is None or not observations.wells.wells:
+        raise InversionError("pivotal tuning needs at least one well to score pivots")
 
     t0 = time.perf_counter()
     mae_before = _generator_well_mae(generator, pivots, observations.wells, config.dtype)

@@ -76,13 +76,14 @@ class WellDataset:
     def __post_init__(self):
         for w in self.wells:
             _check_location(w.ix, w.iy, self.geometry, f"well {w.well_id}")
-        if self.columns is not None:
-            if self.columns.shape != (len(self.wells), self.geometry.nz):
-                raise SurveyError(
-                    f"column block {self.columns.shape} does not match "
-                    f"{len(self.wells)} wells x {self.geometry.nz} layers")
-            if self.columns.size and (self.columns.min() < 0 or self.columns.max() > 1):
-                raise SurveyError("well values must lie in [0, 1]")
+        if self.columns is None:
+            raise SurveyError("a well dataset needs its (n_wells, nz) column block")
+        if self.columns.shape != (len(self.wells), self.geometry.nz):
+            raise SurveyError(
+                f"column block {self.columns.shape} does not match "
+                f"{len(self.wells)} wells x {self.geometry.nz} layers")
+        if self.columns.size and (self.columns.min() < 0 or self.columns.max() > 1):
+            raise SurveyError("well values must lie in [0, 1]")
 
     def flat_cell_indices(self):
         """Indices into a flattened (nz, ny, nx) channel, layer-major."""

@@ -1,8 +1,11 @@
 """Dense tensors with taped reverse-mode gradients.
 
 A small eager engine: every operation computes its result with numpy and
-appends a record to a :class:`GraphTape`; ``GraphTape.backward`` replays the
-records in reverse order to accumulate exact gradients for all inputs.
+enters the :class:`GraphTape` through one method, ``GraphTape._op``, which
+makes the output node and, when some input takes a gradient, appends the
+op's record; :func:`custom` is its public form, for a function with a
+hand-derived backward. ``GraphTape.backward`` replays the records in
+reverse order to accumulate exact gradients for all inputs.
 
 Storage is float32 by default with a float64 mode for verification runs.
 Contractions and reductions always accumulate in float64 with a fixed
@@ -151,13 +154,27 @@ class GraphTape:
         self._n_nodes += 1
         return node
 
-    def _record(self, out, inputs, backward):
-        self._records.append(
-            (out.idx,
-             tuple(i.idx for i in inputs),
-             tuple(i.requires_grad for i in inputs),
-             backward)
-        )
+    def _op(self, value, inputs, backward):
+        """The output node of an op over ``inputs`` (nodes of this tape):
+        ``value`` cast to the storage dtype. If some input takes a gradient,
+        the op's record is appended; else no record is built at all.
+
+        ``backward(g)`` gives a gradient or None per input, in order; parts
+        past the last input are ignored. The record keeps the input indices
+        and ``requires_grad`` flags, never the nodes, so ``backward`` must
+        capture arrays and flags only: a closure over a node would make the
+        tape a reference cycle.
+        """
+        value = np.asarray(value, dtype=self.dtype)
+        for n in inputs:  # a loop, cheaper than any() over a generator
+            if n.requires_grad:
+                break
+        else:
+            return self._new_node(value, False)
+        out = self._new_node(value, True)
+        self._records.append((out.idx, tuple(n.idx for n in inputs),
+                              tuple(n.requires_grad for n in inputs), backward))
+        return out
 
     # -- reverse pass ------------------------------------------------------
     def backward(self, output, seed=None):
@@ -233,116 +250,6 @@ def _unbroadcast(grad, shape):
     return grad.reshape(shape)
 
 
-def _binary(name, a, b, forward, back_a, back_b, keep):
-    """Elementwise op of two operands. ``back_a(g, x, y, o)`` and ``back_b``
-    give the operand gradients; ``keep`` names the values they read (x, y:
-    operands, o: output). The others reach them as None, and the record
-    captures ``requires_grad`` flags rather than the operand nodes, so a tape
-    holds no array that its backward never reads."""
-    tape = _tape_of(a, b)
-    a = _coerce(tape, a)
-    b = _coerce(tape, b)
-    try:
-        value = forward(a.value, b.value)
-    except ValueError:
-        raise ShapeError(f"{name}: incompatible shapes {a.shape} and {b.shape}") from None
-    value = np.asarray(value, dtype=tape.dtype)
-    out = tape._new_node(value, a.requires_grad or b.requires_grad)
-    if out.requires_grad:
-        a_req, b_req = a.requires_grad, b.requires_grad
-        a_shape, b_shape = a.value.shape, b.value.shape
-        av = a.value if "x" in keep else None
-        bv = b.value if "y" in keep else None
-        ov = value if "o" in keep else None
-
-        def backward(g):
-            ga = _unbroadcast(back_a(g, av, bv, ov), a_shape) if a_req else None
-            gb = _unbroadcast(back_b(g, av, bv, ov), b_shape) if b_req else None
-            return (ga, gb)
-
-        tape._record(out, (a, b), backward)
-    return out
-
-
-def _unary(name, x, forward, back, keep):
-    """Elementwise op of one operand; ``back(g, v, o)`` reads the values that
-    ``keep`` names (v: operand, o: output), and the others are None."""
-    tape = _tape_of(x)
-    value = np.asarray(forward(x.value), dtype=tape.dtype)
-    out = tape._new_node(value, x.requires_grad)
-    if out.requires_grad:
-        xv = x.value if "v" in keep else None
-        ov = value if "o" in keep else None
-
-        def backward(g):
-            return (back(g, xv, ov),)
-
-        tape._record(out, (x,), backward)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# elementwise primitives (broadcasting, gradients reduced back to operands)
-
-def add(a, b):
-    return _binary("add", a, b, lambda x, y: x + y,
-                   lambda g, x, y, o: g, lambda g, x, y, o: g, keep="")
-
-
-def sub(a, b):
-    return _binary("sub", a, b, lambda x, y: x - y,
-                   lambda g, x, y, o: g, lambda g, x, y, o: -g, keep="")
-
-
-def mul(a, b):
-    return _binary("mul", a, b, lambda x, y: x * y,
-                   lambda g, x, y, o: g * y, lambda g, x, y, o: g * x, keep="xy")
-
-
-def div(a, b):
-    return _binary("div", a, b, lambda x, y: x / y,
-                   lambda g, x, y, o: g / y,
-                   lambda g, x, y, o: -g * x / (y * y), keep="xy")
-
-
-def neg(x):
-    return _unary("neg", x, lambda v: -v, lambda g, v, o: -g, keep="")
-
-
-def absolute(x):
-    return _unary("abs", x, np.abs, lambda g, v, o: g * np.sign(v), keep="v")
-
-
-def exp(x):
-    return _unary("exp", x, np.exp, lambda g, v, o: g * o, keep="o")
-
-
-def log(x):
-    return _unary("log", x, np.log, lambda g, v, o: g / v, keep="v")
-
-
-def sqrt(x):
-    return _unary("sqrt", x, np.sqrt, lambda g, v, o: g * 0.5 / o, keep="o")
-
-
-def square(x):
-    return _unary("square", x, np.square, lambda g, v, o: g * 2.0 * v, keep="v")
-
-
-def power(x, p):
-    p = float(p)
-    return _unary("power", x, lambda v: np.power(v, p),
-                  lambda g, v, o: g * p * np.power(v, p - 1.0), keep="v")
-
-
-def sin(x):
-    return _unary("sin", x, np.sin, lambda g, v, o: g * np.cos(v), keep="v")
-
-
-def tanh(x):
-    return _unary("tanh", x, np.tanh, lambda g, v, o: g * (1.0 - o * o), keep="o")
-
-
 def _stable_sigmoid(v, out=None):
     # exp never overflows: 1/(1+e^-v) for v >= 0, e^v/(1+e^v) below. The
     # result goes to ``out`` (an array of v's shape and dtype, v itself
@@ -360,30 +267,144 @@ def _stable_sigmoid(v, out=None):
     return out
 
 
+# The elementwise ops without parameters, made once, not on every call:
+# binary (forward, gradient rule per operand, whether the rules read the
+# operands) with rules (g, x, y); unary (forward, rule, the values it reads)
+# with rules (g, v, o), v the operand and o the output.
+_BINARY = {
+    "add": (np.add, lambda g, x, y: g, lambda g, x, y: g, False),
+    "sub": (np.subtract, lambda g, x, y: g, lambda g, x, y: -g, False),
+    "mul": (np.multiply, lambda g, x, y: g * y, lambda g, x, y: g * x, True),
+    "div": (np.divide, lambda g, x, y: g / y, lambda g, x, y: -g * x / (y * y), True),
+}
+_UNARY = {
+    "neg": (np.negative, lambda g, v, o: -g, ""),
+    "abs": (np.abs, lambda g, v, o: g * np.sign(v), "v"),
+    "exp": (np.exp, lambda g, v, o: g * o, "o"),
+    "log": (np.log, lambda g, v, o: g / v, "v"),
+    "sqrt": (np.sqrt, lambda g, v, o: g * 0.5 / o, "o"),
+    "square": (np.square, lambda g, v, o: g * 2.0 * v, "v"),
+    "sin": (np.sin, lambda g, v, o: g * np.cos(v), "v"),
+    "tanh": (np.tanh, lambda g, v, o: g * (1.0 - o * o), "o"),
+    "sigmoid": (_stable_sigmoid, lambda g, v, o: g * o * (1.0 - o), "o"),
+}
+
+
+def _binary(name, a, b):
+    """The binary elementwise op ``name`` of :data:`_BINARY`. Its backward
+    keeps flags, shapes and only the operand values that the rules read.
+    Like those of :func:`_unary` and :func:`_reduction`, it binds them as
+    default arguments, which cost less than closure cells: a forward-only
+    graph makes one backward per op and drops it."""
+    forward, back_a, back_b, keep = _BINARY[name]
+    tape = _tape_of(a, b)
+    a = _coerce(tape, a)
+    b = _coerce(tape, b)
+    try:
+        value = forward(a.value, b.value)
+    except ValueError:
+        raise ShapeError(f"{name}: incompatible shapes {a.shape} and {b.shape}") from None
+    av, bv = (a.value, b.value) if keep else (None, None)
+
+    def backward(g, a_req=a.requires_grad, b_req=b.requires_grad, a_shape=a.value.shape,
+                 b_shape=b.value.shape, back_a=back_a, back_b=back_b, av=av, bv=bv):
+        ga = _unbroadcast(back_a(g, av, bv), a_shape) if a_req else None
+        gb = _unbroadcast(back_b(g, av, bv), b_shape) if b_req else None
+        return (ga, gb)
+
+    return tape._op(value, (a, b), backward)
+
+
+def _unary(name, x, op=None):
+    """The unary elementwise op ``op``, a (forward, rule, values read) as in
+    :data:`_UNARY`, by default its entry ``name``. Values the rule does not
+    read reach it as None. An operand of the storage dtype gives an output of
+    that dtype, so ``o`` is the output's value."""
+    forward, back, keep = op or _UNARY[name]
+    tape = _tape_of(x)
+    value = forward(x.value)
+    xv = x.value if "v" in keep else None
+    ov = value if "o" in keep else None
+    return tape._op(value, (x,), lambda g, back=back, xv=xv, ov=ov: (back(g, xv, ov),))
+
+
+# ---------------------------------------------------------------------------
+# elementwise primitives (broadcasting, gradients reduced back to operands)
+
+def add(a, b):
+    return _binary("add", a, b)
+
+
+def sub(a, b):
+    return _binary("sub", a, b)
+
+
+def mul(a, b):
+    return _binary("mul", a, b)
+
+
+def div(a, b):
+    return _binary("div", a, b)
+
+
+def neg(x):
+    return _unary("neg", x)
+
+
+def absolute(x):
+    return _unary("abs", x)
+
+
+def exp(x):
+    return _unary("exp", x)
+
+
+def log(x):
+    return _unary("log", x)
+
+
+def sqrt(x):
+    return _unary("sqrt", x)
+
+
+def square(x):
+    return _unary("square", x)
+
+
+def power(x, p):
+    p = float(p)
+    return _unary("power", x, (lambda v: np.power(v, p),
+                               lambda g, v, o: g * p * np.power(v, p - 1.0), "v"))
+
+
+def sin(x):
+    return _unary("sin", x)
+
+
+def tanh(x):
+    return _unary("tanh", x)
+
+
 def sigmoid(x):
-    return _unary("sigmoid", x, _stable_sigmoid, lambda g, v, o: g * o * (1.0 - o),
-                  keep="o")
+    return _unary("sigmoid", x)
 
 
 def leaky_relu(x, slope=0.2):
     slope = float(slope)
-    return _unary("leaky_relu", x,
-                  lambda v: np.where(v > 0, v, slope * v),
-                  lambda g, v, o: g * np.where(v > 0, 1.0, slope), keep="v")
+    return _unary("leaky_relu", x, (lambda v: np.where(v > 0, v, slope * v),
+                                    lambda g, v, o: g * np.where(v > 0, 1.0, slope), "v"))
 
 
 def clamp(x, lo, hi):
     lo, hi = float(lo), float(hi)
-    return _unary("clamp", x,
-                  lambda v: np.clip(v, lo, hi),
-                  lambda g, v, o: g * ((v > lo) & (v < hi)), keep="v")
+    return _unary("clamp", x, (lambda v: np.clip(v, lo, hi),
+                               lambda g, v, o: g * ((v > lo) & (v < hi)), "v"))
 
 
 def affine(x, scale, offset):
     """scale * x + offset with float coefficients."""
     scale, offset = float(scale), float(offset)
-    return _unary("affine", x, lambda v: scale * v + offset,
-                  lambda g, v, o: g * scale, keep="")
+    return _unary("affine", x, (lambda v: scale * v + offset, lambda g, v, o: g * scale, ""))
 
 
 def custom(fn, *nodes):
@@ -398,31 +419,21 @@ def custom(fn, *nodes):
     tape = _tape_of(*nodes)
     nodes = [_coerce(tape, n) for n in nodes]
     value, vjp = fn(*(n.value for n in nodes))
-    out = tape._new_node(np.asarray(value, dtype=tape.dtype),
-                         any(n.requires_grad for n in nodes))
-    if out.requires_grad:
-        shapes = tuple(n.value.shape for n in nodes)
-        reqs = tuple(n.requires_grad for n in nodes)
+    shapes = tuple(n.value.shape for n in nodes)
+    reqs = tuple(n.requires_grad for n in nodes)
 
-        def backward(g):
-            parts = tuple(vjp(g))
-            if len(parts) != len(shapes):
-                raise ShapeError(f"custom: vjp gave {len(parts)} gradients "
-                                 f"for {len(shapes)} inputs")
-            out = []
-            for part, shape, req in zip(parts, shapes, reqs):
-                if part is None or not req:
-                    out.append(None)
-                    continue
-                part = np.asarray(part)
-                if part.shape != shape:
-                    raise ShapeError(f"custom: gradient of shape {part.shape} "
-                                     f"for an input of shape {shape}")
-                out.append(part)
-            return tuple(out)
+    def backward(g):
+        parts = tuple(vjp(g))
+        if len(parts) != len(shapes):
+            raise ShapeError(f"custom: vjp gave {len(parts)} gradients "
+                             f"for {len(shapes)} inputs")
+        for part, shape, req in zip(parts, shapes, reqs):
+            if req and part is not None and np.shape(part) != shape:
+                raise ShapeError(f"custom: gradient of shape {np.shape(part)} "
+                                 f"for an input of shape {shape}")
+        return parts
 
-        tape._record(out, nodes, backward)
-    return out
+    return tape._op(value, nodes, backward)
 
 
 # ---------------------------------------------------------------------------
@@ -437,18 +448,14 @@ def crop(x, slices):
     for s in slices:
         if s.step not in (None, 1):
             raise TensorError("crop: only unit-step slices are supported")
-    value = np.ascontiguousarray(x.value[slices])
-    out = tape._new_node(value, x.requires_grad)
-    if out.requires_grad:
-        in_shape = x.value.shape
+    in_shape = x.value.shape
 
-        def backward(g):
-            buf = np.zeros(in_shape, dtype=g.dtype)
-            buf[slices] = g
-            return (buf,)
+    def backward(g):
+        buf = np.zeros(in_shape, dtype=g.dtype)
+        buf[slices] = g
+        return (buf,)
 
-        tape._record(out, (x,), backward)
-    return out
+    return tape._op(np.ascontiguousarray(x.value[slices]), (x,), backward)
 
 
 def concat(nodes, axis=0):
@@ -460,21 +467,18 @@ def concat(nodes, axis=0):
     except ValueError:
         raise ShapeError(
             f"concat: incompatible shapes {[n.shape for n in nodes]} along axis {axis}") from None
-    out = tape._new_node(value, any(n.requires_grad for n in nodes))
-    if out.requires_grad:
-        sizes = [n.value.shape[axis] for n in nodes]
+    sizes = [n.value.shape[axis] for n in nodes]
+
+    def backward(g):
         offsets = np.cumsum([0] + sizes)
+        parts = []
+        for i in range(len(sizes)):
+            sl = [slice(None)] * g.ndim
+            sl[axis] = slice(offsets[i], offsets[i + 1])
+            parts.append(np.ascontiguousarray(g[tuple(sl)]))
+        return tuple(parts)
 
-        def backward(g):
-            parts = []
-            for i in range(len(sizes)):
-                sl = [slice(None)] * g.ndim
-                sl[axis] = slice(offsets[i], offsets[i + 1])
-                parts.append(np.ascontiguousarray(g[tuple(sl)]))
-            return tuple(parts)
-
-        tape._record(out, tuple(nodes), backward)
-    return out
+    return tape._op(value, nodes, backward)
 
 
 def stack(nodes):
@@ -486,15 +490,7 @@ def stack(nodes):
         value = np.stack([n.value for n in nodes])
     except ValueError:
         raise ShapeError(f"stack: unequal shapes {[n.shape for n in nodes]}") from None
-    out = tape._new_node(value, any(n.requires_grad for n in nodes))
-    if out.requires_grad:
-        n = len(nodes)
-
-        def backward(g):
-            return tuple(g[i] for i in range(n))
-
-        tape._record(out, tuple(nodes), backward)
-    return out
+    return tape._op(value, nodes, lambda g: tuple(g))
 
 
 def reshape(x, shape):
@@ -503,15 +499,8 @@ def reshape(x, shape):
         value = x.value.reshape(shape)
     except ValueError:
         raise ShapeError(f"reshape: cannot reshape {x.shape} to {shape}") from None
-    out = tape._new_node(value, x.requires_grad)
-    if out.requires_grad:
-        in_shape = x.value.shape
-
-        def backward(g):
-            return (g.reshape(in_shape),)
-
-        tape._record(out, (x,), backward)
-    return out
+    in_shape = x.value.shape
+    return tape._op(value, (x,), lambda g: (g.reshape(in_shape),))
 
 
 def take(x, indices):
@@ -520,18 +509,14 @@ def take(x, indices):
     idx = np.asarray(indices, dtype=np.intp)
     if idx.size and (idx.min() < 0 or idx.max() >= x.value.size):
         raise TensorError("take: index out of range")
-    value = x.value.reshape(-1)[idx]
-    out = tape._new_node(value, x.requires_grad)
-    if out.requires_grad:
-        in_shape, size = x.value.shape, x.value.size
+    in_shape, size = x.value.shape, x.value.size
 
-        def backward(g):
-            buf = np.zeros(size, dtype=_ACC)
-            np.add.at(buf, idx.ravel(), np.asarray(g, dtype=_ACC).ravel())
-            return (buf.reshape(in_shape),)
+    def backward(g):
+        buf = np.zeros(size, dtype=_ACC)
+        np.add.at(buf, idx.ravel(), np.asarray(g, dtype=_ACC).ravel())
+        return (buf.reshape(in_shape),)
 
-        tape._record(out, (x,), backward)
-    return out
+    return tape._op(x.value.reshape(-1)[idx], (x,), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -541,20 +526,14 @@ def _reduction(tape, x, total, count=1, axes=None):
     """Record ``total / count``, ``total`` a float64 sum of ``x`` over
     ``axes`` (None: all of them); the backward spreads ``g / count`` back
     over those axes. A sum (``count`` 1) skips the division."""
-    out = tape._new_node(np.asarray(total if count == 1 else total / count, dtype=tape.dtype),
-                         x.requires_grad)
-    if out.requires_grad:
-        shape = x.value.shape
+    def backward(g, count=count, axes=axes, shape=x.value.shape):
+        if count != 1:
+            g = g / count
+        if axes is not None:
+            g = np.expand_dims(g, axes)
+        return (np.broadcast_to(g, shape),)
 
-        def backward(g):
-            if count != 1:
-                g = g / count
-            if axes is not None:
-                g = np.expand_dims(g, axes)
-            return (np.broadcast_to(g, shape),)
-
-        tape._record(out, (x,), backward)
-    return out
+    return tape._op(total if count == 1 else total / count, (x,), backward)
 
 
 def sum_all(x):
@@ -612,24 +591,16 @@ def dense(w, x, bias=None):
             raise ShapeError(f"dense: bias {bias.shape} incompatible with weight {w.shape}")
         value = value + bias.value
         inputs.append(bias)
-    value = np.asarray(value, dtype=tape.dtype)
-    out = tape._new_node(value, any(n.requires_grad for n in inputs))
-    if out.requires_grad:
-        wv, xv = w.value, x.value
-        w_req, x_req = w.requires_grad, x.requires_grad
-        bias_shape = None if bias is None else bias.value.shape
-        bias_req = bias is not None and bias.requires_grad
+    wv, xv = w.value, x.value
+    w_req, x_req = w.requires_grad, x.requires_grad
+    bias_req = bias is not None and bias.requires_grad
 
-        def backward(g):
-            gw = np.einsum(f"{ys},{xs}->mn", g, xv, dtype=_ACC) if w_req else None
-            gx = np.einsum(f"mn,{ys}->{xs}", wv, g, dtype=_ACC) if x_req else None
-            parts = [gw, gx]
-            if bias_shape is not None:
-                parts.append(_unbroadcast(g, bias_shape) if bias_req else None)
-            return tuple(parts)
+    def backward(g):
+        gw = np.einsum(f"{ys},{xs}->mn", g, xv, dtype=_ACC) if w_req else None
+        gx = np.einsum(f"mn,{ys}->{xs}", wv, g, dtype=_ACC) if x_req else None
+        return gw, gx, (_unbroadcast(g, wv.shape[:1]) if bias_req else None)
 
-        tape._record(out, tuple(inputs), backward)
-    return out
+    return tape._op(value, inputs, backward)
 
 
 def _along_axis(v, m, axis):
@@ -662,16 +633,8 @@ def matmul_axis(x, m, axis):
     m = np.asarray(m, dtype=_ACC)
     if m.ndim != 2 or not 0 <= axis < x.value.ndim or m.shape[1] != x.value.shape[axis]:
         raise ShapeError(f"matmul_axis: matrix {m.shape} does not fit axis {axis} of {x.shape}")
-    value = np.asarray(_along_axis(x.value, m, axis), dtype=tape.dtype)
-    out = tape._new_node(value, x.requires_grad)
-    if out.requires_grad:
-        mt = m.T
-
-        def backward(g):
-            return (_along_axis(g, mt, axis),)
-
-        tape._record(out, (x,), backward)
-    return out
+    mt = m.T
+    return tape._op(_along_axis(x.value, m, axis), (x,), lambda g: (_along_axis(g, mt, axis),))
 
 
 def _padded(v, kshape):
@@ -817,31 +780,23 @@ def conv3d(x, w, bias=None):
     if bias is not None:
         value = value + bias.value[:, None, None, None]
         inputs.append(bias)
-    value = np.ascontiguousarray(value, dtype=tape.dtype)
-    out = tape._new_node(value, any(n.requires_grad for n in inputs))
-    if out.requires_grad:
-        wv = w.value
-        x_req, w_req = x.requires_grad, w.requires_grad
-        has_bias = bias is not None
-        bias_req = has_bias and bias.requires_grad
-        flat = flat if w_req else None
+    wv = w.value
+    x_req, w_req = x.requires_grad, w.requires_grad
+    bias_req = bias is not None and bias.requires_grad
+    flat = flat if w_req else None
 
-        def backward(g):
-            gflat = _padded(g, kshape)
-            gx = gw = None
-            if x_req:
-                # correlate the output gradient with the flipped, channel-swapped kernel
-                wt = wv[:, :, ::-1, ::-1, ::-1].transpose(1, 0, 2, 3, 4)
-                gx = _correlate(_columns(gflat, kshape[2]), wt, shape)
-            if w_req:
-                gw = _kernel_grad(flat, gflat, kshape, shape)
-            parts = [gx, gw]
-            if has_bias:
-                parts.append(_bias_grad(g) if bias_req else None)
-            return tuple(parts)
+    def backward(g):
+        gflat = _padded(g, kshape)
+        gx = gw = None
+        if x_req:
+            # correlate the output gradient with the flipped, channel-swapped kernel
+            wt = wv[:, :, ::-1, ::-1, ::-1].transpose(1, 0, 2, 3, 4)
+            gx = _correlate(_columns(gflat, kshape[2]), wt, shape)
+        if w_req:
+            gw = _kernel_grad(flat, gflat, kshape, shape)
+        return gx, gw, (_bias_grad(g) if bias_req else None)
 
-        tape._record(out, tuple(inputs), backward)
-    return out
+    return tape._op(np.ascontiguousarray(value, dtype=tape.dtype), inputs, backward)
 
 
 CellPlan = collections.namedtuple("CellPlan", "shape kshape cells sources taps read back")
@@ -981,33 +936,25 @@ def conv3d_at(x, w, bias, plan):
     value = _correlate_at(x.value, _row_blocks(w.value), plan.taps)
     if bias is not None:
         value = value + bias.value[:, None]
-    out = tape._new_node(np.ascontiguousarray(value, dtype=tape.dtype),
-                         any(node.requires_grad for node in inputs))
-    if out.requires_grad:
-        x_req, w_req = x.requires_grad, w.requires_grad
-        wv, xv = w.value, x.value if w_req else None
-        has_bias = bias is not None
-        bias_req = has_bias and bias.requires_grad
+    x_req, w_req = x.requires_grad, w.requires_grad
+    wv, xv = w.value, x.value if w_req else None
+    bias_req = bias is not None and bias.requires_grad
 
-        def backward(g):
-            gx = gw = None
-            if x_req:
-                wt = wv[:, :, ::-1, ::-1, ::-1].transpose(1, 0, 2, 3, 4)
-                gx = np.zeros((c, n), dtype=_ACC)
-                gx[:, plan.read] = _correlate_at(g, _row_blocks(wt), plan.back)
-            if w_req or bias_req:
-                g = _on_grid(g, shape, plan.cells, g.dtype)
-            if w_req:
-                xg = xv.reshape((c,) + shape) if plan.sources is None else _on_grid(
-                    xv, shape, plan.sources, _ACC)
-                gw = _kernel_grad(_padded(xg, kshape), _padded(g, kshape), kshape, shape)
-            parts = [gx, gw]
-            if has_bias:
-                parts.append(_bias_grad(g) if bias_req else None)
-            return tuple(parts)
+    def backward(g):
+        gx = gw = None
+        if x_req:
+            wt = wv[:, :, ::-1, ::-1, ::-1].transpose(1, 0, 2, 3, 4)
+            gx = np.zeros((c, n), dtype=_ACC)
+            gx[:, plan.read] = _correlate_at(g, _row_blocks(wt), plan.back)
+        if w_req or bias_req:
+            g = _on_grid(g, shape, plan.cells, g.dtype)
+        if w_req:
+            xg = xv.reshape((c,) + shape) if plan.sources is None else _on_grid(
+                xv, shape, plan.sources, _ACC)
+            gw = _kernel_grad(_padded(xg, kshape), _padded(g, kshape), kshape, shape)
+        return gx, gw, (_bias_grad(g) if bias_req else None)
 
-        tape._record(out, tuple(inputs), backward)
-    return out
+    return tape._op(np.ascontiguousarray(value, dtype=tape.dtype), inputs, backward)
 
 
 @functools.lru_cache(maxsize=16)
@@ -1128,49 +1075,41 @@ def upconv3d(x, w, bias=None):
     if bias is not None:
         value += bias.value[:, None, None, None]
         inputs.append(bias)
-    out = tape._new_node(value.astype(tape.dtype, copy=False),
-                         any(n.requires_grad for n in inputs))
-    if out.requires_grad:
-        wshape, cshape = w.value.shape, cols.shape
-        x_req, w_req = x.requires_grad, w.requires_grad
-        has_bias = bias is not None
-        bias_req = has_bias and bias.requires_grad
-        flat = flat if w_req else None
+    wshape, cshape = w.value.shape, cols.shape
+    x_req, w_req = x.requires_grad, w.requires_grad
+    bias_req = bias is not None and bias.requires_grad
+    flat = flat if w_req else None
 
-        def backward(g):
-            # g in the forward's (2, 2, 2, O, L) column layout, zero in the
-            # columns that are not outputs
-            nz, ny, nx = shape
-            gp = np.zeros((2, 2, 2, o, ncol), dtype=_ACC)
-            _column_grid(gp, shape, kshape)[...] = g.reshape(
-                o, nz, 2, ny, 2, nx, 2).transpose(6, 2, 4, 0, 1, 3, 5)
-            gcols = np.zeros(cshape, dtype=_ACC) if x_req else None
-            gviews = _kernel_rows(gcols, kshape, shape) if x_req else None
-            views = _kernel_rows(_columns(flat, kshape[2]), kshape, shape) if w_req else None
-            gm = np.empty_like(m) if w_req else None
-            term = np.empty((span * c, ncol), dtype=_ACC)
-            for s, phases, a, lo, hi in groups:
-                gs = gp[phases].reshape(-1, ncol)
-                rows = slice(a * c, (a + span) * c)
-                if x_req:
-                    gviews[s][rows] += np.matmul(m[lo * o:hi * o].T, gs, out=term)
-                if w_req:
-                    np.matmul(gs, views[s][rows].T, out=gm[lo * o:hi * o])
-            gx = gw = None
-            if x_req:  # the interior of the padded gradient
-                pz, py, px = (k // 2 for k in kshape)
-                gx = _fold_columns(gcols, kshape[2]).reshape(c, nz + 2 * pz, ny + 2 * py, -1)
-                gx = gx[:, pz:pz + nz, py:py + ny, px:px + nx]
+    def backward(g):
+        # g in the forward's (2, 2, 2, O, L) column layout, zero in the
+        # columns that are not outputs
+        nz, ny, nx = shape
+        gp = np.zeros((2, 2, 2, o, ncol), dtype=_ACC)
+        _column_grid(gp, shape, kshape)[...] = g.reshape(
+            o, nz, 2, ny, 2, nx, 2).transpose(6, 2, 4, 0, 1, 3, 5)
+        gcols = np.zeros(cshape, dtype=_ACC) if x_req else None
+        gviews = _kernel_rows(gcols, kshape, shape) if x_req else None
+        views = _kernel_rows(_columns(flat, kshape[2]), kshape, shape) if w_req else None
+        gm = np.empty_like(m) if w_req else None
+        term = np.empty((span * c, ncol), dtype=_ACC)
+        for s, phases, a, lo, hi in groups:
+            gs = gp[phases].reshape(-1, ncol)
+            rows = slice(a * c, (a + span) * c)
+            if x_req:
+                gviews[s][rows] += np.matmul(m[lo * o:hi * o].T, gs, out=term)
             if w_req:
-                gm = gm.reshape(-1, o, span, c).transpose(0, 2, 1, 3).reshape(-1, o * c)
-                gw = (gm.T @ q).reshape(wshape)
-            parts = [gx, gw]
-            if has_bias:
-                parts.append(g.sum(axis=(1, 2, 3), dtype=_ACC) if bias_req else None)
-            return tuple(parts)
+                np.matmul(gs, views[s][rows].T, out=gm[lo * o:hi * o])
+        gx = gw = None
+        if x_req:  # the interior of the padded gradient
+            pz, py, px = (k // 2 for k in kshape)
+            gx = _fold_columns(gcols, kshape[2]).reshape(c, nz + 2 * pz, ny + 2 * py, -1)
+            gx = gx[:, pz:pz + nz, py:py + ny, px:px + nx]
+        if w_req:
+            gm = gm.reshape(-1, o, span, c).transpose(0, 2, 1, 3).reshape(-1, o * c)
+            gw = (gm.T @ q).reshape(wshape)
+        return gx, gw, (g.sum(axis=(1, 2, 3), dtype=_ACC) if bias_req else None)
 
-        tape._record(out, tuple(inputs), backward)
-    return out
+    return tape._op(value, inputs, backward)
 
 
 def upsample2(x):
@@ -1178,20 +1117,18 @@ def upsample2(x):
     tape = _tape_of(x)
     if x.value.ndim != 4:
         raise ShapeError(f"upsample2: expected rank-4 input, got {x.shape}")
-    value = x.value.repeat(2, axis=1).repeat(2, axis=2).repeat(2, axis=3)
-    out = tape._new_node(value, x.requires_grad)
-    if out.requires_grad:
-        def backward(g):
-            # the eight children of each cell added one by one in (dz, dy, dx)
-            # order, as a take of some of them reproduces: a missing child
-            # adds an exact zero
-            acc = np.array(g[:, 0::2, 0::2, 0::2], dtype=_ACC)
-            for dz, dy, dx in list(np.ndindex(2, 2, 2))[1:]:
-                acc += g[:, dz::2, dy::2, dx::2]
-            return (acc,)
 
-        tape._record(out, (x,), backward)
-    return out
+    def backward(g):
+        # the eight children of each cell added one by one in (dz, dy, dx)
+        # order, as a take of some of them reproduces: a missing child adds
+        # an exact zero
+        acc = np.array(g[:, 0::2, 0::2, 0::2], dtype=_ACC)
+        for dz, dy, dx in list(np.ndindex(2, 2, 2))[1:]:
+            acc += g[:, dz::2, dy::2, dx::2]
+        return (acc,)
+
+    return tape._op(x.value.repeat(2, axis=1).repeat(2, axis=2).repeat(2, axis=3), (x,),
+                    backward)
 
 
 # ---------------------------------------------------------------------------

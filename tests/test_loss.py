@@ -9,7 +9,16 @@ import fluvinv.tensors as tc
 from fluvinv.generators import ProceduralGenerator, sample_prior
 from fluvinv.geophysics import PsfConfig, SeismicModel
 from fluvinv.grids import GridGeometry
-from fluvinv.inversion import DataLoss, DataLossConfig, InversionError, Observations
+from fluvinv.inversion import (
+    DataLoss,
+    DataLossConfig,
+    InversionError,
+    LatentOptimizeConfig,
+    Observations,
+    gaussian_data_loglik,
+    latent_optimize,
+    pivotal_tune,
+)
 from fluvinv.inversion.loss import well_mae
 from fluvinv.survey import extract_well_data
 
@@ -130,3 +139,19 @@ def test_zero_first_term_gets_unit_weight():
     assert value(auto, Z_TRUE) == 0.0
     z1 = sample_prior(1, 8, rng_seed=6)[0]
     assert value(auto, z1) == value(unit, z1) > 0.0
+
+
+@pytest.mark.parametrize("empty", [WELLS.subset(0), extract_well_data(TRUTH, [])],
+                         ids=["subset", "extract"])
+def test_a_well_term_over_zero_wells_is_rejected(empty):
+    # it made every latent restart abort at iteration 0, pivotal tuning
+    # diverge at step 0 and the Gaussian log-likelihood read -0.0 at every latent
+    obs = Observations(wells=empty)
+    with pytest.raises(InversionError, match="no wells"):
+        DataLoss(obs)
+    with pytest.raises(InversionError, match="no wells"):
+        latent_optimize(GEN, obs, LatentOptimizeConfig(n_restarts=1, iterations=2))
+    with pytest.raises(InversionError, match="no wells"):
+        gaussian_data_loglik(GEN, obs, 0.1)
+    with pytest.raises(InversionError, match="at least one well"):
+        pivotal_tune(GEN, Z_TRUE[None, :], obs)

@@ -132,3 +132,61 @@ out, _ = model.build(tape, z, depo=flag)
 a, b, _ = f.build(tape)
 """
     assert _discarded_depo_builds(ast.parse(source)) == [2, 4, 6]
+
+
+# who may make a node or append a record: the tape's one record path
+_TAPE_WRITERS = {"_new_node": {"GraphTape.input", "GraphTape.constant", "GraphTape._op"},
+                 "_records": {"GraphTape._op"}}
+
+
+def _tape_writes(tree):
+    """(line, enclosing scope, what) of every call of ``_new_node`` and every
+    ``_records.append``, ``extend`` or ``insert``. The scope is the dotted
+    path of the enclosing classes and functions."""
+    writes = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            if node.func.attr == "_new_node":
+                writes.append((node.lineno, scope, "_new_node"))
+            elif (node.func.attr in ("append", "extend", "insert")
+                  and isinstance(node.func.value, ast.Attribute)
+                  and node.func.value.attr == "_records"):
+                writes.append((node.lineno, scope, "_records"))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, None)
+    return writes
+
+
+def test_every_record_enters_through_graph_tape_op():
+    """Under src/, only ``GraphTape.input``, ``constant`` and ``_op`` make
+    nodes, and only ``_op`` appends a record."""
+    offenders = []
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        rel = path.relative_to(ROOT).as_posix()
+        for line, scope, what in _tape_writes(ast.parse(path.read_text())):
+            if rel != "src/fluvinv/tensors.py" or scope not in _TAPE_WRITERS[what]:
+                offenders.append(f"{rel}:{line} {what} in {scope}")
+    assert not offenders, f"tape writes outside the record path: {offenders}"
+
+
+def test_tape_write_finder_sees_every_form():
+    source = """
+class GraphTape:
+    def _op(self, value):
+        out = self._new_node(value, True)
+        self._records.append(out)
+def crop(x, tape):
+    def backward(g):
+        return tape._new_node(g, False)
+    tape._records.extend([])
+    tape._records.insert(0, None)
+    return len(tape._records), tape._records.index(None)
+"""
+    assert _tape_writes(ast.parse(source)) == [
+        (4, "GraphTape._op", "_new_node"), (5, "GraphTape._op", "_records"),
+        (8, "crop.backward", "_new_node"), (9, "crop", "_records"), (10, "crop", "_records")]

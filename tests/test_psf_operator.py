@@ -34,12 +34,13 @@ F32_RTOL = 5e-5
 def reference_build(model, tape, coarse, geometry):
     rho, vp = rock_physics_nodes(tape, coarse, model.params)
     imp = rho * vp
-    value, vjp = padded_reflectivity(np.asarray(imp.value), model.burden, geometry.dz,
-                                     model.params)
+
+    def reflectivity(imp_value):
+        value, vjp = padded_reflectivity(imp_value, model.burden, geometry.dz, model.params)
+        return value, lambda g: (vjp(g),)
+
     # one record whose backward is the hand-derived vector-Jacobian product
-    refl = tape._new_node(value, imp.requires_grad)
-    if refl.requires_grad:
-        tape._record(refl, (imp,), lambda g: (vjp(g),))
+    refl = tc.custom(reflectivity, imp)
     v_avg = model.average_velocity(coarse.value, geometry)
     kernel = build_psf(model.psf, geometry.dz, geometry.dy, geometry.dx, v_avg)
     nzs = refl.value.shape[0]

@@ -192,6 +192,13 @@ def test_well_dataset_rejects_non_integer_coordinates():
         WellDataset(geometry, [Well("W00", 1.5, 2)], np.zeros((1, geometry.nz)))
 
 
+@pytest.mark.parametrize("wells", [[], [Well("W00", 1, 2)]], ids=["no-wells", "one-well"])
+def test_well_dataset_rejects_missing_columns(wells):
+    # without values, any loss over the dataset would fail deep inside
+    with pytest.raises(SurveyError, match="column block"):
+        WellDataset(grid_with_marker().geometry, wells)
+
+
 def test_extract_accepts_numpy_integer_coordinates():
     grid = grid_with_marker()
     ds = extract_well_data(grid, [(np.int64(3), np.int32(7))])

@@ -1,6 +1,7 @@
 """Tensor engine: forward examples, finite-difference checks, adjoint identity."""
 
 import gc
+import inspect
 import weakref
 
 import numpy as np
@@ -395,24 +396,64 @@ def test_custom_honours_requires_grad_and_tape_dtype():
 
 
 def _record_builders():
-    """Ops that record a backward, each as tape -> output node."""
-    def x(t):
-        return t.input(np.linspace(-1.0, 1.0, 24).reshape(1, 2, 3, 4))
+    """Every op of ``tc.__all__`` that records a backward, each as
+    leaf -> output node, where ``leaf(value)`` makes every node the op reads
+    (``tape.input`` or ``tape.constant``)."""
+    def x(leaf):
+        return leaf(np.linspace(-1.0, 1.0, 24).reshape(1, 2, 3, 4))
+
+    def pos(leaf):
+        return leaf(np.linspace(0.5, 2.0, 24).reshape(1, 2, 3, 4))
+
+    def kernel(leaf):
+        return leaf(np.ones((2, 1, 3, 3, 3)))
 
     return {
-        "custom": lambda t: tc.custom(_scaled_exp, x(t), t.input(np.ones((1, 2, 3, 4)))),
-        "dense": lambda t: tc.dense(t.input(np.ones((3, 24))), tc.reshape(x(t), (24,)),
-                                    t.input(np.zeros(3))),
-        "stack": lambda t: tc.stack([x(t), x(t)]),
-        "take": lambda t: tc.take(x(t), [0, 5, 5]),
-        "conv3d": lambda t: tc.conv3d(x(t), t.input(np.ones((2, 1, 3, 3, 3))),
-                                      t.input(np.zeros(2))),
-        "upconv3d": lambda t: tc.upconv3d(x(t), t.input(np.ones((2, 1, 3, 3, 3))),
-                                          t.input(np.zeros(2))),
-        "conv3d_at": lambda t: tc.conv3d_at(
-            tc.reshape(x(t), (1, 24)), t.input(np.ones((2, 1, 3, 3, 3))), t.input(np.zeros(2)),
+        "add": lambda leaf: tc.add(x(leaf), pos(leaf)),
+        "sub": lambda leaf: tc.sub(x(leaf), pos(leaf)),
+        "mul": lambda leaf: tc.mul(x(leaf), pos(leaf)),
+        "div": lambda leaf: tc.div(x(leaf), pos(leaf)),
+        "neg": lambda leaf: tc.neg(x(leaf)),
+        "absolute": lambda leaf: tc.absolute(x(leaf)),
+        "exp": lambda leaf: tc.exp(x(leaf)),
+        "log": lambda leaf: tc.log(pos(leaf)),
+        "sqrt": lambda leaf: tc.sqrt(pos(leaf)),
+        "square": lambda leaf: tc.square(x(leaf)),
+        "power": lambda leaf: tc.power(pos(leaf), 1.5),
+        "sin": lambda leaf: tc.sin(x(leaf)),
+        "tanh": lambda leaf: tc.tanh(x(leaf)),
+        "sigmoid": lambda leaf: tc.sigmoid(x(leaf)),
+        "leaky_relu": lambda leaf: tc.leaky_relu(x(leaf)),
+        "clamp": lambda leaf: tc.clamp(x(leaf), -0.5, 0.5),
+        "affine": lambda leaf: tc.affine(x(leaf), 2.0, 0.1),
+        "custom": lambda leaf: tc.custom(_scaled_exp, x(leaf), leaf(np.ones((1, 2, 3, 4)))),
+        "dense": lambda leaf: tc.dense(leaf(np.ones((3, 24))), leaf(np.linspace(-1.0, 1.0, 24)),
+                                       leaf(np.zeros(3))),
+        "matmul_axis": lambda leaf: tc.matmul_axis(x(leaf), np.ones((5, 3)), 2),
+        "conv3d": lambda leaf: tc.conv3d(x(leaf), kernel(leaf), leaf(np.zeros(2))),
+        "conv3d_at": lambda leaf: tc.conv3d_at(
+            leaf(np.linspace(-1.0, 1.0, 24).reshape(1, 24)), kernel(leaf), leaf(np.zeros(2)),
             tc.cell_plan((2, 3, 4), (3, 3, 3), [0, 13, 23])),
+        "upconv3d": lambda leaf: tc.upconv3d(x(leaf), kernel(leaf), leaf(np.zeros(2))),
+        "upsample2": lambda leaf: tc.upsample2(x(leaf)),
+        "crop": lambda leaf: tc.crop(x(leaf), (slice(0, 1), slice(0, 2), slice(1, 3),
+                                               slice(0, 4))),
+        "concat": lambda leaf: tc.concat([x(leaf), pos(leaf)], axis=1),
+        "stack": lambda leaf: tc.stack([x(leaf), pos(leaf)]),
+        "reshape": lambda leaf: tc.reshape(x(leaf), (24,)),
+        "take": lambda leaf: tc.take(x(leaf), [0, 5, 5]),
+        "sum_all": lambda leaf: tc.sum_all(x(leaf)),
+        "sum_axis": lambda leaf: tc.sum_axis(x(leaf), 2),
+        "mean_all": lambda leaf: tc.mean_all(x(leaf)),
+        "mean_rows": lambda leaf: tc.mean_rows(x(leaf)),
     }
+
+
+def test_record_builders_cover_every_recording_op():
+    # a new op of tc.__all__ must join _record_builders; cell_plan and
+    # gradient_check make no node
+    ops = {name for name in tc.__all__ if inspect.isfunction(getattr(tc, name))}
+    assert set(_record_builders()) == ops - {"cell_plan", "gradient_check"}
 
 
 @pytest.mark.parametrize("name", sorted(_record_builders()))
@@ -422,13 +463,20 @@ def test_tape_of_records_is_freed_by_reference_counting(name):
     gc.disable()
     try:
         tape = GraphTape(np.float64)
-        out = _record_builders()[name](tape)
-        assert tape._records
+        out = _record_builders()[name](tape.input)
+        assert out.requires_grad and len(tape._records) == 1
         ref = weakref.ref(tape)
         del tape, out
         assert ref() is None
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("name", sorted(_record_builders()))
+def test_op_over_constants_adds_no_record(name):
+    tape = GraphTape(np.float64)
+    out = _record_builders()[name](tape.constant)
+    assert not out.requires_grad and not tape._records
 
 
 def test_procedural_build_adds_at_most_five_records():
