@@ -10,8 +10,10 @@ laterally; Lecomte et al., 2015) -> a cube over the burden-padded column.
 The burden (:class:`BurdenConfig`) is one impedance above and one below the
 deposit, so of the padded column's interfaces only the deposit's own, its
 top and its base can reflect. The forward works on those nz + 1 interfaces
-(nz - 1 without burden): lateral PSF factors first, then the vertical factor
-as one matrix that expands them to every interface of the padded column.
+(nz - 1 without burden): their reflectivity as one record, the lateral PSF
+factors next, each applied by windows of its band (``tc.conv3d``'s path for
+a constant one-axis kernel), then the vertical factor as one matrix that
+expands them to every interface of the padded column.
 
 Formulas follow the friable-sand model of Avseth, Mukerji & Mavko (2005),
 "Quantitative Seismic Interpretation", sec. 2.5-2.6, and Mavko, Mukerji &
@@ -151,7 +153,9 @@ def _friable_sand(tape, f, params):
 
 def _clamped_fraction(f):
     """The coarse-fraction node clamped to [0, 1]; values more than 1e-9
-    outside raise. The clamp's gradient is 0 at and beyond both ends."""
+    outside raise, and NaN passes on as NaN, so that a diverged latent
+    reaches the loss, where descent halts on it. The clamp's gradient is 0
+    at and beyond both ends."""
     fv = np.asarray(f.value, dtype=np.float64)
     if fv.min() < -1e-9 or fv.max() > 1.0 + 1e-9:
         raise GeophysicsError(
@@ -274,6 +278,14 @@ class BurdenConfig:
         return int(round(cells))
 
 
+@functools.lru_cache(maxsize=8)
+def _burden_rock(params, burden):
+    """(density, Vp) of the burden above and of the burden below the deposit,
+    as floats, from one scalar rock-physics pass each."""
+    return tuple(tuple(float(a) for a in rock_physics(np.float64(f), params))
+                 for f in burden.fractions)
+
+
 def _interface_nodes(tape, rho, vp, geometry, burden, params):
     """Reflection coefficients at the interfaces of the burden-padded column
     that can reflect, and where they sit in it.
@@ -284,24 +296,53 @@ def _interface_nodes(tape, rho, vp, geometry, burden, params):
     (n = nz + 1), computed with one cap sheet of burden impedance on each
     side. The burden-internal interfaces separate equal impedances and
     reflect exactly 0.
+
+    The coefficients (lower - upper) / (lower + upper) over the impedance
+    are one record. Its backward applies the tape's div, add and sub rules
+    in the tape's order, so values and gradients equal those of the taped
+    concat, crops, sub, add and div.
     """
     pad = burden.cells_per_side(geometry.dz)
     if geometry.nz == 1 and pad == 0:
         raise GeophysicsError(
             f"a {geometry.nx}x{geometry.ny}x{geometry.nz} grid under a "
             f"{burden.total_thickness_m} m burden has no interface to reflect")
-    imp = rho * vp
-    if pad:
-        sheet = (1, geometry.ny, geometry.nx)
-        caps = []
-        for f_side in burden.fractions:
-            rho_b, vp_b = rock_physics(np.float64(f_side), params)
-            caps.append(tape.constant(np.full(sheet, float(rho_b * vp_b))))
-        imp = tc.concat([caps[0], imp, caps[1]], axis=0)
-    n = imp.value.shape[0] - 1
-    upper = tc.crop(imp, (slice(0, n), slice(None), slice(None)))
-    lower = tc.crop(imp, (slice(1, n + 1), slice(None), slice(None)))
-    return (lower - upper) / (lower + upper), max(pad - 1, 0), geometry.nz + 2 * pad - 1
+    caps = [rho_b * vp_b for rho_b, vp_b in _burden_rock(params, burden)] if pad else None
+
+    def reflect(imp):
+        n = imp.shape[0] - 1 + 2 * bool(pad)
+        num = np.empty((n,) + imp.shape[1:], dtype=imp.dtype)
+        den = np.empty_like(num)
+        within = slice(1, n - 1) if pad else slice(None)  # deposit interfaces
+        np.subtract(imp[1:], imp[:-1], out=num[within])
+        np.add(imp[1:], imp[:-1], out=den[within])
+        if pad:
+            top, bottom = (imp.dtype.type(c) for c in caps)
+            np.subtract(imp[0], top, out=num[0])
+            np.add(imp[0], top, out=den[0])
+            np.subtract(bottom, imp[-1], out=num[-1])
+            np.add(bottom, imp[-1], out=den[-1])
+
+        def vjp(g):
+            # the tape's rules, in place where it can: g_num = g / den,
+            # g_den = -g * num / (den * den), then the add's and the sub's
+            g_num = g / den
+            g_den = np.negative(g)
+            g_den *= num
+            g_den /= den * den
+            lower = g_den + g_num
+            upper = np.subtract(g_den, g_num, out=g_den)  # g_den + -g_num
+            # column sheet i is the upper impedance of interface i and the
+            # lower one of interface i - 1; the caps take no gradient
+            inner = np.add(lower[:-1], upper[1:], out=lower[:-1])
+            if pad:
+                return (inner,)
+            return (np.concatenate([upper[:1], inner, lower[-1:]]),)
+
+        return num / den, vjp
+
+    return (tc.custom(reflect, rho * vp), max(pad - 1, 0),
+            geometry.nz + 2 * pad - 1)
 
 
 def reflectivity_nodes(tape, rho, vp, geometry, burden=BurdenConfig(),
@@ -374,8 +415,8 @@ def build_psf(config, dz, dy, dx, velocity_mps=None):
     to unit sum so a laterally uniform reflector passes unchanged.
     """
     v = config.velocity_mps if config.velocity_mps is not None else velocity_mps
-    if v is None or v <= 0:
-        raise GeophysicsError("PSF needs a positive average velocity")
+    if v is None or not v > 0:  # written so that NaN fails it too
+        raise GeophysicsError(f"PSF needs a positive average velocity, got {v}")
     k_peak = 2.0 * config.peak_frequency_hz / v  # two-way vertical wavenumber
     theta = np.deg2rad(config.illumination_angle_deg)
     sigma = v / (4.0 * config.peak_frequency_hz * np.sin(theta))
@@ -461,9 +502,8 @@ class SeismicModel:
     def _padded_mean_vp(self, vp, geometry):
         n_side = self.burden.cells_per_side(geometry.dz) * geometry.ny * geometry.nx
         total = vp.sum(dtype=np.float64)
-        for f_side in self.burden.fractions:
-            _, vp_b = rock_physics(np.float64(f_side), self.params)
-            total += n_side * float(vp_b)
+        for _, vp_b in _burden_rock(self.params, self.burden):
+            total += n_side * vp_b
         return float(total / (vp.size + 2 * n_side))
 
     def build(self, tape, coarse, geometry):
@@ -485,9 +525,11 @@ class SeismicModel:
 
     def _build(self, tape, coarse, geometry):
         # (amplitude node, PSF kernel). The separable PSF factors commute, so
-        # the lateral ones run on the interfaces that can reflect, and the
-        # vertical one, as the interface columns of its banded matrix over
-        # the padded column, expands them to all nzs interfaces last
+        # the lateral ones run on the interfaces that can reflect, each by
+        # windows of its band, and the vertical one, as the interface columns
+        # of its banded matrix over the padded column, expands them to all
+        # nzs interfaces last. At the default grid its 113 taps outnumber
+        # the 51 interfaces, so its band is the whole matrix
         rho, vp = rock_physics_nodes(tape, coarse, self.params)
         refl, first, nzs = _interface_nodes(tape, rho, vp, geometry, self.burden, self.params)
         v_avg = (self._padded_mean_vp(vp.value, geometry)

@@ -625,6 +625,48 @@ def _banded(taps, n):
     return np.where(inside, taps[np.clip(offset, 0, taps.shape[0] - 1)], 0.0)
 
 
+_BAND_BLOCK = 16  # outputs per window of _band
+
+
+def _band(v, taps, axis):
+    # _along_axis(v, _banded(taps, n), axis) without the zeros: one float64
+    # matmul of the (b, b + 2h) band block over strided windows of b + 2h
+    # samples of v, b outputs each, and, for the outputs whose window would
+    # reach past an end of the axis, the rows of the banded matrix they need
+    # over the samples they read. An axis too short for one window takes
+    # the whole matrix
+    shape = v.shape
+    n, h, b = shape[axis], taps.shape[0] // 2, _BAND_BLOCK
+    lo = -(-h // b) * b  # outputs before the first window, which starts at lo - h
+    k = (n - h - lo) // b  # the windows that end inside the axis
+    if k < 1:
+        return _along_axis(v, _banded(taps, n), axis)
+    hi = lo + k * b
+    pre, post = math.prod(shape[:axis]), math.prod(shape[axis + 1:])
+    x = np.asarray(v, dtype=_ACC).reshape((pre, n) if post == 1 else (pre, n, post))
+    out = np.empty(x.shape, dtype=_ACC)
+    w = _banded(taps, b + 2 * h)[h:h + b]
+    s = x.strides
+    if post == 1:
+        # the last axis: each window is a (pre, b + 2h) column block of x,
+        # and its b outputs a (pre, b) column block of out
+        win = np.lib.stride_tricks.as_strided(x[:, lo - h:], (k, pre, b + 2 * h),
+                                              (b * s[1], s[0], s[1]))
+        np.matmul(win, w.T, out=out[:, lo:hi].reshape(pre, k, b).transpose(1, 0, 2))
+    else:
+        win = np.lib.stride_tricks.as_strided(x[:, lo - h:], (pre, k, b + 2 * h, post),
+                                              (s[0], b * s[1], s[1], s[2]))
+        np.matmul(w, win, out=out[:, lo:hi].reshape(pre, k, b, post))
+    # the outputs before the first window and after the last
+    for m, src, dst in ((_banded(taps, lo + h)[:lo], x[:, :lo + h], out[:, :lo]),
+                        (_banded(taps, n - hi + h)[h:], x[:, hi - h:], out[:, hi:])):
+        if m.size and post == 1:
+            np.matmul(src, m.T, out=dst)
+        elif m.size:
+            np.matmul(m, src, out=dst)
+    return out.reshape(shape)
+
+
 def matmul_axis(x, m, axis):
     """A constant matrix m (n_out, n_in) applied along one axis of x, whose
     length there is n_in: that axis becomes n_out long. One float64 matmul
@@ -753,15 +795,19 @@ def conv3d(x, w, bias=None):
 
     x: (C, Z, Y, X); w: (O, C, kz, ky, kx); bias: (O,) optional. A constant
     single-channel kernel without bias that extends along one axis only (a
-    separable PSF factor) is applied as a banded matrix along that axis.
-    Every other kernel runs on a column buffer: the input is padded once
-    and copied kx times, each copy shifted by one more column, so a kernel
-    row's kx x-taps sit in one (kx*C, L) block. Each (i, j) kernel row is
-    then one (O, kx*C) @ (kx*C, L) matmul over a shifted flat view of that
-    buffer: kz*ky matmuls, not kz*ky*kx. The backward runs the same rows.
-    Only the padded input is kept for the kernel gradient, whose backward
-    rebuilds the column buffer. Both paths accumulate in float64 in a fixed
-    order.
+    separable PSF factor) is applied by windows of its band: one float64
+    matmul takes a (b, b + 2h) block of the banded matrix over strided
+    windows of b + 2h input samples, b outputs each, and the outputs whose
+    window would reach past an end of the axis take the matrix rows they
+    need. Its backward is the same op with the taps reversed.
+
+    Every other kernel runs on a column buffer: the input is padded once and
+    copied kx times, each copy shifted by one more column, so a kernel row's
+    kx x-taps sit in one (kx*C, L) block. Each (i, j) kernel row is then one
+    (O, kx*C) @ (kx*C, L) matmul over a shifted flat view of that buffer:
+    kz*ky matmuls, not kz*ky*kx. The backward runs the same rows. Only the
+    padded input is kept for the kernel gradient, whose backward rebuilds
+    the column buffer. Both paths accumulate in float64 in a fixed order.
     """
     tape, x, w, bias = _conv_operands("conv3d", x, w, bias)
     kshape = w.value.shape[2:]
@@ -770,9 +816,14 @@ def conv3d(x, w, bias=None):
             and bias is None):
         # a single-channel constant kernel along one axis (a separable PSF
         # factor): the column buffer would mostly multiply padding once the
-        # kernel outgrows the axis, the banded matrix never does
+        # kernel outgrows the axis, the band windows multiply only the band.
+        # The adjoint of a "same" correlation is the correlation with the
+        # reversed taps
         axis = 1 + long_axes[0]
-        return matmul_axis(x, _banded(w.value.reshape(-1), x.value.shape[axis]), axis)
+        taps = np.asarray(w.value.reshape(-1), dtype=_ACC)
+        flipped = taps[::-1]
+        return tape._op(_band(x.value, taps, axis), (x,),
+                        lambda g: (_band(g, flipped, axis),))
     shape = x.value.shape[1:]
     flat = _padded(x.value, kshape)
     value = _correlate(_columns(flat, kshape[2]), w.value, shape)

@@ -2,13 +2,15 @@
 a direct-summation oracle for ``tc.conv3d``, the per-tap and per-offset
 loops that ``tc.conv3d`` and ``tc.upconv3d`` ran before their column
 buffer, the wide-buffer form of conv3d's row accumulation, the
-padded-column reflectivity formula, the one-restart-at-a-time latent
-optimization loop that the row blocks replaced, the procedural build as a
-tape of elementwise ops that the fused kernel replaced, the neural build as
-the upsample-then-convolve composition that ``tc.upconv3d`` replaced, the
-flow transform and the dense chain as the per-op tape records that their
-fused kernels replaced, the per-array Adam update that the one-vector
-update replaced, and the friable-sand moduli as named arrays."""
+padded-column reflectivity formula, the interface reflectivity as the tape
+of concat, crops, sub, add and div that its one record replaced, the
+one-restart-at-a-time latent optimization loop that the row blocks
+replaced, the procedural build as a tape of elementwise ops that the fused
+kernel replaced, the neural build as the upsample-then-convolve composition
+that ``tc.upconv3d`` replaced, the flow transform and the dense chain as
+the per-op tape records that their fused kernels replaced, the per-array
+Adam update that the one-vector update replaced, and the friable-sand
+moduli as named arrays."""
 
 import math
 import warnings
@@ -319,6 +321,26 @@ def padded_reflectivity(imp, burden, dz, params):
         return g_column[pad:pad + imp.shape[0]]
 
     return (lower - upper) / total, vjp
+
+
+def taped_interface_nodes(tape, rho, vp, geometry, burden, params):
+    """``geophysics._interface_nodes`` as it was taped op by op: the
+    impedance between one cap sheet of burden impedance on each side
+    (concat), its upper and lower sheets (two crops), and (lower - upper) /
+    (lower + upper) as sub, add and div records. Returns the same
+    ``(node, first, nzs)``."""
+    pad = burden.cells_per_side(geometry.dz)
+    imp = rho * vp
+    if pad:
+        sheet = (1, geometry.ny, geometry.nx)
+        caps = [tape.constant(np.full(sheet, float(rho_b * vp_b)))
+                for rho_b, vp_b in (rock_physics(np.float64(f), params)
+                                    for f in burden.fractions)]
+        imp = tc.concat([caps[0], imp, caps[1]], axis=0)
+    n = imp.value.shape[0] - 1
+    upper = tc.crop(imp, (slice(0, n), slice(None), slice(None)))
+    lower = tc.crop(imp, (slice(1, n + 1), slice(None), slice(None)))
+    return (lower - upper) / (lower + upper), max(pad - 1, 0), geometry.nz + 2 * pad - 1
 
 
 def taped_procedural_build(gen, tape, z, labels=None, weights=None, cells=None):

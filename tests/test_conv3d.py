@@ -25,6 +25,12 @@ must equal ``take`` of ``conv3d`` there: bit for bit wherever BLAS rounds
 each column of a product as it does in a wider one, to round-off elsewhere,
 and its kernel and bias gradients bit for bit always. It must also satisfy
 its own adjoint identity.
+
+A constant single-channel kernel along one axis (a separable PSF factor)
+runs by windows of its band, as one record. It must agree with the dense
+banded matrix product that it replaced, ``tc._along_axis`` of
+``tc._banded``, in value and input gradient, to 4 storage ulps of the
+largest entry.
 """
 
 import tracemalloc
@@ -520,3 +526,42 @@ def test_conv3d_at_rejects_bad_shapes(xshape, wshape, bshape, match):
     with pytest.raises(tc.ShapeError, match=match):
         tc.conv3d_at(tape.input(np.zeros(xshape)), tape.input(np.zeros(wshape)), bias,
                      tc.cell_plan((4, 4, 4), (3, 3, 3), [0, 5]))
+
+
+# axis lengths shorter than the 9-tap kernel and up to two band blocks of
+# 16, which take the whole matrix, and 40, 67 and 128, which take windows;
+# on 40 and 67 the last outputs fill no whole block
+BAND_LENGTHS = (1, 2, 5, 16, 17, 24, 40, 67, 128)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("axis", [0, 1, 2])
+@pytest.mark.parametrize("k", [1, 3, 5, 7, 9])
+def test_band_windows_match_the_dense_banded_matrix(k, axis, dtype):
+    rng = np.random.default_rng(100 * k + axis)
+    for n in BAND_LENGTHS:
+        shape = [1, 3, 4, 5]
+        shape[1 + axis] = n
+        kshape = [1, 1, 1, 1, 1]
+        kshape[2 + axis] = k
+        xv = rng.normal(size=shape).astype(dtype)
+        gv = rng.normal(size=shape).astype(dtype)
+        w = rng.normal(size=kshape).astype(dtype)
+        m = tc._banded(w.reshape(-1).astype(np.float64), n)
+        want = tc._along_axis(xv, m, 1 + axis)
+        want_g = tc._along_axis(gv, m.T, 1 + axis)
+        if k == 1:
+            # a one-tap kernel takes the general path in conv3d
+            taps = w.reshape(-1).astype(np.float64)
+            got = tc._band(xv, taps, 1 + axis).astype(dtype)
+            got_g = tc._band(gv, taps[::-1], 1 + axis).astype(dtype)
+        else:
+            tape = GraphTape(dtype)
+            x = tape.input(xv)
+            out = tc.conv3d(x, tape.constant(w))
+            assert len(tape._records) == 1
+            got, got_g = out.value, tape.backward(out, seed=gv).wrt(x)
+        for a, b in ((got, want), (got_g, want_g)):
+            assert a.dtype == dtype and a.shape == b.shape
+            ulp = np.spacing(dtype(np.max(np.abs(b))))
+            assert np.max(np.abs(a - b)) <= 4 * ulp, (n, np.max(np.abs(a - b)) / ulp)

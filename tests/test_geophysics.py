@@ -80,6 +80,21 @@ def test_fraction_out_of_range_rejected():
         rock_physics(np.array([0.5, 1.1]), PARAMS)
 
 
+def test_nan_fraction_rejected_by_the_seismic_forward():
+    # rock physics passes a NaN fraction on as NaN, so the mean Vp that sets
+    # the PSF is NaN, which a PSF velocity test must be written to fail on
+    grid = constant_grid(0.5)
+    grid.coarse_fraction[1, 2, 3] = np.nan
+    with pytest.raises(GeophysicsError, match="positive average velocity, got nan"):
+        SeismicModel().forward(grid)
+
+
+@pytest.mark.parametrize("velocity", [np.nan, 0.0, -1.0, None])
+def test_psf_rejects_a_velocity_that_is_not_positive(velocity):
+    with pytest.raises(GeophysicsError, match="positive average velocity"):
+        build_psf(PsfConfig(), 0.5, 25.0, 25.0, velocity_mps=velocity)
+
+
 def test_reflectivity_homogeneous_column_zero():
     # grid matching the burden lithology: no contrast anywhere
     grid = constant_grid(0.0)

@@ -7,7 +7,7 @@ import pytest
 
 import fluvinv.tensors as tc
 from fluvinv.generators import ProceduralGenerator, sample_prior
-from fluvinv.geophysics import PsfConfig, SeismicModel
+from fluvinv.geophysics import GeophysicsError, PsfConfig, SeismicModel
 from fluvinv.grids import GridGeometry
 from fluvinv.inversion import (
     DataLoss,
@@ -113,6 +113,19 @@ def test_gradient_matches_fd_with_seismic():
 
     z0 = sample_prior(1, 8, rng_seed=7)[0]
     assert tc.gradient_check(fn, z0, step=1e-5) < 1e-4
+
+
+def test_a_nan_latent_is_rejected_by_the_seismic_term():
+    # a NaN latent gives NaN fractions and so a NaN PSF velocity, which
+    # the PSF must reject with its own error
+    model = SeismicModel()
+    obs = Observations(wells=WELLS, seismic=model.forward(TRUTH), seismic_model=model)
+    loss = DataLoss(obs, DataLossConfig(use_seismic=True, lambda_z=0.0))
+    loglik = gaussian_data_loglik(GEN, obs, 0.1)
+    for build in (lambda tape, z: loss.build(tape, GEN.build(tape, z)[0]), loglik):
+        tape = tc.GraphTape(np.float64)
+        with pytest.raises(GeophysicsError, match="positive average velocity"):
+            build(tape, tape.constant(np.full(8, np.nan)))
 
 
 def test_absolute_metric():

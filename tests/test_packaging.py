@@ -4,6 +4,7 @@ used and every name in a module's ``__all__`` exists."""
 import ast
 import importlib
 import re
+import sys
 import tomllib
 from pathlib import Path
 
@@ -190,3 +191,42 @@ def crop(x, tape):
     assert _tape_writes(ast.parse(source)) == [
         (4, "GraphTape._op", "_new_node"), (5, "GraphTape._op", "_records"),
         (8, "crop.backward", "_new_node"), (9, "crop", "_records"), (10, "crop", "_records")]
+
+
+def _imported_modules(tree):
+    """(line, top-level module) of every import; a relative import is the
+    package's own, ``fluvinv``."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, a.name.partition(".")[0]) for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            name = "fluvinv" if node.level else node.module.partition(".")[0]
+            found.append((node.lineno, name))
+    return sorted(found)
+
+
+def test_src_imports_only_the_standard_library_and_numpy():
+    """The package runs on numpy alone: scipy and the other test extras
+    stay out of src/."""
+    allowed = set(sys.stdlib_module_names) | {"numpy", "fluvinv"}
+    offenders = []
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        rel = path.relative_to(ROOT).as_posix()
+        offenders += [f"{rel}:{line} {name}"
+                      for line, name in _imported_modules(ast.parse(path.read_text()))
+                      if name not in allowed]
+    assert not offenders, f"imports outside the standard library and numpy: {offenders}"
+
+
+def test_import_finder_sees_every_form():
+    source = """
+import numpy as np, scipy.ndimage
+from scipy import ndimage
+from . import tensors
+from .inversion.loss import DataLoss
+def f():
+    import torch
+"""
+    assert _imported_modules(ast.parse(source)) == [
+        (2, "numpy"), (2, "scipy"), (3, "scipy"), (4, "fluvinv"), (5, "fluvinv"), (7, "torch")]

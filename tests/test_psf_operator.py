@@ -8,11 +8,15 @@ general-kernel ``tc.conv3d`` per PSF axis (vertical first), and the PSF
 velocity from a separate float64 rock-physics pass over the whole cube.
 ``SeismicModel.build`` must reproduce it, values and input gradient, to
 float64 round-off.
+
+The interface reflectivity is one record; ``helpers.taped_interface_nodes``
+is the tape of concat, crops, sub, add and div that it replaced, and it
+must equal that tape bit for bit, values and gradients.
 """
 
 import numpy as np
 import pytest
-from helpers import padded_reflectivity
+from helpers import padded_reflectivity, taped_interface_nodes
 
 import fluvinv.tensors as tc
 from fluvinv import geophysics
@@ -21,6 +25,7 @@ from fluvinv.geophysics import (
     PsfConfig,
     SeismicModel,
     build_psf,
+    rock_physics,
     rock_physics_nodes,
 )
 from fluvinv.grids import GridGeometry, ModelGrid
@@ -132,6 +137,30 @@ def test_banded_psf_matches_conv3d_reference(name):
     got, got_g, _ = value_and_gradient(build, coarse, seed, dtype=np.float32)
     assert_close(got, want, F32_RTOL)
     assert_close(got_g, want_g, F32_RTOL)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("name", sorted(n for n, case in CASES.items()
+                                        if case[1].burden.total_thickness_m > 0))
+def test_interface_record_equals_the_taped_form(name, dtype):
+    geometry, model, _ = CASES[name]
+    rho_v, vp_v = rock_physics(coarse_cube(geometry), model.params, dtype=dtype)
+    # with a burden, the deposit's nz - 1 interfaces and its top and base
+    seed = np.random.default_rng(4).normal(size=(geometry.nz + 1, geometry.ny, geometry.nx))
+    results = []
+    for interfaces in (geophysics._interface_nodes, taped_interface_nodes):
+        tape = tc.GraphTape(dtype)
+        rho, vp = tape.input(rho_v), tape.input(vp_v)
+        refl, first, nzs = interfaces(tape, rho, vp, geometry, model.burden, model.params)
+        records = len(tape._records)
+        grads = tape.backward(refl, seed=seed)
+        results.append((refl.value, grads.wrt(rho), grads.wrt(vp), first, nzs, records))
+    got, want = results
+    assert got[-1] == 2  # the impedance product and the reflectivity record
+    assert got[3:5] == want[3:5]
+    for a, b in zip(got[:3], want[:3]):
+        assert a.dtype == b.dtype == dtype
+        np.testing.assert_array_equal(a, b)
 
 
 def test_forward_reports_the_build_velocity():
