@@ -28,6 +28,7 @@ __all__ = [
     "GeneratorError",
     "LABEL_NAMES",
     "keyed_rng",
+    "keyed_rngs",
     "sample_prior",
     "neutral_labels",
     "ProceduralGenerator",
@@ -75,9 +76,132 @@ def keyed_rng(*key):
     four, so trailing zeros there name the same stream: ``(seed,)`` is
     latent row 0, and ``(seed, k, 0)`` or ``(seed, k, 0, 0)`` (row, layer or
     step 0 of family k; DREAM's first proposal) is latent row k.
+
+    :func:`keyed_rngs` is the batch form, for callers that need many streams
+    at once (DREAM(ZS) needs one per proposal). It hashes the entropy words
+    themselves, words past the fourth included, so a key layout that puts
+    the family and index in ``SeedSequence``'s ``spawn_key`` (appended after
+    the seed's words, zero-padded to four) stays in its reach: such a stream
+    is its plain key ``(*seed words, *zero padding, *spawn key)``.
     """
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(
         tuple(int(k) for k in key))))
+
+
+# NumPy's SeedSequence constants (a four-word uint32 pool, arithmetic mod 2**32)
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875   # entropy hash
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED   # output hash
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_SHIFT = np.uint32(16)
+
+
+def _hash_constants(start, mult, n):
+    # column of n + 1 successive hash constants, start * mult**k mod 2**32
+    out = [start]
+    for _ in range(n):
+        out.append(out[-1] * mult & 0xFFFFFFFF)
+    return np.array(out, dtype=np.uint32)[:, None]
+
+
+_OUT_HASH = _hash_constants(_INIT_B, _MULT_B, 8)
+_OTHERS = [np.array([d for d in range(4) if d != s]) for s in range(4)]
+
+
+def _hashmix(v, hc):
+    # lane k: v ^= hc[k]; v *= hc[k + 1]; v ^= v >> 16, each lane with the
+    # constant the scalar loop would have reached there
+    v = v ^ hc[:-1]
+    v *= hc[1:]
+    v ^= v >> _SHIFT
+    return v
+
+
+def _mix(x, y):
+    r = _MIX_L * x - _MIX_R * y
+    r ^= r >> _SHIFT
+    return r
+
+
+def _entropy_words(keys):
+    # (max(4, L), n) uint32 entropy words of each key (its entries split into
+    # little-endian words, 0 as one word), zero past a key's end, and the
+    # number of words of each key
+    lengths = np.fromiter(map(len, keys), np.intp, len(keys))
+    flat = [k for key in keys for k in key]
+    rest = np.array(flat)
+    if rest.dtype.kind not in "iu":  # numpy went to float or object: take exact Python ints
+        rest = np.array([int(k) for k in flat], dtype=object)
+    if (rest < 0).any():
+        raise ValueError("keyed_rngs keys must be non-negative integers")
+    parts, counts = [], np.ones(len(rest), dtype=np.intp)
+    while True:
+        parts.append((rest & 0xFFFFFFFF).astype(np.uint32))
+        rest = rest >> 32
+        alive = rest != 0
+        if not alive.any():
+            break
+        counts += alive
+    word_ends = np.concatenate(([0], np.cumsum(counts)))
+    n_words = np.diff(word_ends[np.concatenate(([0], np.cumsum(lengths)))])
+    words = np.zeros((len(keys), max(4, n_words.max(initial=0))), dtype=np.uint32)
+    # both masks run row-major: key by key, and entry by entry, low word first
+    words[np.arange(words.shape[1]) < n_words[:, None]] = \
+        np.stack(parts, axis=1)[np.arange(len(parts)) < counts[:, None]]
+    return np.ascontiguousarray(words.T), n_words
+
+
+class _StateWords(np.random.bit_generator.ISeedSequence):
+    """A seed sequence that hands PCG64 four precomputed state words."""
+
+    def __init__(self, words):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError(f"holds 4 uint64 state words, asked for {n_words} {dtype}")
+        return self.words
+
+
+class _KeyedStreams:
+    """The streams of :func:`keyed_rngs`; stream j is built when indexed."""
+
+    def __init__(self, words):
+        self.words = words   # (n, 4) uint64, 32 bytes a stream
+
+    def __len__(self):
+        return len(self.words)
+
+    def __getitem__(self, j):
+        return np.random.Generator(np.random.PCG64(_StateWords(self.words[j])))
+
+
+def keyed_rngs(keys):
+    """:func:`keyed_rng` for a sequence of keys: stream j equals
+    ``keyed_rng(*keys[j])`` draw for draw.
+
+    The PCG64 state words of every key come from one vectorized replay of
+    NumPy's ``SeedSequence(key).generate_state(4, np.uint64)``, one step over
+    all keys at a time. Only those words are kept; ``streams[j]`` builds the
+    generator of stream j when it is indexed. A key of any length, entries of
+    any size included, is accepted; a negative entry raises ``ValueError``.
+    """
+    words, n_words = _entropy_words(keys)
+    hc = _hash_constants(_INIT_A, _MULT_A, 16 + 4 * (len(words) - 4))
+    pool = _hashmix(words[:4], hc[:5])
+    k = 4
+    for s, dst in enumerate(_OTHERS):
+        # pool[d] = mix(pool[d], hashmix(pool[s])) for d != s, in order; pool[s]
+        # is not written, so its three hashes are one 3-lane op
+        pool[dst] = _mix(pool[dst], _hashmix(pool[s], hc[k:k + 4]))
+        k += 3
+    for w in range(4, len(words)):
+        # each word past the fourth is mixed into all four pool words
+        mixed = _mix(pool, _hashmix(words[w], hc[k:k + 5]))
+        pool = np.where(n_words > w, mixed, pool)
+        k += 4
+    out = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _OUT_HASH)
+    return _KeyedStreams(np.ascontiguousarray(out.T, dtype="<u4").view("<u8")
+                         .astype(np.uint64))
 
 
 def sample_prior(n, d, rng_seed, *stream):

@@ -524,7 +524,7 @@ class SeismicModel:
         return self._build(tape, coarse, geometry)[0]
 
     def _build(self, tape, coarse, geometry):
-        # (amplitude node, PSF kernel). The separable PSF factors commute, so
+        # (amplitude node, PSF velocity). The separable PSF factors commute, so
         # the lateral ones run on the interfaces that can reflect, each by
         # windows of its band, and the vertical one, as the interface columns
         # of its banded matrix over the padded column, expands them to all
@@ -534,6 +534,11 @@ class SeismicModel:
         refl, first, nzs = _interface_nodes(tape, rho, vp, geometry, self.burden, self.params)
         v_avg = (self._padded_mean_vp(vp.value, geometry)
                  if self.psf.velocity_mps is None else None)
+        if v_avg is not None and not np.isfinite(v_avg):
+            # a non-finite model (a diverged latent) has no PSF; it predicts
+            # NaN everywhere, so a loss over it is NaN and a descent halts
+            # that row instead of the whole call
+            return tape.constant(np.full((nzs,) + refl.value.shape[1:], np.nan)), v_avg
         kernel = build_psf(self.psf, geometry.dz, geometry.dy, geometry.dx, v_avg)
 
         shape = refl.value.shape
@@ -541,11 +546,10 @@ class SeismicModel:
         x = _conv_axis(tape, x, kernel.lateral_y, axis=1)
         x = _conv_axis(tape, x, kernel.lateral_x, axis=2)
         vertical = tc._banded(kernel.vertical, nzs)[:, first:first + shape[0]]
-        return tc.matmul_axis(tc.reshape(x, shape), vertical, 0), kernel
+        return tc.matmul_axis(tc.reshape(x, shape), vertical, 0), kernel.velocity_mps
 
     def forward(self, grid, dtype=np.float64):
         """SeismicCube for a model grid."""
         tape = tc.GraphTape(dtype)
-        out, kernel = self._build(tape, tape.constant(grid.coarse_fraction), grid.geometry)
-        return SeismicCube(np.asarray(out.value), grid.geometry,
-                           velocity_mps=kernel.velocity_mps)
+        out, velocity = self._build(tape, tape.constant(grid.coarse_fraction), grid.geometry)
+        return SeismicCube(np.asarray(out.value), grid.geometry, velocity_mps=velocity)

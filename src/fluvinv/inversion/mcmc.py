@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..generators import keyed_rng, sample_prior
+from ..generators import keyed_rngs
 from ..grids import check_config
 from .loss import InversionError
 
@@ -114,10 +114,12 @@ def dream_zs(log_posterior, d, config=None):
 
     Initial archive rows and chain states are :func:`.sample_prior` rows of
     streams 1 and 2, scaled by ``init_scale``. Proposal randomness for
-    (generation, chain) comes from :func:`.keyed_rng` ``(seed, 3,
-    generation, chain)`` only, so results do not depend on how chains are
-    scheduled. A chain whose initial log-posterior is NaN starts at -inf, so
-    its first finite proposal is accepted.
+    (generation, chain) comes from stream ``(seed, 3, generation, chain)``
+    only, so results do not depend on how chains are scheduled. The state
+    words of all of a run's streams come from one :func:`.keyed_rngs` pass
+    at the start, 32 bytes a stream; each stream's generator is built when
+    its row or proposal is drawn. A chain whose initial log-posterior is NaN
+    starts at -inf, so its first finite proposal is accepted.
     """
     cfg = config or DreamConfig()
     m0 = cfg.archive_size0 if cfg.archive_size0 is not None else 10 * d
@@ -126,11 +128,18 @@ def dream_zs(log_posterior, d, config=None):
             f"archive of {m0} is smaller than 2*delta+1 = {2 * cfg.de_pairs_max + 1}")
 
     total = cfg.burn_in + cfg.generations
-    states = np.empty((cfg.n_chains, total, d))
-    logps = np.empty((cfg.n_chains, total))
+    n, seed = cfg.n_chains, cfg.rng_seed
+    states = np.empty((n, total, d))
+    logps = np.empty((n, total))
+    # the archive rows, the chain starts, then proposal (t, i) as stream m0 + n * (t + 1) + i
+    streams = keyed_rngs([(seed, 1, i) for i in range(m0)] + [(seed, 2, i) for i in range(n)]
+                         + [(seed, 3, t, i) for t in range(total) for i in range(n)])
 
-    archive_rows = list(cfg.init_scale * sample_prior(m0, d, cfg.rng_seed, 1))
-    x = cfg.init_scale * sample_prior(cfg.n_chains, d, cfg.rng_seed, 2)
+    # the archive grows by the n chain states every archive_thin generations
+    archive = np.empty((m0 + total // cfg.archive_thin * n, d))
+    archive[:m0] = cfg.init_scale * np.array([streams[j].standard_normal(d) for j in range(m0)])
+    m = m0
+    x = cfg.init_scale * np.array([streams[m0 + i].standard_normal(d) for i in range(n)])
     x_logp = np.array([log_posterior(row) for row in x], dtype=np.float64)
     x_logp[np.isnan(x_logp)] = -np.inf
     n_accept = 0
@@ -138,11 +147,10 @@ def dream_zs(log_posterior, d, config=None):
     n_resets = 0
 
     for t in range(total):
-        arch = np.asarray(archive_rows)
-        m = arch.shape[0]
+        arch = archive[:m]
         unit_jump = (t + 1) % cfg.gamma_one_every == 0
-        for i in range(cfg.n_chains):
-            rng = keyed_rng(cfg.rng_seed, 3, t, i)
+        for i in range(n):
+            rng = streams[m0 + n * (t + 1) + i]
             snooker = rng.uniform() < cfg.snooker_prob
             log_corr = 0.0
             if not snooker:
@@ -189,7 +197,8 @@ def dream_zs(log_posterior, d, config=None):
         logps[:, t] = x_logp
 
         if (t + 1) % cfg.archive_thin == 0:
-            archive_rows.extend(x.copy())
+            archive[m:m + n] = x
+            m += n
 
         if t < cfg.burn_in and cfg.outlier_every and (t + 1) % cfg.outlier_every == 0:
             # reset chains whose mean log-posterior trails the pack
@@ -205,7 +214,7 @@ def dream_zs(log_posterior, d, config=None):
                     n_resets += 1
 
     return ChainEnsemble(states=states, log_posteriors=logps,
-                         archive=np.asarray(archive_rows), burn_in=cfg.burn_in,
+                         archive=archive, burn_in=cfg.burn_in,
                          accept_rate=n_accept / max(n_prop, 1),
                          outlier_resets=n_resets)
 

@@ -9,8 +9,9 @@ replaced, the procedural build as a tape of elementwise ops that the fused
 kernel replaced, the neural build as the upsample-then-convolve composition
 that ``tc.upconv3d`` replaced, the flow transform and the dense chain as
 the per-op tape records that their fused kernels replaced, the per-array
-Adam update that the one-vector update replaced, and the friable-sand
-moduli as named arrays."""
+Adam update that the one-vector update replaced, the friable-sand
+moduli as named arrays, and DREAM(ZS) with one keyed stream per proposal
+and a list archive."""
 
 import math
 import warnings
@@ -20,10 +21,11 @@ import numpy as np
 import fluvinv.tensors as tc
 from fluvinv import geophysics
 from fluvinv.generators import (LABEL_NAMES, _batch_rows, _cell_coordinates, _label_node,
-                                neutral_labels, sample_prior)
+                                keyed_rng, neutral_labels, sample_prior)
 from fluvinv.geophysics import RockPhysicsParams, rock_physics
 from fluvinv.grids import GridGeometry, ModelGrid
-from fluvinv.inversion import DataLoss, InversionError
+from fluvinv.inversion import ChainEnsemble, DataLoss, InversionError
+from fluvinv.inversion.mcmc import _distinct_rows, accept_probability, de_jump
 from fluvinv.inversion.optimize import RestartRecord, descend
 
 
@@ -545,3 +547,93 @@ class PerArrayAdam:
             v += (1 - b2) * g * g
             params[k] = params[k] - self.lr * (m / corr1) / (np.sqrt(v / corr2) + self.eps)
         return params
+
+
+def dream_zs_per_proposal(log_posterior, d, config):
+    """``dream_zs`` as one ``keyed_rng`` stream per proposal and an archive
+    kept as a list of rows, re-stacked every generation: the reference of
+    the one-pass stream words and the preallocated archive."""
+    cfg = config
+    m0 = cfg.archive_size0 if cfg.archive_size0 is not None else 10 * d
+    total = cfg.burn_in + cfg.generations
+    states = np.empty((cfg.n_chains, total, d))
+    logps = np.empty((cfg.n_chains, total))
+
+    archive_rows = list(cfg.init_scale * sample_prior(m0, d, cfg.rng_seed, 1))
+    x = cfg.init_scale * sample_prior(cfg.n_chains, d, cfg.rng_seed, 2)
+    x_logp = np.array([log_posterior(row) for row in x], dtype=np.float64)
+    x_logp[np.isnan(x_logp)] = -np.inf
+    n_accept = 0
+    n_prop = 0
+    n_resets = 0
+
+    for t in range(total):
+        arch = np.asarray(archive_rows)
+        m = arch.shape[0]
+        unit_jump = (t + 1) % cfg.gamma_one_every == 0
+        for i in range(cfg.n_chains):
+            rng = keyed_rng(cfg.rng_seed, 3, t, i)
+            snooker = rng.uniform() < cfg.snooker_prob
+            log_corr = 0.0
+            if not snooker:
+                delta = int(rng.integers(1, cfg.de_pairs_max + 1))
+                rows = _distinct_rows(rng, m, 2 * delta)
+                cr = cfg.cr_values[int(rng.integers(len(cfg.cr_values)))]
+                mask = rng.uniform(size=d) < cr
+                if not mask.any():
+                    mask[int(rng.integers(d))] = True
+                d_eff = int(mask.sum())
+                gamma = 1.0 if unit_jump else 2.38 / math.sqrt(2.0 * delta * d_eff)
+                e = rng.uniform(-cfg.jitter, cfg.jitter, size=d)
+                eps = cfg.noise * rng.standard_normal(d)
+                jump = de_jump(arch[rows[:delta]], arch[rows[delta:]],
+                               gamma, mask, e, eps)
+                proposal = x[i] + jump
+            else:
+                rows = _distinct_rows(rng, m, 3)
+                za, zb, zc = arch[rows[0]], arch[rows[1]], arch[rows[2]]
+                line = x[i] - za
+                denom = float(line @ line)
+                gamma_s = rng.uniform(1.2, 2.2)
+                if denom < 1e-300:
+                    continue  # degenerate line; keep the current state
+                proj_b = (float(zb @ line) / denom) * line
+                proj_c = (float(zc @ line) / denom) * line
+                proposal = x[i] + gamma_s * (proj_b - proj_c)
+                num = float(np.linalg.norm(proposal - za))
+                den = float(np.linalg.norm(x[i] - za))
+                if num <= 0 or den <= 0:
+                    continue
+                log_corr = (d - 1) * (math.log(num) - math.log(den))
+
+            logp_new = log_posterior(proposal)
+            n_prop += 1
+            if np.isfinite(logp_new):
+                alpha = accept_probability(logp_new - x_logp[i] + log_corr)
+                if rng.uniform() < alpha:
+                    x[i] = proposal
+                    x_logp[i] = logp_new
+                    n_accept += 1
+
+        states[:, t, :] = x
+        logps[:, t] = x_logp
+
+        if (t + 1) % cfg.archive_thin == 0:
+            archive_rows.extend(x.copy())
+
+        if t < cfg.burn_in and cfg.outlier_every and (t + 1) % cfg.outlier_every == 0:
+            half = (t + 1) // 2
+            means = logps[:, half:t + 1].mean(axis=1)
+            q1, q3 = np.percentile(means, [25, 75])
+            bad = means < q1 - 2.0 * (q3 - q1)
+            if bad.any():
+                best = int(np.argmax(means))
+                for i in np.where(bad)[0]:
+                    x[i] = x[best]
+                    x_logp[i] = x_logp[best]
+                    n_resets += 1
+
+    return ChainEnsemble(states=states, log_posteriors=logps,
+                         archive=np.asarray(archive_rows), burn_in=cfg.burn_in,
+                         accept_rate=n_accept / max(n_prop, 1),
+                         outlier_resets=n_resets)

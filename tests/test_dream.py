@@ -9,6 +9,7 @@ from scipy.special import logsumexp
 from fluvinv.inversion import ChainEnsemble, DreamConfig, dream_zs, gelman_rubin
 from fluvinv.inversion.loss import InversionError
 from fluvinv.inversion.mcmc import accept_probability, de_jump
+from helpers import dream_zs_per_proposal
 
 
 def standard_normal_logp(z):
@@ -168,3 +169,86 @@ def test_chain_with_a_nan_start_moves():
     for chain in ens.states:
         assert np.ptp(chain, axis=0).max() > 0
     assert np.all(np.isfinite(ens.log_posteriors[:, -1]))
+
+
+def _finite_where_small(z):
+    # NaN and -inf proposals, as a diverged model would score them
+    if z[0] > 1.5:
+        return math.nan
+    if z[1] > 1.0:
+        return -math.inf
+    return standard_normal_logp(z)
+
+
+def _nan_at_first_call():
+    calls = []
+
+    def logp(z):
+        calls.append(None)
+        return math.nan if len(calls) == 1 else _finite_where_small(z)
+    return logp
+
+
+def _two_wells(z):
+    # two far modes: chains that start near the smaller one trail the pack
+    a = -0.5 * float((z - 3.0) @ (z - 3.0))
+    b = -0.5 * float((z + 3.0) @ (z + 3.0)) - 20.0
+    return float(logsumexp([a, b]))
+
+
+_SEEDS = (0, 2**32 - 1, 2**32, 2**64 + 5)
+_REFERENCE_CASES = [
+    *[(f"chains{n}-thin{thin}-seed{seed}", standard_normal_logp, 3,
+       dict(n_chains=n, archive_thin=thin, rng_seed=seed, burn_in=20, generations=25))
+      for n in (3, 10) for thin in (1, 3, 10) for seed in _SEEDS[:2]],
+    *[(f"resets-seed{seed}", _two_wells, 2,
+       dict(n_chains=10, burn_in=60, generations=10, outlier_every=20, init_scale=4.0,
+            rng_seed=seed)) for seed in _SEEDS],
+    # chains that never move, all snooker, the archive full of their states
+    *[(f"degenerate-line-seed{seed}", lambda z: -math.inf, 2,
+       dict(n_chains=3, burn_in=0, generations=30, archive_thin=1, snooker_prob=1.0,
+            archive_size0=3, de_pairs_max=1, rng_seed=seed)) for seed in _SEEDS],
+    *[(f"non-finite-seed{seed}", _nan_at_first_call, 4,
+       dict(n_chains=4, burn_in=10, generations=30, snooker_prob=0.5, rng_seed=seed))
+      for seed in _SEEDS],
+]
+
+
+@pytest.mark.parametrize("name, logp, d, fields", _REFERENCE_CASES,
+                         ids=[case[0] for case in _REFERENCE_CASES])
+def test_matches_the_per_proposal_stream_loop(name, logp, d, fields):
+    if name.startswith("non-finite"):
+        logp, ref_logp = logp(), logp()
+    else:
+        ref_logp = logp
+    cfg = DreamConfig(**fields)
+    got = dream_zs(logp, d, cfg)
+    want = dream_zs_per_proposal(ref_logp, d, cfg)
+    for field in ("states", "log_posteriors", "archive"):
+        np.testing.assert_array_equal(getattr(got, field), getattr(want, field), err_msg=field)
+    assert (got.accept_rate, got.outlier_resets) == (want.accept_rate, want.outlier_resets)
+    if name.startswith("resets"):
+        assert got.outlier_resets > 0
+    if name.startswith("degenerate"):
+        assert got.accept_rate == 0.0
+        assert (got.archive[:, None, :] == got.states[:, -1, :][None]).all(axis=2).any()
+
+
+def test_builds_no_seed_sequence_per_generation(monkeypatch):
+    # the streams of a run come from one batch pass: the number of
+    # SeedSequence objects must not grow with the number of generations
+    built = []
+    real = np.random.SeedSequence
+
+    def counting(*args, **kwargs):
+        built.append(None)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "SeedSequence", counting)
+    counts = []
+    for generations in (2, 20):
+        built.clear()
+        dream_zs(standard_normal_logp, d=3,
+                 config=DreamConfig(n_chains=4, burn_in=0, generations=generations))
+        counts.append(len(built))
+    assert counts[0] == counts[1]

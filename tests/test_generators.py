@@ -13,6 +13,7 @@ from fluvinv.generators import (
     NeuralGenerator,
     ProceduralGenerator,
     keyed_rng,
+    keyed_rngs,
     load_weights,
     neutral_labels,
     sample_prior,
@@ -58,6 +59,39 @@ def test_keyed_rng_is_the_pcg64_stream_of_its_key():
     # numpy integers name the same stream as Python ints
     np.testing.assert_array_equal(keyed_rng(np.uint32(5), np.int64(7)).uniform(size=4),
                                   _inline_rng(5, 7).uniform(size=4))
+
+
+def _batch_keys():
+    # 1- to 6-entry keys; entries past 32 and 64 bits give keys of up to 18 words
+    edges = [0, 1, 2**32 - 1, 2**32, 2**64 + 5]
+    keys = [tuple(edges[(j + k) % 5] for k in range(n)) for n in range(1, 7) for j in range(5)]
+    rng = np.random.default_rng(11)
+    keys += [tuple(int(v) for v in rng.integers(0, 2**40, size=n)) for n in range(1, 7)]
+    return keys + [(5, 3, 0, 0), (5, 3), (2**32, 3, 7, 2), (np.uint32(5), np.int64(7)),
+                   (np.uint64(2**63 + 9), 3)]
+
+
+def test_keyed_rngs_are_the_streams_of_their_keys():
+    keys = _batch_keys()
+    streams = keyed_rngs(keys)
+    assert len(streams) == len(keys)
+    for j, key in enumerate(keys):
+        seq = np.random.SeedSequence(tuple(int(k) for k in key))
+        np.testing.assert_array_equal(streams.words[j], seq.generate_state(4, np.uint64))
+        np.testing.assert_array_equal(streams[j].standard_normal(5),
+                                      keyed_rng(*key).standard_normal(5))
+
+
+def test_keyed_rngs_rejects_negative_entries_and_other_state_sizes():
+    for key in [(5, -1), (np.int64(-3),), (2**70, 1, -2**70)]:
+        with pytest.raises(ValueError):
+            keyed_rng(*key)
+        with pytest.raises(ValueError, match="non-negative"):
+            keyed_rngs([(1, 2), key])
+    seq = keyed_rngs([(1, 2)])[0].bit_generator.seed_seq
+    for n_words, dtype in [(8, np.uint64), (4, np.uint32)]:
+        with pytest.raises(ValueError, match="4 uint64"):
+            seq.generate_state(n_words, dtype)
 
 
 @pytest.mark.parametrize("stream", [(), (13,), (1,), (3, 4)])

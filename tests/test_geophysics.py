@@ -82,10 +82,11 @@ def test_fraction_out_of_range_rejected():
 
 def test_nan_fraction_rejected_by_the_seismic_forward():
     # rock physics passes a NaN fraction on as NaN, so the mean Vp that sets
-    # the PSF is NaN, which a PSF velocity test must be written to fail on
+    # the PSF is NaN; the model then predicts NaN amplitudes, which the cube
+    # of observed data refuses
     grid = constant_grid(0.5)
     grid.coarse_fraction[1, 2, 3] = np.nan
-    with pytest.raises(GeophysicsError, match="positive average velocity, got nan"):
+    with pytest.raises(GeophysicsError, match="seismic amplitudes must be finite"):
         SeismicModel().forward(grid)
 
 

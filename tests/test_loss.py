@@ -7,7 +7,7 @@ import pytest
 
 import fluvinv.tensors as tc
 from fluvinv.generators import ProceduralGenerator, sample_prior
-from fluvinv.geophysics import GeophysicsError, PsfConfig, SeismicModel
+from fluvinv.geophysics import PsfConfig, SeismicModel
 from fluvinv.grids import GridGeometry
 from fluvinv.inversion import (
     DataLoss,
@@ -20,6 +20,7 @@ from fluvinv.inversion import (
     pivotal_tune,
 )
 from fluvinv.inversion.loss import well_mae
+from fluvinv.inversion.optimize import descend
 from fluvinv.survey import extract_well_data
 
 GEO = GridGeometry(nx=8, ny=8, nz=4)
@@ -116,16 +117,25 @@ def test_gradient_matches_fd_with_seismic():
 
 
 def test_a_nan_latent_is_rejected_by_the_seismic_term():
-    # a NaN latent gives NaN fractions and so a NaN PSF velocity, which
-    # the PSF must reject with its own error
+    # a NaN latent gives NaN fractions and so a NaN PSF velocity; the seismic
+    # term then scores NaN, as the well term does, rather than raising
     model = SeismicModel()
     obs = Observations(wells=WELLS, seismic=model.forward(TRUTH), seismic_model=model)
     loss = DataLoss(obs, DataLossConfig(use_seismic=True, lambda_z=0.0))
     loglik = gaussian_data_loglik(GEN, obs, 0.1)
     for build in (lambda tape, z: loss.build(tape, GEN.build(tape, z)[0]), loglik):
         tape = tc.GraphTape(np.float64)
-        with pytest.raises(GeophysicsError, match="positive average velocity"):
-            build(tape, tape.constant(np.full(8, np.nan)))
+        assert math.isnan(float(build(tape, tape.constant(np.full(8, np.nan))).value))
+
+
+def test_descent_from_a_nan_latent_halts_under_the_seismic_term():
+    model = SeismicModel()
+    obs = Observations(wells=WELLS, seismic=model.forward(TRUTH), seismic_model=model)
+    loss = DataLoss(obs, DataLossConfig(use_seismic=True))
+    params = {"z": np.full(8, np.nan)}
+    history, halted = descend(lambda tape, nodes, step: loss.build(
+        tape, GEN.build(tape, nodes["z"])[0], z=nodes["z"]), params, np.float64, steps=3, lr=0.1)
+    assert halted and len(history) == 1 and math.isnan(history[0])
 
 
 def test_absolute_metric():

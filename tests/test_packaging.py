@@ -50,8 +50,8 @@ def _numpy_random_uses(tree):
     uses = []
 
     def visit(node, func):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            func = node.name
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            func = node.name if func is None else f"{func}.{node.name}"
         if isinstance(node, ast.Attribute) and node.attr == "random" \
                 and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy"):
             uses.append((node.lineno, func))
@@ -70,14 +70,15 @@ def _numpy_random_uses(tree):
 
 
 def test_only_keyed_rng_touches_numpy_random():
-    """Every random draw under src/ comes from ``generators.keyed_rng``: no
-    other code builds a SeedSequence, PCG64 or default_rng or draws from
-    numpy's global stream."""
+    """Every random draw under src/ comes from ``generators.keyed_rng`` or its
+    batch form ``keyed_rngs``: no other code builds a SeedSequence, PCG64 or
+    default_rng or draws from numpy's global stream."""
+    streams = {"keyed_rng", "_StateWords", "_KeyedStreams.__getitem__"}
     offenders = []
     for path in sorted((ROOT / "src").rglob("*.py")):
         rel = path.relative_to(ROOT).as_posix()
         for line, func in _numpy_random_uses(ast.parse(path.read_text())):
-            if (rel, func) != ("src/fluvinv/generators.py", "keyed_rng"):
+            if rel != "src/fluvinv/generators.py" or func not in streams:
                 offenders.append(f"{rel}:{line} in {func}")
     assert not offenders, f"numpy.random used outside keyed_rng: {offenders}"
 
