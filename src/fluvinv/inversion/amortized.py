@@ -108,9 +108,9 @@ def train_inference_network(generator, observations, config=None):
 
 def mean_pairwise_distance(latents):
     z = np.asarray(latents)
+    if z.ndim != 2 or z.shape[0] < 2:
+        raise InversionError(f"need an (n, d) array of at least two latents, got shape {z.shape}")
     n = z.shape[0]
-    if n < 2:
-        raise InversionError("need at least two latents")
     total = 0.0
     count = 0
     for i in range(n):
@@ -121,4 +121,6 @@ def mean_pairwise_distance(latents):
 
 def expected_prior_pairwise_distance(d):
     """E|z1 - z2| for independent standard normals: 2 Gamma((d+1)/2) / Gamma(d/2)."""
+    if not isinstance(d, (int, np.integer)) or d < 1:
+        raise InversionError(f"dimension must be a positive integer, got {d!r}")
     return 2.0 * math.exp(math.lgamma((d + 1) / 2.0) - math.lgamma(d / 2.0))

@@ -207,5 +207,7 @@ def _inverse_or_one(value):
 
 def well_mae(grid, wells):
     """Inversion error: mean |sample - observation| over the well cells."""
+    if not wells.wells:
+        raise InversionError("well MAE over a well dataset with no wells")
     picked = grid.coarse_fraction.reshape(-1)[wells.flat_cell_indices()]
     return float(np.mean(np.abs(picked - wells.values())))

@@ -32,7 +32,7 @@ __all__ = [
     "affine", "custom", "dense", "matmul_axis", "conv3d", "conv3d_at", "cell_plan",
     "upconv3d", "upsample2",
     "crop", "concat", "stack", "reshape", "take",
-    "sum_all", "sum_axis", "mean_all", "mean_rows", "gradient_check",
+    "sum_all", "sum_axis", "mean_all", "mean_rows",
 ]
 
 _ACC = np.float64  # accumulation dtype for reductions/contractions
@@ -1180,46 +1180,3 @@ def upsample2(x):
 
     return tape._op(x.value.repeat(2, axis=1).repeat(2, axis=2).repeat(2, axis=3), (x,),
                     backward)
-
-
-# ---------------------------------------------------------------------------
-# verification
-
-def gradient_check(fn, point, step=1e-5):
-    """Max relative mismatch between taped and central-difference gradients.
-
-    ``fn(tape, node) -> scalar node`` defines the function; it is evaluated
-    in float64 regardless of the default storage mode. Returns
-    max_i |analytic_i - numeric_i| / max(|analytic_i|, |numeric_i|, 1e-12).
-    """
-    if step <= 0:
-        raise TensorError("gradient_check: step must be > 0")
-    point = np.asarray(point, dtype=np.float64)
-
-    tape = GraphTape(np.float64)
-    x = tape.input(point)
-    out = fn(tape, x)
-    if out.value.shape != ():
-        raise TensorError("gradient_check: function must return a scalar node")
-    if not np.isfinite(out.value):
-        raise TensorError("gradient_check: non-finite value at the evaluation point")
-    analytic = tape.backward(out).wrt(x).ravel()
-
-    def value_at(p):
-        t = GraphTape(np.float64)
-        return float(fn(t, t.input(p)).value)
-
-    flat = point.ravel()
-    numeric = np.empty_like(flat)
-    for i in range(flat.size):
-        delta = np.zeros_like(flat)
-        delta[i] = step
-        hi = value_at((flat + delta).reshape(point.shape))
-        lo = value_at((flat - delta).reshape(point.shape))
-        if not (np.isfinite(hi) and np.isfinite(lo)):
-            raise TensorError(f"gradient_check: non-finite function value at probe "
-                              f"coordinate {i}")
-        numeric[i] = (hi - lo) / (2.0 * step)
-
-    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-12)
-    return float(np.max(np.abs(analytic - numeric) / denom))

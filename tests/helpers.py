@@ -1,32 +1,119 @@
-"""Shared test fixtures: a linear generator with a known least-squares oracle,
-a direct-summation oracle for ``tc.conv3d``, the per-tap and per-offset
-loops that ``tc.conv3d`` and ``tc.upconv3d`` ran before their column
-buffer, the wide-buffer form of conv3d's row accumulation, the
-padded-column reflectivity formula, the interface reflectivity as the tape
-of concat, crops, sub, add and div that its one record replaced, the
-one-restart-at-a-time latent optimization loop that the row blocks
-replaced, the procedural build as a tape of elementwise ops that the fused
-kernel replaced, the neural build as the upsample-then-convolve composition
-that ``tc.upconv3d`` replaced, the flow transform and the dense chain as
-the per-op tape records that their fused kernels replaced, the per-array
-Adam update that the one-vector update replaced, the friable-sand
-moduli as named arrays, and DREAM(ZS) with one keyed stream per proposal
-and a list archive."""
+"""Shared test fixtures.
+
+- ``assert_matches(actual, reference, rule)``, the one comparison rule of
+  the tests that hold a fast path to the slow path it replaced: ``EXACT``
+  (dtype, shape and bits) or ``round_off(k)`` (dtype, shape, and every entry
+  within k storage-dtype ulps of the largest |reference| entry).
+- ``FAST_PATHS``, the table of every ``tc.custom`` site under ``src/`` and
+  every fast engine kernel, each with its reference, its rule per storage
+  dtype and a seeded input strategy; ``check_fast_path`` compares one entry's
+  values and input gradients on one case.
+- ``gradient_check``, the central-difference oracle of taped gradients.
+- The references the table reads: the per-tap and per-offset loops that
+  ``tc.conv3d`` and ``tc.upconv3d`` ran before their column buffer, the
+  interface reflectivity, the procedural build, the dense chain and the flow
+  transform as the tapes of ops their one records replaced.
+- Other references: a linear generator with a known least-squares oracle, a
+  direct-summation oracle for ``tc.conv3d``, the wide-buffer form of
+  conv3d's row accumulation, the padded-column reflectivity formula, the
+  one-restart-at-a-time latent optimization loop that the row blocks
+  replaced, the neural build as the upsample-then-convolve composition that
+  ``tc.upconv3d`` replaced, the per-array Adam update that the one-vector
+  update replaced, the friable-sand moduli as named arrays, and DREAM(ZS)
+  with one keyed stream per proposal and a list archive."""
 
 import math
 import warnings
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 import fluvinv.tensors as tc
 from fluvinv import geophysics
-from fluvinv.generators import (LABEL_NAMES, _batch_rows, _cell_coordinates, _label_node,
-                                keyed_rng, neutral_labels, sample_prior)
-from fluvinv.geophysics import RockPhysicsParams, rock_physics
+from fluvinv.generators import (LABEL_NAMES, ProceduralGenerator, _batch_rows,
+                                _cell_coordinates, _label_node, keyed_rng, neutral_labels,
+                                sample_prior)
+from fluvinv.geophysics import BurdenConfig, RockPhysicsParams, rock_physics, rock_physics_nodes
 from fluvinv.grids import GridGeometry, ModelGrid
-from fluvinv.inversion import ChainEnsemble, DataLoss, InversionError
+from fluvinv.inversion import ChainEnsemble, DataLoss, FlowConfig, FlowModel, InversionError
 from fluvinv.inversion.mcmc import _distinct_rows, accept_probability, de_jump
+from fluvinv.inversion.networks import mlp_apply, mlp_init
 from fluvinv.inversion.optimize import RestartRecord, descend
+
+
+EXACT = ("exact", 0)
+
+
+def round_off(k):
+    """The rule that every entry lies within k ulps of the storage dtype of
+    the largest |reference| entry, as sums in different orders leave an
+    entry far below the largest with round-off above its own size."""
+    return ("round_off", k)
+
+
+def assert_matches(actual, reference, rule, what="array"):
+    """Assert that ``actual`` matches ``reference`` by ``rule``: both have
+    one dtype and shape, and under ``EXACT`` the same bits; under
+    ``round_off(k)`` their non-finite entries are equal and every other
+    entry is within k ulps of the largest finite |reference| entry. Dicts
+    of arrays match when they have the same keys and each entry matches."""
+    if isinstance(reference, dict):
+        assert actual.keys() == reference.keys(), f"{what}: {sorted(actual)} != {sorted(reference)}"
+        for k, ref in reference.items():
+            assert_matches(actual[k], ref, rule, f"{what}[{k}]")
+        return
+    actual, reference = np.asarray(actual), np.asarray(reference)
+    assert actual.dtype == reference.dtype, f"{what}: dtype {actual.dtype} != {reference.dtype}"
+    assert actual.shape == reference.shape, f"{what}: shape {actual.shape} != {reference.shape}"
+    kind, k = rule
+    if kind == "exact":
+        assert actual.tobytes() == reference.tobytes(), f"{what}: bits differ"
+        return
+    finite = np.isfinite(reference)
+    np.testing.assert_array_equal(actual[~finite], reference[~finite], err_msg=what)
+    err = np.abs(actual[finite].astype(np.float64) - reference[finite])
+    ulp = float(np.spacing(reference.dtype.type(np.max(np.abs(reference[finite]), initial=0.0))))
+    worst = float(np.max(err, initial=0.0))
+    assert worst <= k * ulp, f"{what}: error of {worst / ulp:.4g} ulps of the largest entry > {k}"
+
+
+def gradient_check(fn, point, step=1e-5):
+    """Max relative mismatch between taped and central-difference gradients.
+
+    ``fn(tape, node) -> scalar node`` defines the function; it is evaluated
+    in float64. Returns max_i |analytic_i - numeric_i| / max(|analytic_i|,
+    |numeric_i|, 1e-12).
+    """
+    if step <= 0:
+        raise ValueError("gradient_check: step must be > 0")
+    point = np.asarray(point, dtype=np.float64)
+
+    tape = tc.GraphTape(np.float64)
+    x = tape.input(point)
+    out = fn(tape, x)
+    if out.value.shape != ():
+        raise ValueError("gradient_check: function must return a scalar node")
+    if not np.isfinite(out.value):
+        raise ValueError("gradient_check: non-finite value at the evaluation point")
+    analytic = tape.backward(out).wrt(x).ravel()
+
+    def value_at(p):
+        t = tc.GraphTape(np.float64)
+        return float(fn(t, t.input(p)).value)
+
+    flat = point.ravel()
+    numeric = np.empty_like(flat)
+    for i in range(flat.size):
+        delta = np.zeros_like(flat)
+        delta[i] = step
+        hi = value_at((flat + delta).reshape(point.shape))
+        lo = value_at((flat - delta).reshape(point.shape))
+        if not (np.isfinite(hi) and np.isfinite(lo)):
+            raise ValueError(f"gradient_check: non-finite function value at probe coordinate {i}")
+        numeric[i] = (hi - lo) / (2.0 * step)
+
+    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-12)
+    return float(np.max(np.abs(analytic - numeric) / denom))
 
 
 class LinearGenerator:
@@ -637,3 +724,223 @@ def dream_zs_per_proposal(log_posterior, d, config):
                          archive=np.asarray(archive_rows), burn_in=cfg.burn_in,
                          accept_rate=n_accept / max(n_prop, 1),
                          outlier_resets=n_resets)
+
+
+# ---------------------------------------------------------------------------
+# the table of fast paths
+
+class FastPath(NamedTuple):
+    """A fast path and the slow path it replaced.
+
+    ``site`` is the function under ``src/`` that holds the fast path, as
+    ``Class.method`` or a module-level name. ``fast`` and ``reference`` map
+    ``(tape, nodes, args)`` to an output node or a tuple of them, where
+    ``nodes`` holds a tape input per array of a case's inputs and ``args``
+    the rest of the case. ``rules`` gives the rule of values and gradients
+    per storage dtype, and ``cases(seed)`` draws ``(inputs, args)``.
+    """
+    site: str
+    fast: Callable
+    reference: Callable
+    rules: dict
+    cases: Callable
+
+
+def run_taped(fn, dtype, inputs, args, seed=0):
+    """Each output value of ``fn`` on a fresh tape of ``dtype`` and the
+    gradient of every input, by name, under upstream gradients drawn from
+    ``seed``."""
+    tape = tc.GraphTape(dtype)
+    nodes = {k: tape.input(v) for k, v in inputs.items()}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the flow's clamp warning
+        outs = fn(tape, nodes, args)
+    outs = outs if isinstance(outs, tuple) else (outs,)
+    rng = np.random.default_rng(seed)
+    loss = sum(tc.sum_all(tape.constant(rng.standard_normal(o.value.shape)) * o) for o in outs)
+    grads = tape.backward(loss)
+    return {**{f"value{i}": o.value for i, o in enumerate(outs)},
+            **{f"grad[{k}]": grads.wrt(n) for k, n in nodes.items()}}
+
+
+def check_fast_path(path, dtype, case, seed=0):
+    """Assert that ``path`` matches its reference on ``case`` by its rule
+    at ``dtype``, under the upstream gradients of ``seed``."""
+    got, want = (run_taped(fn, dtype, *case, seed) for fn in (path.fast, path.reference))
+    assert_matches(got, want, path.rules[np.dtype(dtype).type], path.site)
+
+
+def _loop_record(loop, out_extents):
+    """A tape function of ``loop(x, w, bias, g) -> (value, gx, gw, gbias)``,
+    the per-tap or per-offset reference, as one record over x, w and bias
+    that runs the loop in float64."""
+    def build(tape, n, args):
+        x, w, bias = (np.asarray(n[k].value, dtype=np.float64) for k in ("x", "w", "bias"))
+        value = loop(x, w, bias, np.zeros((w.shape[0],) + out_extents(x.shape[1:])))[0]
+
+        def vjp(g):
+            return loop(x, w, bias, np.asarray(g, dtype=np.float64))[1:]
+
+        return tc.custom(lambda *_: (value, vjp), n["x"], n["w"], n["bias"])
+    return build
+
+
+def _banded_matrix(tape, n, args):
+    """A constant one-axis kernel as the dense banded matrix product,
+    ``tc._along_axis`` of ``tc._banded``, in value and input gradient."""
+    w = np.asarray(np.asarray(args["w"], dtype=tape.dtype), dtype=np.float64)
+    axis = 1 + int(np.argmax(w.shape[2:]))
+    m = tc._banded(w.reshape(-1), n["x"].value.shape[axis])
+    return tc.custom(lambda v: (tc._along_axis(v, m, axis),
+                                lambda g: (tc._along_axis(g, m.T, axis),)), n["x"])
+
+
+def _conv_operands(rng, channels, extents):
+    c, o = (int(rng.integers(1, channels + 1)) for _ in range(2))
+    shape = tuple(int(rng.integers(1, extents + 1)) for _ in range(3))
+    kshape = tuple(int(rng.choice([1, 3, 5])) for _ in range(3))
+    return {"x": rng.standard_normal((c,) + shape), "w": rng.standard_normal((o, c) + kshape),
+            "bias": rng.standard_normal(o)}
+
+
+PROC = ProceduralGenerator(GridGeometry(nx=12, ny=9, nz=5), latent_dim=9)
+
+
+def _procedural_case(seed):
+    rng = np.random.default_rng(seed)
+    rows = (None, 1, 3)[seed % 3]
+    lead = () if rows is None else (rows,)
+    per_row = rows is not None and rng.uniform() < 0.5
+    cells = None if rng.uniform() < 0.3 else rng.integers(0, PROC.geometry.n_cells,
+                                                          int(rng.integers(1, 41)))
+    maps = PROC.weights()["maps"]
+    return ({"z": 1.5 * rng.standard_normal(lead + (9,)),
+             "labels": rng.uniform(0.0, 1.0, lead + (5,) if per_row else (5,)),
+             "maps": maps * (1.0 + 0.2 * rng.standard_normal(maps.size))},
+            {"cells": cells})
+
+
+def _fraction_case(seed):
+    rng = np.random.default_rng(seed)
+    # inside both ends at float32 too, where the clamp's zero slope begins
+    near_ends = np.array([1e-12, 1e-9, 1.0 - 2.0 ** -23])
+    params = (RockPhysicsParams(), RockPhysicsParams(pressure=0.03, coordination=6.0))[seed % 2]
+    return {"f": np.concatenate([rng.uniform(size=500), near_ends])}, {"params": params}
+
+
+def _taped_vp(tape, n, args):
+    return geophysics._friable_sand(tape, n["f"], args["params"])["vp"]
+
+
+def _interface_case(seed):
+    rng = np.random.default_rng(seed)
+    geometry = GridGeometry(*(int(rng.integers(1, 9)) for _ in range(3)))
+    burden = (BurdenConfig(), BurdenConfig(fraction=0.2, bottom_fraction=0.9),
+              BurdenConfig(total_thickness_m=0.0))[seed % 3 if geometry.nz > 1 else seed % 2]
+    rho, vp = rock_physics(rng.uniform(0.05, 0.95, geometry.shape))
+    return {"rho": rho, "vp": vp}, {"geometry": geometry, "burden": burden,
+                                    "params": RockPhysicsParams()}
+
+
+def _interfaces(fn):
+    return lambda tape, n, a: fn(tape, n["rho"], n["vp"], a["geometry"], a["burden"],
+                                 a["params"])[0]
+
+
+def _mlp_case(seed):
+    rng = np.random.default_rng(seed)
+    hidden = ((), (5,), (5, 6))[seed % 3]
+    weights = {k: v + 0.1 for k, v in mlp_init(3, hidden, 4, rng).items()}  # nonzero biases
+    x = rng.standard_normal(((3,), (1, 3), (4, 3))[int(rng.integers(3))])
+    return {"x": x, **weights}, {"n_layers": len(hidden) + 1}
+
+
+def _flow_case(seed):
+    """A flow whose weights are its initial ones plus noise, so that every
+    layer's scales and shifts are far from zero."""
+    rng = np.random.default_rng(seed)
+    dim = int(rng.integers(2, 9))
+    flow = FlowModel(dim, FlowConfig(n_layers=4, hidden=((4,), (16,), (8, 8))[seed % 3],
+                                     rng_seed=seed))
+    weights = {k: v + 0.3 * rng.standard_normal(v.shape) for k, v in flow.weights.items()}
+    u = rng.standard_normal(((), (0,), (1,), (4,))[int(rng.integers(4))] + (dim,))
+    return {"u": u, **weights}, {"flow": flow}
+
+
+def _flow(transform):
+    return lambda tape, n, a: transform(a["flow"], tape, n["u"],
+                                        {k: n[k] for k in a["flow"].weights})
+
+
+BAND_LENGTHS = (1, 2, 5, 16, 17, 24, 40, 67, 128)
+
+
+def _band_case(seed, axis=None, k=None, n=None):
+    """One input of shape (1, 3, 4, 5) with axis ``axis`` n long and a
+    constant single-channel kernel of k taps along it."""
+    rng = np.random.default_rng(seed)
+    axis = int(rng.integers(3)) if axis is None else axis
+    k = int(rng.choice([3, 5, 7, 9])) if k is None else k
+    shape, kshape = [1, 3, 4, 5], [1, 1, 1, 1, 1]
+    shape[1 + axis] = int(rng.choice(BAND_LENGTHS)) if n is None else n
+    kshape[2 + axis] = k
+    return {"x": rng.standard_normal(shape)}, {"w": rng.standard_normal(kshape)}
+
+
+def _cell_conv_case(seed):
+    rng = np.random.default_rng(seed)
+    ops = _conv_operands(rng, 4, 6)
+    shape = ops["x"].shape[1:]
+    n = int(np.prod(shape))
+    cells = rng.choice(n, int(rng.integers(1, n + 1)), replace=False)
+    return ({**ops, "x": ops["x"].reshape(-1, n)},
+            {"plan": tc.cell_plan(shape, ops["w"].shape[2:], cells)})
+
+
+def _conv3d_at(tape, n, a):
+    return tc.conv3d_at(n["x"], n["w"], n.get("bias"), a["plan"])
+
+
+def _take_of_conv3d(tape, n, a):
+    plan, (o, c) = a["plan"], n["w"].value.shape[:2]
+    full = tc.conv3d(tc.reshape(n["x"], (c,) + plan.shape), n["w"], n.get("bias"))
+    return tc.take(full, np.arange(o)[:, None] * n["x"].value.shape[1] + plan.cells)
+
+
+def _both(rule):
+    return {np.float32: rule, np.float64: rule}
+
+
+# k ulps of the largest entry are at most k * eps of it: round-off of
+# 1e-12 of it in float64 and of 1e-5 in float32
+ROUND_OFF = {np.float32: round_off(83), np.float64: round_off(4503)}
+
+FAST_PATHS = {path.site: path for path in [
+    FastPath("ProceduralGenerator.build",
+             lambda tape, n, a: PROC.build(tape, n["z"], n["labels"], {"maps": n["maps"]},
+                                           a["cells"]),
+             lambda tape, n, a: taped_procedural_build(PROC, tape, n["z"], n["labels"],
+                                                       {"maps": n["maps"]}, a["cells"]),
+             ROUND_OFF, _procedural_case),
+    FastPath("rock_physics_nodes",
+             lambda tape, n, a: rock_physics_nodes(tape, n["f"], a["params"])[1],
+             _taped_vp, ROUND_OFF, _fraction_case),
+    FastPath("_interface_nodes", _interfaces(geophysics._interface_nodes),
+             _interfaces(taped_interface_nodes), _both(EXACT), _interface_case),
+    FastPath("mlp_apply", lambda tape, n, a: mlp_apply(tape, n, n["x"], a["n_layers"]),
+             lambda tape, n, a: taped_mlp_apply(tape, n, n["x"], a["n_layers"]),
+             _both(EXACT), _mlp_case),
+    FastPath("FlowModel.transform", _flow(FlowModel.transform), _flow(taped_flow_transform),
+             _both(EXACT), _flow_case),
+    FastPath("conv3d", lambda tape, n, a: tc.conv3d(n["x"], n["w"], n["bias"]),
+             _loop_record(conv3d_per_tap, lambda shape: shape), ROUND_OFF,
+             lambda seed: (_conv_operands(np.random.default_rng(seed), 4, 6), {})),
+    FastPath("_band", lambda tape, n, a: tc.conv3d(n["x"], tape.constant(a["w"])),
+             _banded_matrix, _both(round_off(4)), _band_case),
+    FastPath("upconv3d", lambda tape, n, a: tc.upconv3d(n["x"], n["w"], n["bias"]),
+             _loop_record(upconv3d_per_offset, lambda shape: tuple(2 * e for e in shape)),
+             ROUND_OFF,
+             lambda seed: (_conv_operands(np.random.default_rng(seed), 3, 4), {})),
+    FastPath("conv3d_at", _conv3d_at, _take_of_conv3d,
+             {np.float32: round_off(1), np.float64: round_off(450)}, _cell_conv_case),
+]}

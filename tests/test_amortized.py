@@ -76,3 +76,16 @@ def test_expected_pairwise_distance_matches_monte_carlo():
 def test_config_rejects_bad_values(field, value):
     with pytest.raises(InversionError, match=field):
         InferenceNetConfig(**{field: value})
+
+
+@pytest.mark.parametrize("latents", [np.zeros(4), np.zeros((1, 3)), np.zeros((2, 3, 1))],
+                         ids=["1-d", "one-row", "3-d"])
+def test_mean_pairwise_distance_rejects_other_than_rows_of_latents(latents):
+    with pytest.raises(InversionError, match="latents"):
+        mean_pairwise_distance(latents)
+
+
+@pytest.mark.parametrize("d", [0, -1, 2.5])
+def test_expected_prior_pairwise_distance_rejects_a_bad_dimension(d):
+    with pytest.raises(InversionError, match="dimension"):
+        expected_prior_pairwise_distance(d)

@@ -33,7 +33,7 @@ from fluvinv.inversion import (
 )
 from fluvinv.inversion.optimize import descend
 from fluvinv.survey import extract_well_data
-from helpers import LinearGenerator, NonFiniteGenerator
+from helpers import LinearGenerator, NonFiniteGenerator, gradient_check
 
 GEO = GridGeometry(nx=12, ny=9, nz=4)
 PROC = ProceduralGenerator(GEO, latent_dim=8)
@@ -101,7 +101,7 @@ def test_dense_rejects_rank_three_input():
 @pytest.mark.parametrize("axis", [0, 1, -1])
 def test_sum_axis_gradient_matches_fd(axis):
     point = np.random.default_rng(3).standard_normal((3, 4))
-    err = tc.gradient_check(
+    err = gradient_check(
         lambda tape, x: tc.sum_all(tc.square(tc.sum_axis(x, axis))), point)
     assert err < 1e-7
 
@@ -117,7 +117,7 @@ def test_sum_axis_value_and_range():
 @pytest.mark.parametrize("shape", [(3, 5), (2, 3, 4, 5), (1, 7)])
 def test_mean_rows_gradient_matches_fd(shape):
     point = np.random.default_rng(3).standard_normal(shape)
-    err = tc.gradient_check(lambda tape, x: _weighted(tape, tc.mean_rows(tc.square(x)), 4),
+    err = gradient_check(lambda tape, x: _weighted(tape, tc.mean_rows(tc.square(x)), 4),
                             point)
     assert err < 1e-7
 
@@ -136,7 +136,7 @@ def test_mean_rows_equal_row_means(dtype):
 
 def test_stack_gradient_matches_fd():
     point = np.random.default_rng(4).standard_normal(6)
-    err = tc.gradient_check(
+    err = gradient_check(
         lambda tape, x: _weighted(tape, tc.stack([x, tc.square(x), x]), 5), point)
     assert err < 1e-7
 

@@ -42,7 +42,8 @@ from fluvinv.inversion import (
 )
 from fluvinv.inversion.loss import well_mae
 from fluvinv.survey import extract_well_data
-from helpers import LinearGenerator, NonFiniteGenerator
+from helpers import (EXACT, ROUND_OFF, LinearGenerator, NonFiniteGenerator, assert_matches,
+                     round_off)
 
 GEO = GridGeometry(nx=12, ny=9, nz=4)
 PROC = ProceduralGenerator(GEO, latent_dim=8)
@@ -103,11 +104,17 @@ def test_procedural_cells_equal_gathered_full_grid(dtype, cells, seed, labels):
                                        g_full.wrt(full_nodes[name]), rtol=1e-12)
 
 
-def _neural_pair(gen, dtype, cells, rows=None, seed=0):
-    """A build at ``cells`` and the full-grid build gathered there, each as
-    (values of both channels, gradients of a random projection of them with
-    respect to z, the labels of a conditioned generator, per row for a
-    batch, and every weight)."""
+def _check_neural_pair(gen, dtype, cells, rows=None, seed=0, exact=True):
+    """A build at ``cells`` against the full-grid build gathered there: the
+    values of both channels, and the gradients of a random projection of
+    them with respect to z, the labels of a conditioned generator (per row
+    for a batch) and every weight.
+
+    Where the cells build's sums round as conv3d's do (see
+    tests/test_conv3d.py), values match bit for bit and gradients to
+    float64 round-off (bit for bit in float32). A generator too wide for
+    that agrees to round-off: values in [0, 1] to 4 ulps of their largest
+    entry, gradients to 8."""
     z = sample_prior(rows or 1, gen.latent_dim, rng_seed=seed)
     z = z if rows else z[0]
     labels = None
@@ -131,39 +138,23 @@ def _neural_pair(gen, dtype, cells, rows=None, seed=0):
         loss = (tc.sum_all(built[0] * tape.constant(rng.normal(size=built[0].shape)))
                 + tc.sum_all(tc.square(built[1]) * tape.constant(rng.normal(size=built[1].shape))))
         grads = tape.backward(loss)
-        out.append(([node.value for node in built],
-                     {k: grads.wrt(node) for k, node in (nodes | weights).items()}))
-    return out
-
-
-def _assert_neural_pair_equal(pair, dtype, shape, exact=True):
-    # values bit for bit and every gradient to rtol 1e-12 where the cells
-    # build's sums round as conv3d's do (see tests/test_conv3d.py). A
-    # generator too wide for that agrees to round-off: values in [0, 1] to
-    # two ulps of 1, and gradients to eight ulps of their largest entry
-    (values, grads), (want_values, want_grads) = pair
-    eps = float(np.finfo(dtype).eps)
-    for got, want in zip(values, want_values):
-        assert got.dtype == dtype and got.shape == want.shape == shape
-        if exact:
-            np.testing.assert_array_equal(got, want)
-        else:
-            np.testing.assert_allclose(got, want, rtol=0, atol=2 * eps)
-    assert grads.keys() == want_grads.keys()
-    for name, want in want_grads.items():
-        assert grads[name].shape == want.shape, name
-        if exact:
-            np.testing.assert_allclose(grads[name], want, rtol=1e-12, atol=0, err_msg=name)
-        else:
-            _assert_gradient_close(grads[name], want, 8 * eps)
+        out.append(({"coarse": built[0].value, "depo": built[1].value},
+                    {k: grads.wrt(node) for k, node in (nodes | weights).items()}))
+    (values, grads), (want_values, want_grads) = out
+    assert values["coarse"].shape == gather.shape
+    if exact:
+        assert_matches(values, want_values, EXACT)
+        assert_matches(grads, want_grads, EXACT if dtype == np.float32 else ROUND_OFF[np.float64])
+    else:
+        assert_matches(values, want_values, round_off(4))
+        assert_matches(grads, want_grads, round_off(8))
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @SETTINGS
 @given(cells=cell_lists(NEURAL_GEO), seed=st.integers(0, 2 ** 16))
 def test_neural_cells_equal_gathered_full_grid(dtype, cells, seed):
-    pair = _neural_pair(NEURAL, dtype, cells, seed=seed)
-    _assert_neural_pair_equal(pair, dtype, (len(cells),))
+    _check_neural_pair(NEURAL, dtype, cells, seed=seed)
 
 
 def _flat(geometry, x, y, z):
@@ -214,9 +205,7 @@ NEURAL_VARIANTS = {
 def test_neural_cells_on_edges_equal_gathered_full_grid(variant, cell_set, dtype):
     gen, rows, exact = NEURAL_VARIANTS[variant]
     cells = _edge_cells(gen.geometry)[cell_set]
-    pair = _neural_pair(gen, dtype, cells, rows=rows, seed=len(cells))
-    _assert_neural_pair_equal(pair, dtype, (len(cells),) if rows is None else (rows, len(cells)),
-                              exact)
+    _check_neural_pair(gen, dtype, cells, rows=rows, seed=len(cells), exact=exact)
 
 
 @pytest.mark.parametrize("variant", sorted(NEURAL_VARIANTS))
@@ -350,14 +339,6 @@ def _well_loss(z, at_cells, config):
     return float(value.value), tape.backward(value).wrt(zn)
 
 
-def _assert_gradient_close(actual, reference, rtol=1e-12):
-    # relative to the largest reference entry: the two builds sum over
-    # different cell sets, so an entry far smaller than the others can carry
-    # round-off above rtol of its own size
-    scale = float(np.max(np.abs(reference)))
-    np.testing.assert_allclose(actual, reference, rtol=0, atol=rtol * scale)
-
-
 @pytest.mark.parametrize("metric", ["squared", "absolute"])
 @SETTINGS
 @given(seed=st.integers(0, 2 ** 16))
@@ -370,7 +351,9 @@ def test_data_loss_at_cells_equals_full_grid(metric, seed):
     v_cells, g_cells = _well_loss(z, True, config)
     v_full, g_full = _well_loss(z, False, config)
     assert v_cells == v_full
-    _assert_gradient_close(g_cells, g_full)
+    # the two builds sum over different cell sets, so an entry far smaller
+    # than the others can carry round-off above its own size
+    assert_matches(g_cells, g_full, ROUND_OFF[np.float64])
 
 
 @pytest.mark.parametrize("seed", [909, 2363, 45179])
@@ -381,7 +364,7 @@ def test_gradient_comparison_rejects_a_perturbed_entry(seed):
         bent = g.copy()
         bent[i] += 1e-10 * np.max(np.abs(g))
         with pytest.raises(AssertionError):
-            _assert_gradient_close(bent, g)
+            assert_matches(bent, g, ROUND_OFF[np.float64])
 
 
 @SETTINGS
@@ -406,7 +389,7 @@ def test_gaussian_loglik_at_cells_equals_full_grid(seed):
     ref = (-0.5 / sigma ** 2) * tc.sum_all(tc.square(resid))
     g_full = tape.backward(ref).wrt(zn)
     assert float(value.value) == float(ref.value)
-    _assert_gradient_close(g_cells, g_full)
+    assert_matches(g_cells, g_full, ROUND_OFF[np.float64])
 
 
 def test_cells_follow_the_seismic_term():

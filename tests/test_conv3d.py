@@ -6,8 +6,8 @@ over a sliding-window view of the padded input, forward and backward.
 ``helpers.conv3d_per_tap`` is the loop it ran next: one (O, C) @ (C, L)
 matmul per tap over shifted views of the padded input. The column-buffer
 correlation (one (O, kx*C) @ (kx*C, L) matmul per kernel row) must
-reproduce both, values and all three gradients, to float64 round-off, and
-agree with direct summation and its own adjoint on random small shapes. Its
+reproduce both, values and all three gradients, to round-off, and agree
+with direct summation and its own adjoint on random small shapes. Its
 per-row accumulation in a contiguous buffer must equal the wide-buffer form
 (``helpers.correlate_wide_buffer``) bit for bit.
 
@@ -29,8 +29,12 @@ its own adjoint identity.
 A constant single-channel kernel along one axis (a separable PSF factor)
 runs by windows of its band, as one record. It must agree with the dense
 banded matrix product that it replaced, ``tc._along_axis`` of
-``tc._banded``, in value and input gradient, to 4 storage ulps of the
-largest entry.
+``tc._banded``, in value and input gradient.
+
+The per-tap loop, the per-offset loop, ``take`` of ``conv3d`` and the
+banded matrix are the references of entries of ``helpers.FAST_PATHS``,
+which also gives their rules; the tests here feed those entries the
+generator's shapes and the edge cases.
 """
 
 import tracemalloc
@@ -42,8 +46,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 import fluvinv.tensors as tc
 from fluvinv.tensors import GraphTape
-from helpers import (conv3d_per_tap, conv3d_reference, correlate_wide_buffer,
-                     upconv3d_per_offset)
+from helpers import (BAND_LENGTHS, EXACT, FAST_PATHS, ROUND_OFF, _band_case, assert_matches,
+                     check_fast_path, conv3d_reference, correlate_wide_buffer, run_taped)
 
 
 def conv3d_windows_reference(x, w, bias, g):
@@ -69,15 +73,6 @@ def taped(x, w, bias, g, dtype):
     out = tc.conv3d(*nodes)
     grads = tape.backward(out, seed=g)
     return (out.value,) + tuple(grads.wrt(n) for n in nodes)
-
-
-def assert_close(actual, reference, rtol):
-    # relative to the largest reference magnitude, as sums of many taps
-    # leave single entries near zero with round-off above their own size
-    actual = np.asarray(actual, dtype=np.float64)
-    scale = max(float(np.max(np.abs(reference))), 1e-300)
-    err = float(np.max(np.abs(actual - reference))) / scale
-    assert err <= rtol, f"relative error {err:.3e} > {rtol:g}"
 
 
 # (input shape, kernel shape): the seven convolutions of the default
@@ -113,8 +108,7 @@ def test_shifted_views_match_windows_reference_float64(name):
     want = conv3d_windows_reference(x, w, bias, g)
     got = taped(x, w, bias, g, np.float64)
     for label, a, r in zip(("value", "gx", "gw", "gbias"), got, want):
-        assert a.shape == r.shape, label
-        assert_close(a, r, 1e-12)
+        assert_matches(a, r, ROUND_OFF[np.float64], label)
 
 
 @pytest.mark.parametrize("name", sorted(SHAPES))
@@ -122,20 +116,19 @@ def test_shifted_views_match_windows_reference_float32(name):
     x, w, bias, g = (v.astype(np.float32) for v in random_case(*SHAPES[name], seed=1))
     want = conv3d_windows_reference(x, w, bias, g)
     got = taped(x, w, bias, g, np.float32)
-    assert got[0].dtype == np.float32
-    for a, r in zip(got, want):
-        assert_close(a, r, 1e-5)
-
-
-@pytest.mark.parametrize("dtype, rtol", [(np.float64, 1e-12), (np.float32, 1e-5)])
-@pytest.mark.parametrize("name", sorted(SHAPES))
-def test_column_buffer_matches_per_tap_loop(name, dtype, rtol):
-    x, w, bias, g = (v.astype(dtype) for v in random_case(*SHAPES[name], seed=4))
-    want = conv3d_per_tap(*(v.astype(np.float64) for v in (x, w, bias, g)))
-    got = taped(x, w, bias, g, dtype)
     for label, a, r in zip(("value", "gx", "gw", "gbias"), got, want):
-        assert a.shape == r.shape and a.dtype == dtype, label
-        assert_close(a, r, rtol)
+        assert_matches(a, r.astype(np.float32), ROUND_OFF[np.float32], label)
+
+
+# the ids name each storage dtype with the bound of its rule at the largest entry
+DTYPE_BOUNDS = dict(argvalues=[np.float64, np.float32], ids=["float64-1e-12", "float32-1e-05"])
+
+
+@pytest.mark.parametrize("dtype", **DTYPE_BOUNDS)
+@pytest.mark.parametrize("name", sorted(SHAPES))
+def test_column_buffer_matches_per_tap_loop(name, dtype):
+    x, w, bias, _ = random_case(*SHAPES[name], seed=4)
+    check_fast_path(FAST_PATHS["conv3d"], dtype, ({"x": x, "w": w, "bias": bias}, {}), seed=4)
 
 
 def test_general_path_value_is_contiguous_and_repeatable():
@@ -241,13 +234,11 @@ def test_upconv3d_matches_upsampled_conv3d(case):
     want = taped_upconv(x, w, b, g, np.float64, upsampled_conv, case["frozen"])
     got = taped_upconv(x, w, b, g, np.float64, upconv, case["frozen"])
     for a, r in zip(got, want):
-        assert a.shape == r.shape
-        assert_close(a, r, 1e-12)
+        assert_matches(a, r, ROUND_OFF[np.float64])
     # a float32 tape rounds each float64 result once
     low = taped_upconv(x, w, b, g, np.float32, upconv, case["frozen"])
     for a, r in zip(low, got):
-        assert a.dtype == np.float32
-        np.testing.assert_array_equal(a, r.astype(np.float32))
+        assert_matches(a, r.astype(np.float32), EXACT)
 
 
 # (input shape, kernel shape): the two upconv3d calls of the default
@@ -271,19 +262,14 @@ def test_upconv3d_matches_upsampled_conv3d_at_generator_shapes(name):
     want = taped_upconv(x, w, b, g, np.float64, upsampled_conv)
     got = taped_upconv(x, w, b, g, np.float64, upconv)
     for a, r in zip(got, want):
-        assert_close(a, r, 1e-12)
+        assert_matches(a, r, ROUND_OFF[np.float64])
 
 
-@pytest.mark.parametrize("dtype, rtol", [(np.float64, 1e-12), (np.float32, 1e-5)])
+@pytest.mark.parametrize("dtype", **DTYPE_BOUNDS)
 @pytest.mark.parametrize("name", sorted(UPCONV_SHAPES))
-def test_upconv3d_column_buffer_matches_per_offset_loop(name, dtype, rtol):
-    xshape, wshape = UPCONV_SHAPES[name]
-    x, w, b, g = upconv_arrays(xshape, wshape, True, None, seed=5)
-    want = upconv3d_per_offset(x, w, b, g)
-    got = taped_upconv(x, w, b, g, dtype, upconv)
-    for label, a, r in zip(("value", "gx", "gw", "gbias"), got, want):
-        assert a.shape == r.shape and a.dtype == dtype, label
-        assert_close(a, r, rtol)
+def test_upconv3d_column_buffer_matches_per_offset_loop(name, dtype):
+    x, w, b, _ = upconv_arrays(*UPCONV_SHAPES[name], True, None, seed=5)
+    check_fast_path(FAST_PATHS["upconv3d"], dtype, ({"x": x, "w": w, "bias": b}, {}), seed=5)
 
 
 @pytest.mark.parametrize("op", ["conv3d", "upconv3d"])
@@ -360,50 +346,23 @@ def columns_round_alike(rows, width, grid_cells):
     return rows >= 2 and grid_cells >= 2 and width <= 15
 
 
-def assert_round_off(actual, reference, dtype):
-    # one ulp of the storage dtype per entry, on top of float64 round-off
-    # of the largest entry: the two sides sum in different orders
-    reference = np.asarray(reference, dtype=np.float64)
-    scale = float(np.max(np.abs(reference), initial=0.0))
-    bound = np.spacing(np.abs(reference).astype(dtype)).astype(np.float64) + 1e-13 * scale
-    np.testing.assert_array_less(np.abs(np.asarray(actual, dtype=np.float64) - reference),
-                                 bound + np.finfo(np.float64).tiny)
-
-
-def taped_at_cells(x, w, bias, cells, g, dtype, at_cells):
-    """(value, gx, gw[, gbias]) of conv3d at ``cells``: by ``conv3d_at`` or
-    by ``take`` of the full ``conv3d``, on a tape of ``dtype``."""
-    tape = GraphTape(dtype)
-    nodes = [tape.input(v) for v in (x, w) + (() if bias is None else (bias,))]
-    xn, wn, bn = nodes[0], nodes[1], nodes[2] if bias is not None else None
-    c, n, o = x.shape[0], x[0].size, w.shape[0]
-    if at_cells:
-        plan = tc.cell_plan(x.shape[1:], w.shape[2:], cells)
-        out = tc.conv3d_at(tc.reshape(xn, (c, n)), wn, bn, plan)
-    else:
-        out = tc.take(tc.conv3d(xn, wn, bn), np.arange(o)[:, None] * n + cells)
-    grads = tape.backward(out, seed=g)
-    return (out.value,) + tuple(grads.wrt(v).reshape(v.shape) for v in nodes)
-
-
-def assert_at_cells_equal(xshape, wshape, x, w, bias, cells, g):
+def assert_at_cells_equal(x, w, bias, cells, seed):
     # values and the input gradient bit for bit where BLAS rounds each
-    # column alike (their contractions are kx*C and kx*O wide), else to
-    # round-off; the kernel and bias gradients always bit for bit, as
-    # conv3d_at runs conv3d's own code for them
-    (o, c, *_, kx), grid = wshape, int(np.prod(xshape[1:]))
-    exact = (columns_round_alike(o, kx * c, grid), columns_round_alike(c, kx * o, grid))
+    # column alike (their contractions are kx*C and kx*O wide), else to the
+    # table's round-off; the kernel and bias gradients always bit for bit,
+    # as conv3d_at runs conv3d's own code for them
+    (o, c, *_, kx), grid = w.shape, x[0].size
+    exact = {"value0": columns_round_alike(o, kx * c, grid),
+             "grad[x]": columns_round_alike(c, kx * o, grid)}
+    path = FAST_PATHS["conv3d_at"]
+    inputs = {"x": x.reshape(c, grid), "w": w, **({} if bias is None else {"bias": bias})}
+    args = {"plan": tc.cell_plan(x.shape[1:], w.shape[2:], cells)}
     for dtype in (np.float32, np.float64):
-        args = [v if v is None else v.astype(dtype) for v in (x, w, bias)]
-        got = taped_at_cells(*args, cells, g, dtype, True)
-        want = taped_at_cells(*args, cells, g, dtype, False)
-        assert got[0].dtype == dtype and got[0].shape == (o, cells.size)
-        for a, r, bit in zip(got, want, exact + (True, True)):
-            assert a.shape == r.shape
-            if bit:
-                np.testing.assert_array_equal(a, r)
-            else:
-                assert_round_off(a, r, dtype)
+        got, want = (run_taped(fn, dtype, inputs, args, seed) for fn in (path.fast, path.reference))
+        assert got["value0"].shape == (o, cells.size)
+        for name, ref in want.items():
+            assert_matches(got[name], ref, EXACT if exact.get(name, True) else path.rules[dtype],
+                           name)
 
 
 @settings(max_examples=80, deadline=None)
@@ -412,9 +371,7 @@ def test_conv3d_at_equals_take_of_conv3d(case):
     xshape, wshape, cells, with_bias, seed = case
     rng = np.random.default_rng(seed)
     x, w = rng.normal(size=xshape), rng.normal(size=wshape)
-    bias = rng.normal(size=wshape[0]) if with_bias else None
-    g = rng.normal(size=(wshape[0], cells.size))
-    assert_at_cells_equal(xshape, wshape, x, w, bias, cells, g)
+    assert_at_cells_equal(x, w, rng.normal(size=wshape[0]) if with_bias else None, cells, seed)
 
 
 @pytest.mark.parametrize("xshape, wshape, cells", [
@@ -428,9 +385,7 @@ def test_conv3d_at_agrees_to_round_off_where_columns_round_apart(xshape, wshape,
     # outside columns_round_alike the values or the input gradient may
     # differ from conv3d's in the last bit; the gap is bounded, not hidden
     x, w, bias, _ = random_case(xshape, wshape, seed=11)
-    cells = np.array(cells)
-    g = np.random.default_rng(12).normal(size=(wshape[0], cells.size))
-    assert_at_cells_equal(xshape, wshape, x, w, bias, cells, g)
+    assert_at_cells_equal(x, w, bias, np.array(cells), seed=12)
 
 
 @settings(max_examples=40, deadline=None)
@@ -457,9 +412,8 @@ def test_conv3d_at_satisfies_its_adjoint_identity(case):
 def test_conv3d_at_is_exact_on_edges_and_single_cells(cells):
     # a one-column product would take the matrix-vector path, which rounds
     # differently; taps outside the grid read the zero column
-    x, w, bias, g = random_case((4, 4, 8, 8), (4, 4, 3, 3, 3), seed=9)
-    cells = np.array(cells)
-    assert_at_cells_equal(x.shape, w.shape, x, w, bias, cells, g[:, 0, 0, :cells.size])
+    x, w, bias, _ = random_case((4, 4, 8, 8), (4, 4, 3, 3, 3), seed=9)
+    assert_at_cells_equal(x, w, bias, np.array(cells), seed=9)
 
 
 def test_conv3d_at_reads_an_input_held_at_sources():
@@ -528,40 +482,24 @@ def test_conv3d_at_rejects_bad_shapes(xshape, wshape, bshape, match):
                      tc.cell_plan((4, 4, 4), (3, 3, 3), [0, 5]))
 
 
-# axis lengths shorter than the 9-tap kernel and up to two band blocks of
-# 16, which take the whole matrix, and 40, 67 and 128, which take windows;
-# on 40 and 67 the last outputs fill no whole block
-BAND_LENGTHS = (1, 2, 5, 16, 17, 24, 40, 67, 128)
-
-
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 @pytest.mark.parametrize("axis", [0, 1, 2])
 @pytest.mark.parametrize("k", [1, 3, 5, 7, 9])
 def test_band_windows_match_the_dense_banded_matrix(k, axis, dtype):
-    rng = np.random.default_rng(100 * k + axis)
+    # axis lengths shorter than the 9-tap kernel and up to two band blocks
+    # of 16, which take the whole matrix, and 40, 67 and 128, which take
+    # windows; on 40 and 67 the last outputs fill no whole block
+    path = FAST_PATHS["_band"]
     for n in BAND_LENGTHS:
-        shape = [1, 3, 4, 5]
-        shape[1 + axis] = n
-        kshape = [1, 1, 1, 1, 1]
-        kshape[2 + axis] = k
-        xv = rng.normal(size=shape).astype(dtype)
-        gv = rng.normal(size=shape).astype(dtype)
-        w = rng.normal(size=kshape).astype(dtype)
-        m = tc._banded(w.reshape(-1).astype(np.float64), n)
-        want = tc._along_axis(xv, m, 1 + axis)
-        want_g = tc._along_axis(gv, m.T, 1 + axis)
-        if k == 1:
-            # a one-tap kernel takes the general path in conv3d
-            taps = w.reshape(-1).astype(np.float64)
-            got = tc._band(xv, taps, 1 + axis).astype(dtype)
-            got_g = tc._band(gv, taps[::-1], 1 + axis).astype(dtype)
-        else:
+        inputs, args = _band_case(100 * k + axis, axis, k, n)
+        if k > 1:
+            check_fast_path(path, dtype, (inputs, args), seed=n)
             tape = GraphTape(dtype)
-            x = tape.input(xv)
-            out = tc.conv3d(x, tape.constant(w))
+            tc.conv3d(tape.input(inputs["x"]), tape.constant(args["w"]))
             assert len(tape._records) == 1
-            got, got_g = out.value, tape.backward(out, seed=gv).wrt(x)
-        for a, b in ((got, want), (got_g, want_g)):
-            assert a.dtype == dtype and a.shape == b.shape
-            ulp = np.spacing(dtype(np.max(np.abs(b))))
-            assert np.max(np.abs(a - b)) <= 4 * ulp, (n, np.max(np.abs(a - b)) / ulp)
+            continue
+        # a one-tap kernel takes the general path in conv3d: _band on its own
+        x = inputs["x"].astype(dtype)
+        taps = args["w"].reshape(-1).astype(dtype).astype(np.float64)
+        want = tc._along_axis(x, tc._banded(taps, n), 1 + axis).astype(dtype)
+        assert_matches(tc._band(x, taps, 1 + axis).astype(dtype), want, path.rules[dtype])

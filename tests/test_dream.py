@@ -9,7 +9,7 @@ from scipy.special import logsumexp
 from fluvinv.inversion import ChainEnsemble, DreamConfig, dream_zs, gelman_rubin
 from fluvinv.inversion.loss import InversionError
 from fluvinv.inversion.mcmc import accept_probability, de_jump
-from helpers import dream_zs_per_proposal
+from helpers import EXACT, assert_matches, dream_zs_per_proposal
 
 
 def standard_normal_logp(z):
@@ -224,9 +224,9 @@ def test_matches_the_per_proposal_stream_loop(name, logp, d, fields):
     cfg = DreamConfig(**fields)
     got = dream_zs(logp, d, cfg)
     want = dream_zs_per_proposal(ref_logp, d, cfg)
-    for field in ("states", "log_posteriors", "archive"):
-        np.testing.assert_array_equal(getattr(got, field), getattr(want, field), err_msg=field)
-    assert (got.accept_rate, got.outlier_resets) == (want.accept_rate, want.outlier_resets)
+    fields = ("states", "log_posteriors", "archive", "accept_rate", "outlier_resets")
+    assert_matches({k: getattr(got, k) for k in fields}, {k: getattr(want, k) for k in fields},
+                   EXACT)
     if name.startswith("resets"):
         assert got.outlier_resets > 0
     if name.startswith("degenerate"):

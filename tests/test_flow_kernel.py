@@ -8,20 +8,21 @@ Every op of the fused forward computes what its record did, and every
 gradient sum of the backward has two terms, which add alike in either
 order, so values and gradients must equal the references bit for bit, in
 float32 and float64, for a loss that reads z, the log-determinant or both.
+Both are entries of ``helpers.FAST_PATHS``.
 """
 
 import warnings
 
 import numpy as np
 import pytest
-from helpers import taped_flow_transform, taped_mlp_apply
+from helpers import EXACT, FAST_PATHS, assert_matches, check_fast_path, taped_flow_transform
 
 import fluvinv.tensors as tc
 from fluvinv.generators import ProceduralGenerator, sample_prior
 from fluvinv.grids import GridGeometry
 from fluvinv.inversion import FlowConfig, FlowModel, Observations, gaussian_data_loglik
 from fluvinv.inversion import variational_infer
-from fluvinv.inversion.networks import mlp_apply, mlp_init
+from fluvinv.inversion.networks import mlp_init
 from fluvinv.survey import extract_well_data
 
 DTYPES = [np.float64, np.float32]
@@ -68,14 +69,6 @@ def _taped(flow):
     return lambda tape, u, w: taped_flow_transform(flow, tape, u, w)
 
 
-def _assert_same(got, want):
-    assert got.keys() == want.keys()
-    for k in want:
-        assert got[k].dtype == want[k].dtype, k
-        assert got[k].shape == want[k].shape, k
-        np.testing.assert_array_equal(got[k], want[k], err_msg=k)
-
-
 @pytest.mark.parametrize("dtype", DTYPES, ids=["f64", "f32"])
 @pytest.mark.parametrize("hidden", [(4,), (16,), (8, 8)], ids=str)
 @pytest.mark.parametrize("shape", [(8,), (0, 8), (1, 8), (4, 8), (7, 8), (4, 5)], ids=str)
@@ -83,8 +76,8 @@ def _assert_same(got, want):
 def test_flow_equals_taped_transform(dtype, hidden, shape, reads):
     flow = _flow(shape[-1], hidden)
     u = np.random.default_rng(1).standard_normal(shape)
-    _assert_same(_run_flow(_fused(flow), flow, u, dtype, reads),
-                 _run_flow(_taped(flow), flow, u, dtype, reads))
+    assert_matches(_run_flow(_fused(flow), flow, u, dtype, reads),
+                   _run_flow(_taped(flow), flow, u, dtype, reads), EXACT)
 
 
 def test_flow_push_takes_an_empty_batch():
@@ -101,7 +94,7 @@ def test_flow_scale_gradient_is_zero_at_and_beyond_the_clip(dtype):
     flow.weights["layer0.fc1.b"][:2] = [clip, -1.5 * clip]
     u = np.random.default_rng(2).standard_normal((3, 4))
     got = _run_flow(_fused(flow), flow, u, dtype, ("z", "logdet"))
-    _assert_same(got, _run_flow(_taped(flow), flow, u, dtype, ("z", "logdet")))
+    assert_matches(got, _run_flow(_taped(flow), flow, u, dtype, ("z", "logdet")), EXACT)
     np.testing.assert_array_equal(got["layer0.fc1.b"][:2], 0.0)
     np.testing.assert_array_equal(got["layer0.fc1.w"][:2], 0.0)
     assert np.all(got["layer0.fc1.b"][2:] != 0.0)  # the shifts still take gradients
@@ -113,7 +106,7 @@ def test_flow_propagates_nan_as_the_tape(dtype):
     u = np.random.default_rng(3).standard_normal((4, 6))
     u[1, 4] = np.nan
     got = _run_flow(_fused(flow), flow, u, dtype, ("z", "logdet"))
-    _assert_same(got, _run_flow(_taped(flow), flow, u, dtype, ("z", "logdet")))
+    assert_matches(got, _run_flow(_taped(flow), flow, u, dtype, ("z", "logdet")), EXACT)
     assert np.isnan(got["logdet"])
     assert np.isnan(got["z"][1]).any() and not np.isnan(got["z"][[0, 2, 3]]).any()
 
@@ -132,7 +125,7 @@ def test_flow_constant_u_takes_no_gradient(reads):
         g = tape.backward(loss)
         np.testing.assert_array_equal(g.wrt(un), 0.0)
         results.append({k: g.wrt(n) for k, n in wn.items()})
-    _assert_same(*results)
+    assert_matches(*results, EXACT)
 
 
 def test_flow_clamp_warning_and_counts_match_taped():
@@ -153,16 +146,6 @@ def test_flow_clamp_warning_and_counts_match_taped():
     np.testing.assert_array_equal(*counts)
 
 
-def _run_mlp(apply, weights, x, n_layers, dtype):
-    tape = tc.GraphTape(dtype)
-    xn = tape.input(x)
-    wn = {k: tape.input(v) for k, v in weights.items()}
-    out = apply(tape, wn, xn, n_layers)
-    c = tape.constant(np.random.default_rng(7).standard_normal(out.value.shape))
-    g = tape.backward(tc.sum_all(tc.square(out) * c))
-    return {"out": out.value, "x": g.wrt(xn), **{k: g.wrt(n) for k, n in wn.items()}}
-
-
 @pytest.mark.parametrize("dtype", DTYPES, ids=["f64", "f32"])
 @pytest.mark.parametrize("hidden", [(), (5,), (5, 6)], ids=["1-layer", "2-layer", "3-layer"])
 @pytest.mark.parametrize("shape", [(3,), (1, 3), (4, 3)], ids=str)
@@ -171,9 +154,8 @@ def test_mlp_apply_equals_taped_chain(dtype, hidden, shape):
     for k in weights:
         weights[k] = weights[k] + 0.1  # nonzero biases
     x = np.random.default_rng(9).standard_normal(shape)
-    n_layers = len(hidden) + 1
-    _assert_same(_run_mlp(mlp_apply, weights, x, n_layers, dtype),
-                 _run_mlp(taped_mlp_apply, weights, x, n_layers, dtype))
+    check_fast_path(FAST_PATHS["mlp_apply"], dtype, ({"x": x, **weights},
+                                                     {"n_layers": len(hidden) + 1}), seed=7)
 
 
 def test_flow_step_records_few_tape_records(monkeypatch):

@@ -20,6 +20,7 @@ from fluvinv.generators import (
     save_weights,
 )
 from fluvinv.grids import GridGeometry
+from helpers import EXACT, assert_matches, gradient_check
 
 DESK = GridGeometry(nx=32, ny=32, nz=8)
 
@@ -54,11 +55,11 @@ def _inline_rng(*key):
 
 def test_keyed_rng_is_the_pcg64_stream_of_its_key():
     for key in [(5,), (5, 19), (5, 3, 2, 1), (2**32 - 1, 29, 400)]:
-        np.testing.assert_array_equal(keyed_rng(*key).standard_normal(6),
-                                      _inline_rng(*key).standard_normal(6))
+        assert_matches(keyed_rng(*key).standard_normal(6), _inline_rng(*key).standard_normal(6),
+                       EXACT, str(key))
     # numpy integers name the same stream as Python ints
-    np.testing.assert_array_equal(keyed_rng(np.uint32(5), np.int64(7)).uniform(size=4),
-                                  _inline_rng(5, 7).uniform(size=4))
+    assert_matches(keyed_rng(np.uint32(5), np.int64(7)).uniform(size=4),
+                   _inline_rng(5, 7).uniform(size=4), EXACT)
 
 
 def _batch_keys():
@@ -77,9 +78,9 @@ def test_keyed_rngs_are_the_streams_of_their_keys():
     assert len(streams) == len(keys)
     for j, key in enumerate(keys):
         seq = np.random.SeedSequence(tuple(int(k) for k in key))
-        np.testing.assert_array_equal(streams.words[j], seq.generate_state(4, np.uint64))
-        np.testing.assert_array_equal(streams[j].standard_normal(5),
-                                      keyed_rng(*key).standard_normal(5))
+        assert_matches(streams.words[j], seq.generate_state(4, np.uint64), EXACT, str(key))
+        assert_matches(streams[j].standard_normal(5), keyed_rng(*key).standard_normal(5), EXACT,
+                       str(key))
 
 
 def test_keyed_rngs_rejects_negative_entries_and_other_state_sizes():
@@ -164,7 +165,7 @@ def test_procedural_gradient_wrt_latent_matches_fd():
         return tc.mean_all(tc.square(picked - obs))
 
     z0 = sample_prior(1, 8, rng_seed=6)[0]
-    assert tc.gradient_check(well_loss, z0, step=1e-5) < 1e-4
+    assert gradient_check(well_loss, z0, step=1e-5) < 1e-4
 
 
 def test_procedural_gradient_wrt_labels_matches_fd():
@@ -175,7 +176,7 @@ def test_procedural_gradient_wrt_labels_matches_fd():
         coarse, depo = gen.build(tape, tape.constant(z0), labels=tc.sigmoid(lab))
         return tc.mean_all(tc.square(coarse)) + tc.mean_all(tc.square(depo))
 
-    assert tc.gradient_check(loss, np.array([0.3, -0.2, 0.5, -0.4, 0.1]), step=1e-5) < 1e-4
+    assert gradient_check(loss, np.array([0.3, -0.2, 0.5, -0.4, 0.1]), step=1e-5) < 1e-4
 
 
 DESC = GeneratorDescriptor(latent_dim=8, base_channels=8, num_blocks=2, out_extents=(16, 16, 4))
@@ -209,7 +210,7 @@ def test_neural_weight_gradients_match_fd():
         coarse, _ = gen.build(tape, tape.constant(z0), weights=weights)
         return tc.mean_all(tc.square(coarse))
 
-    assert tc.gradient_check(loss, base[name].astype(np.float64).ravel(), step=1e-5) < 1e-4
+    assert gradient_check(loss, base[name].astype(np.float64).ravel(), step=1e-5) < 1e-4
 
 
 def test_neural_rejects_weight_mismatch():

@@ -2,7 +2,8 @@
 
 import numpy as np
 import pytest
-from helpers import padded_reflectivity, rock_physics_moduli
+from helpers import (EXACT, assert_matches, gradient_check, padded_reflectivity,
+                     rock_physics_moduli)
 
 import fluvinv.tensors as tc
 from fluvinv.generators import ProceduralGenerator, sample_prior
@@ -121,9 +122,7 @@ def test_reflectivity_equals_padded_column_formula(burden, dtype):
     got = [np.asarray(reflectivity_nodes(tape, rho, vp, geometry, burden, PARAMS).value),
            reflectivity(ModelGrid(geometry, coarse, coarse), burden, PARAMS, dtype=dtype)]
     for r in got:
-        # bit for bit, signs of zero included
-        assert r.dtype == want.dtype
-        np.testing.assert_array_equal(r.view(np.uint8), want.view(np.uint8))
+        assert_matches(r, want, EXACT)  # signs of zero included
 
 
 def test_reflectivity_vertical_extent_full_scale():
@@ -251,7 +250,7 @@ def test_seismic_gradient_matches_fd():
 
     rng = np.random.default_rng(4)
     x0 = rng.normal(size=geometry.n_cells) * 0.5
-    assert tc.gradient_check(loss, x0, step=1e-5) < 1e-4
+    assert gradient_check(loss, x0, step=1e-5) < 1e-4
 
 
 def test_burden_must_tile_cells():

@@ -23,7 +23,8 @@ from fluvinv.inversion import (
     latent_optimize,
 )
 from fluvinv.survey import extract_well_data
-from helpers import LinearGenerator, NonFiniteGenerator, run_restart_reference
+from helpers import (ROUND_OFF, LinearGenerator, NonFiniteGenerator, assert_matches,
+                     run_restart_reference)
 
 
 def make_linear_case(seed=0, m=6, d=4):
@@ -153,17 +154,15 @@ def test_beats_equal_budget_of_prior_draws():
 # ---------------------------------------------------------------------------
 # row blocks against the per-restart reference loop
 
-def _assert_records_match(got, want):
-    assert got.index == want.index
-    assert got.aborted == want.aborted and got.note == want.note
-    assert len(got.loss_history) == len(want.loss_history)
-    np.testing.assert_allclose(got.loss_history, want.loss_history, rtol=1e-12, atol=0)
-    np.testing.assert_allclose(got.z, want.z, rtol=1e-12, atol=0)
-    if want.labels is None:
-        assert got.labels is None
-    else:
-        np.testing.assert_allclose(got.labels, want.labels, rtol=1e-12, atol=0)
-    np.testing.assert_allclose(got.well_mae, want.well_mae, rtol=1e-12, atol=0)
+def _check_against_reference(r, gen, obs, cfg):
+    """Restart ``r`` of a row block against the same restart descended on
+    its own: the same flags, and arrays equal to float64 round-off of their
+    largest entry."""
+    want = run_restart_reference(gen, obs, cfg, r.index)
+    assert (r.index, r.aborted, r.note) == (want.index, want.aborted, want.note)
+    fields = ("loss_history", "z", "labels", "well_mae")
+    assert_matches(*({k: getattr(x, k) for k in fields if getattr(x, k) is not None}
+                     for x in (r, want)), ROUND_OFF[np.float64])
 
 
 def _procedural_case(label_dim=0, geometry=GridGeometry(nx=16, ny=16, nz=4), seismic=False):
@@ -215,7 +214,7 @@ def test_row_block_matches_per_restart_reference(name, monkeypatch):
     monkeypatch.undo()
     assert [r.index for r in result.restarts] == list(range(cfg.n_restarts))
     for r in result.restarts:
-        _assert_records_match(r, run_restart_reference(gen, obs, cfg, r.index))
+        _check_against_reference(r, gen, obs, cfg)
     if name == "ball":  # the projection acted
         cap = 0.3 * np.sqrt(gen.latent_dim)
         assert any(np.isclose(np.linalg.norm(r.z), cap, rtol=1e-12) for r in result.restarts)
@@ -246,7 +245,7 @@ def test_seismic_row_over_the_cell_budget_keeps_its_own_graph(monkeypatch):
     assert calls == [()] * (cfg.n_restarts * cfg.iterations)  # unbatched graphs
     monkeypatch.undo()
     for r in result.restarts:
-        _assert_records_match(r, run_restart_reference(gen, obs, cfg, r.index))
+        _check_against_reference(r, gen, obs, cfg)
 
 
 def test_neural_rows_count_the_whole_grid(monkeypatch):
@@ -265,7 +264,7 @@ def test_neural_rows_count_the_whole_grid(monkeypatch):
     assert calls == [(2,)] * cfg.iterations + [()] * cfg.iterations
     monkeypatch.undo()
     for r in result.restarts:
-        _assert_records_match(r, run_restart_reference(gen, obs, cfg, r.index))
+        _check_against_reference(r, gen, obs, cfg)
 
 
 def test_blocks_split_by_cell_budget_are_worker_count_independent(monkeypatch):
@@ -280,7 +279,7 @@ def test_blocks_split_by_cell_budget_are_worker_count_independent(monkeypatch):
         assert a.well_mae == b.well_mae
     cfg = LatentOptimizeConfig(n_restarts=5, iterations=10, rng_seed=8)
     for r in runs[0].restarts:  # blocks of 2, 2 and 1 rows
-        _assert_records_match(r, run_restart_reference(gen, obs, cfg, r.index))
+        _check_against_reference(r, gen, obs, cfg)
 
 
 def test_non_finite_row_aborts_alone():
@@ -296,7 +295,7 @@ def test_non_finite_row_aborts_alone():
     assert np.all(np.isfinite(bad.z))
     for r in result.restarts:
         gen = NonFiniteGenerator(A, nan_step=4) if r.index == 1 else LinearGenerator(A)
-        _assert_records_match(r, run_restart_reference(gen, obs, cfg, r.index))
+        _check_against_reference(r, gen, obs, cfg)
     assert [r.index for r in result.ok()] == [0, 2]
 
 
@@ -315,4 +314,4 @@ def test_zero_iterations_scores_the_starts():
     result = latent_optimize(gen, obs, cfg)
     for r in result.restarts:
         assert len(r.loss_history) == 1
-        _assert_records_match(r, run_restart_reference(gen, obs, cfg, r.index))
+        _check_against_reference(r, gen, obs, cfg)

@@ -22,6 +22,7 @@ from fluvinv.inversion import (
 from fluvinv.inversion.loss import well_mae
 from fluvinv.inversion.optimize import descend
 from fluvinv.survey import extract_well_data
+from helpers import gradient_check
 
 GEO = GridGeometry(nx=8, ny=8, nz=4)
 GEN = ProceduralGenerator(GEO, latent_dim=8, label_dim=0)
@@ -113,7 +114,7 @@ def test_gradient_matches_fd_with_seismic():
         return loss.build(tape, coarse, z=z)
 
     z0 = sample_prior(1, 8, rng_seed=7)[0]
-    assert tc.gradient_check(fn, z0, step=1e-5) < 1e-4
+    assert gradient_check(fn, z0, step=1e-5) < 1e-4
 
 
 def test_a_nan_latent_is_rejected_by_the_seismic_term():
@@ -178,3 +179,9 @@ def test_a_well_term_over_zero_wells_is_rejected(empty):
         gaussian_data_loglik(GEN, obs, 0.1)
     with pytest.raises(InversionError, match="at least one well"):
         pivotal_tune(GEN, Z_TRUE[None, :], obs)
+
+
+def test_well_mae_over_zero_wells_is_rejected():
+    # it returned NaN with a "Mean of empty slice" warning
+    with pytest.raises(InversionError, match="no wells"):
+        well_mae(TRUTH, WELLS.subset(0))

@@ -1,5 +1,8 @@
 """Packaging metadata matches the code: entry points resolve, dependencies are
-used and every name in a module's ``__all__`` exists."""
+used and every name in a module's ``__all__`` exists. AST checks hold rules
+of the code under ``src/``; those that name where code may sit (random
+draws, tape writes and the ``tc.custom`` records of the fast-path table in
+``helpers``) share one walker, ``_scoped``."""
 
 import ast
 import importlib
@@ -7,6 +10,8 @@ import re
 import sys
 import tomllib
 from pathlib import Path
+
+from helpers import FAST_PATHS
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -44,29 +49,39 @@ def test_every_exported_name_resolves():
     assert not stale, f"names in __all__ that do not resolve: {stale}"
 
 
-def _numpy_random_uses(tree):
-    """(line, enclosing function) of every reference to ``numpy.random``:
-    ``np.random.<anything>`` and imports from it."""
-    uses = []
+def _scoped(tree, match):
+    """(line, enclosing scope, what) of every node for which ``match(node)``
+    gives a ``what``; the scope is the dotted path of the enclosing classes
+    and functions, None at module level."""
+    found = []
 
-    def visit(node, func):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            func = node.name if func is None else f"{func}.{node.name}"
-        if isinstance(node, ast.Attribute) and node.attr == "random" \
-                and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy"):
-            uses.append((node.lineno, func))
-        elif isinstance(node, ast.Import) and any(
-                a.name.startswith("numpy.random") for a in node.names):
-            uses.append((node.lineno, func))
-        elif isinstance(node, ast.ImportFrom) and node.module and (
-                node.module.startswith("numpy.random")
-                or node.module == "numpy" and any(a.name == "random" for a in node.names)):
-            uses.append((node.lineno, func))
+    def visit(node, scope):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        what = match(node)
+        if what:
+            found.append((node.lineno, scope, what))
         for child in ast.iter_child_nodes(node):
-            visit(child, func)
+            visit(child, scope)
 
     visit(tree, None)
-    return uses
+    return found
+
+
+def _numpy_random_uses(tree):
+    """(line, enclosing scope) of every reference to ``numpy.random``:
+    ``np.random.<anything>`` and imports from it."""
+    def match(node):
+        if isinstance(node, ast.Attribute):
+            return (node.attr == "random" and isinstance(node.value, ast.Name)
+                    and node.value.id in ("np", "numpy"))
+        if isinstance(node, ast.Import):
+            return any(a.name.startswith("numpy.random") for a in node.names)
+        return isinstance(node, ast.ImportFrom) and node.module and (
+            node.module.startswith("numpy.random")
+            or node.module == "numpy" and any(a.name == "random" for a in node.names))
+
+    return [(line, scope) for line, scope, _ in _scoped(tree, match)]
 
 
 def test_only_keyed_rng_touches_numpy_random():
@@ -143,25 +158,19 @@ _TAPE_WRITERS = {"_new_node": {"GraphTape.input", "GraphTape.constant", "GraphTa
 
 def _tape_writes(tree):
     """(line, enclosing scope, what) of every call of ``_new_node`` and every
-    ``_records.append``, ``extend`` or ``insert``. The scope is the dotted
-    path of the enclosing classes and functions."""
-    writes = []
+    ``_records.append``, ``extend`` or ``insert``."""
+    def match(node):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+            return None
+        if node.func.attr == "_new_node":
+            return "_new_node"
+        if (node.func.attr in ("append", "extend", "insert")
+                and isinstance(node.func.value, ast.Attribute)
+                and node.func.value.attr == "_records"):
+            return "_records"
+        return None
 
-    def visit(node, scope):
-        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
-            scope = f"{scope}.{node.name}" if scope else node.name
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-            if node.func.attr == "_new_node":
-                writes.append((node.lineno, scope, "_new_node"))
-            elif (node.func.attr in ("append", "extend", "insert")
-                  and isinstance(node.func.value, ast.Attribute)
-                  and node.func.value.attr == "_records"):
-                writes.append((node.lineno, scope, "_records"))
-        for child in ast.iter_child_nodes(node):
-            visit(child, scope)
-
-    visit(tree, None)
-    return writes
+    return _scoped(tree, match)
 
 
 def test_every_record_enters_through_graph_tape_op():
@@ -192,6 +201,47 @@ def crop(x, tape):
     assert _tape_writes(ast.parse(source)) == [
         (4, "GraphTape._op", "_new_node"), (5, "GraphTape._op", "_records"),
         (8, "crop.backward", "_new_node"), (9, "crop", "_records"), (10, "crop", "_records")]
+
+
+def _custom_calls(tree):
+    """(line, enclosing scope) of every ``tc.custom(...)`` call."""
+    def match(node):
+        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "custom" and isinstance(node.func.value, ast.Name)
+                and node.func.value.id == "tc")
+
+    return [(line, scope) for line, scope, _ in _scoped(tree, match)]
+
+
+def test_every_custom_record_is_in_the_fast_path_table():
+    """Every ``tc.custom`` call under src/ sits in a function that
+    ``helpers.FAST_PATHS`` names, so it is tested against its reference,
+    and every name of the table is a function under src/."""
+    offenders, defined = [], set()
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        rel = path.relative_to(ROOT).as_posix()
+        tree = ast.parse(path.read_text())
+        offenders += [f"{rel}:{line} in {scope}" for line, scope in _custom_calls(tree)
+                      if scope not in FAST_PATHS]
+        defined |= {scope for _, scope, _ in _scoped(tree, lambda n: isinstance(
+            n, (ast.FunctionDef, ast.AsyncFunctionDef)))}
+    assert not offenders, f"tc.custom records missing from helpers.FAST_PATHS: {offenders}"
+    assert set(FAST_PATHS) <= defined, f"stale sites: {set(FAST_PATHS) - defined}"
+
+
+def test_custom_call_finder_sees_every_form():
+    source = """
+class Flow:
+    def transform(self, u):
+        return tc.custom(lambda *_: (u, None), u)
+def kernel(x):
+    def inner(v):
+        return tc.custom(f, v)
+    return custom(f, x), tc.customs(x), other.custom(f, x)
+tc.custom(f, x)
+"""
+    assert _custom_calls(ast.parse(source)) == [(4, "Flow.transform"), (7, "kernel.inner"),
+                                                (9, None)]
 
 
 def _imported_modules(tree):

@@ -3,11 +3,12 @@
 ``ProceduralGenerator.build`` is two ``tc.custom`` records, one per channel,
 of a numpy forward and a hand-derived backward. ``helpers.taped_procedural_build``
 is the same construction as one record per op: the fused values must equal it
-bit for bit in float32 and float64, and so must the gradients with respect to
-the latent, the labels and the map coefficients of a loss that reads one
-channel. A loss that reads both sums the two channels' gradients at the
-inputs, where the tape sums them at the shared belt parameters, so those
-agree at 1e-12 of each gradient's largest entry.
+bit for bit in float32 and float64, and the gradients with respect to the
+latent, the labels and the map coefficients of a loss that reads one channel
+must equal it too, up to the sign of a zero entry. A loss that reads both
+sums the two channels' gradients at the inputs, where the tape sums them at
+the shared belt parameters, so those agree to round-off, the rule of the
+build's entry in ``helpers.FAST_PATHS``.
 
 A ``depo=False`` build is one record whose coarse values and gradients equal
 the ``depo=True`` coarse bit for bit.
@@ -19,14 +20,13 @@ import weakref
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from helpers import taped_belt_nodes, taped_procedural_build
+from helpers import (EXACT, FAST_PATHS, PROC, assert_matches, gradient_check, round_off,
+                     taped_belt_nodes, taped_procedural_build)
 
 import fluvinv.tensors as tc
-from fluvinv.generators import ProceduralGenerator, sample_prior
-from fluvinv.grids import GridGeometry
+from fluvinv.generators import sample_prior
 
-GEO = GridGeometry(nx=12, ny=9, nz=5)
-PROC = ProceduralGenerator(GEO, latent_dim=9)
+GEO = PROC.geometry  # 12 x 9 x 5, latent_dim 9: the build's entry in FAST_PATHS
 MAPS = PROC.weights()["maps"]
 CELLS = np.array([0, 14, 37, 101, 230, 333, 470])
 SETTINGS = settings(max_examples=30, deadline=None)
@@ -92,10 +92,9 @@ def test_fused_values_equal_taped_reference_bit_for_bit(dtype, case):
     z, labels, maps, cells = _case(*case)
     fc, fd, _ = _build(_fused, dtype, z, labels, maps, cells, ())
     tc_, td, _ = _build(_taped, dtype, z, labels, maps, cells, ())
-    assert fc.dtype == fd.dtype == dtype
-    assert fc.shape == tc_.shape and fd.shape == td.shape
-    np.testing.assert_array_equal(fc, tc_)
-    np.testing.assert_array_equal(fd, td)
+    assert fc.dtype == dtype
+    assert_matches(fc, tc_, EXACT, "coarse")
+    assert_matches(fd, td, EXACT, "depo")
 
 
 @pytest.mark.parametrize("channels", [("coarse",), ("depo",), ("coarse", "depo")])
@@ -112,13 +111,10 @@ def test_fused_gradients_match_taped_reference(channels, case, wrt):
         wrt = tuple(k for k in wrt if k != "labels") or ("z",)
     fused = _build(_fused, np.float64, z, labels, maps, cells, wrt, channels)[2]
     taped = _build(_taped, np.float64, z, labels, maps, cells, wrt, channels)[2]
-    for k in wrt:
-        assert fused[k].shape == taped[k].shape
-        if len(channels) == 1:
-            np.testing.assert_array_equal(fused[k], taped[k], err_msg=k)
-        else:
-            np.testing.assert_allclose(fused[k], taped[k], rtol=1e-12,
-                                       atol=1e-12 * np.abs(taped[k]).max(), err_msg=k)
+    # one channel: equal, though a zero gradient entry may take the other
+    # sign of zero, so not bit for bit
+    rule = FAST_PATHS["ProceduralGenerator.build"].rules[np.float64]
+    assert_matches(fused, taped, round_off(0) if len(channels) == 1 else rule)
 
 
 @pytest.mark.parametrize("cells", [None, [0, 7, 7, 200, 539]], ids=["grid", "cells"])
@@ -128,9 +124,8 @@ def test_float32_gradients_equal_taped_reference(channel, cells):
     wrt = ("z", "labels", "maps")
     fused = _build(_fused, np.float32, z, labels, maps, cells, wrt, (channel,))[2]
     taped = _build(_taped, np.float32, z, labels, maps, cells, wrt, (channel,))[2]
-    for k in wrt:
-        assert fused[k].dtype == np.float32
-        np.testing.assert_array_equal(fused[k], taped[k], err_msg=k)
+    assert fused["z"].dtype == np.float32
+    assert_matches(fused, taped, EXACT)
 
 
 def _coarse_only(tape, z, labels, weights, cells):
@@ -147,11 +142,8 @@ def test_coarse_only_build_equals_coarse_of_both_bit_for_bit(dtype, case):
     wrt = ("z", "maps") if labels is None else ("z", "labels", "maps")
     want_value, _, want = _build(_fused, dtype, z, labels, maps, cells, wrt, ("coarse",))
     got_value, _, got = _build(_coarse_only, dtype, z, labels, maps, cells, wrt, ("coarse",))
-    assert got_value.dtype == dtype and got_value.shape == want_value.shape
-    np.testing.assert_array_equal(got_value, want_value)
-    for k in wrt:
-        assert got[k].dtype == want[k].dtype
-        np.testing.assert_array_equal(got[k], want[k], err_msg=k)
+    assert got_value.dtype == dtype
+    assert_matches({"coarse": got_value, **got}, {"coarse": want_value, **want}, EXACT)
 
 
 @pytest.mark.parametrize("cells", [None, CELLS], ids=["grid", "cells"])
@@ -201,7 +193,7 @@ def test_procedural_gradient_wrt_maps_matches_fd():
         return (tc.mean_all(tc.square(coarse - tape.constant(target)))
                 + tc.mean_all(tc.square(depo)))
 
-    assert tc.gradient_check(loss, MAPS, step=1e-6) < 1e-4
+    assert gradient_check(loss, MAPS, step=1e-6) < 1e-4
 
 
 def test_procedural_gradient_wrt_per_row_labels_matches_fd():
@@ -212,7 +204,7 @@ def test_procedural_gradient_wrt_per_row_labels_matches_fd():
         return tc.mean_all(tc.square(coarse)) + tc.mean_all(tc.square(depo))
 
     point = np.random.default_rng(3).standard_normal((2, 5))
-    assert tc.gradient_check(loss, point, step=1e-6) < 1e-4
+    assert gradient_check(loss, point, step=1e-6) < 1e-4
 
 
 def test_procedural_gradient_wrt_maps_on_full_grid_batch_matches_fd():
@@ -222,4 +214,4 @@ def test_procedural_gradient_wrt_maps_on_full_grid_batch_matches_fd():
         coarse, depo = PROC.build(tape, tape.constant(zs), weights={"maps": maps})
         return tc.mean_all(tc.square(coarse)) + tc.mean_all(tc.square(depo))
 
-    assert tc.gradient_check(loss, MAPS, step=1e-6) < 1e-4
+    assert gradient_check(loss, MAPS, step=1e-6) < 1e-4

@@ -11,12 +11,14 @@ float64 round-off.
 
 The interface reflectivity is one record; ``helpers.taped_interface_nodes``
 is the tape of concat, crops, sub, add and div that it replaced, and it
-must equal that tape bit for bit, values and gradients.
+must equal that tape bit for bit, values and gradients (an entry of
+``helpers.FAST_PATHS``).
 """
 
 import numpy as np
 import pytest
-from helpers import padded_reflectivity, taped_interface_nodes
+from helpers import (FAST_PATHS, ROUND_OFF, assert_matches, check_fast_path, padded_reflectivity,
+                     round_off, taped_interface_nodes)
 
 import fluvinv.tensors as tc
 from fluvinv import geophysics
@@ -30,10 +32,10 @@ from fluvinv.geophysics import (
 )
 from fluvinv.grids import GridGeometry, ModelGrid
 
-RTOL = 1e-12
 # a float32 tape stores impedances of about 5e3 to 7 digits, and the
-# reflectivity takes their differences: about 2e-5 of the largest amplitude
-F32_RTOL = 5e-5
+# reflectivity takes their differences: about 2e-5 of the largest amplitude,
+# within 419 float32 ulps (at most 5e-5 of it)
+F32_IMPEDANCE = round_off(419)
 
 
 def reference_build(model, tape, coarse, geometry):
@@ -67,15 +69,7 @@ def value_and_gradient(build, coarse, seed=None, dtype=np.float64):
     out = build(tape, node)
     if seed is None:
         seed = np.random.default_rng(1).normal(size=out.value.shape)
-    grad = tape.backward(out, seed=seed).wrt(node)
-    return np.asarray(out.value, dtype=np.float64), np.asarray(grad, dtype=np.float64), seed
-
-
-def assert_close(actual, reference, rtol):
-    # relative to the largest reference magnitude: the PSF sums many taps,
-    # so single samples near zero carry round-off far above their own size
-    err = np.max(np.abs(actual - reference)) / np.max(np.abs(reference))
-    assert err <= rtol, f"relative error {err:.3e} > {rtol:g}"
+    return out.value, tape.backward(out, seed=seed).wrt(node), seed
 
 
 def coarse_cube(geometry, seed=0):
@@ -132,11 +126,11 @@ def test_banded_psf_matches_conv3d_reference(name):
     want, want_g, seed = value_and_gradient(reference, coarse)
     assert covers(model, kernels[0], (1,) + want.shape)
     got, got_g, _ = value_and_gradient(build, coarse, seed)
-    assert_close(got, want, RTOL)
-    assert_close(got_g, want_g, RTOL)
+    assert_matches(got, want, ROUND_OFF[np.float64])
+    assert_matches(got_g, want_g, ROUND_OFF[np.float64])
     got, got_g, _ = value_and_gradient(build, coarse, seed, dtype=np.float32)
-    assert_close(got, want, F32_RTOL)
-    assert_close(got_g, want_g, F32_RTOL)
+    assert_matches(got, want.astype(np.float32), F32_IMPEDANCE)
+    assert_matches(got_g, want_g.astype(np.float32), F32_IMPEDANCE)
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -144,23 +138,16 @@ def test_banded_psf_matches_conv3d_reference(name):
                                         if case[1].burden.total_thickness_m > 0))
 def test_interface_record_equals_the_taped_form(name, dtype):
     geometry, model, _ = CASES[name]
-    rho_v, vp_v = rock_physics(coarse_cube(geometry), model.params, dtype=dtype)
-    # with a burden, the deposit's nz - 1 interfaces and its top and base
-    seed = np.random.default_rng(4).normal(size=(geometry.nz + 1, geometry.ny, geometry.nx))
+    rho, vp = rock_physics(coarse_cube(geometry), model.params, dtype=dtype)
+    args = {"geometry": geometry, "burden": model.burden, "params": model.params}
+    check_fast_path(FAST_PATHS["_interface_nodes"], dtype, ({"rho": rho, "vp": vp}, args), seed=4)
     results = []
     for interfaces in (geophysics._interface_nodes, taped_interface_nodes):
         tape = tc.GraphTape(dtype)
-        rho, vp = tape.input(rho_v), tape.input(vp_v)
-        refl, first, nzs = interfaces(tape, rho, vp, geometry, model.burden, model.params)
-        records = len(tape._records)
-        grads = tape.backward(refl, seed=seed)
-        results.append((refl.value, grads.wrt(rho), grads.wrt(vp), first, nzs, records))
-    got, want = results
-    assert got[-1] == 2  # the impedance product and the reflectivity record
-    assert got[3:5] == want[3:5]
-    for a, b in zip(got[:3], want[:3]):
-        assert a.dtype == b.dtype == dtype
-        np.testing.assert_array_equal(a, b)
+        _, first, nzs = interfaces(tape, tape.input(rho), tape.input(vp), **args)
+        results.append((first, nzs, len(tape._records)))
+    assert results[0][:2] == results[1][:2]
+    assert results[0][2] == 2  # the impedance product and the reflectivity record
 
 
 def test_forward_reports_the_build_velocity():
@@ -172,7 +159,7 @@ def test_forward_reports_the_build_velocity():
     cube = model.forward(ModelGrid(geometry, grid_coarse, np.full(geometry.shape, 0.5)))
     assert cube.velocity_mps == kernel.velocity_mps
     assert cube.velocity_mps == model.average_velocity(grid_coarse, geometry)
-    assert_close(cube.amplitudes, np.asarray(want.value), RTOL)
+    assert_matches(cube.amplitudes, want.value, ROUND_OFF[np.float64])
 
 
 def test_float32_tape_matches_float64():
@@ -182,8 +169,8 @@ def test_float32_tape_matches_float64():
     want, want_g, seed = value_and_gradient(lambda t, c: model.build(t, c, geometry), coarse)
     got, got_g, _ = value_and_gradient(lambda t, c: model.build(t, c, geometry), coarse,
                                        seed, dtype=np.float32)
-    assert_close(got, want, 1e-5)
-    assert_close(got_g, want_g, 1e-5)
+    assert_matches(got, want.astype(np.float32), ROUND_OFF[np.float32])
+    assert_matches(got_g, want_g.astype(np.float32), ROUND_OFF[np.float32])
 
 
 def test_build_slides_no_window_and_runs_no_whole_cube_rock_physics(monkeypatch):

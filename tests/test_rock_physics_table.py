@@ -1,7 +1,8 @@
 """Tabulated Vp(f) in ``rock_physics_nodes`` against the taped friable-sand chain.
 
 ``geophysics._friable_sand`` is the reference: its Vp node and the gradient
-of that node, on a float64 tape, at the same coarse fractions.
+of that node, on a float64 tape, at the same coarse fractions (an entry of
+``helpers.FAST_PATHS``).
 """
 
 import warnings
@@ -12,6 +13,7 @@ import pytest
 import fluvinv.tensors as tc
 from fluvinv import geophysics
 from fluvinv.geophysics import RockPhysicsParams, rock_physics_nodes
+from helpers import FAST_PATHS, check_fast_path
 
 PARAMS = RockPhysicsParams()
 STIFF = RockPhysicsParams(pressure=0.03, coordination=6.0)
@@ -42,11 +44,8 @@ def table_vp(f, params, dtype=np.float64):
 
 @pytest.mark.parametrize("params", [PARAMS, STIFF], ids=["default", "stiff"])
 def test_values_and_gradients_match_chain(params):
-    f = probe_fractions()
-    ref_v, ref_g = chain_vp(f, params)
-    v, g = table_vp(f, params)
-    np.testing.assert_allclose(v, ref_v, rtol=1e-12, atol=0)
-    assert np.max(np.abs(g - ref_g)) <= 1e-12 * np.max(np.abs(ref_g))
+    check_fast_path(FAST_PATHS["rock_physics_nodes"], np.float64,
+                    ({"f": probe_fractions()}, {"params": params}))
 
 
 def test_non_default_params_get_their_own_table():

@@ -10,10 +10,10 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 import fluvinv.tensors as tc
-from fluvinv.tensors import GraphTape, ShapeError, TapeError, gradient_check
+from fluvinv.tensors import GraphTape, ShapeError, TapeError
 from fluvinv.generators import ProceduralGenerator, sample_prior
 from fluvinv.grids import GridGeometry
-from helpers import conv3d_reference
+from helpers import conv3d_reference, gradient_check
 
 
 def test_dense_identity():
@@ -78,6 +78,19 @@ def test_constant_function_gradient_zero():
     err = gradient_check(lambda t, x: tc.sum_all(t.constant(np.ones(3))) + 0.0 * tc.sum_all(x),
                          np.ones(3))
     assert err == 0.0
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("fn, point, step, match", [
+    (lambda t, x: tc.sum_all(x), [1.0], 0.0, "step"),
+    (lambda t, x: tc.square(x), [1.0], 1e-5, "scalar"),
+    (lambda t, x: tc.sum_all(tc.log(x)), [-1.0], 1e-5, "evaluation point"),
+    # finite at the point, NaN one step below zero
+    (lambda t, x: tc.sum_all(tc.sqrt(x)), [1.0, 0.0], 1e-5, "probe coordinate 1"),
+], ids=["step", "scalar", "non-finite", "non-finite-probe"])
+def test_gradient_check_rejects_bad_steps_and_functions(fn, point, step, match):
+    with pytest.raises(ValueError, match=match):
+        gradient_check(fn, point, step=step)
 
 
 def test_composite_grid_graph_matches_finite_differences():
@@ -450,10 +463,9 @@ def _record_builders():
 
 
 def test_record_builders_cover_every_recording_op():
-    # a new op of tc.__all__ must join _record_builders; cell_plan and
-    # gradient_check make no node
+    # a new op of tc.__all__ must join _record_builders; cell_plan makes no node
     ops = {name for name in tc.__all__ if inspect.isfunction(getattr(tc, name))}
-    assert set(_record_builders()) == ops - {"cell_plan", "gradient_check"}
+    assert set(_record_builders()) == ops - {"cell_plan"}
 
 
 @pytest.mark.parametrize("name", sorted(_record_builders()))
