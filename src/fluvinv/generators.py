@@ -273,7 +273,7 @@ def _cell_coordinates(cells, geometry):
     if cells is None:
         return _coordinates(geometry.nx, geometry.ny, geometry.nz, None)
     arr = np.asarray(cells)
-    if arr.ndim != 1 or not np.issubdtype(arr.dtype, np.integer):
+    if arr.ndim != 1 or arr.dtype.kind not in "iu":  # np.issubdtype costs ten times more
         raise GeneratorError(
             f"cells must be a 1-D integer array, got dtype {arr.dtype} shape {arr.shape}")
     return _coordinates(geometry.nx, geometry.ny, geometry.nz,
@@ -426,7 +426,10 @@ class ProceduralGenerator:
         bit for bit.
 
         The build is one :func:`tc.custom` record per channel of one fused
-        kernel (:func:`_procedural_kernel`) over (z, labels, maps).
+        kernel (:func:`_procedural_kernel`) over (z, labels, maps). The
+        kernel's belt parameters of one latent are numpy scalars, not (1,)
+        arrays (see :func:`_belt`), so a build at a few cells, one DREAM
+        proposal's, pays numpy's per-call cost mostly on the cell arrays.
         """
         g = self.geometry
         rows = _batch_rows(z, self.latent_dim)
@@ -452,7 +455,7 @@ class ProceduralGenerator:
             labels = _check_labels(labels)
             _check_label_shape(labels.shape, self.label_dim)
         b = _belt(self.geometry, np.asarray(z, dtype=np.float64), labels, self._maps)
-        return {k: float(b[k][0]) for k in _BELT_PARAMETERS}
+        return {k: float(b[k]) for k in _BELT_PARAMETERS}
 
 
 _BELT_PARAMETERS = ("center", "half_width", "amplitude", "wavelength", "phase", "drift",
@@ -463,10 +466,14 @@ _LN2 = float(np.log(2.0))
 def _belt(geometry, z, labels, maps, depo=True):
     """The belt parameters (:data:`_BELT_PARAMETERS`) from latent, label and
     map-coefficient arrays of one float dtype, with the intermediates that
-    :func:`_belt_vjp` reads. Shape (1,) for a latent of shape (d,); the
-    latent- and per-row label-driven ones keep a batch's leading axes, with
-    the last axis of size 1. ``core_blend`` is None unless ``depo``, the
-    only channel that reads it. With map coefficients c, latent z and labels:
+    :func:`_belt_vjp` reads. Latent and label columns are read along a
+    leading axis (:func:`_leading`): for a latent of shape (d,) and shared
+    labels every parameter is a numpy scalar of that dtype (``core_blend`` a
+    0-d array), which costs a fraction of a (1,) array per op and broadcasts
+    against the cells the same way; the latent- and per-row label-driven
+    ones of a batch (*lead, d) have shape (*lead, 1). ``core_blend`` is None
+    unless ``depo``, the only channel that reads it. With map coefficients c,
+    latent z and labels:
 
     * center = ny sigmoid(c0 z0 + c1)
     * half_width = ny (c2 + c3 sigmoid(0.7 z1)) (c4 + c5 rain)
@@ -482,18 +489,18 @@ def _belt(geometry, z, labels, maps, depo=True):
     latent-driven arguments each run as one call over their columns.
     """
     ny, nx = float(geometry.ny), float(geometry.nx)
-    zc = [z[..., i:i + 1] for i in range(8)]
-    g_coarse, g_fine, erod, aggr, rain = (labels[..., i:i + 1] for i in range(5))
-    c = [maps[i:i + 1] for i in range(len(_MAP_COEFF_NAMES))]
+    zc = list(_leading(z)[:8])
+    g_coarse, g_fine, erod, aggr, rain = _leading(labels)
+    c = list(maps)
     # kept for the backward: sK and tK are the sigmoid and tanh terms of latent
     # component K, and a parameter that is a product keeps its factors
     b = {"z": zc, "labels": (g_coarse, g_fine, erod, aggr, rain), "maps": c,
          "ny": ny, "nx": nx, "drift_scale": ny / max(geometry.nz - 1, 1)}
-    s = tc._stable_sigmoid(np.concatenate([c[0] * zc[0] + c[1], zc[1] * 0.7, zc[6] * 0.7],
-                                          axis=-1))
-    t = np.tanh(z[..., [2, 3, 5, 7]] * 0.7)
-    b["s0"], b["s1"], b["s6"] = s0, s1, s6 = [s[..., i:i + 1] for i in range(3)]
-    b["t2"], b["t3"], b["t5"], b["t7"] = t2, t3, t5, t7 = [t[..., i:i + 1] for i in range(4)]
+    # np.array, not np.stack, which costs several times more on scalars
+    b["s0"], b["s1"], b["s6"] = s0, s1, s6 = tc._stable_sigmoid(
+        np.array([c[0] * zc[0] + c[1], zc[1] * 0.7, zc[6] * 0.7]))
+    b["t2"], b["t3"], b["t5"], b["t7"] = t2, t3, t5, t7 = np.tanh(
+        np.array([zc[2], zc[3], zc[5], zc[7]]) * 0.7)
     b["hw0"] = hw0 = (c[2] + c[3] * s1) * ny
     b["wr"] = wr = c[4] + c[5] * rain
     b["a6"] = a6 = c[6] * ny
@@ -509,6 +516,14 @@ def _belt(geometry, z, labels, maps, depo=True):
              sharpness=sh0 * f6, turn=c[13] * t7,
              core_blend=tc._stable_sigmoid(c[14]) if depo else None, aggradation=aggr)
     return b
+
+
+def _leading(a):
+    """The columns of ``a`` along its first axis: a vector (k,) as it is, so
+    that each column is a numpy scalar; a batch (*lead, k) as the view
+    (k, *lead, 1), whose columns keep the batch's shape. (That view is
+    ``np.moveaxis(a[..., None], -2, 0)``, which costs several times more.)"""
+    return a if a.ndim == 1 else a[..., None].transpose(a.ndim - 1, *range(a.ndim - 1), a.ndim)
 
 
 def _belt_vjp(b, gp, needs):
@@ -611,17 +626,22 @@ def _belt_vjp(b, gp, needs):
 def _sum_to(g, like):
     """``g`` summed over the axes that ``like`` broadcasts along, in the
     dtype of ``like``: the gradient of an operand, as the tape reduces it.
-    A ``g`` of the shape and dtype of ``like`` is returned itself, so no
-    caller may write into the result in place."""
-    return tc._unbroadcast(g, like.shape).astype(like.dtype, copy=False)
+    A 0-d ``like`` (a one-latent belt parameter) takes shape (1,), that of
+    the tape's column node: summing a grid straight to () would add in
+    another order than the tape's two stages, leading axes then the last.
+    A ``g`` of that shape and the dtype of ``like`` is returned itself, so
+    no caller may write into the result in place."""
+    return tc._unbroadcast(g, like.shape or (1,)).astype(like.dtype, copy=False)
 
 
 def _columns(shape, dt, cols):
     """An array of ``shape`` whose last-axis columns are ``cols`` (index to
-    array), zero elsewhere."""
+    array), zero elsewhere. Each column is added into the zeros, as the
+    tape adds the zero-filled gradients of its column crops, so a -0.0
+    entry comes out +0.0 there too."""
     out = np.zeros(shape, dtype=dt)
     for i, v in cols.items():
-        out[..., i:i + 1] = v
+        out[..., i:i + 1] += v
     return out
 
 

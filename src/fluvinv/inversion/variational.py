@@ -159,7 +159,11 @@ class FlowModel:
                 g_new = np.ascontiguousarray(g_z[..., hi])
                 g_s = g_new * b * e + g_ld
                 g_s = g_s * ((s_raw > -clip) & (s_raw < clip))
-                g_a, *sub = mlp_vjp(np.concatenate([g_s, g_new], axis=-1))
+                g_raw = np.concatenate([g_s, g_new], axis=-1)
+                # as the tape adds the zero-filled gradients of its two crops
+                # of raw: a clamped scale's -0.0 turns +0.0
+                g_raw += 0.0
+                g_a, *sub = mlp_vjp(g_raw)
                 grads[layer * per_layer:(layer + 1) * per_layer] = sub
                 if g_a is not None:
                     g_prev = np.empty_like(g_z)

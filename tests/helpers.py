@@ -7,8 +7,11 @@
 - ``FAST_PATHS``, the table of every ``tc.custom`` site under ``src/`` and
   every fast engine kernel, each with its reference, its rule per storage
   dtype and a seeded input strategy; ``check_fast_path`` compares one entry's
-  values and input gradients on one case.
+  values and input gradients on one case, and ``scan_fast_path`` lists the
+  failing cases of one entry over a range of seeds.
 - ``gradient_check``, the central-difference oracle of taped gradients.
+- The procedural generator's two exact latent symmetries,
+  ``flip_amplitude`` and ``shift_phase``, and their fold, ``fold_latent``.
 - The references the table reads: the per-tap and per-offset loops that
   ``tc.conv3d`` and ``tc.upconv3d`` ran before their column buffer, the
   interface reflectivity, the procedural build, the dense chain and the flow
@@ -30,9 +33,9 @@ import numpy as np
 
 import fluvinv.tensors as tc
 from fluvinv import geophysics
-from fluvinv.generators import (LABEL_NAMES, ProceduralGenerator, _batch_rows,
-                                _cell_coordinates, _label_node, keyed_rng, neutral_labels,
-                                sample_prior)
+from fluvinv.generators import (_MAP_COEFF_NAMES, LABEL_NAMES, ProceduralGenerator,
+                                _batch_rows, _cell_coordinates, _label_node, keyed_rng,
+                                neutral_labels, sample_prior)
 from fluvinv.geophysics import BurdenConfig, RockPhysicsParams, rock_physics, rock_physics_nodes
 from fluvinv.grids import GridGeometry, ModelGrid
 from fluvinv.inversion import ChainEnsemble, DataLoss, FlowConfig, FlowModel, InversionError
@@ -547,6 +550,41 @@ def taped_belt_nodes(geometry, z, labels, maps):
             "sharpness": sharp, "turn": turn, "core_blend": blend, "aggradation": aggr}
 
 
+def phase_gain(gen):
+    """c9, the gain of ``phase = c9 z4`` of a procedural generator."""
+    return float(gen.weights()["maps"][_MAP_COEFF_NAMES.index("phase_gain")])
+
+
+def flip_amplitude(z, c9):
+    """(z2, z4) -> (-z2, z4 + pi / c9) of latents z (..., d): amplitude is
+    odd in z2 and enters as amplitude sin(... + c9 z4 + ...), so the
+    procedural grid stays the same."""
+    z = np.array(z, dtype=np.float64)
+    z[..., 2] = -z[..., 2]
+    z[..., 4] += np.pi / c9
+    return z
+
+
+def shift_phase(z, c9):
+    """z4 -> z4 + 2 pi / c9 of latents z (..., d): one period of the sine
+    that ``phase = c9 z4`` enters, so the procedural grid stays the same."""
+    z = np.array(z, dtype=np.float64)
+    z[..., 4] += 2.0 * np.pi / c9
+    return z
+
+
+def fold_latent(z, c9):
+    """The copy of latents z (..., d) under :func:`flip_amplitude` and
+    :func:`shift_phase` with z2 >= 0 and z4 in [0, 2 pi / c9): latents that
+    the two symmetries map into each other fold to one point, up to the
+    round-off of the phase shifts."""
+    z = np.array(z, dtype=np.float64)
+    flip = z[..., 2] < 0
+    z[..., 2] = np.abs(z[..., 2])
+    z[..., 4] = np.mod(z[..., 4] + np.where(flip, np.pi / c9, 0.0), 2.0 * np.pi / c9)
+    return z
+
+
 def rock_physics_moduli(f, params=RockPhysicsParams()):
     """Named intermediates of the friable-sand chain as arrays: mineral, dry
     and saturated moduli, porosity, density and Vp."""
@@ -768,6 +806,21 @@ def check_fast_path(path, dtype, case, seed=0):
     at ``dtype``, under the upstream gradients of ``seed``."""
     got, want = (run_taped(fn, dtype, *case, seed) for fn in (path.fast, path.reference))
     assert_matches(got, want, path.rules[np.dtype(dtype).type], path.site)
+
+
+def scan_fast_path(site, dtypes, seeds):
+    """The (seed, dtype, message) of every case of ``FAST_PATHS[site]``
+    over ``seeds`` and ``dtypes`` that fails :func:`check_fast_path`; a case
+    that raises anything but an assertion error raises."""
+    path = FAST_PATHS[site]
+    failures = []
+    for seed in seeds:
+        for dtype in dtypes:
+            try:
+                check_fast_path(path, dtype, path.cases(seed), seed)
+            except AssertionError as err:
+                failures.append((seed, np.dtype(dtype).type, str(err)))
+    return failures
 
 
 def _loop_record(loop, out_extents):

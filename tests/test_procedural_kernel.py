@@ -5,10 +5,9 @@ of a numpy forward and a hand-derived backward. ``helpers.taped_procedural_build
 is the same construction as one record per op: the fused values must equal it
 bit for bit in float32 and float64, and the gradients with respect to the
 latent, the labels and the map coefficients of a loss that reads one channel
-must equal it too, up to the sign of a zero entry. A loss that reads both
-sums the two channels' gradients at the inputs, where the tape sums them at
-the shared belt parameters, so those agree to round-off, the rule of the
-build's entry in ``helpers.FAST_PATHS``.
+must equal it too. A loss that reads both sums the two channels' gradients at
+the inputs, where the tape sums them at the shared belt parameters, so those
+agree to round-off, the rule of the build's entry in ``helpers.FAST_PATHS``.
 
 A ``depo=False`` build is one record whose coarse values and gradients equal
 the ``depo=True`` coarse bit for bit.
@@ -20,11 +19,11 @@ import weakref
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from helpers import (EXACT, FAST_PATHS, PROC, assert_matches, gradient_check, round_off,
+from helpers import (EXACT, FAST_PATHS, PROC, assert_matches, gradient_check,
                      taped_belt_nodes, taped_procedural_build)
 
 import fluvinv.tensors as tc
-from fluvinv.generators import sample_prior
+from fluvinv.generators import _BELT_PARAMETERS, _belt, neutral_labels, sample_prior
 
 GEO = PROC.geometry  # 12 x 9 x 5, latent_dim 9: the build's entry in FAST_PATHS
 MAPS = PROC.weights()["maps"]
@@ -111,10 +110,8 @@ def test_fused_gradients_match_taped_reference(channels, case, wrt):
         wrt = tuple(k for k in wrt if k != "labels") or ("z",)
     fused = _build(_fused, np.float64, z, labels, maps, cells, wrt, channels)[2]
     taped = _build(_taped, np.float64, z, labels, maps, cells, wrt, channels)[2]
-    # one channel: equal, though a zero gradient entry may take the other
-    # sign of zero, so not bit for bit
     rule = FAST_PATHS["ProceduralGenerator.build"].rules[np.float64]
-    assert_matches(fused, taped, round_off(0) if len(channels) == 1 else rule)
+    assert_matches(fused, taped, EXACT if len(channels) == 1 else rule)
 
 
 @pytest.mark.parametrize("cells", [None, [0, 7, 7, 200, 539]], ids=["grid", "cells"])
@@ -167,6 +164,26 @@ def test_belt_parameters_equal_taped_belt():
     assert set(got) == set(nodes)
     for k, node in nodes.items():
         assert got[k] == float(node.value[0]), k
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_belt_of_one_latent_is_numpy_scalars_of_the_storage_dtype(dtype):
+    z = sample_prior(1, 9, rng_seed=4)[0].astype(dtype)
+    b = _belt(GEO, z, neutral_labels().astype(dtype), MAPS.astype(dtype))
+    for k in _BELT_PARAMETERS:
+        assert np.shape(b[k]) == () and b[k].dtype == dtype, k
+
+
+@pytest.mark.parametrize("lead", [(3,), (2, 1, 1)], ids=["rows", "grid-rows"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_belt_of_a_batch_keeps_its_leading_axes(dtype, lead):
+    z = sample_prior(lead[0], 9, rng_seed=4).reshape(lead + (9,)).astype(dtype)
+    labels = np.random.default_rng(0).uniform(0.0, 1.0, lead + (5,)).astype(dtype)
+    b = _belt(GEO, z, labels, MAPS.astype(dtype))
+    for k in _BELT_PARAMETERS:
+        # core_blend reads the map coefficients alone
+        want = () if k == "core_blend" else lead + (1,)
+        assert np.shape(b[k]) == want and b[k].dtype == dtype, k
 
 
 def test_build_tape_is_freed_by_reference_counting():
