@@ -22,7 +22,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from . import tensors as tc
-from .grids import ModelGrid, check_config
+from .grids import ModelGrid, check_config, is_integer
 
 __all__ = [
     "GeneratorError",
@@ -75,7 +75,8 @@ def keyed_rng(*key):
     ``SeedSequence`` reads a key of up to four words as if zero-padded to
     four, so trailing zeros there name the same stream: ``(seed,)`` is
     latent row 0, and ``(seed, k, 0)`` or ``(seed, k, 0, 0)`` (row, layer or
-    step 0 of family k; DREAM's first proposal) is latent row k.
+    step 0 of family k; DREAM's first proposal) is latent row k. The
+    inference net's init ``(seed, 19)`` is the key of latent row 19 itself.
 
     :func:`keyed_rngs` is the batch form, for callers that need many streams
     at once (DREAM(ZS) needs one per proposal). It hashes the entropy words
@@ -1105,7 +1106,7 @@ def _check_tensor_entries(path, tensors):
     """The manifest's tensor list, each entry a name, a shape of non-negative
     ints and a non-negative byte offset; names unique."""
     def count(v):
-        return isinstance(v, int) and not isinstance(v, bool) and v >= 0
+        return is_integer(v) and v >= 0
 
     if not isinstance(tensors, list):
         raise GeneratorError(f"{path}: manifest has no tensor list")

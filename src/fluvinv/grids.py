@@ -8,14 +8,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["GridGeometry", "ModelGrid", "GridError", "check_config"]
+__all__ = ["GridGeometry", "ModelGrid", "GridError", "check_config", "is_integer"]
 
 _COMPARE = {">=": operator.ge, ">": operator.gt, "<=": operator.le, "<": operator.lt}
 _INTEGERS = (int, np.integer)
+_BOOLS = (bool, np.bool_)
 
 
 class GridError(Exception):
     pass
+
+
+def is_integer(v):
+    """True for a Python or numpy integer; a bool is not one."""
+    return isinstance(v, _INTEGERS) and not isinstance(v, bool)
 
 
 def check_config(config, error, *bounds):
@@ -25,7 +31,7 @@ def check_config(config, error, *bounds):
     ``">="``, ``">"``, ``"<="``, ``"<"``, and the limit, as in
     ``("nx ny nz", ">=", 1)``. A tuple or list has each entry checked.
 
-    - NaN and +-inf fail every bound.
+    - NaN and +-inf fail every bound, and so does a bool.
     - A minimum (``">="`` or ``">"``) written as an int also requires an
       integer, so 2.5 fails ``(name, ">=", 1)``; write a float field's
       minimum as a float (``0.0``).
@@ -40,8 +46,8 @@ def check_config(config, error, *bounds):
             if value is None and getattr(type(config), name, 0) is None:
                 continue
             for v in value if isinstance(value, (tuple, list)) else (value,):
-                valid = (isinstance(v, _INTEGERS) if integral
-                         else v is not None and math.isfinite(v))
+                valid = (is_integer(v) if integral
+                         else not isinstance(v, _BOOLS) and v is not None and math.isfinite(v))
                 if not (valid and within(v, limit)):
                     kind = "an integer" if integral else "finite and"
                     raise error(f"{name} must be {kind} {op} {limit}, got {value}")

@@ -11,7 +11,7 @@ import numpy as np
 
 from .. import tensors as tc
 from ..generators import keyed_rng, sample_prior
-from ..grids import check_config
+from ..grids import check_config, is_integer
 from .loss import DataLoss, DataLossConfig, InversionError
 from .networks import mlp_apply, mlp_init, mlp_sizes
 from .optimize import descend
@@ -121,6 +121,6 @@ def mean_pairwise_distance(latents):
 
 def expected_prior_pairwise_distance(d):
     """E|z1 - z2| for independent standard normals: 2 Gamma((d+1)/2) / Gamma(d/2)."""
-    if not isinstance(d, (int, np.integer)) or d < 1:
+    if not is_integer(d) or d < 1:
         raise InversionError(f"dimension must be a positive integer, got {d!r}")
     return 2.0 * math.exp(math.lgamma((d + 1) / 2.0) - math.lgamma(d / 2.0))

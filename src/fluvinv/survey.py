@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .generators import keyed_rng
-from .grids import GridGeometry, check_config
+from .grids import GridGeometry, check_config, is_integer
 
 __all__ = [
     "SurveyError",
@@ -98,36 +98,43 @@ class WellDataset:
         return self.columns.reshape(-1)
 
     def subset(self, n_wells):
-        if not (isinstance(n_wells, (int, np.integer)) and 0 <= n_wells <= len(self.wells)):
+        if not (is_integer(n_wells) and 0 <= n_wells <= len(self.wells)):
             raise SurveyError(f"dataset has {len(self.wells)} wells, asked for {n_wells}")
         return WellDataset(self.geometry, self.wells[:n_wells], self.columns[:n_wells].copy())
 
 
 def _check_location(ix, iy, geometry, what):
-    if not all(isinstance(v, (int, np.integer)) for v in (ix, iy)):
+    if not (is_integer(ix) and is_integer(iy)):
         raise SurveyError(f"{what} at ({ix!r}, {iy!r}): coordinates must be integers")
     if not (0 <= ix < geometry.nx and 0 <= iy < geometry.ny):
         raise SurveyError(f"{what} at ({ix}, {iy}) out of bounds {geometry.nx}x{geometry.ny}")
 
 
-def _ramp_mask(geometry, ix, iy, exclusion_m, ramp_m):
+def _ramp_mask(geometry, ix, iy, policy):
     x = (np.arange(geometry.nx) - ix) * geometry.dx
     y = (np.arange(geometry.ny) - iy) * geometry.dy
     dist = np.hypot(y[:, None], x[None, :])
-    return np.clip((dist - exclusion_m) / (ramp_m - exclusion_m), 0.0, 1.0)
+    return np.clip((dist - policy.exclusion_m) / (policy.ramp_m - policy.exclusion_m), 0.0, 1.0)
 
 
-def _draw(rng, weight, geometry, stage, policy, index):
-    total = weight.sum(dtype=np.float64)
-    if not np.isfinite(total) or total <= 0.0:
-        raise SurveyError(
-            f"stage {stage}: no feasible cell left for well {index} of {policy.count} "
-            f"(exclusion {policy.exclusion_m:g} m, ramp {policy.ramp_m:g} m) on a "
-            f"{geometry.nx}x{geometry.ny} grid of {geometry.dx:g} m cells "
-            f"({geometry.nx * geometry.dx:g} m x {geometry.ny * geometry.dy:g} m)")
-    flat = rng.choice(weight.size, p=(weight / total).reshape(-1))
-    iy, ix = np.unravel_index(flat, weight.shape)
-    return int(ix), int(iy)
+def _place(rng, weight, mask, geometry, stage, policy):
+    # policy.count wells drawn one by one with probability ~ weight * mask,
+    # the mask ramped down around each well as it is placed
+    wells = []
+    for i in range(policy.count):
+        p = weight * mask
+        total = p.sum(dtype=np.float64)
+        if not np.isfinite(total) or total <= 0.0:
+            raise SurveyError(
+                f"stage {stage}: no feasible cell left for well {i} of {policy.count} "
+                f"(exclusion {policy.exclusion_m:g} m, ramp {policy.ramp_m:g} m) on a "
+                f"{geometry.nx}x{geometry.ny} grid of {geometry.dx:g} m cells "
+                f"({geometry.nx * geometry.dx:g} m x {geometry.ny * geometry.dy:g} m)")
+        flat = rng.choice(p.size, p=(p / total).reshape(-1))
+        iy, ix = map(int, np.unravel_index(flat, p.shape))
+        wells.append((ix, iy))
+        mask = mask * _ramp_mask(geometry, ix, iy, policy)
+    return wells
 
 
 def place_wells(weight_maps, policy, rng_seed, geometry=None):
@@ -158,31 +165,11 @@ def place_wells(weight_maps, policy, rng_seed, geometry=None):
         raise SurveyError(f"weight maps of (ny, nx) shape {shape} do not match the "
                           f"{geometry.nx}x{geometry.ny} grid")
     rng = keyed_rng(rng_seed)
-
-    joint = np.mean(maps, axis=0)
-    legacy = []
+    legacy = _place(rng, np.mean(maps, axis=0), np.ones(shape), geometry, 1, policy.legacy)
     mask = np.ones(shape)
-    for i in range(policy.legacy.count):
-        ix, iy = _draw(rng, joint * mask, geometry, 1, policy.legacy, i)
-        legacy.append((ix, iy))
-        mask = mask * _ramp_mask(geometry, ix, iy,
-                                 policy.legacy.exclusion_m, policy.legacy.ramp_m)
-
-    extras = []
-    for m in maps:
-        mask = np.ones(shape)
-        for ix, iy in legacy:
-            mask = mask * _ramp_mask(geometry, ix, iy,
-                                     policy.legacy_in_stage2.exclusion_m,
-                                     policy.legacy_in_stage2.ramp_m)
-        placed = []
-        for i in range(policy.extra.count):
-            ix, iy = _draw(rng, m * mask, geometry, 2, policy.extra, i)
-            placed.append((ix, iy))
-            mask = mask * _ramp_mask(geometry, ix, iy,
-                                     policy.extra.exclusion_m, policy.extra.ramp_m)
-        extras.append(placed)
-    return legacy, extras
+    for ix, iy in legacy:
+        mask = mask * _ramp_mask(geometry, ix, iy, policy.legacy_in_stage2)
+    return legacy, [_place(rng, m, mask, geometry, 2, policy.extra) for m in maps]
 
 
 def extract_well_data(grid, locations):

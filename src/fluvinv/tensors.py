@@ -702,25 +702,12 @@ def _columns(flat, kx):
     return cols.reshape(kx * c, -1)
 
 
-def _fold_columns(cols, kx):
-    # the adjoint of _columns: the kx row blocks of a (kx*C, N) buffer added
-    # into one (C, N + kx - 1) buffer, block k shifted by k columns
-    if kx == 1:
-        return cols
-    c, n = cols.shape[0] // kx, cols.shape[1]
-    flat = np.zeros((c, n + kx - 1), dtype=_ACC)
-    for k in range(kx):
-        flat[:, k:k + n] += cols[k * c:(k + 1) * c]
-    return flat
-
-
 def _kernel_rows(cols, kshape, shape):
     # per kernel row (i, j), in np.ndindex order, the (kx*C, L) view of the
     # column buffer of a (C, *shape) grid v whose column z*Yp*Xp + y*Xp + x
     # holds that row's taps at output (z, y, x): row block k reads
     # v[:, z+i-pz, y+j-py, x+k-px]. L reaches column (Z-1, Y-1, X-1); the
-    # columns y >= Y or x >= X are not outputs. Adding into a view scatters
-    # into the buffer.
+    # columns y >= Y or x >= X are not outputs.
     kz, ky, kx = kshape
     nz, ny, nx = shape
     yp, xp = ny + ky - 1, nx + kx - 1
@@ -1098,9 +1085,10 @@ def upconv3d(x, w, bias=None):
     3x3x3, with no zero blocks. They add into one (2, 2, 2, O, L) buffer
     (phases rx, rz, ry: each group's slice of it is mostly contiguous),
     and one copy interleaves the phases into the output. The backward runs
-    the same groups: the input gradient accumulates m.T @ g in a column
-    buffer whose row blocks are folded into the padded gradient once, and
-    the kernel gradient folds the phase kernels' gradients back through A.
+    the same groups: each group's m.T @ g adds its span row blocks straight
+    into the padded input gradient, block j at the x-offset a + j of its
+    kernel row, and the kernel gradient folds the phase kernels' gradients
+    back through A.
     """
     tape, x, w, bias = _conv_operands("upconv3d", x, w, bias)
     kshape, span, groups, q = _phase_groups(w.value.shape[2:])
@@ -1126,7 +1114,7 @@ def upconv3d(x, w, bias=None):
     if bias is not None:
         value += bias.value[:, None, None, None]
         inputs.append(bias)
-    wshape, cshape = w.value.shape, cols.shape
+    wshape, npad = w.value.shape, flat.shape[1]
     x_req, w_req = x.requires_grad, w.requires_grad
     bias_req = bias is not None and bias.requires_grad
     flat = flat if w_req else None
@@ -1138,23 +1126,25 @@ def upconv3d(x, w, bias=None):
         gp = np.zeros((2, 2, 2, o, ncol), dtype=_ACC)
         _column_grid(gp, shape, kshape)[...] = g.reshape(
             o, nz, 2, ny, 2, nx, 2).transpose(6, 2, 4, 0, 1, 3, 5)
-        gcols = np.zeros(cshape, dtype=_ACC) if x_req else None
-        gviews = _kernel_rows(gcols, kshape, shape) if x_req else None
+        pz, py, px = (k // 2 for k in kshape)
+        yp, xp = ny + 2 * py, nx + 2 * px
+        starts = [i * yp * xp + j * xp for i, j in np.ndindex(*kshape[:2])]
+        gx = np.zeros((c, npad), dtype=_ACC) if x_req else None
         views = _kernel_rows(_columns(flat, kshape[2]), kshape, shape) if w_req else None
         gm = np.empty_like(m) if w_req else None
         term = np.empty((span * c, ncol), dtype=_ACC)
         for s, phases, a, lo, hi in groups:
             gs = gp[phases].reshape(-1, ncol)
-            rows = slice(a * c, (a + span) * c)
-            if x_req:
-                gviews[s][rows] += np.matmul(m[lo * o:hi * o].T, gs, out=term)
+            if x_req:  # row block j: the padded input at kernel row s, x-offset a + j
+                np.matmul(m[lo * o:hi * o].T, gs, out=term)
+                for j in range(span):
+                    k = starts[s] + a + j
+                    gx[:, k:k + ncol] += term[j * c:(j + 1) * c]
             if w_req:
-                np.matmul(gs, views[s][rows].T, out=gm[lo * o:hi * o])
-        gx = gw = None
+                np.matmul(gs, views[s][a * c:(a + span) * c].T, out=gm[lo * o:hi * o])
+        gw = None
         if x_req:  # the interior of the padded gradient
-            pz, py, px = (k // 2 for k in kshape)
-            gx = _fold_columns(gcols, kshape[2]).reshape(c, nz + 2 * pz, ny + 2 * py, -1)
-            gx = gx[:, pz:pz + nz, py:py + ny, px:px + nx]
+            gx = gx.reshape(c, -1, yp, xp)[:, pz:pz + nz, py:py + ny, px:px + nx]
         if w_req:
             gm = gm.reshape(-1, o, span, c).transpose(0, 2, 1, 3).reshape(-1, o * c)
             gw = (gm.T @ q).reshape(wshape)

@@ -10,6 +10,8 @@
   values and input gradients on one case, and ``scan_fast_path`` lists the
   failing cases of one entry over a range of seeds.
 - ``gradient_check``, the central-difference oracle of taped gradients.
+- ``rejection_test(table)``, the one form of a module's table of input
+  checks: callable, arguments, exception type and message fragment.
 - The procedural generator's two exact latent symmetries,
   ``flip_amplitude`` and ``shift_phase``, and their fold, ``fold_latent``.
 - The references the table reads: the per-tap and per-offset loops that
@@ -26,10 +28,12 @@
   with one keyed stream per proposal and a list archive."""
 
 import math
+import re
 import warnings
 from typing import Callable, NamedTuple
 
 import numpy as np
+import pytest
 
 import fluvinv.tensors as tc
 from fluvinv import geophysics
@@ -78,6 +82,18 @@ def assert_matches(actual, reference, rule, what="array"):
     ulp = float(np.spacing(reference.dtype.type(np.max(np.abs(reference[finite]), initial=0.0))))
     worst = float(np.max(err, initial=0.0))
     assert worst <= k * ulp, f"{what}: error of {worst / ulp:.4g} ulps of the largest entry > {k}"
+
+
+def rejection_test(table):
+    """A test of every row of ``table``, ``{id: (callable, arguments, error,
+    message fragment)}``: calling the callable with the arguments raises
+    ``error``, and its message holds the fragment as literal text. Bind it
+    to a ``test_*`` name in the module whose checks the table holds."""
+    @pytest.mark.parametrize("fn, args, error, fragment", list(table.values()), ids=list(table))
+    def test(fn, args, error, fragment):
+        with pytest.raises(error, match=re.escape(fragment)):
+            fn(*args)
+    return test
 
 
 def gradient_check(fn, point, step=1e-5):

@@ -85,7 +85,7 @@ def test_mean_pairwise_distance_rejects_other_than_rows_of_latents(latents):
         mean_pairwise_distance(latents)
 
 
-@pytest.mark.parametrize("d", [0, -1, 2.5])
+@pytest.mark.parametrize("d", [0, -1, 2.5, True, False])
 def test_expected_prior_pairwise_distance_rejects_a_bad_dimension(d):
     with pytest.raises(InversionError, match="dimension"):
         expected_prior_pairwise_distance(d)

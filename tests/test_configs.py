@@ -2,7 +2,8 @@
 
 The sweep takes each numeric field (annotated ``int`` or ``float``, optionally
 ``| None``) from ``dataclasses.fields``, so a new field is covered without
-editing this file: NaN and +-inf must raise, and so must 2.5 in an int field.
+editing this file: NaN, +-inf, True and False must raise (a bool is not a
+number), and so must 2.5 in an int field.
 ``OUT_OF_RANGE`` adds finite values outside a field's bound, tuple entries and
 a None where the default is not None.
 """
@@ -10,6 +11,7 @@ a None where the default is not None.
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 from fluvinv.generators import GeneratorDescriptor, GeneratorError
@@ -53,7 +55,7 @@ NUMERIC = ("int", "float", "int | None", "float | None")
 
 SWEEP = [(cls, f.name, bad)
          for cls in CONFIGS for f in dataclasses.fields(cls) if f.type in NUMERIC
-         for bad in (math.nan, math.inf, -math.inf) + ((2.5,) if f.type[:3] == "int" else ())]
+         for bad in (math.nan, math.inf, -math.inf, True, False) + ((2.5,) if f.type[:3] == "int" else ())]
 
 OUT_OF_RANGE = [
     (GridGeometry, "dx", math.nan), (GridGeometry, "nx", 2.5),
@@ -64,7 +66,8 @@ OUT_OF_RANGE = [
     (RockPhysicsParams, "coordination", 0.0), (RockPhysicsParams, "critical_porosity", 1.0),
     (PsfConfig, "velocity_mps", 0.0), (PsfConfig, "illumination_angle_deg", 90.5),
     (PsfConfig, "kernel_extents", (9, -1, 3)), (PsfConfig, "kernel_extents", (9, 3.0, 3)),
-    (PsfConfig, "kernel_extents", [9, 0, 3]),
+    (PsfConfig, "kernel_extents", [9, 0, 3]), (PsfConfig, "kernel_extents", (9, True, 3)),
+    (DreamConfig, "snooker_prob", np.False_), (LatentOptimizeConfig, "n_restarts", np.True_),
     (GeneratorDescriptor, "base_channels", 0), (GeneratorDescriptor, "leaky_slope", -0.2),
     (GeneratorDescriptor, "out_extents", (32, 32, 0)), (StagePolicy, "count", -1),
     (StagePolicy, "ramp_m", math.inf), (DataLossConfig, "lambda_z", None),

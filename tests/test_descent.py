@@ -1,6 +1,8 @@
 """The shared descent loop: schedules, labels, tuning modes and the non-finite
 policy, across latent restarts, pivotal tuning, the flow and the inference net."""
 
+import functools
+import json
 import math
 
 import numpy as np
@@ -18,18 +20,20 @@ from fluvinv.inversion import (
     FlowConfig,
     InferenceNetConfig,
     InversionError,
+    InversionResult,
     LatentOptimizeConfig,
     Observations,
     PivotalTuneConfig,
+    RestartRecord,
     gaussian_data_loglik,
     latent_optimize,
     pivotal_tune,
     train_inference_network,
     variational_infer,
 )
-from fluvinv.inversion.optimize import Adam
+from fluvinv.inversion.optimize import Adam, descend
 from fluvinv.survey import extract_well_data
-from helpers import EXACT, NonFiniteGenerator, PerArrayAdam, assert_matches
+from helpers import EXACT, NonFiniteGenerator, PerArrayAdam, assert_matches, rejection_test
 
 
 def _observations(gen, xy, seed):
@@ -209,3 +213,53 @@ def test_adam_rejects_another_key_set(change):
              "reshaped": {"a": np.ones(4), "b": np.ones(4)}}[change]
     with pytest.raises(InversionError, match="Adam"):
         opt.step(params, grads)
+
+
+def test_two_runs_of_one_seed_give_byte_equal_json():
+    geometry = GridGeometry(nx=16, ny=16, nz=4)
+    desc = GeneratorDescriptor(latent_dim=8, base_channels=4, num_blocks=2,
+                               out_extents=(16, 16, 4))
+    gen = NeuralGenerator.random_init(geometry, desc, rng_seed=0)
+    obs = _observations(gen, [(3, 4), (12, 9)], seed=1)
+
+    def run():
+        latent = latent_optimize(gen, obs, LatentOptimizeConfig(n_restarts=2, iterations=3,
+                                                                rng_seed=5))
+        tuned = pivotal_tune(gen, latent.latents(), obs,
+                             PivotalTuneConfig(steps=2, anchors_per_step=1, rng_seed=5))
+        return latent, tuned
+
+    for first, second in zip(run(), run()):
+        plain = first.to_json_dict()
+        assert json.dumps(plain) == json.dumps(second.to_json_dict())
+        timed = first.to_json_dict(include_timing=True)
+        assert timed.pop("wall_clock_s") == first.wall_clock_s
+        assert json.dumps(timed) == json.dumps(plain)
+
+
+_GEN8 = ProceduralGenerator(GridGeometry(nx=8, ny=8, nz=4), latent_dim=8, label_dim=0)
+_OBS8 = _observations(_GEN8, [(2, 3)], seed=1)
+_ABORTED = RestartRecord(0, np.zeros(8), None, np.array([math.nan]), math.nan, aborted=True)
+
+
+def _descend_a_vector_loss():
+    descend(lambda tape, nodes, step: nodes["z"], {"z": np.zeros(3)}, np.float64, 1, 0.1)
+
+
+# callable, arguments, error, message fragment
+REJECTIONS = {
+    "descend loss shape": (_descend_a_vector_loss, (), InversionError,
+                           "loss node has shape (3,), expected ()"),
+    "every restart aborted": (InversionResult("latent", 0, [_ABORTED]).best, (), InversionError,
+                              "all restarts aborted"),
+    "labels of an unconditional generator": (
+        latent_optimize, (_GEN8, _OBS8, LatentOptimizeConfig(n_restarts=1, iterations=1,
+                                                             optimize_labels=True)),
+        InversionError, "generator has no labels to co-optimize"),
+    "unknown tuning mode": (functools.partial(PivotalTuneConfig, mode="solo"), (), InversionError,
+                            "unknown tuning mode 'solo'"),
+    "no pivots": (pivotal_tune, (_GEN8, np.zeros((0, 8)), _OBS8), InversionError,
+                  "pivotal tuning requires pre-inverted pivot latents"),
+}
+
+test_descent_methods_reject_bad_input = rejection_test(REJECTIONS)

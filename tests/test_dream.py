@@ -9,7 +9,7 @@ from scipy.special import logsumexp
 from fluvinv.inversion import ChainEnsemble, DreamConfig, dream_zs, gelman_rubin
 from fluvinv.inversion.loss import InversionError
 from fluvinv.inversion.mcmc import accept_probability, de_jump
-from helpers import EXACT, assert_matches, dream_zs_per_proposal
+from helpers import EXACT, assert_matches, dream_zs_per_proposal, rejection_test
 
 
 def standard_normal_logp(z):
@@ -252,3 +252,14 @@ def test_builds_no_seed_sequence_per_generation(monkeypatch):
                  config=DreamConfig(n_chains=4, burn_in=0, generations=generations))
         counts.append(len(built))
     assert counts[0] == counts[1]
+
+
+# callable, arguments, error, message fragment
+REJECTIONS = {
+    "gelman_rubin of a 2-d array": (gelman_rubin, (np.zeros((4, 10)),), InversionError,
+                                    "expected (chains, samples, dims), got (4, 10)"),
+    "gelman_rubin of one chain": (gelman_rubin, (np.zeros((1, 10, 2)),), InversionError,
+                                  "Gelman-Rubin needs at least 2 chains"),
+}
+
+test_mcmc_rejects_bad_input = rejection_test(REJECTIONS)

@@ -18,10 +18,11 @@ from fluvinv.generators import (
     neutral_labels,
     sample_prior,
     save_weights,
+    weights_fingerprint,
 )
 from fluvinv.grids import GridGeometry
 from helpers import (EXACT, assert_matches, flip_amplitude, fold_latent, gradient_check,
-                     phase_gain, round_off, shift_phase)
+                     phase_gain, rejection_test, round_off, shift_phase)
 
 DESK = GridGeometry(nx=32, ny=32, nz=8)
 
@@ -94,6 +95,42 @@ def test_keyed_rngs_rejects_negative_entries_and_other_state_sizes():
     for n_words, dtype in [(8, np.uint64), (4, np.uint32)]:
         with pytest.raises(ValueError, match="4 uint64"):
             seq.generate_state(n_words, dtype)
+
+
+# every key family of keyed_rng's docstring: its keys at a seed, with small indices
+KEY_FAMILIES = {
+    "latent row": lambda s: [(s, i) for i in range(32)],
+    "random_init / place_wells": lambda s: [(s,)],
+    "DREAM archive": lambda s: [(s, 1, i) for i in range(3)],
+    "DREAM chain": lambda s: [(s, 2, i) for i in range(3)],
+    "DREAM proposal": lambda s: [(s, 3, t, i) for t in range(3) for i in range(3)],
+    "tuning": lambda s: [(s, 7, step) for step in range(3)],
+    "flow init": lambda s: [(s, 11, layer) for layer in range(3)],
+    "flow sample": lambda s: [(s, 13, i) for i in range(3)],
+    "flow batch": lambda s: [(s, 17, step) for step in range(3)],
+    "inference-net init": lambda s: [(s, 19)],
+    "inference-net sample": lambda s: [(s, 23, i) for i in range(3)],
+    "inference-net batch": lambda s: [(s, 29, step) for step in range(3)],
+}
+
+# the family pairs that share a stream, as keyed_rng's docstring lists them:
+# (seed,) is latent row 0, (seed, 19) is latent row 19, and index 0 of family
+# k is latent row k
+SHARED_STREAMS = {frozenset(("latent row", f)) for f in KEY_FAMILIES if f != "latent row"}
+
+
+def test_keys_share_a_stream_exactly_when_equal_zero_padded_to_four_words():
+    keys = [(f, key) for s in range(4) for f, family in KEY_FAMILIES.items() for key in family(s)]
+    words = keyed_rngs([key for _, key in keys]).words
+    shared = set()
+    for a in range(len(keys)):
+        for b in range(a + 1, len(keys)):
+            (fa, ka), (fb, kb) = keys[a], keys[b]
+            padded_equal = ka + (0,) * (4 - len(ka)) == kb + (0,) * (4 - len(kb))
+            assert (words[a] == words[b]).all() == padded_equal, (ka, kb)
+            if padded_equal:
+                shared.add(frozenset((fa, fb)))
+    assert shared == SHARED_STREAMS
 
 
 @pytest.mark.parametrize("stream", [(), (13,), (1,), (3, 4)])
@@ -289,6 +326,45 @@ def test_descriptor_rejects_indivisible_extents():
         GeneratorDescriptor(out_extents=(30, 32, 8), num_blocks=2)
 
 
+def _without(weights, name):
+    return {k: v for k, v in weights.items() if k != name}
+
+
+def _build_with_weights(gen, weights):
+    tape = tc.GraphTape(np.float64)
+    return gen.build(tape, tape.constant(np.zeros(gen.latent_dim)), weights=weights)
+
+
+_PROC = ProceduralGenerator(SMALL, latent_dim=8)
+_NEURAL = NeuralGenerator.random_init(GEO16, DESC, rng_seed=0)
+
+# callable, arguments, error, message fragment
+REJECTIONS = {
+    "labels outside [0, 1]": (_PROC.generate, (np.zeros(8), np.full(5, 1.5)), GeneratorError,
+                              "labels must be normalized to [0, 1]"),
+    "procedural latent_dim < 8": (ProceduralGenerator, (SMALL, 7), GeneratorError,
+                                  "latent_dim >= 8, got 7"),
+    "procedural label_dim 3": (ProceduralGenerator, (SMALL, 8, 3), GeneratorError,
+                               "label_dim must be 0 or 5"),
+    "map vector size": (ProceduralGenerator, (SMALL, 8, 5, np.zeros(3)), GeneratorError,
+                        "must have 15 entries"),
+    "procedural weight keys": (_PROC.with_weights, ({"maps": np.zeros(15), "x": 0},),
+                               GeneratorError, "exactly {'maps'}, got ['maps', 'x']"),
+    "neural geometry": (NeuralGenerator, (SMALL, DESC, _NEURAL.weights()), GeneratorError,
+                        "geometry 8x8x4 does not match descriptor"),
+    "neural weight missing at init": (NeuralGenerator,
+                                      (GEO16, DESC, _without(_NEURAL.weights(), "head.b")),
+                                      GeneratorError, "missing weight tensor 'head.b'"),
+    "unexpected neural weight": (NeuralGenerator,
+                                 (GEO16, DESC, {**_NEURAL.weights(), "extra.w": np.zeros(1)}),
+                                 GeneratorError, "unexpected weight tensors ['extra.w']"),
+    "neural weight missing in build": (_build_with_weights, (_NEURAL, {}), GeneratorError,
+                                       "missing weight tensor 'dense.w'"),
+}
+
+test_generators_reject_bad_input = rejection_test(REJECTIONS)
+
+
 def test_weights_roundtrip_bit_exact(tmp_path):
     gen = NeuralGenerator.random_init(GEO16, DESC, rng_seed=5)
     path = tmp_path / "w.flvwts"
@@ -297,6 +373,26 @@ def test_weights_roundtrip_bit_exact(tmp_path):
     assert desc == DESC
     for name, arr in gen.weights().items():
         assert loaded[name].tobytes() == arr.astype("<f4").tobytes()
+
+
+def test_weights_fingerprint_ignores_order_and_sees_names_shapes_and_values():
+    a, b = np.arange(6, dtype=np.float32).reshape(2, 3), np.ones(4, dtype=np.float32)
+    fp = weights_fingerprint({"a": a, "b": b})
+    assert weights_fingerprint({"b": b, "a": a}) == fp
+    nudged = b.copy()
+    nudged[2] = np.nextafter(nudged[2], np.float32(2))
+    for other in [{"c": a, "b": b}, {"a": a.reshape(3, 2), "b": b}, {"a": a, "b": nudged}]:
+        assert weights_fingerprint(other) != fp
+
+
+def test_weights_fingerprint_survives_a_save_and_load(tmp_path):
+    gen = NeuralGenerator.random_init(GEO16, DESC, rng_seed=5)
+    path = tmp_path / "w.flvwts"
+    save_weights(path, gen.weights(), DESC)
+    loaded, desc = load_weights(path)
+    assert weights_fingerprint(loaded) == weights_fingerprint(gen.weights())
+    assert weights_fingerprint(NeuralGenerator(GEO16, desc, loaded).weights()) == \
+        weights_fingerprint(gen.weights())
 
 
 def test_weights_bad_magic_rejected(tmp_path):
@@ -353,6 +449,7 @@ def test_weights_cut_at_every_length_rejected(tmp_path_factory):
     (b'{"format_version": 1, "tensors": [{"name": "a", "shape": [1], "offset": 0}, '
      b'{"name": "a", "shape": [1], "offset": 4}]}', "twice"),
     (b'{"format_version": 1, "tensors": [], "descriptor": {"latent_dim": 8}}', "descriptor"),
+    (b'{"format_version": 2, "tensors": []}', "unsupported format version 2"),
 ])
 def test_weights_bad_manifest_rejected(tmp_path, header, match):
     path = tmp_path / "w.flvwts"

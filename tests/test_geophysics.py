@@ -1,9 +1,11 @@
 """Rock physics, reflectivity, PSF, and seismic forward operator."""
 
+import functools
+
 import numpy as np
 import pytest
 from helpers import (EXACT, assert_matches, gradient_check, padded_reflectivity,
-                     rock_physics_moduli)
+                     rejection_test, rock_physics_moduli)
 
 import fluvinv.tensors as tc
 from fluvinv.generators import ProceduralGenerator, sample_prior
@@ -279,3 +281,23 @@ def test_column_without_interface_rejected():
     model = SeismicModel(burden=BurdenConfig(total_thickness_m=0.0))
     with pytest.raises(GeophysicsError, match=r"4x3x1 grid under a 0.0 m burden"):
         model.forward(grid)
+
+
+def test_a_fixed_psf_velocity_is_the_average_velocity():
+    grid = constant_grid(0.4)
+    model = SeismicModel(psf=PsfConfig(velocity_mps=2750.0))
+    assert model.average_velocity(grid.coarse_fraction, grid.geometry) == 2750.0
+    assert model.forward(grid).velocity_mps == 2750.0
+
+
+# callable, arguments, error, message fragment
+REJECTIONS = {
+    "end-member porosity at critical": (functools.partial(RockPhysicsParams,
+                                                          critical_porosity=0.27), (),
+                                        GeophysicsError,
+                                        "end-member porosities must lie below critical_porosity"),
+    "even kernel extent": (functools.partial(PsfConfig, kernel_extents=(9, 4, 3)), (),
+                           GeophysicsError, "kernel_extents must be odd, got (9, 4, 3)"),
+}
+
+test_geophysics_rejects_bad_input = rejection_test(REJECTIONS)

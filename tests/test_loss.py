@@ -7,7 +7,7 @@ import pytest
 
 import fluvinv.tensors as tc
 from fluvinv.generators import ProceduralGenerator, sample_prior
-from fluvinv.geophysics import PsfConfig, SeismicModel
+from fluvinv.geophysics import PsfConfig, SeismicCube, SeismicModel
 from fluvinv.grids import GridGeometry
 from fluvinv.inversion import (
     DataLoss,
@@ -22,7 +22,7 @@ from fluvinv.inversion import (
 from fluvinv.inversion.loss import well_mae
 from fluvinv.inversion.optimize import descend
 from fluvinv.survey import extract_well_data
-from helpers import gradient_check
+from helpers import gradient_check, rejection_test
 
 GEO = GridGeometry(nx=8, ny=8, nz=4)
 GEN = ProceduralGenerator(GEO, latent_dim=8, label_dim=0)
@@ -185,3 +185,29 @@ def test_well_mae_over_zero_wells_is_rejected():
     # it returned NaN with a "Mean of empty slice" warning
     with pytest.raises(InversionError, match="no wells"):
         well_mae(TRUTH, WELLS.subset(0))
+
+
+def _seismic_residuals(amplitude_shape):
+    obs = Observations(seismic=SeismicCube(np.zeros(amplitude_shape), GEO),
+                       seismic_model=SeismicModel())
+    loss = DataLoss(obs, DataLossConfig(use_wells=False, use_seismic=True), geometry=GEO)
+    tape = tc.GraphTape(np.float64)
+    loss.residuals(tape, GEN.build(tape, tape.constant(Z_TRUE))[0])
+
+
+# callable, arguments, error, message fragment
+REJECTIONS = {
+    "seismic without a model": (Observations, (None, SeismicCube(np.zeros((3, 8, 8)), GEO)),
+                                InversionError, "seismic observations need a forward model"),
+    "unknown metric": (DataLossConfig, (True, False, "huber"), InversionError,
+                       "unknown metric 'huber'"),
+    "well term without wells": (DataLoss, (Observations(), DataLossConfig()), InversionError,
+                                "well term active but no well dataset given"),
+    "seismic term without a cube": (DataLoss, (Observations(wells=WELLS),
+                                               DataLossConfig(use_seismic=True)),
+                                    InversionError, "seismic term active but no seismic cube"),
+    "seismic prediction shape": (_seismic_residuals, ((3, 8, 8),), InversionError,
+                                 "does not match observations (3, 8, 8)"),
+}
+
+test_loss_rejects_bad_input = rejection_test(REJECTIONS)

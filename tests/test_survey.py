@@ -1,5 +1,8 @@
 """Well placement and log extraction."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +19,7 @@ from fluvinv.survey import (
     read_wells_csv,
     write_wells_csv,
 )
+from helpers import rejection_test
 
 FULL = GridGeometry()  # 128x128x16 at 50 m cells
 POLICY = PlacementPolicy()
@@ -180,7 +184,8 @@ def test_extract_out_of_bounds_rejected():
         extract_well_data(grid_with_marker(), [(16, 0)])
 
 
-@pytest.mark.parametrize("location", [(1.5, 2), (1, 2.0), (1, None)])
+@pytest.mark.parametrize("location", [(1.5, 2), (1, 2.0), (1, None), (True, 2), (1, False),
+                                      (np.True_, 2)])
 def test_extract_rejects_non_integer_coordinates(location):
     with pytest.raises(SurveyError, match="integers"):
         extract_well_data(grid_with_marker(), [location])
@@ -190,6 +195,8 @@ def test_well_dataset_rejects_non_integer_coordinates():
     geometry = grid_with_marker().geometry
     with pytest.raises(SurveyError, match="well W00 .*integers"):
         WellDataset(geometry, [Well("W00", 1.5, 2)], np.zeros((1, geometry.nz)))
+    with pytest.raises(SurveyError, match="well W00 .*integers"):
+        WellDataset(geometry, [Well("W00", True, 2)], np.zeros((1, geometry.nz)))
 
 
 @pytest.mark.parametrize("wells", [[], [Well("W00", 1, 2)]], ids=["no-wells", "one-well"])
@@ -214,7 +221,7 @@ def test_subset_keeps_the_first_wells():
         np.testing.assert_array_equal(sub.columns, ds.columns[:n])
 
 
-@pytest.mark.parametrize("n_wells", [-1, 4, 2.5, 2.0, None])
+@pytest.mark.parametrize("n_wells", [-1, 4, 2.5, 2.0, None, True, False])
 def test_subset_rejects_a_count_it_cannot_take(n_wells):
     ds = extract_well_data(grid_with_marker(), [(3, 7), (10, 2), (5, 9)])
     with pytest.raises(SurveyError, match="asked for"):
@@ -328,3 +335,32 @@ def test_infeasible_policy_raises_instead_of_placing_fewer_wells():
     policy = PlacementPolicy(legacy=StagePolicy(count=5, exclusion_m=500.0, ramp_m=600.0))
     with pytest.raises(SurveyError, match="stage 1: no feasible cell left"):
         place_wells([np.ones((8, 8))], policy, rng_seed=0, geometry=geometry)
+
+
+def _read_rows(rows, geometry):
+    with tempfile.TemporaryDirectory() as tmp:
+        write_rows(Path(tmp) / "wells.csv", rows)
+        return read_wells_csv(Path(tmp) / "wells.csv", geometry)
+
+
+GEO4 = GridGeometry(nx=4, ny=4, nz=2)
+
+# callable, arguments, error, message fragment
+REJECTIONS = {
+    "exclusion at ramp": (StagePolicy, (1, 500.0, 500.0), SurveyError,
+                          "need exclusion_m < ramp_m, got 500.0 / 500.0"),
+    "column block shape": (WellDataset, (GEO4, [Well("W00", 1, 2)], np.zeros((2, 2))),
+                           SurveyError, "column block (2, 2) does not match 1 wells x 2 layers"),
+    "well value above 1": (WellDataset, (GEO4, [Well("W00", 1, 2)], np.full((1, 2), 1.5)),
+                           SurveyError, "well values must lie in [0, 1]"),
+    "no weight map": (place_wells, ([], POLICY, 0), SurveyError,
+                      "need at least one weight map"),
+    "unequal map shapes": (place_wells, ([np.ones((4, 4)), np.ones((4, 5))], POLICY, 0),
+                           SurveyError, "weight maps must share a shape"),
+    "negative map": (place_wells, ([np.full((4, 4), -1.0)], POLICY, 0), SurveyError,
+                     "weight maps must be non-negative"),
+    "csv layer missing": (_read_rows, ([("W00", 1, 2, 0, 0.5)], GEO4), SurveyError,
+                          "well W00: layers do not cover 0..1"),
+}
+
+test_survey_rejects_bad_input = rejection_test(REJECTIONS)

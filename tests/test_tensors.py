@@ -10,10 +10,10 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 import fluvinv.tensors as tc
-from fluvinv.tensors import GraphTape, ShapeError, TapeError
+from fluvinv.tensors import GraphTape, ShapeError, TapeError, TensorError
 from fluvinv.generators import ProceduralGenerator, sample_prior
 from fluvinv.grids import GridGeometry
-from helpers import conv3d_reference, gradient_check
+from helpers import conv3d_reference, gradient_check, rejection_test
 
 
 def test_dense_identity():
@@ -501,3 +501,67 @@ def test_procedural_build_adds_at_most_five_records():
         before = len(tape._records)
         gen.build(tape, z, labels, {"maps": maps}, cells)
         assert len(tape._records) - before <= 5
+
+
+def _nodes(*shapes):
+    tape = GraphTape(np.float64)
+    return [tape.input(np.ones(shape)) for shape in shapes]
+
+
+def _squared():
+    tape = GraphTape(np.float64)
+    x = tape.input(np.ones(3))
+    return tape, x * x
+
+
+def _wrt_a_node_of_another_tape():
+    tape, y = _squared()
+    tape.backward(y).wrt(_nodes(3)[0])
+
+
+def _backward_of_a_node_of_another_tape():
+    tape, _ = _squared()
+    tape.backward(_nodes(3)[0])
+
+
+def _node_on_a_consumed_tape():
+    tape, y = _squared()
+    tape.backward(y)
+    tape.input(1.0)
+
+
+def _backward_with_seed(shape):
+    tape, y = _squared()
+    tape.backward(y, np.ones(shape))
+
+
+# callable, arguments, error, message fragment
+REJECTIONS = {
+    "wrt another tape": (_wrt_a_node_of_another_tape, (), TapeError,
+                         "gradient requested for a node from another tape"),
+    "backward of another tape": (_backward_of_a_node_of_another_tape, (), TapeError,
+                                 "output node belongs to another tape"),
+    "int32 tape": (GraphTape, (np.int32,), TensorError, "unsupported storage dtype int32"),
+    "consumed tape": (_node_on_a_consumed_tape, (), TapeError, "tape already consumed"),
+    "seed shape": (_backward_with_seed, ((4,),), ShapeError,
+                   "seed gradient shape (4,) != output shape (3,)"),
+    "no node operand": (tc.add, (1.0, 2.0), TensorError, "at least one operand must be a Node"),
+    "crop rank": (tc.crop, (_nodes((2, 3))[0], (slice(None),)), ShapeError,
+                  "crop: 1 slices for a rank-2 tensor"),
+    "crop step": (tc.crop, (_nodes((4,))[0], (slice(0, 4, 2),)), TensorError,
+                  "only unit-step slices"),
+    "concat shapes": (tc.concat, (_nodes((2, 3), (2, 4)),), ShapeError,
+                      "concat: incompatible shapes [(2, 3), (2, 4)] along axis 0"),
+    "stack shapes": (tc.stack, (_nodes((2,), (3,)),), ShapeError,
+                     "stack: unequal shapes [(2,), (3,)]"),
+    "reshape size": (tc.reshape, (_nodes((2, 3))[0], (4,)), ShapeError,
+                     "reshape: cannot reshape (2, 3) to (4,)"),
+    "take out of range": (tc.take, (_nodes((2, 3))[0], [6]), TensorError,
+                          "take: index out of range"),
+    "dense bias": (tc.dense, tuple(_nodes((2, 3), (3,), (3,))), ShapeError,
+                   "dense: bias (3,) incompatible with weight (2, 3)"),
+    "upsample2 rank": (tc.upsample2, (_nodes((2, 3))[0],), ShapeError,
+                       "upsample2: expected rank-4 input, got (2, 3)"),
+}
+
+test_tensor_ops_reject_bad_input = rejection_test(REJECTIONS)
